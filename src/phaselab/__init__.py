@@ -11,7 +11,6 @@ distinguishing.
 from ._version import __version__
 from .algorithms import (
     EprPair,
-    PhaseEstimate,
     ReducedPdSolver,
     build_cemm,
     build_truncated_optimal,
@@ -32,11 +31,9 @@ from .experiments import (
     run_experiment,
 )
 from .fourier import (
-    FourierBasisIndex,
     conjugate_fourier_state,
     fourier_state,
     fourier_weights,
-    phase_gradient,
     qft_matrix,
 )
 from .linalg import (
@@ -67,7 +64,6 @@ from .simulate import (
     QueryAlgorithm,
     RunTranscript,
     counter_leakage,
-    counter_leakage_outside,
     haar_random_algorithm,
     reachable_counter_values,
     run_fixed_phase,

@@ -28,20 +28,6 @@ from .oracles import FORWARD, PhaseInstance
 from .simulate import COUNTER, OUTPUT, QueryAlgorithm, run_fixed_phase, standard_layout
 
 
-@dataclass(frozen=True)
-class PhaseEstimate:
-    """An estimated phase together with the grid size that produced it."""
-
-    theta_hat: float
-    n_grid: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta_hat < 1.0:
-            raise ValueError(f"estimate must lie in [0, 1), got {self.theta_hat}")
-        if self.n_grid < 1:
-            raise ValueError(f"grid size must be >= 1, got {self.n_grid}")
-
-
 def _default_eigenstate() -> np.ndarray:
     eig = np.zeros(2, dtype=np.complex128)
     eig[0] = 1.0
@@ -140,11 +126,9 @@ def phase_distance(a: float, b: float, circular: bool = True) -> float:
 def round_to_grid(estimate, n: int) -> int:
     """Nearest grid label y minimizing the circular distance |theta - y/n|.
 
-    Accepts a plain phase in [0, 1) or a PhaseEstimate. Ties break toward
-    the smaller label.
+    Ties break toward the smaller label.
     """
-    theta = estimate.theta_hat if isinstance(estimate, PhaseEstimate) else float(estimate)
-    theta %= 1.0
+    theta = float(estimate) % 1.0
     d = np.abs(theta - np.arange(n) / n)
     d = np.minimum(d, 1.0 - d)
     return int(np.argmin(d))

@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduction-check", help="estimator-to-distinguisher rounding check")
     common(p)
-    p.add_argument("--p", help="comma list of success floors (default 0.3,0.6,0.9)")
+    p.add_argument("--p", help="comma list of success floors in (0, 1] (default 0.3,0.6,0.9)")
 
     p = sub.add_parser("sweep", help="run an experiment described by a config file")
     common(p)

@@ -31,9 +31,14 @@ from .algorithms import (
     reduction_estimator_to_pd,
 )
 from .linalg import AMP_TOL, PROB_TOL, UnitaryMatrix, haar_random_unitary
-from .oracles import FORWARD, PhaseInstance, QueryKind, controlled_u, default_family
+from .oracles import FORWARD, PhaseInstance, QueryKind, default_family
 from .simulate import (
     QueryAlgorithm,
+    _evolve,
+    _label_success,
+    _label_turns,
+    _query,
+    _start,
     counter_leakage,
     haar_random_algorithm,
     leakage_from_weights,
@@ -116,6 +121,9 @@ class ExperimentConfig:
                 raise ValueError("cemm-curve requires a theta grid")
             if any(not 0.0 <= t < 1.0 for t in self.theta_grid):
                 raise ValueError("theta values must lie in [0, 1)")
+        if self.kind == "reduction-check" and self.theta_grid:
+            if any(not 0.0 < p <= 1.0 for p in self.theta_grid):
+                raise ValueError("success floors must lie in (0, 1]")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -237,7 +245,9 @@ def _guard_leakage(row: ResultRow) -> ResultRow:
 def _map_tasks(tasks, worker, jobs):
     if jobs is None:
         jobs = os.cpu_count() or 1
-    if jobs <= 1 or len(tasks) <= 1:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1 or len(tasks) <= 1:
         groups = [worker(t) for t in tasks]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -370,43 +380,29 @@ def adversarial_search(
     family = default_family(n, work_dim)
     layout = standard_layout(n, work_dim)
     dim = layout.total_dim
-    d2 = 2 * work_dim
     rng = np.random.default_rng(seed)
-    cus = [controlled_u(family, y).matrix for y in range(n)]
-    cus_adj = [m.conj().T for m in cus]
-    e0 = np.zeros(dim, dtype=np.complex128)
-    e0[0] = 1.0
-
-    def apply_bw(vec, m):
-        return (vec.reshape(n, d2) @ m.T).reshape(-1)
+    u = family.eigenstate
+    turns = _label_turns(range(n), n)
+    forward = [1] * q
+    ahead = np.exp(2j * np.pi * turns(1)) - 1.0  # one forward query, per label
+    undo = ahead.conj()  # its inverse: the same update with the phases negated
+    # P_y: keep the O = y rows of column y
+    on_label = (np.arange(n)[:, None] == np.arange(n)).reshape(n, 1, n)
 
     def success(steps):
-        total = 0.0
-        for y in range(n):
-            v = steps[0][:, 0]
-            for i in range(1, q + 1):
-                v = steps[i] @ apply_bw(v, cus[y])
-            total += float(np.sum(np.abs(v.reshape(n, d2)[y]) ** 2))
-        return total / n
+        return _label_success(_evolve(_start(layout, n), steps, forward, layout, u, turns), layout)
 
     def sweep(steps):
+        a = _start(layout, n)  # columns before step ``slot``, one per label
         for slot in range(q + 1):
-            env = np.zeros((dim, dim), dtype=np.complex128)
-            for y in range(n):
-                a = e0
-                for i in range(slot):
-                    a = apply_bw(steps[i] @ a, cus[y])
-                psi = steps[slot] @ a
-                for i in range(slot + 1, q + 1):
-                    psi = steps[i] @ apply_bw(psi, cus[y])
-                proj = np.zeros((n, d2), dtype=np.complex128)
-                proj[y] = psi.reshape(n, d2)[y]
-                g = proj.reshape(-1)
-                for i in range(q, slot, -1):
-                    g = apply_bw(steps[i].conj().T @ g, cus_adj[y])
-                env += np.outer(g, a.conj())
-            u, _, vh = np.linalg.svd(env)
-            steps[slot] = u @ vh
+            psi = _evolve(a, steps[slot:], forward, layout, u, turns)
+            g = (psi.reshape(n, -1, n) * on_label).reshape(dim, n)
+            for i in range(q, slot, -1):
+                g = _query(steps[i].conj().T @ g, layout, u, undo)
+            w, _, vh = np.linalg.svd(g @ a.conj().T)
+            steps[slot] = w @ vh
+            if slot < q:
+                a = _query(steps[slot] @ a, layout, u, ahead)
 
     best_p = -1.0
     best_steps = None

@@ -8,12 +8,11 @@ input, so it can be inserted between steps of a simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .linalg import RegisterLayout, StateVector, UnitaryMatrix, apply_to_registers
+from .linalg import RegisterLayout, StateVector, UnitaryMatrix
 
 
 @lru_cache(maxsize=None)
@@ -41,26 +40,6 @@ def conjugate_fourier_state(n: int, y: int, label: str = "C") -> StateVector:
     return StateVector(base.layout, base.amps.conj())
 
 
-@dataclass(frozen=True)
-class FourierBasisIndex:
-    """A validated Fourier-basis label k modulo n."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.n}")
-        if not 0 <= self.k < self.n:
-            raise IndexError(f"index {self.k} out of range for modulus {self.n}")
-
-    def state(self, label: str = "C") -> StateVector:
-        return fourier_state(self.n, self.k, label)
-
-    def conjugate_state(self, label: str = "C") -> StateVector:
-        return conjugate_fourier_state(self.n, self.k, label)
-
-
 def fourier_weights(state: StateVector, register: str) -> np.ndarray:
     """Fourier-basis outcome probabilities of one register.
 
@@ -68,16 +47,14 @@ def fourier_weights(state: StateVector, register: str) -> np.ndarray:
     the inverse transform and measured. Works on a copy; the input state is
     never mutated.
     """
-    dim = state.layout.dim_of(register)
-    rotated = apply_to_registers(state, qft_matrix(dim).adjoint, [register])
-    axis = state.layout.axis(register)
-    probs = np.abs(rotated.tensor_view()) ** 2
-    other = tuple(i for i in range(probs.ndim) if i != axis)
-    return probs.sum(axis=other)
+    return _spectrum(np.moveaxis(state.tensor_view(), state.layout.axis(register), -1))
 
 
-def phase_gradient(n: int, step: int = 1) -> UnitaryMatrix:
-    """Diagonal unitary diag(w^(step*k)); shifts Fourier index by ``step``."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    return UnitaryMatrix(np.diag(np.exp(2j * np.pi * step * np.arange(n) / n)))
+def _spectrum(amps: np.ndarray) -> np.ndarray:
+    """Fourier weights of the last axis, summed over all other axes.
+
+    The inverse transform of a length-d vector is its FFT over sqrt(d), so
+    the weights are |fft|^2 / d; they sum to the squared norm of ``amps``.
+    """
+    d = amps.shape[-1]
+    return (np.abs(np.fft.fft(amps, axis=-1)) ** 2).reshape(-1, d).sum(axis=0) / d

@@ -158,13 +158,3 @@ def phase_unitary(inst: PhaseInstance) -> UnitaryMatrix:
     proj = np.outer(inst.eigenstate, inst.eigenstate.conj())
     mat = np.eye(inst.work_dim, dtype=np.complex128) + (np.exp(2j * np.pi * inst.theta) - 1) * proj
     return UnitaryMatrix(mat)
-
-
-def controlled_phase(inst: PhaseInstance, kind: QueryKind = FORWARD) -> UnitaryMatrix:
-    """Controlled power of a continuous-phase unitary on (control, work)."""
-    proj = np.outer(inst.eigenstate, inst.eigenstate.conj())
-    d = inst.work_dim
-    core = np.eye(d, dtype=np.complex128) + (np.exp(2j * np.pi * inst.theta * kind.exponent) - 1) * proj
-    block = np.eye(2 * d, dtype=np.complex128)
-    block[d:, d:] = core
-    return UnitaryMatrix(block)

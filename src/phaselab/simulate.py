@@ -4,8 +4,14 @@ An algorithm owns registers O (output, dim n), B (oracle control wire,
 dim 2), W (work space the oracle acts on) and optionally more. Its steps
 are unitaries over all of those registers; between consecutive steps the
 simulator applies the oracle to (B, W). The purified view appends a counter
-register C of dimension n initialized to the zero Fourier state and drives
-every query through the coherent oracle.
+register C of dimension n initialized to the zero Fourier state, which
+makes the purified state (1/sqrt(n)) sum_y |psi_y>|y> with psi_y the
+fixed-label run of member y.
+
+So every view is one computation: ``_evolve`` runs a dim x m matrix whose
+columns each carry one oracle phase, a query being a rank-1 update on the
+B = 1 slice along the eigenstate. The counter spectrum of the purified
+state is an FFT along the columns.
 
 Success probabilities are computed exactly from amplitudes in all
 verification paths; sampling never enters these functions.
@@ -17,25 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import fourier_weights
-from .linalg import (
-    RegisterLayout,
-    StateVector,
-    UnitaryMatrix,
-    apply_to_registers,
-    haar_random_unitary,
-    projection_norm_sq,
-    zero_state,
-)
-from .oracles import (
-    FORWARD,
-    PhaseInstance,
-    PhaseOracleFamily,
-    QueryKind,
-    coherent_controlled_u,
-    controlled_phase,
-    controlled_u,
-)
+from .fourier import _spectrum, fourier_weights
+from .linalg import RegisterLayout, StateVector, UnitaryMatrix, haar_random_unitary
+from .oracles import FORWARD, PhaseInstance, PhaseOracleFamily, QueryKind
 
 OUTPUT = "O"
 CONTROL = "B"
@@ -121,17 +111,81 @@ def _check_compatible(alg: QueryAlgorithm, family: PhaseOracleFamily) -> None:
         )
 
 
+def _query(cols: np.ndarray, layout: RegisterLayout, eigenstate, factor) -> np.ndarray:
+    """One oracle call on every column: W <- W + factor * u<u|W> where B = 1.
+
+    ``factor[j]`` is e^(2 pi i phi_j m) - 1 for column j's phase phi_j and the
+    query power m; the B = 0 slice and the complement of u are left alone.
+    Writes into ``cols`` when it is contiguous; callers use the return value.
+    """
+    t = cols.reshape(layout.dims + (cols.shape[-1],))
+    ax_b, ax_w = layout.axis(CONTROL), layout.axis(WORK)
+    w = np.moveaxis(t[(slice(None),) * ax_b + (1,)], ax_w - (ax_w > ax_b), 0)
+    w += np.multiply.outer(eigenstate, np.tensordot(eigenstate.conj(), w, axes=1) * factor)
+    return t.reshape(cols.shape)
+
+
+def _evolve(cols, steps, exponents, layout, eigenstate, turns, snapshots=None) -> np.ndarray:
+    """Apply steps[0], then each query followed by the next step, to the columns.
+
+    ``turns(m)`` gives, in turns, the phase of every column's oracle raised
+    to the power m. When ``snapshots`` is a list, the counter spectrum of the
+    columns (one per label of an n-phase family) is appended after each step.
+    """
+    factors = {}
+    steps = iter(steps)
+    cols = next(steps) @ cols
+    if snapshots is not None:
+        snapshots.append(_spectrum(cols) / cols.shape[-1])
+    for m, step in zip(exponents, steps):
+        if m not in factors:
+            factors[m] = np.exp(2j * np.pi * turns(m)) - 1.0
+        cols = step @ _query(cols, layout, eigenstate, factors[m])
+        if snapshots is not None:
+            snapshots.append(_spectrum(cols) / cols.shape[-1])
+    return cols
+
+
+def _start(layout: RegisterLayout, m: int) -> np.ndarray:
+    """m columns, each the all-zeros basis state."""
+    cols = np.zeros((layout.total_dim, m), dtype=np.complex128)
+    cols[0] = 1.0
+    return cols
+
+
+def _label_turns(labels, n: int):
+    """Phases of members ``labels`` raised to m, with y*m reduced mod n first."""
+    labels = np.asarray(labels)
+    return lambda m: (labels * m % n) / n
+
+
+def _run(alg: QueryAlgorithm, eigenstate, turns, m: int, snapshots=None) -> np.ndarray:
+    """The algorithm on m columns started at all-zeros; see ``_evolve``."""
+    return _evolve(
+        _start(alg.layout, m), (s.matrix for s in alg.steps), [k.exponent for k in alg.kinds],
+        alg.layout, eigenstate, turns, snapshots,
+    )
+
+
+def _run_labels(alg: QueryAlgorithm, family: PhaseOracleFamily, labels, snapshots=None):
+    """Column j is the fixed-label run of family member labels[j]."""
+    _check_compatible(alg, family)
+    turns = _label_turns(labels, family.n)
+    return _run(alg, family.eigenstate, turns, len(labels), snapshots)
+
+
+def _label_success(cols: np.ndarray, layout: RegisterLayout) -> float:
+    """Weight of O = y in column y, averaged over the columns."""
+    t = cols.reshape(layout.dims + (cols.shape[-1],))
+    diag = np.diagonal(t, axis1=layout.axis(OUTPUT), axis2=t.ndim - 1)
+    return float(np.sum(np.abs(diag) ** 2)) / cols.shape[-1]
+
+
 def run_fixed_y(alg: QueryAlgorithm, family: PhaseOracleFamily, y: int) -> StateVector:
     """Final state on the algorithm registers when querying family member y."""
-    _check_compatible(alg, family)
     if not 0 <= y < family.n:
         raise IndexError(f"label {y} out of range for {family.n} phases")
-    oracles = {k: controlled_u(family, y, k) for k in set(alg.kinds)}
-    state = apply_to_registers(zero_state(alg.layout), alg.steps[0], list(alg.layout.labels))
-    for kind, step in zip(alg.kinds, alg.steps[1:]):
-        state = apply_to_registers(state, oracles[kind], [CONTROL, WORK])
-        state = apply_to_registers(state, step, list(alg.layout.labels))
-    return state
+    return StateVector(alg.layout, _run_labels(alg, family, [y])[:, 0])
 
 
 def run_fixed_phase(alg: QueryAlgorithm, inst: PhaseInstance) -> StateVector:
@@ -140,62 +194,37 @@ def run_fixed_phase(alg: QueryAlgorithm, inst: PhaseInstance) -> StateVector:
         raise ValueError(
             f"work register has dimension {alg.work_dim}, instance acts on {inst.work_dim}"
         )
-    oracles = {k: controlled_phase(inst, k) for k in set(alg.kinds)}
-    state = apply_to_registers(zero_state(alg.layout), alg.steps[0], list(alg.layout.labels))
-    for kind, step in zip(alg.kinds, alg.steps[1:]):
-        state = apply_to_registers(state, oracles[kind], [CONTROL, WORK])
-        state = apply_to_registers(state, step, list(alg.layout.labels))
-    return state
+    cols = _run(alg, inst.eigenstate, lambda m: np.array([inst.theta * m]), 1)
+    return StateVector(alg.layout, cols[:, 0])
 
 
-def _purified_initial(alg: QueryAlgorithm) -> StateVector:
+def _purified_state(alg: QueryAlgorithm, cols: np.ndarray) -> StateVector:
+    # C is the least significant register, so column y is the C = y slice
     layout = alg.layout.extended(COUNTER, alg.n)
-    amps = np.zeros(layout.total_dim, dtype=np.complex128)
-    amps[: alg.n] = 1.0 / np.sqrt(alg.n)  # A at |0..0>, C at the zero Fourier state
-    return StateVector(layout, amps)
-
-
-def _purified_run(alg: QueryAlgorithm, family: PhaseOracleFamily, record: bool):
-    _check_compatible(alg, family)
-    a_labels = list(alg.layout.labels)
-    oracles = {k: coherent_controlled_u(family, k) for k in set(alg.kinds)}
-    state = apply_to_registers(_purified_initial(alg), alg.steps[0], a_labels)
-    snapshots = [fourier_weights(state, COUNTER)] if record else None
-    for kind, step in zip(alg.kinds, alg.steps[1:]):
-        state = apply_to_registers(state, oracles[kind], [CONTROL, WORK, COUNTER])
-        state = apply_to_registers(state, step, a_labels)
-        if record:
-            snapshots.append(fourier_weights(state, COUNTER))
-    return state, snapshots
+    return StateVector(layout, cols.reshape(-1) / np.sqrt(alg.n))
 
 
 def run_purified(alg: QueryAlgorithm, family: PhaseOracleFamily) -> StateVector:
     """Final state on (algorithm registers) x C in the purified view."""
-    state, _ = _purified_run(alg, family, record=False)
-    return state
+    return _purified_state(alg, _run_labels(alg, family, range(alg.n)))
 
 
 def run_purified_transcript(alg: QueryAlgorithm, family: PhaseOracleFamily) -> RunTranscript:
     """Purified run keeping a counter-spectrum snapshot after every query."""
-    state, snaps = _purified_run(alg, family, record=True)
-    return RunTranscript(n=alg.n, q=alg.q, counter_weights=tuple(snaps), final_state=state)
+    snaps = []
+    cols = _run_labels(alg, family, range(alg.n), snaps)
+    return RunTranscript(
+        n=alg.n, q=alg.q, counter_weights=tuple(snaps), final_state=_purified_state(alg, cols)
+    )
 
 
 def counter_leakage(state: StateVector, budget: int) -> float:
     """Total Fourier weight of the counter register beyond ``budget``."""
-    weights = fourier_weights(state, COUNTER)
-    return float(weights[budget + 1 :].sum())
-
-
-def counter_leakage_outside(state: StateVector, allowed) -> float:
-    """Total Fourier weight of the counter register outside an index set."""
-    weights = fourier_weights(state, COUNTER)
-    allowed = set(allowed)
-    return float(sum(w for k, w in enumerate(weights) if k not in allowed))
+    return leakage_from_weights(fourier_weights(state, COUNTER), range(budget + 1))
 
 
 def leakage_from_weights(weights: np.ndarray, allowed) -> float:
-    """Same as counter_leakage_outside but on a precomputed weight vector."""
+    """Total weight of a Fourier weight vector outside an index set."""
     allowed = set(allowed)
     return float(sum(w for k, w in enumerate(weights) if k not in allowed))
 
@@ -232,10 +261,7 @@ def success_probability_purified(state: StateVector) -> float:
 
 def success_probability_average(alg: QueryAlgorithm, family: PhaseOracleFamily) -> float:
     """Success probability averaged over a uniformly random family member."""
-    total = 0.0
-    for y in range(family.n):
-        total += projection_norm_sq(run_fixed_y(alg, family, y), OUTPUT, y)
-    return total / family.n
+    return _label_success(_run_labels(alg, family, range(family.n)), alg.layout)
 
 
 def standard_layout(n: int, work_dim: int = 2) -> RegisterLayout:

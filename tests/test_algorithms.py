@@ -3,7 +3,6 @@ import pytest
 
 from phaselab.algorithms import (
     EprPair,
-    PhaseEstimate,
     build_cemm,
     build_truncated_optimal,
     cemm_on_continuous_phase,
@@ -156,9 +155,6 @@ class TestRounding:
         assert round_to_grid(0.26, 4) == 1
         assert round_to_grid(0.99, 4) == 0  # circular wraparound
         assert round_to_grid(0.125, 4) == 0  # tie toward the smaller label
-
-    def test_accepts_phase_estimate(self):
-        assert round_to_grid(PhaseEstimate(theta_hat=0.74, n_grid=4), 4) == 3
 
     def test_grid_points_are_fixed(self):
         for n in (3, 5, 8):

@@ -118,6 +118,19 @@ class TestOtherCommands:
         ) == 0
         assert "min margin" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("floors", ["1.5", "0", "-0.2", "0.3,nan"])
+    def test_reduction_floor_out_of_range_exits_2(self, floors, capsys):
+        assert cli.main(["reduction-check", "--n", "4", "--p", floors, "--trials", "10"]) == 2
+        assert "success floors" in capsys.readouterr().err
+
+    def test_reduction_floor_one_accepted(self, capsys):
+        assert cli.main(["reduction-check", "--n", "4", "--p", "1", "--trials", "50"]) == 0
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, jobs, capsys):
+        assert cli.main(["epr-check", "--n", "3", "--jobs", jobs]) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+
     def test_stress_small(self, capsys):
         assert cli.main(["stress", "--n", "2", "--q", "1", "--trials", "20", "--seed", "1"]) == 0
         assert "random-stress" in capsys.readouterr().err

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from phaselab.fourier import (
-    FourierBasisIndex,
     conjugate_fourier_state,
     fourier_state,
     fourier_weights,
-    phase_gradient,
     qft_matrix,
 )
 from phaselab.linalg import (
@@ -92,21 +90,6 @@ class TestConjugateState:
         np.testing.assert_allclose(out.amps, expected, atol=1e-10)
 
 
-class TestFourierBasisIndex:
-    def test_validation(self):
-        with pytest.raises(IndexError):
-            FourierBasisIndex(4, 4)
-        with pytest.raises(ValueError):
-            FourierBasisIndex(0, 0)
-
-    def test_state_accessors(self):
-        idx = FourierBasisIndex(6, 2)
-        np.testing.assert_allclose(idx.state().amps, fourier_state(6, 2).amps)
-        np.testing.assert_allclose(
-            idx.conjugate_state().amps, conjugate_fourier_state(6, 2).amps
-        )
-
-
 def two_register_state(n, pairs):
     """Unnormalized sum of |a> x |fourier k> terms, then normalized."""
     layout = RegisterLayout((("A", 2), ("C", n)))
@@ -165,12 +148,3 @@ class TestFourierWeights:
         snapshot = s.amps.copy()
         fourier_weights(s, "C")
         np.testing.assert_array_equal(s.amps, snapshot)
-
-
-class TestPhaseGradient:
-    @pytest.mark.parametrize("n,k,step", [(5, 0, 1), (5, 3, 1), (6, 5, 1), (6, 2, 3)])
-    def test_shifts_fourier_index(self, n, k, step):
-        shifted = apply_to_registers(fourier_state(n, k), phase_gradient(n, step), ["C"])
-        np.testing.assert_allclose(
-            shifted.amps, fourier_state(n, (k + step) % n).amps, atol=1e-10
-        )

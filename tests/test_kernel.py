@@ -1,0 +1,114 @@
+"""The simulation kernel against the dense reference in ``reference.py``.
+
+Random problem sizes, work dimensions, eigenstates, ancilla registers,
+register orders and query schedules (negative powers and powers >= n
+included): every public simulator must agree with the reference to 1e-12,
+success must stay under the counter-support bound, and the counter spectrum
+must stay inside the subset-sum reachable sets.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
+from phaselab.fourier import fourier_weights
+from phaselab.linalg import RegisterLayout, haar_random_unitary
+from phaselab.oracles import PhaseInstance, PhaseOracleFamily, QueryKind
+from phaselab.simulate import (
+    QueryAlgorithm,
+    counter_leakage,
+    leakage_from_weights,
+    reachable_counter_values,
+    run_fixed_phase,
+    run_fixed_y,
+    run_purified,
+    run_purified_transcript,
+    success_probability_average,
+    success_probability_purified,
+)
+
+TOL = 1e-12
+
+
+def random_case(n, work_dim, anc_dim, exponents, seed):
+    """A Haar-random algorithm on a shuffled (O, B, W[, anc]) layout and a
+    family whose eigenstate is a random unit vector."""
+    rng = np.random.default_rng(seed)
+    regs = [("O", n), ("B", 2), ("W", work_dim)] + ([("anc", anc_dim)] if anc_dim else [])
+    layout = RegisterLayout(tuple(regs[i] for i in rng.permutation(len(regs))))
+    steps = [haar_random_unitary(layout.total_dim, rng) for _ in range(len(exponents) + 1)]
+    alg = QueryAlgorithm(n, layout, steps, tuple(QueryKind(m) for m in exponents))
+    eig = rng.standard_normal(work_dim) + 1j * rng.standard_normal(work_dim)
+    family = PhaseOracleFamily.from_eigenstate(n, eig / np.linalg.norm(eig))
+    return alg, family, float(rng.uniform())
+
+
+def check_against_reference(alg, family, theta):
+    n, q = alg.n, alg.q
+    for y in range(n):
+        np.testing.assert_allclose(
+            run_fixed_y(alg, family, y).amps, reference.run_fixed_y(alg, family, y).amps,
+            rtol=0, atol=TOL,
+        )
+    inst = PhaseInstance(theta=theta, eigenstate=family.eigenstate)
+    np.testing.assert_allclose(
+        run_fixed_phase(alg, inst).amps, reference.run_fixed_phase(alg, inst).amps,
+        rtol=0, atol=TOL,
+    )
+
+    ref_state, ref_snaps = reference.purified_run(alg, family)
+    np.testing.assert_allclose(run_purified(alg, family).amps, ref_state.amps, rtol=0, atol=TOL)
+    tr = run_purified_transcript(alg, family)
+    np.testing.assert_allclose(tr.final_state.amps, ref_state.amps, rtol=0, atol=TOL)
+    np.testing.assert_allclose(np.array(tr.counter_weights), ref_snaps, rtol=0, atol=TOL)
+    np.testing.assert_allclose(
+        fourier_weights(ref_state, "C"), reference.fourier_weights(ref_state, "C"),
+        rtol=0, atol=TOL,
+    )
+    assert counter_leakage(ref_state, q) == pytest.approx(
+        float(ref_snaps[-1][q + 1 :].sum()), abs=TOL
+    )
+
+    avg = success_probability_average(alg, family)
+    assert avg == pytest.approx(reference.success_probability_average(alg, family), abs=TOL)
+    assert avg == pytest.approx(success_probability_purified(ref_state), abs=TOL)
+    return avg, tr
+
+
+@pytest.mark.parametrize(
+    "n,work_dim,anc_dim,exponents,seed",
+    [
+        (4, 2, 0, (1, 1, 1), 1),
+        (5, 3, 2, (-1, 2, 7), 2),
+        (3, 1, 3, (4, -5), 3),
+        (6, 2, 2, (), 4),
+    ],
+)
+def test_kernel_matches_reference(n, work_dim, anc_dim, exponents, seed):
+    check_against_reference(*random_case(n, work_dim, anc_dim, exponents, seed))
+
+
+exponent = st.sampled_from([1, -1]) | st.integers(-20, 20)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 7),
+    work_dim=st.integers(1, 3),
+    anc_dim=st.sampled_from([0, 2, 3]),
+    exponents=st.lists(exponent, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_properties(n, work_dim, anc_dim, exponents, seed):
+    alg, family, theta = random_case(n, work_dim, anc_dim, exponents, seed)
+    avg, tr = check_against_reference(alg, family, theta)
+
+    reach = reachable_counter_values(exponents, n)
+    for w, allowed in zip(tr.counter_weights, reach):
+        assert leakage_from_weights(w, allowed) <= 1e-10
+    # the counter's Fourier support after the last query caps the success
+    assert avg <= len(reach[-1]) / n + 1e-9
+    if set(exponents) <= {1, -1}:
+        assert avg <= (alg.q + 1) / n + 1e-9

@@ -10,7 +10,6 @@ from phaselab.oracles import (
     PhaseOracleFamily,
     QueryKind,
     coherent_controlled_u,
-    controlled_phase,
     controlled_u,
     default_family,
     phase_unitary,
@@ -189,12 +188,6 @@ class TestPhaseUnitary:
         np.testing.assert_allclose(
             phase_unitary(inst).matrix, u_y_matrix(fam, y).matrix, atol=1e-12
         )
-
-    def test_controlled_phase_inverse(self):
-        inst = PhaseInstance(theta=0.3, eigenstate=np.array([1, 0]))
-        fwd = controlled_phase(inst, FORWARD).matrix
-        inv = controlled_phase(inst, INVERSE).matrix
-        np.testing.assert_allclose(inv @ fwd, np.eye(4), atol=1e-12)
 
     def test_theta_out_of_range(self):
         with pytest.raises(ValueError):

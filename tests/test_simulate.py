@@ -10,13 +10,14 @@ from phaselab.linalg import (
     haar_random_unitary,
     zero_state,
 )
-from phaselab.oracles import FORWARD, QueryKind, default_family
+from phaselab.oracles import FORWARD, INVERSE, PhaseInstance, QueryKind, default_family
 from phaselab.simulate import (
     QueryAlgorithm,
     counter_leakage,
-    counter_leakage_outside,
     haar_random_algorithm,
+    leakage_from_weights,
     reachable_counter_values,
+    run_fixed_phase,
     run_fixed_y,
     run_purified,
     run_purified_transcript,
@@ -106,6 +107,27 @@ class TestRunFixedY:
             assert abs(out.norm - 1.0) < 1e-9
 
 
+class TestRunFixedPhase:
+    def test_inverse_query_undoes_forward(self):
+        # raise the control, query V then V^-1: the state returns to |0,1,0>
+        n = 4
+        steps = (embed_on_control(n, X2), identity_step(n), identity_step(n))
+        alg = QueryAlgorithm(n, standard_layout(n), steps, (FORWARD, INVERSE))
+        out = run_fixed_phase(alg, PhaseInstance(theta=0.3, eigenstate=np.array([1, 0])))
+        expected = np.zeros(alg.layout.total_dim)
+        expected[2] = 1.0
+        np.testing.assert_allclose(out.amps, expected, atol=1e-12)
+
+    def test_grid_phase_matches_fixed_label(self):
+        n = 6
+        alg = haar_random_algorithm(n, 3, seed=21, kinds=(FORWARD, INVERSE, QueryKind(8)))
+        fam = default_family(n)
+        inst = PhaseInstance(theta=5 / n, eigenstate=fam.eigenstate)
+        np.testing.assert_allclose(
+            run_fixed_phase(alg, inst).amps, run_fixed_y(alg, fam, 5).amps, atol=1e-12
+        )
+
+
 class TestRunPurified:
     def test_zero_query_product_state(self):
         n = 6
@@ -173,7 +195,7 @@ class TestCounterLeakage:
         rng = np.random.default_rng(4)
         alg = haar_random_algorithm(n, 1, rng, kinds=(QueryKind.inverse(),))
         out = run_purified(alg, default_family(n))
-        assert counter_leakage_outside(out, {0, n - 1}) <= 1e-10
+        assert leakage_from_weights(fourier_weights(out, "C"), {0, n - 1}) <= 1e-10
 
     def test_branch_conditional_add_reaches_subset_sums(self):
         # schedule [power(2), forward] with the control raised only for the
@@ -186,7 +208,7 @@ class TestCounterLeakage:
         out = run_purified(alg, default_family(n))
         w = fourier_weights(out, "C")
         assert w[1] == pytest.approx(1.0, abs=1e-10)
-        assert counter_leakage_outside(out, {0, 1, 2, 3}) <= 1e-10
+        assert leakage_from_weights(w, {0, 1, 2, 3}) <= 1e-10
 
     def test_random_schedules_stay_in_reachable_sets(self):
         n = 9
