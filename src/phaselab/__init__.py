@@ -63,6 +63,7 @@ from .oracles import (
 from .simulate import (
     QueryAlgorithm,
     RunTranscript,
+    Step,
     counter_leakage,
     haar_random_algorithm,
     reachable_counter_values,

@@ -25,7 +25,15 @@ from .linalg import (
     projection_norm_sq,
 )
 from .oracles import FORWARD, PhaseInstance
-from .simulate import COUNTER, OUTPUT, QueryAlgorithm, run_fixed_phase, standard_layout
+from .simulate import (
+    COUNTER,
+    OUTPUT,
+    WORK,
+    QueryAlgorithm,
+    Step,
+    run_fixed_phase,
+    standard_layout,
+)
 
 
 def _default_eigenstate() -> np.ndarray:
@@ -34,40 +42,42 @@ def _default_eigenstate() -> np.ndarray:
     return eig
 
 
-def threshold_toggle(n: int, threshold: int, work_dim: int = 2) -> UnitaryMatrix:
+def _control_flip(n: int, work_dim: int, flip) -> np.ndarray:
+    """Basis permutation of the (O, B, W) layout that flips B where flip[O]."""
+    o = np.arange(n)[:, None, None]
+    b = np.arange(2)[None, :, None] ^ np.asarray(flip, dtype=int)[:, None, None]
+    return ((o * 2 + b) * work_dim + np.arange(work_dim)).reshape(-1)
+
+
+def threshold_toggle(n: int, threshold: int, work_dim: int = 2) -> Step:
     """Flip the control wire B on every output branch with O >= threshold.
 
     XOR semantics: applying the same toggle twice is the identity, so it
-    both sets and clears the predicate.
+    both sets and clears the predicate. The step is one basis permutation.
     """
-    d2 = 2 * work_dim
-    flip = np.zeros((d2, d2), dtype=np.complex128)
-    flip[:work_dim, work_dim:] = np.eye(work_dim)
-    flip[work_dim:, :work_dim] = np.eye(work_dim)
-    keep = np.eye(d2, dtype=np.complex128)
-    mat = np.zeros((n * d2, n * d2), dtype=np.complex128)
-    for k in range(n):
-        mat[k * d2 : (k + 1) * d2, k * d2 : (k + 1) * d2] = flip if k >= threshold else keep
-    return UnitaryMatrix(mat)
+    flip = _control_flip(n, work_dim, np.arange(n) >= threshold)
+    return Step(standard_layout(n, work_dim), (flip,))
 
 
-def _assemble(n: int, q: int, prep_o: np.ndarray, eigenstate: np.ndarray) -> QueryAlgorithm:
+def _assemble(n: int, q: int, prep_o: UnitaryMatrix, eigenstate: np.ndarray) -> QueryAlgorithm:
+    """Prepare O and W, walk [O >= j] across the queries, then apply F† on O.
+
+    Between queries j and j+1 the predicate moves from [O >= j] to
+    [O >= j+1]; their XOR flips B exactly where O = j.
+    """
     work_dim = eigenstate.shape[0]
-    prep_w = complete_orthonormal_basis(eigenstate, work_dim).T
-    prep = np.kron(prep_o, np.kron(np.eye(2), prep_w))
-    iqft = np.kron(qft_matrix(n).matrix.conj().T, np.eye(2 * work_dim))
+    layout = standard_layout(n, work_dim)
+    prep_w = UnitaryMatrix(complete_orthonormal_basis(eigenstate, work_dim).T)
+    prep = [(prep_o, (OUTPUT,)), (prep_w, (WORK,))]
+    iqft = (qft_matrix(n).adjoint, (OUTPUT,))
+    outputs = np.arange(n)
     if q == 0:
-        steps = (UnitaryMatrix(iqft @ prep),)
+        steps = [Step(layout, prep + [iqft])]
     else:
-        toggles = [threshold_toggle(n, j, work_dim).matrix for j in range(q + 1)]
-        steps = [UnitaryMatrix(toggles[1] @ prep)]
-        for j in range(1, q):
-            steps.append(UnitaryMatrix(toggles[j + 1] @ toggles[j]))
-        steps.append(UnitaryMatrix(iqft @ toggles[q]))
-        steps = tuple(steps)
-    return QueryAlgorithm(
-        n=n, layout=standard_layout(n, work_dim), steps=steps, kinds=(FORWARD,) * q
-    )
+        steps = [Step(layout, prep + [_control_flip(n, work_dim, outputs >= 1)])]
+        steps += [Step(layout, (_control_flip(n, work_dim, outputs == j),)) for j in range(1, q)]
+        steps.append(Step(layout, (_control_flip(n, work_dim, outputs >= q), iqft)))
+    return QueryAlgorithm(n=n, layout=layout, steps=steps, kinds=(FORWARD,) * q)
 
 
 def build_truncated_optimal(n: int, q: int, eigenstate=None) -> QueryAlgorithm:
@@ -83,7 +93,7 @@ def build_truncated_optimal(n: int, q: int, eigenstate=None) -> QueryAlgorithm:
     eig = _default_eigenstate() if eigenstate is None else np.asarray(eigenstate, np.complex128)
     target = np.zeros(n, dtype=np.complex128)
     target[: q + 1] = 1.0 / np.sqrt(q + 1)
-    prep_o = complete_orthonormal_basis(target, n).T
+    prep_o = UnitaryMatrix(complete_orthonormal_basis(target, n).T)
     return _assemble(n, q, prep_o, eig)
 
 
@@ -97,7 +107,7 @@ def build_cemm(n: int, eigenstate=None) -> QueryAlgorithm:
     if n < 1:
         raise ValueError(f"problem size must be >= 1, got {n}")
     eig = _default_eigenstate() if eigenstate is None else np.asarray(eigenstate, np.complex128)
-    return _assemble(n, n - 1, qft_matrix(n).matrix, eig)
+    return _assemble(n, n - 1, qft_matrix(n), eig)
 
 
 def cemm_on_continuous_phase(inst: PhaseInstance, n: int) -> np.ndarray:

@@ -64,6 +64,14 @@ CSV_HEADER = "n,q,kind,trial,seed,observed_probability,bound_value,gap,max_leaka
 # Fourier weight allowed outside the schedule-consistent counter range.
 LEAKAGE_BUDGET = AMP_TOL
 
+# Output rows carry counter leakages at an absolute resolution of 1e-20. A
+# leakage that is exactly zero comes out of BLAS as roundoff near 1e-29 that
+# changes with the BLAS thread count; every tolerance is 1e-10 or wider.
+RESOLUTION_DECIMALS = 20
+
+# Row kinds whose observed_probability is itself a counter leakage.
+_LEAKAGE_ROW_KINDS = ("forward", "schedule")
+
 # Default success floors probed by reduction-check when none are configured.
 DEFAULT_SUCCESS_FLOORS = (0.3, 0.6, 0.9)
 
@@ -156,28 +164,14 @@ class ExperimentResult:
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
         for r in self.rows:
-            lines.append(
-                ",".join(
-                    (
-                        str(r.n),
-                        str(r.q),
-                        r.kind,
-                        str(r.trial),
-                        str(r.seed),
-                        _fmt(r.observed_probability),
-                        _fmt(r.bound_value),
-                        _fmt(r.gap),
-                        _fmt(r.max_leakage),
-                        _fmt(r.wall_time_ms),
-                    )
-                )
-            )
+            values = _rendered(r).values()
+            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in values))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         import json
 
-        payload = {"metadata": self.metadata, "rows": [asdict(r) for r in self.rows]}
+        payload = {"metadata": self.metadata, "rows": [_rendered(r) for r in self.rows]}
         return json.dumps(payload, indent=2) + "\n"
 
     def rendered(self, fmt: str) -> str:
@@ -190,6 +184,18 @@ class ExperimentResult:
 
 def _fmt(v: float) -> str:
     return format(float(v), ".12g")
+
+
+def _rendered(row: ResultRow) -> dict:
+    """The row's fields with its leakages rounded to ``RESOLUTION_DECIMALS``
+    decimal places; every other value is kept as computed."""
+    out = asdict(row)
+    keys = ("max_leakage",)
+    if row.kind in _LEAKAGE_ROW_KINDS:
+        keys += ("observed_probability",)
+    for key in keys:
+        out[key] = round(out[key], RESOLUTION_DECIMALS) + 0.0  # + 0.0 turns -0.0 into 0.0
+    return out
 
 
 def derive_seed(master: int, row_kind: str, n: int, q: int, trial: int) -> int:
@@ -412,7 +418,7 @@ def adversarial_search(
         if use_initial:
             if initial.layout != layout or initial.q != q:
                 raise ValueError("initial algorithm does not match the search space")
-            steps = [s.matrix.copy() for s in initial.steps]
+            steps = [s @ np.eye(dim, dtype=np.complex128) for s in initial.steps]
             use_initial = False
         else:
             steps = [haar_random_unitary(dim, rng).matrix for _ in range(q + 1)]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,15 +53,16 @@ class RegisterLayout:
         if any(dim < 1 for _, dim in regs):
             raise ValueError("every register dimension must be >= 1")
 
-    @property
+    # cached: the simulator reads these on every step and query
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.registers)
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(dim for _, dim in self.registers)
 
-    @property
+    @cached_property
     def total_dim(self) -> int:
         return math.prod(self.dims)
 
@@ -213,28 +215,28 @@ def complete_orthonormal_basis(u, dim: int) -> np.ndarray:
     nrm = np.linalg.norm(first)
     if abs(nrm - 1.0) > NORM_TOL:
         raise ValueError(f"seed vector norm {nrm} deviates from 1 beyond {NORM_TOL}")
-    rows = [first / nrm]
+    rows = np.zeros((dim, dim), dtype=np.complex128)
+    rows[0] = first / nrm
+    done = 1
     for k in range(dim):
-        if len(rows) == dim:
+        if done == dim:
             break
+        accepted = rows[:done]
         cand = np.zeros(dim, dtype=np.complex128)
         cand[k] = 1.0
-        for r in rows:
-            cand = cand - np.vdot(r, cand) * r
+        cand -= accepted.T @ (accepted.conj() @ cand)
         res = np.linalg.norm(cand)
         if res < _RESIDUAL_TOL:
             continue
         cand /= res
         # second orthogonalization pass keeps the Gram matrix at ~1e-16
-        for r in rows:
-            cand = cand - np.vdot(r, cand) * r
-        cand /= np.linalg.norm(cand)
-        rows.append(cand)
-    if len(rows) != dim:
+        cand -= accepted.T @ (accepted.conj() @ cand)
+        rows[done] = cand / np.linalg.norm(cand)
+        done += 1
+    if done != dim:
         raise ValueError("could not complete an orthonormal basis")
-    out = np.array(rows)
-    out.setflags(write=False)
-    return out
+    rows.setflags(write=False)
+    return rows
 
 
 def haar_random_unitary(dim: int, seed) -> UnitaryMatrix:

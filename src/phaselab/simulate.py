@@ -2,11 +2,12 @@
 
 An algorithm owns registers O (output, dim n), B (oracle control wire,
 dim 2), W (work space the oracle acts on) and optionally more. Its steps
-are unitaries over all of those registers; between consecutive steps the
-simulator applies the oracle to (B, W). The purified view appends a counter
-register C of dimension n initialized to the zero Fourier state, which
-makes the purified state (1/sqrt(n)) sum_y |psi_y>|y> with psi_y the
-fixed-label run of member y.
+are unitaries over those registers, each stored as a short product of
+local factors (a matrix on a few registers, or a basis permutation);
+between consecutive steps the simulator applies the oracle to (B, W). The
+purified view appends a counter register C of dimension n initialized to
+the zero Fourier state, which makes the purified state
+(1/sqrt(n)) sum_y |psi_y>|y> with psi_y the fixed-label run of member y.
 
 So every view is one computation: ``_evolve`` runs a dim x m matrix whose
 columns each carry one oracle phase, a query being a rank-1 update on the
@@ -19,6 +20,7 @@ verification paths; sampling never enters these functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,21 +36,100 @@ COUNTER = "C"
 
 
 @dataclass(frozen=True, eq=False)
+class Step:
+    """One interleaving unitary as an ordered product of local factors.
+
+    A factor is either ``(matrix, targets)``, a ``UnitaryMatrix`` on the
+    listed registers (first target most significant) and the identity on
+    the rest, or a basis permutation: an int array ``perm`` of length
+    ``layout.total_dim`` that sends basis state perm[i] to i. Factors apply
+    in the listed order. Each is checked once, at its own size: targets
+    exist and are distinct, the matrix dimension matches the registers it
+    spans, and a permutation is a bijection. A matrix is not re-checked for
+    unitarity; ``UnitaryMatrix`` did that when it was built.
+    """
+
+    layout: RegisterLayout
+    factors: tuple
+
+    def __post_init__(self):
+        factors = tuple(_checked_factor(self.layout, f) for f in self.factors)
+        if not factors:
+            raise ValueError("a step needs at least one factor")
+        object.__setattr__(self, "factors", factors)
+
+    def __matmul__(self, cols: np.ndarray) -> np.ndarray:
+        """The step applied to a dim x m column matrix; returns a new array.
+
+        Row i after a permutation factor is row perm[i] before it; a matrix
+        factor on every register in layout order is a plain product.
+        """
+        for factor in self.factors:
+            if isinstance(factor, np.ndarray):
+                cols = cols[factor]
+            else:
+                cols = _apply_factor(cols, self.layout, *factor)
+        return cols
+
+
+def _checked_factor(layout: RegisterLayout, factor):
+    if isinstance(factor, tuple):
+        u, targets = factor
+        if not isinstance(u, UnitaryMatrix):
+            raise TypeError(f"a matrix factor must be a UnitaryMatrix, got {type(u).__name__}")
+        targets = tuple(targets)
+        unknown = [t for t in targets if t not in layout.labels]
+        if unknown:
+            raise ValueError(f"unknown target registers {unknown}, layout has {layout.labels}")
+        if len(set(targets)) != len(targets):
+            raise ValueError(f"duplicate target registers: {targets}")
+        span = math.prod(layout.dim_of(t) for t in targets)
+        if span != u.dim:
+            raise ValueError(
+                f"target registers {targets} span dimension {span}, matrix has dimension {u.dim}"
+            )
+        return u, targets
+    perm = np.array(factor)
+    if perm.dtype.kind not in "iu":
+        raise TypeError(f"a permutation factor must be an integer array, got {perm.dtype}")
+    total = layout.total_dim
+    if perm.shape != (total,):
+        raise ValueError(f"permutation has shape {perm.shape}, layout expects ({total},)")
+    if not np.array_equal(np.sort(perm), np.arange(total)):
+        raise ValueError("permutation factor is not a bijection of the basis states")
+    perm.setflags(write=False)
+    return perm
+
+
+def _apply_factor(cols, layout: RegisterLayout, u: UnitaryMatrix, targets) -> np.ndarray:
+    """``u`` on the target registers of every column, identity elsewhere."""
+    if targets == layout.labels:
+        return u.matrix @ cols
+    axes = [layout.axis(t) for t in targets]
+    k = len(axes)
+    block = tuple(layout.dims[a] for a in axes)
+    t = cols.reshape(layout.dims + (cols.shape[-1],))
+    t = np.tensordot(u.matrix.reshape(block + block), t, axes=(range(k, 2 * k), axes))
+    return np.moveaxis(t, range(k), axes).reshape(cols.shape)
+
+
+@dataclass(frozen=True, eq=False)
 class QueryAlgorithm:
     """Register layout plus the interleaving unitaries of a q-query algorithm.
 
-    ``steps`` holds q+1 unitaries over the whole layout; ``kinds`` holds one
-    oracle power per query. The initial state is all-zeros; any other start
-    state is folded into the first step.
+    ``steps`` holds q+1 ``Step``s over the layout; a dense ``UnitaryMatrix``
+    passed in becomes the one-factor step on every register, without a copy
+    or a second unitarity check. ``kinds`` holds one oracle power per query.
+    The initial state is all-zeros; any other start state is folded into the
+    first step.
     """
 
     n: int
     layout: RegisterLayout
-    steps: tuple[UnitaryMatrix, ...]
+    steps: tuple[Step, ...]
     kinds: tuple[QueryKind, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
         object.__setattr__(self, "kinds", tuple(self.kinds))
         if self.n < 1:
             raise ValueError(f"problem size must be >= 1, got {self.n}")
@@ -59,17 +140,23 @@ class QueryAlgorithm:
         self.layout.axis(WORK)
         if COUNTER in self.layout.labels:
             raise ValueError("label C is reserved for the purified counter register")
-        if len(self.steps) < 1:
+        labels = self.layout.labels
+        steps = tuple(
+            Step(self.layout, ((s, labels),)) if isinstance(s, UnitaryMatrix) else s
+            for s in self.steps
+        )
+        if len(steps) < 1:
             raise ValueError("an algorithm needs at least one step")
-        if len(self.kinds) != len(self.steps) - 1:
+        if len(self.kinds) != len(steps) - 1:
             raise ValueError(
-                f"{len(self.steps)} steps require {len(self.steps) - 1} query kinds, "
-                f"got {len(self.kinds)}"
+                f"{len(steps)} steps require {len(steps) - 1} query kinds, got {len(self.kinds)}"
             )
-        total = self.layout.total_dim
-        for i, step in enumerate(self.steps):
-            if step.dim != total:
-                raise ValueError(f"step {i} has dimension {step.dim}, layout expects {total}")
+        for i, step in enumerate(steps):
+            if not isinstance(step, Step):
+                raise TypeError(f"step {i} must be a Step or a UnitaryMatrix")
+            if step.layout != self.layout:
+                raise ValueError(f"step {i} is over {step.layout.registers}, not the layout")
+        object.__setattr__(self, "steps", steps)
 
     @property
     def q(self) -> int:
@@ -131,6 +218,8 @@ def _evolve(cols, steps, exponents, layout, eigenstate, turns, snapshots=None) -
     ``turns(m)`` gives, in turns, the phase of every column's oracle raised
     to the power m. When ``snapshots`` is a list, the counter spectrum of the
     columns (one per label of an n-phase family) is appended after each step.
+    A step is anything that maps the columns with ``@``: a ``Step`` or a
+    dense matrix.
     """
     factors = {}
     steps = iter(steps)
@@ -162,7 +251,7 @@ def _label_turns(labels, n: int):
 def _run(alg: QueryAlgorithm, eigenstate, turns, m: int, snapshots=None) -> np.ndarray:
     """The algorithm on m columns started at all-zeros; see ``_evolve``."""
     return _evolve(
-        _start(alg.layout, m), (s.matrix for s in alg.steps), [k.exponent for k in alg.kinds],
+        _start(alg.layout, m), alg.steps, [k.exponent for k in alg.kinds],
         alg.layout, eigenstate, turns, snapshots,
     )
 

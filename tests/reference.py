@@ -5,8 +5,11 @@ Every query goes through a dense oracle matrix applied with
 (B, W, C) for the purified view, ``controlled_u`` on (B, W) for one label,
 and an explicit controlled phase block on (B, W) for continuous phases.
 Counter spectra are read by rotating C with the inverse of ``qft_matrix``.
-None of this shares code with the simulation kernel in
-``phaselab.simulate``, so agreement between the two is evidence.
+A step is applied factor by factor: matrices with ``apply_to_registers``,
+permutations by re-indexing the amplitudes, never with ``Step @``. The dense
+``kron`` construction of the optimal circuits lives here too. None of this
+shares code with the simulation kernel in ``phaselab.simulate`` or with the
+builders in ``phaselab.algorithms``, so agreement between them is evidence.
 """
 
 import numpy as np
@@ -21,6 +24,85 @@ from phaselab.linalg import (
 )
 from phaselab.oracles import coherent_controlled_u, controlled_u
 from phaselab.simulate import COUNTER, OUTPUT
+
+
+def apply_step(state, step):
+    """The step's factors in order on a state over its layout, optionally
+    with more registers appended (the purified counter)."""
+    for factor in step.factors:
+        if isinstance(factor, np.ndarray):
+            # row i of the step's registers takes the amplitudes of row perm[i]
+            amps = state.amps.reshape(step.layout.total_dim, -1)[factor]
+            state = StateVector(state.layout, amps.reshape(-1), normalized=state.normalized)
+        else:
+            u, targets = factor
+            state = apply_to_registers(state, u, list(targets))
+    return state
+
+
+def dense_step(step):
+    """The step as a dense matrix, one basis state at a time."""
+    dim = step.layout.total_dim
+    cols = [apply_step(StateVector(step.layout, e), step).amps for e in np.eye(dim)]
+    return np.array(cols).T
+
+
+def complete_orthonormal_basis(u, dim):
+    """Gram-Schmidt completion one accepted row at a time (two passes)."""
+    rows = [np.asarray(u, dtype=np.complex128)]
+    for k in range(dim):
+        if len(rows) == dim:
+            break
+        cand = np.zeros(dim, dtype=np.complex128)
+        cand[k] = 1.0
+        for r in rows:
+            cand = cand - np.vdot(r, cand) * r
+        res = np.linalg.norm(cand)
+        if res < 1e-8:
+            continue
+        cand /= res
+        for r in rows:
+            cand = cand - np.vdot(r, cand) * r
+        rows.append(cand / np.linalg.norm(cand))
+    return np.array(rows)
+
+
+def dense_threshold_toggle(n, threshold, work_dim=2):
+    d2 = 2 * work_dim
+    flip = np.zeros((d2, d2), dtype=np.complex128)
+    flip[:work_dim, work_dim:] = np.eye(work_dim)
+    flip[work_dim:, :work_dim] = np.eye(work_dim)
+    keep = np.eye(d2, dtype=np.complex128)
+    mat = np.zeros((n * d2, n * d2), dtype=np.complex128)
+    for k in range(n):
+        mat[k * d2 : (k + 1) * d2, k * d2 : (k + 1) * d2] = flip if k >= threshold else keep
+    return mat
+
+
+def dense_assemble(n, q, prep_o, eigenstate):
+    """Dense full-layout steps of the optimal circuit, built with ``kron``."""
+    work_dim = eigenstate.shape[0]
+    prep_w = complete_orthonormal_basis(eigenstate, work_dim).T
+    prep = np.kron(prep_o, np.kron(np.eye(2), prep_w))
+    iqft = np.kron(qft_matrix(n).matrix.conj().T, np.eye(2 * work_dim))
+    if q == 0:
+        return [iqft @ prep]
+    toggles = [dense_threshold_toggle(n, j, work_dim) for j in range(q + 1)]
+    steps = [toggles[1] @ prep]
+    for j in range(1, q):
+        steps.append(toggles[j + 1] @ toggles[j])
+    steps.append(iqft @ toggles[q])
+    return steps
+
+
+def truncated_optimal_steps(n, q, eigenstate):
+    target = np.zeros(n, dtype=np.complex128)
+    target[: q + 1] = 1.0 / np.sqrt(q + 1)
+    return dense_assemble(n, q, complete_orthonormal_basis(target, n).T, eigenstate)
+
+
+def cemm_steps(n, eigenstate):
+    return dense_assemble(n, n - 1, qft_matrix(n).matrix, eigenstate)
 
 
 def purified_initial(alg):
@@ -41,13 +123,12 @@ def fourier_weights(state, register):
 
 def purified_run(alg, family):
     """Final purified state and the counter spectrum after every step."""
-    labels = list(alg.layout.labels)
     oracles = {k: coherent_controlled_u(family, k) for k in set(alg.kinds)}
-    state = apply_to_registers(purified_initial(alg), alg.steps[0], labels)
+    state = apply_step(purified_initial(alg), alg.steps[0])
     snapshots = [fourier_weights(state, COUNTER)]
     for kind, step in zip(alg.kinds, alg.steps[1:]):
         state = apply_to_registers(state, oracles[kind], ["B", "W", COUNTER])
-        state = apply_to_registers(state, step, labels)
+        state = apply_step(state, step)
         snapshots.append(fourier_weights(state, COUNTER))
     return state, snapshots
 
@@ -58,11 +139,10 @@ def run_purified(alg, family):
 
 def _fixed_run(alg, oracle):
     """Run with ``oracle(kind)`` on (B, W) between consecutive steps."""
-    labels = list(alg.layout.labels)
-    state = apply_to_registers(zero_state(alg.layout), alg.steps[0], labels)
+    state = apply_step(zero_state(alg.layout), alg.steps[0])
     for kind, step in zip(alg.kinds, alg.steps[1:]):
         state = apply_to_registers(state, oracle(kind), ["B", "W"])
-        state = apply_to_registers(state, step, labels)
+        state = apply_step(state, step)
     return state
 
 
@@ -88,3 +168,4 @@ def controlled_phase(inst, kind):
 
 def run_fixed_phase(alg, inst):
     return _fixed_run(alg, lambda kind: controlled_phase(inst, kind))
+

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference
 from phaselab.algorithms import (
     EprPair,
     build_cemm,
@@ -111,6 +112,82 @@ class TestCemm:
     def test_query_count(self):
         assert build_cemm(7).q == 6
         assert build_cemm(1).q == 0
+
+
+E0 = np.array([1.0, 0.0], dtype=np.complex128)
+
+
+class TestDenseReference:
+    """Local-factor steps against the dense ``kron`` construction, step by step."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_truncated_optimal_steps(self, n):
+        for q in range(n):
+            alg = build_truncated_optimal(n, q)
+            expected = reference.truncated_optimal_steps(n, q, E0)
+            assert len(alg.steps) == len(expected) == q + 1
+            for step, dense in zip(alg.steps, expected):
+                np.testing.assert_allclose(reference.dense_step(step), dense, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cemm_steps(self, n):
+        alg = build_cemm(n)
+        for step, dense in zip(alg.steps, reference.cemm_steps(n, E0), strict=True):
+            np.testing.assert_allclose(reference.dense_step(step), dense, rtol=0, atol=1e-12)
+
+    def test_three_dimensional_work_register(self):
+        eig = np.array([0.6, 0.0, 0.8j])
+        alg = build_truncated_optimal(5, 3, eigenstate=eig)
+        expected = reference.truncated_optimal_steps(5, 3, eig)
+        for step, dense in zip(alg.steps, expected, strict=True):
+            np.testing.assert_allclose(reference.dense_step(step), dense, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("threshold", [0, 2, 5])
+    def test_threshold_toggle(self, threshold):
+        np.testing.assert_array_equal(
+            reference.dense_step(threshold_toggle(5, threshold, 3)),
+            reference.dense_threshold_toggle(5, threshold, 3),
+        )
+
+
+def fejer(theta, n):
+    """Closed-form outcome distribution of grid-n phase estimation at theta."""
+    delta = theta - np.arange(n) / n
+    return np.sin(np.pi * n * delta) ** 2 / (n * n * np.sin(np.pi * delta) ** 2)
+
+
+class TestLargeN:
+    """Checks that need the steps stored at the size they act on."""
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_distribution_matches_fejer_form(self, n):
+        for theta in (0.5 / n, 0.3 + 0.37 / n):
+            dist = cemm_on_continuous_phase(PhaseInstance(theta=theta, eigenstate=[1, 0]), n)
+            np.testing.assert_allclose(dist, fejer(theta, n), rtol=0, atol=1e-9)
+
+    def test_midgrid_limit_at_1024(self):
+        # 1/(n^2 sin^2(pi/2n)) = 4/pi^2 + 1/(3 n^2) + O(n^-4), about 3e-7 above
+        n = 1024
+        dist = cemm_on_continuous_phase(PhaseInstance(theta=0.5 / n, eigenstate=[1, 0]), n)
+        assert abs(dist[0] - 4 / np.pi**2) <= 1e-6
+
+    @pytest.mark.parametrize("n", [48, 64, 128])
+    def test_tightness(self, n):
+        fam = default_family(n)
+        for q in (0, 1, n // 2, n - 1):
+            got = success_probability_average(build_truncated_optimal(n, q), fam)
+            assert got == pytest.approx((q + 1) / n, abs=1e-9), (n, q)
+
+    def test_cemm_factors_hold_order_n_squared_elements(self):
+        # dense steps would hold n (4n)^2 = 16 n^3 elements
+        n = 1024
+        alg = build_cemm(n)
+        elems = 0
+        for step in alg.steps:
+            for factor in step.factors:
+                elems += factor.size if isinstance(factor, np.ndarray) else factor[0].matrix.size
+        # F and F† on O (2 n^2), prep on W (4), one length-4n permutation per step
+        assert elems == 2 * n * n + 4 + n * 4 * n
 
 
 class TestContinuousPhase:

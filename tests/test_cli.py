@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +76,49 @@ class TestVerifyBound:
         assert cli.main(args + ["--out", str(a)]) == 0
         assert cli.main(args + ["--out", str(b)]) == 0
         assert strip_wall_time(a.read_text()) == strip_wall_time(b.read_text())
+
+
+def run_with_blas_threads(argv, threads, out):
+    """``phaselab`` in a fresh interpreter whose BLAS runs ``threads`` threads."""
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "phaselab.cli", *argv, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return out.read_text()
+
+
+class TestBlasThreadDeterminism:
+    # BLAS sums in a thread-dependent order, so an exactly-zero counter
+    # leakage comes out as different ~1e-29 roundoff; the rendered leakage
+    # columns must not show it. On a one-CPU host both runs use one thread
+    # and agree anyway.
+
+    def test_csv_rows_identical(self, tmp_path):
+        # the probabilities of this sweep differ by at most an ulp between
+        # thread counts, which 12 significant digits do not show
+        argv = ["verify-bound", "--n", "16,32", "--q", "0..8", "--trials", "5", "--seed", "7"]
+        one, two = (
+            run_with_blas_threads(argv, t, tmp_path / f"{t}.csv") for t in (1, 2)
+        )
+        assert strip_wall_time(one) == strip_wall_time(two)
+
+    def test_json_rows_identical(self, tmp_path):
+        # counter rows: observed_probability and max_leakage are leakages,
+        # and gap = 1e-10 - leakage is 1e-10 exactly in floating point
+        argv = ["verify-counter", "--n", "16,32", "--q", "0..8", "--trials", "3", "--seed", "7",
+                "--format", "json"]
+        rows = []
+        for t in (1, 2):
+            payload = json.loads(run_with_blas_threads(argv, t, tmp_path / f"{t}.json"))
+            rows.append([{k: v for k, v in r.items() if k != "wall_time_ms"}
+                         for r in payload["rows"]])
+        assert rows[0] == rows[1]
 
 
 class TestSeedPrecedence:

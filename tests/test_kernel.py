@@ -1,11 +1,14 @@
 """The simulation kernel against the dense reference in ``reference.py``.
 
 Random problem sizes, work dimensions, eigenstates, ancilla registers,
-register orders and query schedules (negative powers and powers >= n
-included): every public simulator must agree with the reference to 1e-12,
-success must stay under the counter-support bound, and the counter spectrum
-must stay inside the subset-sum reachable sets.
+register orders, query schedules (negative powers and powers >= n included)
+and steps (local matrix factors on random register subsets, basis
+permutations, dense matrices): every public simulator must agree with the
+reference to 1e-12, success must stay under the counter-support bound, and
+the counter spectrum must stay inside the subset-sum reachable sets.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from phaselab.linalg import RegisterLayout, haar_random_unitary
 from phaselab.oracles import PhaseInstance, PhaseOracleFamily, QueryKind
 from phaselab.simulate import (
     QueryAlgorithm,
+    Step,
     counter_leakage,
     leakage_from_weights,
     reachable_counter_values,
@@ -32,13 +36,35 @@ from phaselab.simulate import (
 TOL = 1e-12
 
 
-def random_case(n, work_dim, anc_dim, exponents, seed):
-    """A Haar-random algorithm on a shuffled (O, B, W[, anc]) layout and a
-    family whose eigenstate is a random unit vector."""
+def random_step(layout, rng):
+    """A dense Haar step, or one to three factors in random order: Haar
+    matrices on random register subsets (any target order) and random basis
+    permutations."""
+    if rng.random() < 0.25:
+        return Step(layout, ((haar_random_unitary(layout.total_dim, rng), layout.labels),))
+    factors = []
+    for _ in range(int(rng.integers(1, 4))):
+        if rng.random() < 0.3:
+            factors.append(rng.permutation(layout.total_dim))
+            continue
+        labels = list(layout.labels)
+        targets = tuple(labels[i] for i in rng.permutation(len(labels))[: rng.integers(1, 4)])
+        dim = math.prod(layout.dim_of(t) for t in targets)
+        factors.append((haar_random_unitary(dim, rng), targets))
+    return Step(layout, factors)
+
+
+def random_case(n, work_dim, anc_dim, exponents, seed, local=False):
+    """A random algorithm on a shuffled (O, B, W[, anc]) layout and a family
+    whose eigenstate is a random unit vector. Steps are dense Haar unitaries,
+    or ``random_step``s when ``local``."""
     rng = np.random.default_rng(seed)
     regs = [("O", n), ("B", 2), ("W", work_dim)] + ([("anc", anc_dim)] if anc_dim else [])
     layout = RegisterLayout(tuple(regs[i] for i in rng.permutation(len(regs))))
-    steps = [haar_random_unitary(layout.total_dim, rng) for _ in range(len(exponents) + 1)]
+    if local:
+        steps = [random_step(layout, rng) for _ in range(len(exponents) + 1)]
+    else:
+        steps = [haar_random_unitary(layout.total_dim, rng) for _ in range(len(exponents) + 1)]
     alg = QueryAlgorithm(n, layout, steps, tuple(QueryKind(m) for m in exponents))
     eig = rng.standard_normal(work_dim) + 1j * rng.standard_normal(work_dim)
     family = PhaseOracleFamily.from_eigenstate(n, eig / np.linalg.norm(eig))
@@ -102,7 +128,7 @@ exponent = st.sampled_from([1, -1]) | st.integers(-20, 20)
     seed=st.integers(0, 2**32 - 1),
 )
 def test_kernel_properties(n, work_dim, anc_dim, exponents, seed):
-    alg, family, theta = random_case(n, work_dim, anc_dim, exponents, seed)
+    alg, family, theta = random_case(n, work_dim, anc_dim, exponents, seed, local=True)
     avg, tr = check_against_reference(alg, family, theta)
 
     reach = reachable_counter_values(exponents, n)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference
 from phaselab.linalg import (
     RegisterLayout,
     StateVector,
@@ -181,6 +182,21 @@ class TestBasisCompletion:
         b1 = complete_orthonormal_basis(u, 3)
         b2 = complete_orthonormal_basis(u, 3)
         np.testing.assert_array_equal(b1, b2)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 24, 96])
+    def test_matches_one_row_at_a_time_reference(self, dim):
+        # seeds that skip a candidate (e_k, a truncated uniform vector) and a
+        # generic one; projecting against all rows at once only reorders sums
+        rng = np.random.default_rng(dim)
+        generic = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        truncated = np.zeros(dim)
+        truncated[: (dim + 1) // 2] = 1.0
+        for u in (np.eye(dim)[dim // 2], truncated, generic):
+            u = u / np.linalg.norm(u)
+            np.testing.assert_allclose(
+                complete_orthonormal_basis(u, dim), reference.complete_orthonormal_basis(u, dim),
+                rtol=0, atol=1e-12,
+            )
 
     def test_non_unit_input_rejected(self):
         with pytest.raises(ValueError):

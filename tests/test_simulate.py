@@ -13,6 +13,7 @@ from phaselab.linalg import (
 from phaselab.oracles import FORWARD, INVERSE, PhaseInstance, QueryKind, default_family
 from phaselab.simulate import (
     QueryAlgorithm,
+    Step,
     counter_leakage,
     haar_random_algorithm,
     leakage_from_weights,
@@ -71,6 +72,74 @@ class TestAlgorithmValidation:
         layout = RegisterLayout((("O", 3), ("B", 2), ("W", 2), ("anc", 3)))
         alg = QueryAlgorithm(3, layout, (UnitaryMatrix(np.eye(36)),), ())
         assert alg.q == 0
+
+
+class TestStep:
+    LAYOUT = standard_layout(3)  # (O 3, B 2, W 2)
+
+    def test_dense_matrix_wrapped_without_copy(self):
+        u = haar_random_unitary(12, seed=1)
+        alg = QueryAlgorithm(3, self.LAYOUT, (u,), ())
+        (factor,) = alg.steps[0].factors
+        assert factor[0] is u
+        assert factor[1] == self.LAYOUT.labels
+        cols = np.eye(12, dtype=complex)[:, :5]
+        np.testing.assert_array_equal(alg.steps[0] @ cols, u.matrix @ cols)
+
+    def test_local_factor_is_identity_elsewhere(self):
+        step = Step(self.LAYOUT, ((UnitaryMatrix(X2), ("B",)),))
+        np.testing.assert_array_equal(step @ np.eye(12), embed_on_control(3, X2).matrix)
+
+    def test_factor_order_and_permutation_convention(self):
+        rng = np.random.default_rng(2)
+        perm = rng.permutation(12)
+        u = haar_random_unitary(6, rng)  # on (W, O): W most significant
+        cols = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+        step = Step(self.LAYOUT, (perm, (u, ("W", "O"))))
+        moved = cols[perm].reshape(3, 2, 2, 3).transpose(2, 0, 1, 3).reshape(6, 2 * 3)
+        expected = (u.matrix @ moved).reshape(2, 3, 2, 3).transpose(1, 2, 0, 3).reshape(12, 3)
+        np.testing.assert_allclose(step @ cols, expected, rtol=0, atol=1e-12)
+
+    def test_non_bijective_permutation_rejected(self):
+        perm = np.arange(12)
+        perm[3] = 4
+        with pytest.raises(ValueError, match="bijection"):
+            Step(self.LAYOUT, (perm,))
+
+    def test_permutation_length_checked(self):
+        with pytest.raises(ValueError):
+            Step(self.LAYOUT, (np.arange(6),))
+
+    def test_permutation_must_be_integer(self):
+        with pytest.raises(TypeError):
+            Step(self.LAYOUT, (np.arange(12.0),))
+
+    def test_unknown_target_rejected(self):
+        with pytest.raises(ValueError, match="unknown target"):
+            Step(self.LAYOUT, ((UnitaryMatrix(X2), ("C",)),))
+
+    def test_duplicate_target_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            Step(self.LAYOUT, ((UnitaryMatrix(np.eye(4)), ("B", "B")),))
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="span dimension"):
+            Step(self.LAYOUT, ((UnitaryMatrix(np.eye(2)), ("O",)),))
+
+    def test_matrix_factor_must_be_validated(self):
+        with pytest.raises(TypeError):
+            Step(self.LAYOUT, ((X2, ("B",)),))
+
+    def test_empty_step_rejected(self):
+        with pytest.raises(ValueError):
+            Step(self.LAYOUT, ())
+
+    def test_step_layout_must_match_algorithm(self):
+        step = Step(standard_layout(3, work_dim=3), (np.arange(18),))
+        layout = RegisterLayout((("O", 3), ("B", 2), ("W", 3)))
+        QueryAlgorithm(3, layout, (step,), ())  # equal layouts are accepted
+        with pytest.raises(ValueError):
+            QueryAlgorithm(3, RegisterLayout((("O", 3), ("W", 3), ("B", 2))), (step,), ())
 
 
 class TestRunFixedY:
