@@ -1,7 +1,7 @@
 """Command-line front end for the verification sweeps.
 
 Exit codes: 0 success, 1 a proven bound or leakage budget was violated,
-2 usage or configuration error. Row data goes to --out or stdout; the
+2 usage or configuration error, or an output file that cannot be written. Row data goes to --out or stdout; the
 one-line summary always goes to stderr so piped CSV stays clean.
 """
 
@@ -14,7 +14,6 @@ import sys
 
 from ._version import __version__
 from .experiments import (
-    DEFAULT_SUCCESS_FLOORS,
     ExperimentConfig,
     ExperimentResult,
     LEAKAGE_BUDGET,
@@ -119,7 +118,9 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     data: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            data = dict(json.load(fh))
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
 
     if args.command == "sweep":
         if "kind" not in data:
@@ -149,8 +150,6 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         data["seed"] = int(os.environ[ENV_SEED])
 
     data.setdefault("trials", _DEFAULT_TRIALS[data["kind"]])
-    if data["kind"] == "reduction-check" and not data.get("theta_grid"):
-        data["theta_grid"] = DEFAULT_SUCCESS_FLOORS
     if "n_values" not in data:
         raise ValueError("no problem sizes given: pass --n or a config file")
     return ExperimentConfig.from_dict(data)
@@ -177,7 +176,7 @@ def _summary(result: ExperimentResult, cfg: ExperimentConfig) -> str:
     if kind == "reduction-check":
         margin = min(
             r.observed_probability
-            - (p := float(r.kind.rpartition("-p")[2]))
+            - (p := cfg.theta_grid[r.trial])
             + 2.0 * (p * (1 - p) / cfg.trials) ** 0.5
             for r in rows
         )
@@ -209,8 +208,12 @@ def main(argv=None) -> int:
 
     text = result.rendered(cfg.format)
     if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"phaselab: cannot write output: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     print(_summary(result, cfg), file=sys.stderr)

@@ -14,6 +14,7 @@ deterministically under any worker count.
 from __future__ import annotations
 
 import datetime as _dt
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -59,6 +60,9 @@ EXPERIMENT_KINDS = (
     "reduction-check",
 )
 
+# Kinds whose rows are indexed by (n, q); the others take one task per n.
+_Q_KINDS = ("bound-sweep", "counter-scan", "random-stress")
+
 CSV_HEADER = "n,q,kind,trial,seed,observed_probability,bound_value,gap,max_leakage,wall_time_ms"
 
 # Fourier weight allowed outside the schedule-consistent counter range.
@@ -72,7 +76,7 @@ RESOLUTION_DECIMALS = 20
 # Row kinds whose observed_probability is itself a counter leakage.
 _LEAKAGE_ROW_KINDS = ("forward", "schedule")
 
-# Default success floors probed by reduction-check when none are configured.
+# Success floors a reduction-check config gets when it names none.
 DEFAULT_SUCCESS_FLOORS = (0.3, 0.6, 0.9)
 
 _ROW_KIND_CODES = {
@@ -91,6 +95,22 @@ class VerificationError(RuntimeError):
     """A sweep row violated a proven bound or leakage budget."""
 
 
+def _sequence(name: str, values):
+    if not isinstance(values, (list, tuple, range)):
+        raise ValueError(f"{name} must be a list, got {values!r}")
+    return values
+
+
+def _integer(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _integers(name: str, values) -> tuple[int, ...]:
+    return tuple(_integer(name, v) for v in _sequence(name, values))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -103,10 +123,13 @@ class ExperimentConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
-        object.__setattr__(self, "q_values", tuple(int(q) for q in self.q_values))
+        object.__setattr__(self, "n_values", _integers("n_values", self.n_values))
+        object.__setattr__(self, "q_values", _integers("q_values", self.q_values))
+        object.__setattr__(self, "trials", _integer("trials", self.trials))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         if self.theta_grid is not None:
-            object.__setattr__(self, "theta_grid", tuple(float(t) for t in self.theta_grid))
+            grid = tuple(float(t) for t in _sequence("theta_grid", self.theta_grid))
+            object.__setattr__(self, "theta_grid", grid)
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}, expected one of {EXPERIMENT_KINDS}")
         if not self.n_values:
@@ -117,9 +140,11 @@ class ExperimentConfig:
             raise ValueError(f"all q values must be >= 0, got {self.q_values}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ValueError(f"output_path must be a string, got {self.output_path!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
-        if self.kind in ("bound-sweep", "counter-scan", "random-stress") and self.q_values:
+        if self.kind in _Q_KINDS and self.q_values:
             if max(self.q_values) > max(self.n_values) - 1:
                 raise ValueError(
                     f"q={max(self.q_values)} exceeds max(n)-1={max(self.n_values) - 1}"
@@ -129,12 +154,16 @@ class ExperimentConfig:
                 raise ValueError("cemm-curve requires a theta grid")
             if any(not 0.0 <= t < 1.0 for t in self.theta_grid):
                 raise ValueError("theta values must lie in [0, 1)")
-        if self.kind == "reduction-check" and self.theta_grid:
+        if self.kind == "reduction-check":
+            if not self.theta_grid:
+                object.__setattr__(self, "theta_grid", DEFAULT_SUCCESS_FLOORS)
             if any(not 0.0 < p <= 1.0 for p in self.theta_grid):
                 raise ValueError("success floors must lie in (0, 1]")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(data).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(data) - known
         if extra:
@@ -208,28 +237,22 @@ def derive_seed(master: int, row_kind: str, n: int, q: int, trial: int) -> int:
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
-    echo = asdict(cfg)
-    echo["n_values"] = list(cfg.n_values)
-    echo["q_values"] = list(cfg.q_values)
-    echo["theta_grid"] = list(cfg.theta_grid) if cfg.theta_grid is not None else None
     return {
         "tool": "phaselab",
         "version": __version__,
         "kind": cfg.kind,
         "timestamp": _dt.datetime.now(_dt.timezone.utc).isoformat(),
-        "config": echo,
+        "config": asdict(cfg),
     }
 
 
-def _q_range(cfg: ExperimentConfig, n: int) -> list[int]:
-    """Configured q values applicable to one n; empty config means the
-    default scan 0..min(n-1, 12)."""
-    if cfg.q_values:
-        return [q for q in cfg.q_values if q <= n - 1]
-    return list(range(min(n - 1, 12) + 1))
-
-
-def _guard_bound(row: ResultRow) -> ResultRow:
+def _guard(row: ResultRow) -> ResultRow:
+    """Fail the sweep on a row over its leakage budget or its bound."""
+    if row.max_leakage > LEAKAGE_BUDGET:
+        raise VerificationError(
+            f"counter leakage {row.max_leakage!r} exceeds budget {LEAKAGE_BUDGET} "
+            f"(n={row.n} q={row.q} kind={row.kind} trial={row.trial} seed={row.seed})"
+        )
     if row.gap < -PROB_TOL:
         raise VerificationError(
             f"bound violated: n={row.n} q={row.q} kind={row.kind} trial={row.trial} "
@@ -239,132 +262,71 @@ def _guard_bound(row: ResultRow) -> ResultRow:
     return row
 
 
-def _guard_leakage(row: ResultRow) -> ResultRow:
-    if row.max_leakage > LEAKAGE_BUDGET:
-        raise VerificationError(
-            f"counter leakage {row.max_leakage!r} exceeds budget {LEAKAGE_BUDGET} "
-            f"(n={row.n} q={row.q} kind={row.kind} trial={row.trial} seed={row.seed})"
+def _row(kind: str, n: int, q: int, trial: int, seed: int, bound: float, measure) -> ResultRow:
+    """Time ``measure() -> (observed, leakage)`` and return its guarded row."""
+    t0 = time.perf_counter()
+    observed, leak = measure()
+    ms = (time.perf_counter() - t0) * 1000.0
+    return _guard(ResultRow(n, q, kind, trial, seed, observed, bound, bound - observed, leak, ms))
+
+
+def _bound_sweep_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]:
+    """The saturating algorithm plus ``trials`` Haar-random ones; every row
+    must satisfy observed <= (q+1)/n within tolerance."""
+    family = default_family(n)
+    bound = (q + 1) / n
+
+    def measure(alg):
+        return (
+            success_probability_average(alg, family),
+            counter_leakage(run_purified(alg, family), q),
         )
-    return row
 
-
-def _map_tasks(tasks, worker, jobs):
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1 or len(tasks) <= 1:
-        groups = [worker(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            groups = list(pool.map(worker, tasks))
-    return [row for group in groups for row in group]
-
-
-def _grid(cfg: ExperimentConfig) -> list[tuple[int, int]]:
-    return [(n, q) for n in cfg.n_values for q in _q_range(cfg, n)]
-
-
-def run_bound_sweep(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    """Per (n, q): the saturating algorithm plus ``trials`` Haar-random ones.
-
-    Every row must satisfy observed <= (q+1)/n within tolerance; a violation
-    aborts the sweep with the offending seed in the error message.
-    """
-
-    def worker(pair):
-        n, q = pair
-        family = default_family(n)
-        bound = (q + 1) / n
-        rows = []
-
-        t0 = time.perf_counter()
-        seed = derive_seed(cfg.seed, "optimal", n, q, 0)
-        alg = build_truncated_optimal(n, q)
-        observed = success_probability_average(alg, family)
-        leak = counter_leakage(run_purified(alg, family), q)
-        ms = (time.perf_counter() - t0) * 1000.0
+    seed = derive_seed(cfg.seed, "optimal", n, q, 0)
+    rows = [_row("optimal", n, q, 0, seed, bound, lambda: measure(build_truncated_optimal(n, q)))]
+    for t in range(cfg.trials):
+        seed = derive_seed(cfg.seed, "haar", n, q, t)
         rows.append(
-            _guard_bound(
-                ResultRow(n, q, "optimal", 0, seed, observed, bound, bound - observed, leak, ms)
-            )
+            _row("haar", n, q, t, seed, bound, lambda: measure(haar_random_algorithm(n, q, seed)))
         )
-
-        for t in range(cfg.trials):
-            t0 = time.perf_counter()
-            seed = derive_seed(cfg.seed, "haar", n, q, t)
-            alg = haar_random_algorithm(n, q, seed)
-            observed = success_probability_average(alg, family)
-            leak = counter_leakage(run_purified(alg, family), q)
-            ms = (time.perf_counter() - t0) * 1000.0
-            rows.append(
-                _guard_bound(
-                    ResultRow(n, q, "haar", t, seed, observed, bound, bound - observed, leak, ms)
-                )
-            )
-        return rows
-
-    rows = _map_tasks(_grid(cfg), worker, jobs)
-    return ExperimentResult(tuple(rows), _metadata(cfg))
+    return rows
 
 
 _SCHEDULE_EXPONENTS = (1, -1, 2, 3, 5)
 
 
-def run_counter_scan(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
+def _counter_scan_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]:
     """Worst per-step counter leakage of Haar-random algorithms.
 
     ``forward`` rows check weight beyond index j after j queries; ``schedule``
     rows draw the query kinds from {forward, inverse, power(2|3|5)} and check
     weight outside the subset-sum reachable set of the schedule prefix.
     """
+    family = default_family(n)
 
-    def worker(pair):
-        n, q = pair
-        family = default_family(n)
-        rows = []
-        for t in range(cfg.trials):
-            t0 = time.perf_counter()
-            seed = derive_seed(cfg.seed, "forward", n, q, t)
-            alg = haar_random_algorithm(n, q, seed)
-            tr = run_purified_transcript(alg, family)
-            leak = max(float(w[j + 1 :].sum()) for j, w in enumerate(tr.counter_weights))
-            ms = (time.perf_counter() - t0) * 1000.0
-            rows.append(
-                _guard_leakage(
-                    ResultRow(
-                        n, q, "forward", t, seed, leak, LEAKAGE_BUDGET,
-                        LEAKAGE_BUDGET - leak, leak, ms,
-                    )
-                )
-            )
-            if q == 0:
-                continue
-            t0 = time.perf_counter()
-            seed = derive_seed(cfg.seed, "schedule", n, q, t)
-            rng = np.random.default_rng(seed)
-            exponents = [int(m) for m in rng.choice(_SCHEDULE_EXPONENTS, size=q)]
-            kinds = tuple(QueryKind(m) for m in exponents)
-            alg = haar_random_algorithm(n, q, rng, kinds=kinds)
-            tr = run_purified_transcript(alg, family)
-            reach = reachable_counter_values(exponents, n)
-            leak = max(
-                leakage_from_weights(w, allowed)
-                for w, allowed in zip(tr.counter_weights, reach)
-            )
-            ms = (time.perf_counter() - t0) * 1000.0
-            rows.append(
-                _guard_leakage(
-                    ResultRow(
-                        n, q, "schedule", t, seed, leak, LEAKAGE_BUDGET,
-                        LEAKAGE_BUDGET - leak, leak, ms,
-                    )
-                )
-            )
-        return rows
+    def forward(seed):
+        tr = run_purified_transcript(haar_random_algorithm(n, q, seed), family)
+        leak = max(float(w[j + 1 :].sum()) for j, w in enumerate(tr.counter_weights))
+        return leak, leak
 
-    rows = _map_tasks(_grid(cfg), worker, jobs)
-    return ExperimentResult(tuple(rows), _metadata(cfg))
+    def schedule(seed):
+        rng = np.random.default_rng(seed)
+        exponents = [int(m) for m in rng.choice(_SCHEDULE_EXPONENTS, size=q)]
+        kinds = tuple(QueryKind(m) for m in exponents)
+        tr = run_purified_transcript(haar_random_algorithm(n, q, rng, kinds=kinds), family)
+        reach = reachable_counter_values(exponents, n)
+        leak = max(
+            leakage_from_weights(w, allowed) for w, allowed in zip(tr.counter_weights, reach)
+        )
+        return leak, leak
+
+    scans = (("forward", forward), ("schedule", schedule)) if q else (("forward", forward),)
+    rows = []
+    for t in range(cfg.trials):
+        for kind, measure in scans:
+            seed = derive_seed(cfg.seed, kind, n, q, t)
+            rows.append(_row(kind, n, q, t, seed, LEAKAGE_BUDGET, lambda: measure(seed)))
+    return rows
 
 
 def adversarial_search(
@@ -444,59 +406,35 @@ def adversarial_search(
     return best_p, alg
 
 
-def run_adversarial_search(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    """Best success probability found per (n, q); ``trials`` bounds the
-    search iterations. Results must stay at or below (q+1)/n."""
+def _stress_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]:
+    """Best success probability ``adversarial_search`` finds; ``trials``
+    bounds the search iterations. It must stay at or below (q+1)/n."""
+    seed = derive_seed(cfg.seed, "adversarial", n, q, 0)
 
-    def worker(pair):
-        n, q = pair
-        t0 = time.perf_counter()
-        seed = derive_seed(cfg.seed, "adversarial", n, q, 0)
+    def measure():
         best, alg = adversarial_search(n, q, cfg.trials, seed)
-        leak = counter_leakage(run_purified(alg, default_family(n)), q)
-        bound = (q + 1) / n
-        ms = (time.perf_counter() - t0) * 1000.0
-        return [
-            _guard_bound(
-                ResultRow(n, q, "adversarial", 0, seed, best, bound, bound - best, leak, ms)
-            )
-        ]
+        return best, counter_leakage(run_purified(alg, default_family(n)), q)
 
-    rows = _map_tasks(_grid(cfg), worker, jobs)
-    return ExperimentResult(tuple(rows), _metadata(cfg))
+    return [_row("adversarial", n, q, 0, seed, (q + 1) / n, measure)]
 
 
-def run_cemm_curve(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
+def _cemm_rows(cfg: ExperimentConfig, n: int) -> list[ResultRow]:
     """Probability that the rounded grid-n estimate lands within 1/(2n) of
     the true phase, for each configured phase; plus a worst-over-grid row."""
-    if not cfg.theta_grid:
-        raise ValueError("cemm-curve requires a theta grid")
+    eps = 1.0 / (2 * n)
 
-    def worker(n):
-        rows = []
-        eps = 1.0 / (2 * n)
-        worst = None
-        for i, theta in enumerate(cfg.theta_grid):
-            t0 = time.perf_counter()
-            dist = cemm_on_continuous_phase(_instance(theta), n)
-            observed = float(
-                sum(p for y, p in enumerate(dist) if phase_distance(y / n, theta) <= eps + 1e-12)
-            )
-            ms = (time.perf_counter() - t0) * 1000.0
-            rows.append(
-                _guard_bound(
-                    ResultRow(n, n - 1, "cemm", i, cfg.seed, observed, 1.0, 1.0 - observed, 0.0, ms)
-                )
-            )
-            if worst is None or observed < worst:
-                worst = observed
-        rows.append(
-            ResultRow(n, n - 1, "cemm-worst", -1, cfg.seed, worst, 1.0, 1.0 - worst, 0.0, 0.0)
-        )
-        return rows
+    def measure(theta):
+        dist = cemm_on_continuous_phase(_instance(theta), n)
+        near = (p for y, p in enumerate(dist) if phase_distance(y / n, theta) <= eps + 1e-12)
+        return float(sum(near)), 0.0
 
-    rows = _map_tasks(list(cfg.n_values), worker, jobs)
-    return ExperimentResult(tuple(rows), _metadata(cfg))
+    rows = [
+        _row("cemm", n, n - 1, i, cfg.seed, 1.0, lambda: measure(theta))
+        for i, theta in enumerate(cfg.theta_grid)
+    ]
+    worst = min(r.observed_probability for r in rows)
+    rows.append(ResultRow(n, n - 1, "cemm-worst", -1, cfg.seed, worst, 1.0, 1.0 - worst, 0.0, 0.0))
+    return rows
 
 
 def _instance(theta: float, work_dim: int = 2) -> PhaseInstance:
@@ -505,23 +443,17 @@ def _instance(theta: float, work_dim: int = 2) -> PhaseInstance:
     return PhaseInstance(theta=theta, eigenstate=eig)
 
 
-def run_epr_check(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
+def _epr_rows(cfg: ExperimentConfig, n: int) -> list[ResultRow]:
     """Entrywise agreement of the two maximally-correlated-state constructions;
     the deviation lands in the leakage column."""
 
-    def worker(n):
-        t0 = time.perf_counter()
-        dev = epr_fourier_deviation(n)
-        observed = success_probability_purified(epr_state(n).state)
-        ms = (time.perf_counter() - t0) * 1000.0
-        row = ResultRow(n, 0, "epr", 0, cfg.seed, observed, 1.0, 1.0 - observed, dev, ms)
-        return [_guard_leakage(_guard_bound(row))]
+    def measure():
+        return success_probability_purified(epr_state(n).state), epr_fourier_deviation(n)
 
-    rows = _map_tasks(list(cfg.n_values), worker, jobs)
-    return ExperimentResult(tuple(rows), _metadata(cfg))
+    return [_row("epr", n, 0, 0, cfg.seed, 1.0, measure)]
 
 
-def run_reduction_check(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
+def _reduction_rows(cfg: ExperimentConfig, n: int) -> list[ResultRow]:
     """Monte Carlo check that rounding preserves an estimator's success.
 
     A synthetic estimator errs within radius 0.9/(2n) (inside the rounding
@@ -529,58 +461,77 @@ def run_reduction_check(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResul
     solver must then hit the hidden label with empirical frequency at least
     p minus two standard errors. The probed p values ride in ``theta_grid``.
     """
-    floors = cfg.theta_grid if cfg.theta_grid else DEFAULT_SUCCESS_FLOORS
+    radius = 0.9 / (2 * n)
 
-    def worker(n):
-        rows = []
-        for i, p in enumerate(floors):
-            t0 = time.perf_counter()
-            seed = derive_seed(cfg.seed, "reduction", n, i, 0)
-            rng = np.random.default_rng(seed)
-            radius = 0.9 / (2 * n)
+    def measure(p, seed):
+        rng = np.random.default_rng(seed)
 
-            def estimator(inst):
-                if rng.random() < p:
-                    return (inst.theta + rng.uniform(-radius, radius)) % 1.0
-                return rng.random()
+        def estimator(inst):
+            if rng.random() < p:
+                return (inst.theta + rng.uniform(-radius, radius)) % 1.0
+            return rng.random()
 
-            solver = reduction_estimator_to_pd(estimator, epsilon=1.0 / (2 * n))
-            hits = 0
-            for _ in range(cfg.trials):
-                y = int(rng.integers(n))
-                if solver.solve(_instance(y / n)) == y:
-                    hits += 1
-            observed = hits / cfg.trials
-            floor = p - 2.0 * np.sqrt(p * (1 - p) / cfg.trials)
-            if observed < floor:
-                raise VerificationError(
-                    f"reduction success {observed} fell below floor {floor} "
-                    f"(n={n} p={p} seed={seed})"
-                )
-            ms = (time.perf_counter() - t0) * 1000.0
-            rows.append(
-                _guard_bound(
-                    ResultRow(
-                        n, 0, f"reduction-p{p:g}", i, seed, observed, 1.0,
-                        1.0 - observed, 0.0, ms,
-                    )
-                )
+        solver = reduction_estimator_to_pd(estimator, epsilon=1.0 / (2 * n))
+        hits = 0
+        for _ in range(cfg.trials):
+            y = int(rng.integers(n))
+            if solver.solve(_instance(y / n)) == y:
+                hits += 1
+        observed = hits / cfg.trials
+        floor = p - 2.0 * np.sqrt(p * (1 - p) / cfg.trials)
+        if observed < floor:
+            raise VerificationError(
+                f"reduction success {observed} fell below floor {floor} "
+                f"(n={n} p={p} seed={seed})"
             )
-        return rows
+        return observed, 0.0
 
-    rows = _map_tasks(list(cfg.n_values), worker, jobs)
-    return ExperimentResult(tuple(rows), _metadata(cfg))
+    rows = []
+    for i, p in enumerate(cfg.theta_grid):
+        seed = derive_seed(cfg.seed, "reduction", n, i, 0)
+        rows.append(_row(f"reduction-p{p:g}", n, 0, i, seed, 1.0, lambda: measure(p, seed)))
+    return rows
 
 
 _RUNNERS = {
-    "bound-sweep": run_bound_sweep,
-    "counter-scan": run_counter_scan,
-    "random-stress": run_adversarial_search,
-    "cemm-curve": run_cemm_curve,
-    "epr-check": run_epr_check,
-    "reduction-check": run_reduction_check,
+    "bound-sweep": _bound_sweep_rows,
+    "counter-scan": _counter_scan_rows,
+    "random-stress": _stress_rows,
+    "cemm-curve": _cemm_rows,
+    "epr-check": _epr_rows,
+    "reduction-check": _reduction_rows,
 }
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    return _RUNNERS[cfg.kind](cfg, jobs=jobs)
+    """Run every task of ``cfg`` and merge the rows in task order.
+
+    Tasks are the (n, q) grid for the kinds that take q, with the configured
+    q values that fit each n (none configured: 0..min(n-1, 12)), and one task
+    per n otherwise. ``jobs`` caps the worker threads; None means the
+    available parallelism.
+    """
+    if cfg.kind in _Q_KINDS:
+        tasks = [
+            (n, q)
+            for n in cfg.n_values
+            for q in cfg.q_values or range(min(n - 1, 12) + 1)
+            if q <= n - 1
+        ]
+    else:
+        tasks = [(n,) for n in cfg.n_values]
+    if jobs is None:
+        jobs = os.cpu_count() or 1
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+
+    def work(task):
+        return _RUNNERS[cfg.kind](cfg, *task)
+
+    if jobs == 1 or len(tasks) <= 1:
+        groups = [work(t) for t in tasks]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            groups = list(pool.map(work, tasks))
+    rows = tuple(row for group in groups for row in group)
+    return ExperimentResult(rows, _metadata(cfg))

@@ -133,12 +133,10 @@ class UnitaryMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
+    # cached: checked once per matrix, so once per n for the cached qft_matrix(n)
+    @cached_property
     def adjoint(self) -> "UnitaryMatrix":
         return UnitaryMatrix(self.matrix.conj().T)
-
-    def __matmul__(self, other: "UnitaryMatrix") -> "UnitaryMatrix":
-        return UnitaryMatrix(self.matrix @ other.matrix)
 
 
 def basis_state(layout: RegisterLayout, values: tuple[int, ...] | list[int]) -> StateVector:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from phaselab import cli
+from phaselab import cli, experiments
 from phaselab.experiments import CSV_HEADER, VerificationError
 
 
@@ -230,6 +230,29 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "config, out",
+    [
+        ({"kind": "epr-check", "n_values": [2]}, "missing/r.csv"),
+        ([["kind", "epr-check"], ["n_values", [2]]], None),
+        ({"kind": "epr-check", "n_values": 4}, None),
+        ({"kind": "epr-check", "n_values": [2], "trials": "5"}, None),
+        ({"kind": "bound-sweep", "n_values": [2], "trials": 2.5}, None),
+        ({"kind": "epr-check", "n_values": [2], "seed": 1.5}, None),
+    ],
+    ids=["out-in-missing-dir", "top-level-list", "n-not-a-list", "trials-string",
+         "trials-fraction", "seed-fraction"],
+)
+def test_malformed_outside_input_exits_2(config, out, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    argv = ["sweep", "--config", str(path)]
+    if out is not None:
+        argv += ["--out", str(tmp_path / out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("phaselab: ")
+
+
 class TestFailurePropagation:
     def test_verification_failure_exits_1(self, monkeypatch, capsys):
         def boom(cfg, jobs=None):
@@ -238,3 +261,8 @@ class TestFailurePropagation:
         monkeypatch.setattr(cli, "run_experiment", boom)
         assert cli.main(["verify-bound", "--n", "4", "--q", "1"]) == 1
         assert "VERIFICATION FAILURE" in capsys.readouterr().err
+
+    def test_leakage_over_budget_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(experiments, "counter_leakage", lambda state, budget: 1e-6)
+        assert cli.main(["verify-bound", "--n", "4", "--q", "1", "--trials", "1"]) == 1
+        assert "counter leakage 1e-06 exceeds budget" in capsys.readouterr().err

@@ -3,22 +3,17 @@ import json
 import numpy as np
 import pytest
 
+from phaselab import experiments
 from phaselab.experiments import (
     CSV_HEADER,
+    DEFAULT_SUCCESS_FLOORS,
     ExperimentConfig,
     ResultRow,
     VerificationError,
-    _guard_bound,
-    _guard_leakage,
+    _guard,
     adversarial_search,
     derive_seed,
-    run_adversarial_search,
-    run_bound_sweep,
-    run_cemm_curve,
-    run_counter_scan,
-    run_epr_check,
     run_experiment,
-    run_reduction_check,
 )
 from phaselab.algorithms import build_truncated_optimal
 
@@ -66,16 +61,23 @@ class TestGuards:
     def test_bound_guard_trips(self):
         bad = ResultRow(4, 1, "haar", 0, 1, 0.75, 0.5, -0.25, 0.0, 0.0)
         with pytest.raises(VerificationError, match="seed=1"):
-            _guard_bound(bad)
+            _guard(bad)
 
     def test_bound_guard_allows_tolerance(self):
         ok = ResultRow(4, 1, "haar", 0, 1, 0.5 + 5e-10, 0.5, -5e-10, 0.0, 0.0)
-        assert _guard_bound(ok) is ok
+        assert _guard(ok) is ok
 
     def test_leakage_guard_trips(self):
         bad = ResultRow(4, 1, "forward", 0, 1, 0.5, 0.5, 0.0, 1e-6, 0.0)
         with pytest.raises(VerificationError, match="leakage"):
-            _guard_leakage(bad)
+            _guard(bad)
+
+    @pytest.mark.parametrize("kind", ["bound-sweep", "random-stress"])
+    def test_every_kind_checks_leakage(self, kind, monkeypatch):
+        monkeypatch.setattr(experiments, "counter_leakage", lambda state, budget: 1e-6)
+        cfg = ExperimentConfig(kind=kind, n_values=(2,), q_values=(1,), trials=2, seed=3)
+        with pytest.raises(VerificationError, match="counter leakage 1e-06 exceeds budget"):
+            run_experiment(cfg)
 
 
 class TestBoundSweep:
@@ -83,7 +85,7 @@ class TestBoundSweep:
         cfg = ExperimentConfig(
             kind="bound-sweep", n_values=(8,), q_values=tuple(range(8)), trials=5, seed=7
         )
-        result = run_bound_sweep(cfg)
+        result = run_experiment(cfg)
         assert len(result.rows) == 8 + 40
         optimal = [r for r in result.rows if r.kind == "optimal"]
         assert len(optimal) == 8
@@ -100,14 +102,14 @@ class TestBoundSweep:
         cfg = ExperimentConfig(
             kind="bound-sweep", n_values=(4, 6), q_values=(0, 1, 2), trials=3, seed=11
         )
-        a = strip_wall_time(run_bound_sweep(cfg, jobs=1).to_csv())
-        b = strip_wall_time(run_bound_sweep(cfg, jobs=1).to_csv())
-        c = strip_wall_time(run_bound_sweep(cfg, jobs=4).to_csv())
+        a = strip_wall_time(run_experiment(cfg, jobs=1).to_csv())
+        b = strip_wall_time(run_experiment(cfg, jobs=1).to_csv())
+        c = strip_wall_time(run_experiment(cfg, jobs=4).to_csv())
         assert a == b == c
 
     def test_q_values_default_to_full_budget_range(self):
         cfg = ExperimentConfig(kind="bound-sweep", n_values=(4,), trials=1, seed=0)
-        result = run_bound_sweep(cfg)
+        result = run_experiment(cfg)
         assert sorted({r.q for r in result.rows}) == [0, 1, 2, 3]
 
 
@@ -116,7 +118,7 @@ class TestCounterScan:
         cfg = ExperimentConfig(
             kind="counter-scan", n_values=(8,), q_values=(0, 2), trials=3, seed=5
         )
-        result = run_counter_scan(cfg)
+        result = run_experiment(cfg)
         kinds = [r.kind for r in result.rows]
         assert kinds.count("forward") == 6
         assert kinds.count("schedule") == 3  # no schedules at q = 0
@@ -128,7 +130,7 @@ class TestCounterScan:
         cfg = ExperimentConfig(
             kind="counter-scan", n_values=(16,), q_values=(5,), trials=10, seed=3
         )
-        result = run_counter_scan(cfg)
+        result = run_experiment(cfg)
         assert all(r.max_leakage <= 1e-10 for r in result.rows)
 
 
@@ -151,7 +153,7 @@ class TestAdversarialSearch:
         cfg = ExperimentConfig(
             kind="random-stress", n_values=(2,), q_values=(0, 1), trials=25, seed=1
         )
-        result = run_adversarial_search(cfg)
+        result = run_experiment(cfg)
         assert [r.kind for r in result.rows] == ["adversarial", "adversarial"]
         for r in result.rows:
             assert r.gap >= -1e-9
@@ -162,7 +164,7 @@ class TestCemmCurve:
         cfg = ExperimentConfig(
             kind="cemm-curve", n_values=(8,), theta_grid=(1 / 8, 0.5 / 8), seed=0
         )
-        result = run_cemm_curve(cfg)
+        result = run_experiment(cfg)
         curve = [r for r in result.rows if r.kind == "cemm"]
         worst = [r for r in result.rows if r.kind == "cemm-worst"]
         assert len(curve) == 2 and len(worst) == 1
@@ -173,7 +175,7 @@ class TestCemmCurve:
 
     def test_midpoint_includes_both_nearest_bins(self):
         cfg = ExperimentConfig(kind="cemm-curve", n_values=(8,), theta_grid=(0.5 / 8,), seed=0)
-        result = run_cemm_curve(cfg)
+        result = run_experiment(cfg)
         # both neighbours sit exactly at distance 1/(2n)
         assert result.rows[0].observed_probability == pytest.approx(
             2 * 0.410533474517003, abs=1e-9
@@ -183,18 +185,24 @@ class TestCemmCurve:
 class TestEprAndReduction:
     def test_epr_rows(self):
         cfg = ExperimentConfig(kind="epr-check", n_values=(1, 2, 12), seed=0)
-        result = run_epr_check(cfg)
+        result = run_experiment(cfg)
         assert len(result.rows) == 3
         for r in result.rows:
             assert r.observed_probability == pytest.approx(1.0, abs=1e-9)
             assert r.max_leakage <= 1e-10
+
+    def test_reduction_default_floors(self):
+        cfg = ExperimentConfig(kind="reduction-check", n_values=(4,), trials=50, seed=2)
+        result = run_experiment(cfg)
+        assert [r.kind for r in result.rows] == ["reduction-p0.3", "reduction-p0.6", "reduction-p0.9"]
+        assert result.metadata["config"]["theta_grid"] == DEFAULT_SUCCESS_FLOORS
 
     def test_reduction_rows_meet_floor(self):
         cfg = ExperimentConfig(
             kind="reduction-check", n_values=(4, 8), trials=400, seed=21,
             theta_grid=(0.3, 0.9),
         )
-        result = run_reduction_check(cfg)
+        result = run_experiment(cfg)
         assert len(result.rows) == 4
         for r in result.rows:
             p = float(r.kind.rpartition("-p")[2])
@@ -208,7 +216,7 @@ class TestSerialization:
         cfg = ExperimentConfig(
             kind="bound-sweep", n_values=(3,), q_values=(0, 1), trials=2, seed=13
         )
-        return run_bound_sweep(cfg)
+        return run_experiment(cfg)
 
     def test_csv_header_and_termination(self, result):
         text = result.to_csv()

@@ -39,6 +39,10 @@ class TestQftMatrix:
         with pytest.raises(ValueError):
             qft_matrix(0)
 
+    def test_adjoint_is_built_and_checked_once_per_n(self):
+        assert qft_matrix(8).adjoint is qft_matrix(8).adjoint
+        np.testing.assert_allclose(qft_matrix(8).adjoint.matrix, qft_matrix(8).matrix.conj().T)
+
 
 class TestFourierState:
     def test_zero_frequency_is_uniform(self):

@@ -238,10 +238,6 @@ class TestUnitaryMatrix:
         with pytest.raises(ValueError):
             UnitaryMatrix(np.ones((2, 3)))
 
-    def test_composition(self):
-        u = X @ X
-        np.testing.assert_allclose(u.matrix, np.eye(2))
-
 
 def test_cauchy_schwarz_vector_bound():
     # ||sum a_i psi_i||^2 <= sum |a_i|^2 * sum ||psi_i||^2, random instances
