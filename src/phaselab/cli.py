@@ -8,6 +8,7 @@ one-line summary always goes to stderr so piped CSV stays clean.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -149,10 +150,12 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     elif ENV_SEED in os.environ:
         data["seed"] = int(os.environ[ENV_SEED])
 
-    data.setdefault("trials", _DEFAULT_TRIALS[data["kind"]])
     if "n_values" not in data:
         raise ValueError("no problem sizes given: pass --n or a config file")
-    return ExperimentConfig.from_dict(data)
+    cfg = ExperimentConfig.from_dict(data)  # checks the kind before it picks a default
+    if "trials" in data:
+        return cfg
+    return dataclasses.replace(cfg, trials=_DEFAULT_TRIALS[cfg.kind])
 
 
 def _summary(result: ExperimentResult, cfg: ExperimentConfig) -> str:

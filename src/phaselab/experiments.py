@@ -38,7 +38,9 @@ from .simulate import (
     _evolve,
     _label_success,
     _label_turns,
+    _purified_state,
     _query,
+    _run_labels,
     _start,
     counter_leakage,
     haar_random_algorithm,
@@ -47,7 +49,6 @@ from .simulate import (
     run_purified,
     run_purified_transcript,
     standard_layout,
-    success_probability_average,
     success_probability_purified,
 )
 
@@ -111,6 +112,12 @@ def _integers(name: str, values) -> tuple[int, ...]:
     return tuple(_integer(name, v) for v in _sequence(name, values))
 
 
+def _real(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} entries must be real numbers, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -128,7 +135,7 @@ class ExperimentConfig:
         object.__setattr__(self, "trials", _integer("trials", self.trials))
         object.__setattr__(self, "seed", _integer("seed", self.seed))
         if self.theta_grid is not None:
-            grid = tuple(float(t) for t in _sequence("theta_grid", self.theta_grid))
+            grid = tuple(_real("theta_grid", t) for t in _sequence("theta_grid", self.theta_grid))
             object.__setattr__(self, "theta_grid", grid)
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}, expected one of {EXPERIMENT_KINDS}")
@@ -277,10 +284,8 @@ def _bound_sweep_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]:
     bound = (q + 1) / n
 
     def measure(alg):
-        return (
-            success_probability_average(alg, family),
-            counter_leakage(run_purified(alg, family), q),
-        )
+        cols = _run_labels(alg, family, range(n))
+        return _label_success(cols, alg.layout), counter_leakage(_purified_state(alg, cols), q)
 
     seed = derive_seed(cfg.seed, "optimal", n, q, 0)
     rows = [_row("optimal", n, q, 0, seed, bound, lambda: measure(build_truncated_optimal(n, q)))]
@@ -298,20 +303,18 @@ _SCHEDULE_EXPONENTS = (1, -1, 2, 3, 5)
 def _counter_scan_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]:
     """Worst per-step counter leakage of Haar-random algorithms.
 
-    ``forward`` rows check weight beyond index j after j queries; ``schedule``
-    rows draw the query kinds from {forward, inverse, power(2|3|5)} and check
-    weight outside the subset-sum reachable set of the schedule prefix.
+    ``forward`` rows query forward only; ``schedule`` rows draw the query
+    kinds from {forward, inverse, power(2|3|5)}. Both check the weight outside
+    the subset-sum reachable set of the schedule prefix, which for forward
+    queries is the weight beyond index j after j queries.
     """
     family = default_family(n)
 
-    def forward(seed):
-        tr = run_purified_transcript(haar_random_algorithm(n, q, seed), family)
-        leak = max(float(w[j + 1 :].sum()) for j, w in enumerate(tr.counter_weights))
-        return leak, leak
-
-    def schedule(seed):
+    def measure(seed, schedule):
         rng = np.random.default_rng(seed)
-        exponents = [int(m) for m in rng.choice(_SCHEDULE_EXPONENTS, size=q)]
+        exponents = [1] * q
+        if schedule:
+            exponents = [int(m) for m in rng.choice(_SCHEDULE_EXPONENTS, size=q)]
         kinds = tuple(QueryKind(m) for m in exponents)
         tr = run_purified_transcript(haar_random_algorithm(n, q, rng, kinds=kinds), family)
         reach = reachable_counter_values(exponents, n)
@@ -320,12 +323,13 @@ def _counter_scan_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]
         )
         return leak, leak
 
-    scans = (("forward", forward), ("schedule", schedule)) if q else (("forward", forward),)
+    scans = ("forward", "schedule") if q else ("forward",)
     rows = []
     for t in range(cfg.trials):
-        for kind, measure in scans:
+        for kind in scans:
             seed = derive_seed(cfg.seed, kind, n, q, t)
-            rows.append(_row(kind, n, q, t, seed, LEAKAGE_BUDGET, lambda: measure(seed)))
+            schedule = kind == "schedule"
+            rows.append(_row(kind, n, q, t, seed, LEAKAGE_BUDGET, lambda: measure(seed, schedule)))
     return rows
 
 
@@ -345,6 +349,10 @@ def adversarial_search(
     so the search can only climb toward the proven ceiling (q+1)/n.
     ``iterations`` counts full slot sweeps across all restarts.
     """
+    if q < 0:
+        raise ValueError(f"query count must be >= 0, got {q}")
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
     family = default_family(n, work_dim)
     layout = standard_layout(n, work_dim)
     dim = layout.total_dim
@@ -361,6 +369,7 @@ def adversarial_search(
         return _label_success(_evolve(_start(layout, n), steps, forward, layout, u, turns), layout)
 
     def sweep(steps):
+        """Re-optimize each slot in turn; returns the success of the result."""
         a = _start(layout, n)  # columns before step ``slot``, one per label
         for slot in range(q + 1):
             psi = _evolve(a, steps[slot:], forward, layout, u, turns)
@@ -371,6 +380,7 @@ def adversarial_search(
             steps[slot] = w @ vh
             if slot < q:
                 a = _query(steps[slot] @ a, layout, u, ahead)
+        return _label_success(steps[q] @ a, layout)
 
     best_p = -1.0
     best_steps = None
@@ -388,9 +398,8 @@ def adversarial_search(
         if prev > best_p:
             best_p, best_steps = prev, [s.copy() for s in steps]
         while done < iterations:
-            sweep(steps)
+            p = sweep(steps)
             done += 1
-            p = success(steps)
             if p > best_p:
                 best_p, best_steps = p, [s.copy() for s in steps]
             if p - prev < 1e-12:

@@ -83,15 +83,11 @@ class RegisterLayout:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Complex amplitude vector over the registers of a layout.
-
-    Unit Euclidean norm is required within 1e-9 unless the state is
-    explicitly flagged as an unnormalized intermediate.
-    """
+    """Complex amplitude vector over the registers of a layout, of unit
+    Euclidean norm within 1e-9."""
 
     layout: RegisterLayout
     amps: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         amps = _frozen_complex_array(self.amps).reshape(-1)
@@ -102,7 +98,7 @@ class StateVector:
             )
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
-        if self.normalized and abs(self.norm - 1.0) > NORM_TOL:
+        if abs(self.norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {self.norm} deviates from 1 beyond {NORM_TOL}")
 
     @property
@@ -185,7 +181,7 @@ def apply_to_registers(state: StateVector, u: UnitaryMatrix, targets: list[str])
     moved_shape = psi.shape
     psi = u.matrix @ psi.reshape(block, -1)
     psi = np.moveaxis(psi.reshape(moved_shape), range(len(axes)), axes)
-    return StateVector(state.layout, psi.reshape(-1), normalized=state.normalized)
+    return StateVector(state.layout, psi.reshape(-1))
 
 
 def projection_norm_sq(state: StateVector, register: str, value: int) -> float:

@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    AMP_TOL,
-    NORM_TOL,
-    UNITARITY_TOL,
-    UnitaryMatrix,
-    _frozen_complex_array,
-    complete_orthonormal_basis,
-)
+from .linalg import NORM_TOL, UnitaryMatrix, _frozen_complex_array
 
 
 @dataclass(frozen=True)
@@ -45,50 +38,36 @@ FORWARD = QueryKind.forward()
 INVERSE = QueryKind.inverse()
 
 
+def _unit_vector(values) -> np.ndarray:
+    eig = _frozen_complex_array(values).reshape(-1)
+    if abs(np.linalg.norm(eig) - 1.0) > NORM_TOL:
+        raise ValueError("eigenstate must be a unit vector")
+    return eig
+
+
 @dataclass(frozen=True, eq=False)
 class PhaseOracleFamily:
-    """The n oracles over a work space of dimension D with shared eigenstate.
-
-    ``basis`` holds an orthonormal basis as rows, with ``basis[0]`` equal to
-    the eigenstate; the remaining rows span the fixed subspace.
-    """
+    """The n oracles over a work space of dimension D with shared eigenstate:
+    member y multiplies the eigenstate by w^y and fixes its complement."""
 
     n: int
     eigenstate: np.ndarray
-    basis: np.ndarray
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"number of phases must be >= 1, got {self.n}")
-        eig = _frozen_complex_array(self.eigenstate).reshape(-1)
-        d = eig.shape[0]
-        basis = _frozen_complex_array(self.basis, shape=(d, d))
-        if abs(np.linalg.norm(eig) - 1.0) > NORM_TOL:
-            raise ValueError("eigenstate must be a unit vector")
-        gram_dev = np.max(np.abs(basis @ basis.conj().T - np.eye(d)))
-        if gram_dev > UNITARITY_TOL:
-            raise ValueError(f"basis fails orthonormality check, deviation {gram_dev:.3e}")
-        if np.max(np.abs(basis[0] - eig)) > AMP_TOL:
-            raise ValueError("first basis vector must equal the eigenstate")
-        object.__setattr__(self, "eigenstate", eig)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "eigenstate", _unit_vector(self.eigenstate))
 
     @property
     def work_dim(self) -> int:
         return self.eigenstate.shape[0]
-
-    @classmethod
-    def from_eigenstate(cls, n: int, eigenstate) -> "PhaseOracleFamily":
-        eig = np.asarray(eigenstate, dtype=np.complex128).reshape(-1)
-        basis = complete_orthonormal_basis(eig, eig.shape[0])
-        return cls(n=n, eigenstate=basis[0], basis=basis)
 
 
 def default_family(n: int, work_dim: int = 2) -> PhaseOracleFamily:
     """Smallest faithful family: eigenstate e_0 on a dim-``work_dim`` space."""
     eig = np.zeros(work_dim, dtype=np.complex128)
     eig[0] = 1.0
-    return PhaseOracleFamily.from_eigenstate(n, eig)
+    return PhaseOracleFamily(n, eig)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,21 +80,22 @@ class PhaseInstance:
     def __post_init__(self):
         if not 0.0 <= self.theta < 1.0:
             raise ValueError(f"theta must lie in [0, 1), got {self.theta}")
-        eig = _frozen_complex_array(self.eigenstate).reshape(-1)
-        if abs(np.linalg.norm(eig) - 1.0) > NORM_TOL:
-            raise ValueError("eigenstate must be a unit vector")
-        object.__setattr__(self, "eigenstate", eig)
+        object.__setattr__(self, "eigenstate", _unit_vector(self.eigenstate))
 
     @property
     def work_dim(self) -> int:
         return self.eigenstate.shape[0]
 
 
+def _phase_on(eigenstate: np.ndarray, turns: float) -> np.ndarray:
+    """I + (e^(2 pi i turns) - 1)|u><u|: the phase on u, identity on its complement."""
+    proj = np.outer(eigenstate, eigenstate.conj())
+    return np.eye(len(eigenstate), dtype=np.complex128) + (np.exp(2j * np.pi * turns) - 1) * proj
+
+
 def _member_matrix(family: PhaseOracleFamily, phase_power: int) -> np.ndarray:
-    """w^phase_power on the eigenstate, identity on the rest of the basis."""
-    coeffs = np.ones(family.work_dim, dtype=np.complex128)
-    coeffs[0] = np.exp(2j * np.pi * phase_power / family.n)
-    return (family.basis.T * coeffs) @ family.basis.conj()
+    """w^phase_power on the eigenstate, identity on its complement."""
+    return _phase_on(family.eigenstate, phase_power / family.n)
 
 
 def u_y_matrix(family: PhaseOracleFamily, y: int) -> UnitaryMatrix:
@@ -155,6 +135,4 @@ def coherent_controlled_u(family: PhaseOracleFamily, kind: QueryKind = FORWARD) 
 
 def phase_unitary(inst: PhaseInstance) -> UnitaryMatrix:
     """exp(2*pi*i*theta) on the eigenstate, identity on its complement."""
-    proj = np.outer(inst.eigenstate, inst.eigenstate.conj())
-    mat = np.eye(inst.work_dim, dtype=np.complex128) + (np.exp(2j * np.pi * inst.theta) - 1) * proj
-    return UnitaryMatrix(mat)
+    return UnitaryMatrix(_phase_on(inst.eigenstate, inst.theta))

@@ -33,7 +33,7 @@ def apply_step(state, step):
         if isinstance(factor, np.ndarray):
             # row i of the step's registers takes the amplitudes of row perm[i]
             amps = state.amps.reshape(step.layout.total_dim, -1)[factor]
-            state = StateVector(state.layout, amps.reshape(-1), normalized=state.normalized)
+            state = StateVector(state.layout, amps.reshape(-1))
         else:
             u, targets = factor
             state = apply_to_registers(state, u, list(targets))

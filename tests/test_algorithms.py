@@ -70,7 +70,7 @@ class TestTruncatedOptimal:
         fam_eig = eig / np.linalg.norm(eig)
         from phaselab.oracles import PhaseOracleFamily
 
-        fam = PhaseOracleFamily.from_eigenstate(5, fam_eig)
+        fam = PhaseOracleFamily(5, fam_eig)
         alg = build_truncated_optimal(5, 2, eigenstate=fam_eig)
         assert success_probability_average(alg, fam) == pytest.approx(3 / 5, abs=1e-9)
 

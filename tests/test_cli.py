@@ -239,9 +239,15 @@ class TestSweepCommand:
         ({"kind": "epr-check", "n_values": [2], "trials": "5"}, None),
         ({"kind": "bound-sweep", "n_values": [2], "trials": 2.5}, None),
         ({"kind": "epr-check", "n_values": [2], "seed": 1.5}, None),
+        ({"kind": "cemm-curve", "n_values": [8], "theta_grid": [None]}, None),
+        ({"kind": "cemm-curve", "n_values": [8], "theta_grid": [[0.1]]}, None),
+        ({"kind": "cemm-curve", "n_values": [8], "theta_grid": ["0.1"]}, None),
+        ({"kind": "reduction-check", "n_values": [4], "theta_grid": [True]}, None),
+        ({"kind": ["x"], "n_values": [2]}, None),
     ],
     ids=["out-in-missing-dir", "top-level-list", "n-not-a-list", "trials-string",
-         "trials-fraction", "seed-fraction"],
+         "trials-fraction", "seed-fraction", "theta-null", "theta-list", "theta-string",
+         "floor-bool", "kind-list"],
 )
 def test_malformed_outside_input_exits_2(config, out, tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -250,7 +256,10 @@ def test_malformed_outside_input_exits_2(config, out, tmp_path, capsys):
     if out is not None:
         argv += ["--out", str(tmp_path / out)]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err.startswith("phaselab: ")
+    err = capsys.readouterr().err
+    assert err.startswith("phaselab: ")
+    if out is None:
+        assert err.startswith("phaselab: configuration error")
 
 
 class TestFailurePropagation:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from phaselab import experiments
+from phaselab import experiments, simulate
 from phaselab.experiments import (
     CSV_HEADER,
     DEFAULT_SUCCESS_FLOORS,
@@ -16,6 +16,8 @@ from phaselab.experiments import (
     run_experiment,
 )
 from phaselab.algorithms import build_truncated_optimal
+from phaselab.oracles import default_family
+from phaselab.simulate import success_probability_average
 
 
 def strip_wall_time(csv_text):
@@ -112,6 +114,21 @@ class TestBoundSweep:
         result = run_experiment(cfg)
         assert sorted({r.q for r in result.rows}) == [0, 1, 2, 3]
 
+    def test_one_kernel_run_per_row(self, monkeypatch):
+        calls = []
+        evolve = simulate._evolve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "_evolve", counted)
+        cfg = ExperimentConfig(
+            kind="bound-sweep", n_values=(4,), q_values=(0, 2), trials=2, seed=1
+        )
+        result = run_experiment(cfg)
+        assert len(calls) == len(result.rows) == 6
+
 
 class TestCounterScan:
     def test_forward_and_schedule_rows(self):
@@ -148,6 +165,18 @@ class TestAdversarialSearch:
         initial = build_truncated_optimal(4, 1)
         best, _ = adversarial_search(4, 1, iterations=10, seed=2, initial=initial)
         assert 0.5 - 1e-9 <= best <= 0.5 + 1e-9
+
+    @pytest.mark.parametrize("n, q, iterations, seed", [(2, 1, 5, 3), (4, 2, 4, 8), (8, 3, 3, 1)])
+    def test_best_is_the_returned_algorithms_success(self, n, q, iterations, seed):
+        best, alg = adversarial_search(n, q, iterations, seed)
+        assert best == pytest.approx(
+            success_probability_average(alg, default_family(n)), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("q, iterations", [(-1, 5), (1, 0), (1, -2)])
+    def test_bad_inputs_rejected(self, q, iterations):
+        with pytest.raises(ValueError):
+            adversarial_search(4, q, iterations, seed=0)
 
     def test_runner_rows(self):
         cfg = ExperimentConfig(

@@ -67,7 +67,7 @@ def random_case(n, work_dim, anc_dim, exponents, seed, local=False):
         steps = [haar_random_unitary(layout.total_dim, rng) for _ in range(len(exponents) + 1)]
     alg = QueryAlgorithm(n, layout, steps, tuple(QueryKind(m) for m in exponents))
     eig = rng.standard_normal(work_dim) + 1j * rng.standard_normal(work_dim)
-    family = PhaseOracleFamily.from_eigenstate(n, eig / np.linalg.norm(eig))
+    family = PhaseOracleFamily(n, eig / np.linalg.norm(eig))
     return alg, family, float(rng.uniform())
 
 

@@ -48,10 +48,6 @@ class TestStateVector:
         with pytest.raises(ValueError):
             ket(QUBIT, [1.0, 1.0])
 
-    def test_unnormalized_flag(self):
-        s = StateVector(QUBIT, np.array([1.0, 1.0]), normalized=False)
-        assert s.norm == pytest.approx(np.sqrt(2))
-
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             ket(QUBIT, [np.nan, 0.0])

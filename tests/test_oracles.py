@@ -29,22 +29,16 @@ class TestFamilyConstruction:
         fam = default_family(4)
         assert fam.n == 4 and fam.work_dim == 2
         np.testing.assert_allclose(fam.eigenstate, [1, 0])
-        np.testing.assert_allclose(fam.basis, np.eye(2), atol=1e-12)
 
     def test_from_arbitrary_eigenstate(self):
         u = np.array([1, 1j, 0, 1]) / np.sqrt(3)
-        fam = PhaseOracleFamily.from_eigenstate(6, u)
+        fam = PhaseOracleFamily(6, u)
         np.testing.assert_allclose(fam.eigenstate, u, atol=1e-12)
-        gram = fam.basis @ fam.basis.conj().T
-        assert np.max(np.abs(gram - np.eye(4))) < 1e-9
+        assert fam.work_dim == 4
 
     def test_non_unit_eigenstate_rejected(self):
         with pytest.raises(ValueError):
-            PhaseOracleFamily.from_eigenstate(4, [1, 1])
-
-    def test_basis_must_start_with_eigenstate(self):
-        with pytest.raises(ValueError):
-            PhaseOracleFamily(n=4, eigenstate=np.array([0, 1.0]), basis=np.eye(2))
+            PhaseOracleFamily(4, [1, 1])
 
 
 class TestMemberMatrix:
@@ -74,7 +68,7 @@ class TestMemberMatrix:
         rng = np.random.default_rng(2)
         eig = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         eig /= np.linalg.norm(eig)
-        fam = PhaseOracleFamily.from_eigenstate(6, eig)
+        fam = PhaseOracleFamily(6, eig)
         mat = u_y_matrix(fam, 2).matrix
         np.testing.assert_allclose(mat @ eig, np.exp(2j * np.pi * 2 / 6) * eig, atol=1e-10)
         vals = np.sort_complex(np.linalg.eigvals(mat))
@@ -82,7 +76,7 @@ class TestMemberMatrix:
         np.testing.assert_allclose(vals, expected, atol=1e-9)
 
     def test_family_members_commute(self):
-        fam = PhaseOracleFamily.from_eigenstate(5, np.array([1, 1, 1]) / np.sqrt(3))
+        fam = PhaseOracleFamily(5, np.array([1, 1, 1]) / np.sqrt(3))
         mats = [u_y_matrix(fam, y).matrix for y in range(5)]
         for a in mats:
             for b in mats:
