@@ -22,7 +22,6 @@ from .linalg import (
     StateVector,
     UnitaryMatrix,
     complete_orthonormal_basis,
-    projection_norm_sq,
 )
 from .oracles import FORWARD, PhaseInstance
 from .simulate import (
@@ -119,18 +118,21 @@ def cemm_on_continuous_phase(inst: PhaseInstance, n: int) -> np.ndarray:
     if n < 2:
         raise ValueError(f"grid size must be >= 2, got {n}")
     alg = build_cemm(n, eigenstate=inst.eigenstate)
-    final = run_fixed_phase(alg, inst)
-    return np.array([projection_norm_sq(final, OUTPUT, y) for y in range(n)])
+    return _outcome_weights(run_fixed_phase(alg, inst).amps[:, None], alg.layout)[:, 0]
 
 
-def phase_distance(a: float, b: float, circular: bool = True) -> float:
-    """Distance between two phases in [0, 1); circular by default.
+def _outcome_weights(cols: np.ndarray, layout: RegisterLayout) -> np.ndarray:
+    """Entry [y, j] is the probability of outcome y on O in column j: the
+    squared amplitudes summed over every other register."""
+    t = np.abs(cols.reshape(layout.dims + (cols.shape[-1],))) ** 2
+    t = np.moveaxis(t, layout.axis(OUTPUT), 0)
+    return t.reshape(t.shape[0], -1, t.shape[-1]).sum(axis=1)
 
-    ``circular=False`` gives the literal absolute difference, without
-    wraparound at the 0/1 boundary.
-    """
-    d = abs(float(a) - float(b))
-    return min(d, 1.0 - d) if circular else d
+
+def phase_distance(a, b):
+    """Circular distance between phases in [0, 1); elementwise on arrays."""
+    d = np.abs(np.asarray(a, dtype=float) - b)
+    return np.minimum(d, 1.0 - d)
 
 
 def round_to_grid(estimate, n: int) -> int:
@@ -138,10 +140,7 @@ def round_to_grid(estimate, n: int) -> int:
 
     Ties break toward the smaller label.
     """
-    theta = float(estimate) % 1.0
-    d = np.abs(theta - np.arange(n) / n)
-    d = np.minimum(d, 1.0 - d)
-    return int(np.argmin(d))
+    return int(np.argmin(phase_distance(float(estimate) % 1.0, np.arange(n) / n)))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import datetime as _dt
 import numbers
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -24,12 +23,13 @@ import numpy as np
 
 from ._version import __version__
 from .algorithms import (
+    _outcome_weights,
     build_truncated_optimal,
     cemm_on_continuous_phase,
     epr_fourier_deviation,
     epr_state,
     phase_distance,
-    reduction_estimator_to_pd,
+    round_to_grid,
 )
 from .linalg import AMP_TOL, PROB_TOL, UnitaryMatrix, haar_random_unitary
 from .oracles import FORWARD, PhaseInstance, QueryKind, default_family
@@ -40,6 +40,7 @@ from .simulate import (
     _label_turns,
     _purified_state,
     _query,
+    _run,
     _run_labels,
     _start,
     counter_leakage,
@@ -62,7 +63,7 @@ EXPERIMENT_KINDS = (
 )
 
 # Kinds whose rows are indexed by (n, q); the others take one task per n.
-_Q_KINDS = ("bound-sweep", "counter-scan", "random-stress")
+_Q_KINDS = ("bound-sweep", "counter-scan", "random-stress", "reduction-check")
 
 CSV_HEADER = "n,q,kind,trial,seed,observed_probability,bound_value,gap,max_leakage,wall_time_ms"
 
@@ -76,9 +77,6 @@ RESOLUTION_DECIMALS = 20
 
 # Row kinds whose observed_probability is itself a counter leakage.
 _LEAKAGE_ROW_KINDS = ("forward", "schedule")
-
-# Success floors a reduction-check config gets when it names none.
-DEFAULT_SUCCESS_FLOORS = (0.3, 0.6, 0.9)
 
 _ROW_KIND_CODES = {
     "optimal": 0,
@@ -161,11 +159,6 @@ class ExperimentConfig:
                 raise ValueError("cemm-curve requires a theta grid")
             if any(not 0.0 <= t < 1.0 for t in self.theta_grid):
                 raise ValueError("theta values must lie in [0, 1)")
-        if self.kind == "reduction-check":
-            if not self.theta_grid:
-                object.__setattr__(self, "theta_grid", DEFAULT_SUCCESS_FLOORS)
-            if any(not 0.0 < p <= 1.0 for p in self.theta_grid):
-                raise ValueError("success floors must lie in (0, 1]")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -338,7 +331,6 @@ def adversarial_search(
     q: int,
     iterations: int,
     seed,
-    work_dim: int = 2,
     initial: QueryAlgorithm | None = None,
 ) -> tuple[float, QueryAlgorithm]:
     """Local search for the most successful q-query algorithm.
@@ -353,8 +345,8 @@ def adversarial_search(
         raise ValueError(f"query count must be >= 0, got {q}")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    family = default_family(n, work_dim)
-    layout = standard_layout(n, work_dim)
+    family = default_family(n)
+    layout = standard_layout(n)
     dim = layout.total_dim
     rng = np.random.default_rng(seed)
     u = family.eigenstate
@@ -433,7 +425,7 @@ def _cemm_rows(cfg: ExperimentConfig, n: int) -> list[ResultRow]:
     eps = 1.0 / (2 * n)
 
     def measure(theta):
-        dist = cemm_on_continuous_phase(_instance(theta), n)
+        dist = cemm_on_continuous_phase(PhaseInstance(theta, [1.0, 0.0]), n)
         near = (p for y, p in enumerate(dist) if phase_distance(y / n, theta) <= eps + 1e-12)
         return float(sum(near)), 0.0
 
@@ -446,12 +438,6 @@ def _cemm_rows(cfg: ExperimentConfig, n: int) -> list[ResultRow]:
     return rows
 
 
-def _instance(theta: float, work_dim: int = 2) -> PhaseInstance:
-    eig = np.zeros(work_dim, dtype=np.complex128)
-    eig[0] = 1.0
-    return PhaseInstance(theta=theta, eigenstate=eig)
-
-
 def _epr_rows(cfg: ExperimentConfig, n: int) -> list[ResultRow]:
     """Entrywise agreement of the two maximally-correlated-state constructions;
     the deviation lands in the leakage column."""
@@ -462,44 +448,55 @@ def _epr_rows(cfg: ExperimentConfig, n: int) -> list[ResultRow]:
     return [_row("epr", n, 0, 0, cfg.seed, 1.0, measure)]
 
 
-def _reduction_rows(cfg: ExperimentConfig, n: int) -> list[ResultRow]:
-    """Monte Carlo check that rounding preserves an estimator's success.
+def _reduction_chain(alg: QueryAlgorithm) -> list[tuple[float, float]]:
+    """Check the rounding reduction exactly on the estimator that reads
+    outcome y' of ``alg`` as the phase y'/n; returns (p_m, r_m) for m = 1..n.
 
-    A synthetic estimator errs within radius 0.9/(2n) (inside the rounding
-    premise) with probability p and guesses uniformly otherwise; the wrapped
-    solver must then hit the hidden label with empirical frequency at least
-    p minus two standard errors. The probed p values ride in ``theta_grid``.
+    One kernel run covers Theta_n = {y/m : 1 <= m <= n, 0 <= y < m}, one
+    column per phase. p_m is the worst case over Theta_n of
+    P(|estimate - theta| < 1/(2m)); the premise is strict, so a distance
+    within 1e-12 of 1/(2m) is a miss. r_m is the success of rounding the
+    estimate to the m-grid with ``round_to_grid``, averaged over the m
+    labels. Rounding recovers every estimate inside the premise, and the
+    rounded estimator is a q-query m-phase distinguisher, so
+    p_m <= r_m <= (q+1)/m; a break raises ``VerificationError``.
     """
-    radius = 0.9 / (2 * n)
-
-    def measure(p, seed):
-        rng = np.random.default_rng(seed)
-
-        def estimator(inst):
-            if rng.random() < p:
-                return (inst.theta + rng.uniform(-radius, radius)) % 1.0
-            return rng.random()
-
-        solver = reduction_estimator_to_pd(estimator, epsilon=1.0 / (2 * n))
-        hits = 0
-        for _ in range(cfg.trials):
-            y = int(rng.integers(n))
-            if solver.solve(_instance(y / n)) == y:
-                hits += 1
-        observed = hits / cfg.trials
-        floor = p - 2.0 * np.sqrt(p * (1 - p) / cfg.trials)
-        if observed < floor:
+    n, q = alg.n, alg.q
+    # every (y, m) in order, so y/m is entry m(m-1)/2 + y; np.unique keeps
+    # one column per phase in lowest terms and maps each entry to it
+    m_all = np.repeat(np.arange(1, n + 1), np.arange(1, n + 1))
+    y_all = np.arange(len(m_all)) - m_all * (m_all - 1) // 2
+    g = np.gcd(y_all, m_all)
+    (num, den), column = np.unique([y_all // g, m_all // g], axis=1, return_inverse=True)
+    eigenstate = default_family(n, alg.work_dim).eigenstate
+    cols = _run(alg, eigenstate, _label_turns(num, den), len(num))
+    weights = _outcome_weights(cols, alg.layout)
+    estimates = np.arange(n) / n
+    dist = phase_distance(estimates[:, None], num / den)
+    chain = []
+    for m in range(1, n + 1):
+        p = float(np.where(dist < 1 / (2 * m) - 1e-12, weights, 0.0).sum(axis=0).min())
+        label_cols = column[m * (m - 1) // 2 : m * (m + 1) // 2]
+        rounded = [round_to_grid(e, m) for e in estimates]
+        r = float(weights[np.arange(n), label_cols[rounded]].sum()) / m
+        if p > r + PROB_TOL or r > (q + 1) / m + PROB_TOL:
             raise VerificationError(
-                f"reduction success {observed} fell below floor {floor} "
-                f"(n={n} p={p} seed={seed})"
+                f"rounding reduction broken: n={n} q={q} m={m} p_m={p!r} r_m={r!r} "
+                f"bound={(q + 1) / m!r}"
             )
-        return observed, 0.0
+        chain.append((p, r))
+    return chain
 
-    rows = []
-    for i, p in enumerate(cfg.theta_grid):
-        seed = derive_seed(cfg.seed, "reduction", n, i, 0)
-        rows.append(_row(f"reduction-p{p:g}", n, 0, i, seed, 1.0, lambda: measure(p, seed)))
-    return rows
+
+def _reduction_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]:
+    """The estimation bound on the q-query optimal estimator read as y'/n:
+    the chain of ``_reduction_chain`` holds at every m <= n, and the row
+    reports p_n against (q+1)/n."""
+
+    def measure():
+        return _reduction_chain(build_truncated_optimal(n, q))[-1][0], 0.0
+
+    return [_row("reduction", n, q, 0, cfg.seed, (q + 1) / n, measure)]
 
 
 _RUNNERS = {
@@ -517,8 +514,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
 
     Tasks are the (n, q) grid for the kinds that take q, with the configured
     q values that fit each n (none configured: 0..min(n-1, 12)), and one task
-    per n otherwise. ``jobs`` caps the worker threads; None means the
-    available parallelism.
+    per n otherwise. ``jobs`` caps the worker threads.
     """
     if cfg.kind in _Q_KINDS:
         tasks = [
@@ -529,8 +525,6 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         ]
     else:
         tasks = [(n,) for n in cfg.n_values]
-    if jobs is None:
-        jobs = os.cpu_count() or 1
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 

@@ -242,8 +242,9 @@ def _start(layout: RegisterLayout, m: int) -> np.ndarray:
     return cols
 
 
-def _label_turns(labels, n: int):
-    """Phases of members ``labels`` raised to m, with y*m reduced mod n first."""
+def _label_turns(labels, n):
+    """Phases labels/n raised to m, with y*m reduced mod n first; ``n`` is
+    the family size or an array of per-column denominators."""
     labels = np.asarray(labels)
     return lambda m: (labels * m % n) / n
 

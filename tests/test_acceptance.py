@@ -18,9 +18,8 @@ from phaselab.algorithms import (
     build_truncated_optimal,
     cemm_on_continuous_phase,
     epr_fourier_deviation,
-    reduction_estimator_to_pd,
 )
-from phaselab.experiments import adversarial_search, derive_seed
+from phaselab.experiments import _reduction_chain, adversarial_search, derive_seed
 from phaselab.oracles import PhaseInstance, QueryKind, default_family
 from phaselab.simulate import (
     haar_random_algorithm,
@@ -187,33 +186,29 @@ def test_criterion_6_counter_arithmetic():
 
 
 def test_criterion_7_reduction_preserves_success():
-    worst_margin = np.inf
+    # _reduction_chain raises VerificationError unless p_m <= r_m <= (q+1)/m
+    # holds at every grid m <= N
+    t0 = time.perf_counter()
+    worst = 0.0
+    checked = 0
     for n in (4, 8, 16):
-        for i, p in enumerate((0.3, 0.6, 0.9)):
-            trials = 1000
-            rng = np.random.default_rng(derive_seed(MASTER_SEED, "reduction", n, i, 0))
-            radius = 0.9 / (2 * n)
-
-            def estimator(inst):
-                if rng.random() < p:
-                    return (inst.theta + rng.uniform(-radius, radius)) % 1.0
-                return rng.random()
-
-            solver = reduction_estimator_to_pd(estimator, epsilon=1.0 / (2 * n))
-            hits = sum(
-                solver.solve(PhaseInstance(theta=(y := int(rng.integers(n))) / n,
-                                           eigenstate=[1, 0])) == y
-                for _ in range(trials)
-            )
-            floor = p - 2.0 * np.sqrt(p * (1 - p) / trials)
-            worst_margin = min(worst_margin, hits / trials - floor)
-    ok = worst_margin >= 0.0
+        for q in range(n):
+            algs = [build_truncated_optimal(n, q)] + [
+                haar_random_algorithm(n, q, derive_seed(MASTER_SEED, "reduction", n, q, t))
+                for t in range(5)
+            ]
+            for alg in algs:
+                chain = _reduction_chain(alg)
+                worst = max(worst, max(p * m / (q + 1) for m, (p, _) in enumerate(chain, 1)))
+                checked += len(chain)
+    ok = worst <= 1.0 + PROB_TOL
     report(
         7,
-        "reduction",
+        "estimation bound",
         ok,
-        f"min success margin above (p - 2 SE) floor: {worst_margin:+.4f} "
-        f"over (n, p) in {{4,8,16}} x {{0.3,0.6,0.9}}, 1000 trials each",
+        f"p_m <= rounded success <= (q+1)/m at {checked} (estimator, m) points over "
+        f"N in {{4,8,16}}, all q, optimal + 5 Haar estimators; worst p_m*m/(q+1) "
+        f"{worst:.6f}, took {time.perf_counter() - t0:.1f}s",
     )
 
 

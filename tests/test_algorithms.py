@@ -240,7 +240,6 @@ class TestRounding:
 
     def test_phase_distance_metrics(self):
         assert phase_distance(0.99, 0.01) == pytest.approx(0.02)
-        assert phase_distance(0.99, 0.01, circular=False) == pytest.approx(0.98)
 
 
 class TestReduction:

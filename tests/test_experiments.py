@@ -6,7 +6,6 @@ import pytest
 from phaselab import experiments, simulate
 from phaselab.experiments import (
     CSV_HEADER,
-    DEFAULT_SUCCESS_FLOORS,
     ExperimentConfig,
     ResultRow,
     VerificationError,
@@ -220,23 +219,33 @@ class TestEprAndReduction:
             assert r.observed_probability == pytest.approx(1.0, abs=1e-9)
             assert r.max_leakage <= 1e-10
 
-    def test_reduction_default_floors(self):
-        cfg = ExperimentConfig(kind="reduction-check", n_values=(4,), trials=50, seed=2)
-        result = run_experiment(cfg)
-        assert [r.kind for r in result.rows] == ["reduction-p0.3", "reduction-p0.6", "reduction-p0.9"]
-        assert result.metadata["config"]["theta_grid"] == DEFAULT_SUCCESS_FLOORS
+    def test_reduction_q0_worst_case_success(self):
+        # With q = 0 the estimate is uniform over the n grid points. For an
+        # odd divisor d > 1 of n, Theta_n holds the mid-grid phase
+        # d/(2n) = 1/(2n/d); the strict premise counts neither neighbour
+        # there, so p_n is 0. Otherwise the worst phase has one grid point
+        # inside the premise.
+        cfg = ExperimentConfig(kind="reduction-check", n_values=tuple(range(2, 17)), q_values=(0,))
+        rows = run_experiment(cfg).rows
+        assert [r.n for r in rows] == list(range(2, 17))
+        for r in rows:
+            expected = 1 / r.n if r.n & (r.n - 1) == 0 else 0.0
+            assert r.observed_probability == pytest.approx(expected, abs=1e-12)
+            assert r.bound_value == pytest.approx(1 / r.n, abs=1e-15)
 
-    def test_reduction_rows_meet_floor(self):
-        cfg = ExperimentConfig(
-            kind="reduction-check", n_values=(4, 8), trials=400, seed=21,
-            theta_grid=(0.3, 0.9),
+    def test_reduction_rows_one_per_grid_point(self):
+        cfg = ExperimentConfig(kind="reduction-check", n_values=(4, 8), seed=5, trials=3)
+        rows = run_experiment(cfg).rows
+        assert [(r.n, r.q) for r in rows] == [(4, q) for q in range(4)] + [(8, q) for q in range(8)]
+        assert {(r.kind, r.trial, r.seed, r.max_leakage) for r in rows} == {("reduction", 0, 5, 0.0)}
+
+    def test_floor_rounding_breaks_the_reduction_chain(self, monkeypatch):
+        # planted defect: rounding down loses the estimates just below y/m
+        monkeypatch.setattr(
+            experiments, "round_to_grid", lambda estimate, n: int(np.floor(estimate % 1.0 * n)) % n
         )
-        result = run_experiment(cfg)
-        assert len(result.rows) == 4
-        for r in result.rows:
-            p = float(r.kind.rpartition("-p")[2])
-            floor = p - 2 * np.sqrt(p * (1 - p) / cfg.trials)
-            assert r.observed_probability >= floor
+        with pytest.raises(VerificationError, match="rounding reduction broken: n=8"):
+            run_experiment(ExperimentConfig(kind="reduction-check", n_values=(8,)))
 
 
 class TestSerialization:
