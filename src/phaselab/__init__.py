@@ -31,8 +31,6 @@ from .experiments import (
     run_experiment,
 )
 from .fourier import (
-    conjugate_fourier_state,
-    fourier_state,
     fourier_weights,
     qft_matrix,
 )
@@ -40,13 +38,8 @@ from .linalg import (
     RegisterLayout,
     StateVector,
     UnitaryMatrix,
-    apply_to_registers,
-    basis_state,
     complete_orthonormal_basis,
     haar_random_unitary,
-    inner_product,
-    projection_norm_sq,
-    zero_state,
 )
 from .oracles import (
     FORWARD,
@@ -57,8 +50,6 @@ from .oracles import (
     coherent_controlled_u,
     controlled_u,
     default_family,
-    phase_unitary,
-    u_y_matrix,
 )
 from .simulate import (
     QueryAlgorithm,

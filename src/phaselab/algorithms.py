@@ -207,5 +207,11 @@ def epr_state(n: int) -> EprPair:
     dev = epr_fourier_deviation(n)
     if dev > AMP_TOL:
         raise ValueError(f"basis-change identity violated: deviation {dev:.3e}")
+    return _epr_pair(n)
+
+
+def _epr_pair(n: int) -> EprPair:
+    """The pair state from its computational construction, unchecked against
+    the Fourier one."""
     layout = RegisterLayout(((OUTPUT, n), (COUNTER, n)))
     return EprPair(n=n, state=StateVector(layout, _epr_computational(n)))

@@ -36,9 +36,6 @@ _DEFAULT_TRIALS = {
     "bound-sweep": 10,
     "counter-scan": 25,
     "random-stress": 200,
-    "cemm-curve": 1,
-    "epr-check": 1,
-    "reduction-check": 1,
 }
 
 ENV_SEED = "PHASELAB_SEED"
@@ -150,7 +147,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     if "n_values" not in data:
         raise ValueError("no problem sizes given: pass --n or a config file")
     cfg = ExperimentConfig.from_dict(data)  # checks the kind before it picks a default
-    if "trials" in data:
+    if "trials" in data or cfg.kind not in _DEFAULT_TRIALS:
         return cfg
     return dataclasses.replace(cfg, trials=_DEFAULT_TRIALS[cfg.kind])
 

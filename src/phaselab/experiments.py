@@ -23,11 +23,11 @@ import numpy as np
 
 from ._version import __version__
 from .algorithms import (
+    _epr_pair,
     _outcome_weights,
     build_truncated_optimal,
     cemm_on_continuous_phase,
     epr_fourier_deviation,
-    epr_state,
     phase_distance,
     round_to_grid,
 )
@@ -64,6 +64,9 @@ EXPERIMENT_KINDS = (
 
 # Kinds whose rows are indexed by (n, q); the others take one task per n.
 _Q_KINDS = ("bound-sweep", "counter-scan", "random-stress", "reduction-check")
+
+# Kinds that compute each row once and never read ``trials``.
+_SINGLE_TRIAL_KINDS = ("cemm-curve", "epr-check", "reduction-check")
 
 CSV_HEADER = "n,q,kind,trial,seed,observed_probability,bound_value,gap,max_leakage,wall_time_ms"
 
@@ -159,6 +162,12 @@ class ExperimentConfig:
                 raise ValueError("cemm-curve requires a theta grid")
             if any(not 0.0 <= t < 1.0 for t in self.theta_grid):
                 raise ValueError("theta values must lie in [0, 1)")
+        elif self.theta_grid is not None:
+            raise ValueError(f"{self.kind} does not read theta_grid")
+        if self.kind not in _Q_KINDS and self.q_values:
+            raise ValueError(f"{self.kind} does not read q_values")
+        if self.kind in _SINGLE_TRIAL_KINDS and self.trials != 1:
+            raise ValueError(f"{self.kind} does not read trials, got trials={self.trials}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -440,10 +449,11 @@ def _cemm_rows(cfg: ExperimentConfig, n: int) -> list[ResultRow]:
 
 def _epr_rows(cfg: ExperimentConfig, n: int) -> list[ResultRow]:
     """Entrywise agreement of the two maximally-correlated-state constructions;
-    the deviation lands in the leakage column."""
+    the deviation lands in the leakage column, where ``_guard`` holds it to
+    the budget that ``epr_state`` checks."""
 
     def measure():
-        return success_probability_purified(epr_state(n).state), epr_fourier_deviation(n)
+        return success_probability_purified(_epr_pair(n).state), epr_fourier_deviation(n)
 
     return [_row("epr", n, 0, 0, cfg.seed, 1.0, measure)]
 

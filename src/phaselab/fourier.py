@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import RegisterLayout, StateVector, UnitaryMatrix
+from .linalg import StateVector, UnitaryMatrix
 
 
 @lru_cache(maxsize=None)
@@ -22,22 +22,6 @@ def qft_matrix(n: int) -> UnitaryMatrix:
         raise ValueError(f"dimension must be >= 1, got {n}")
     grid = np.outer(np.arange(n), np.arange(n))
     return UnitaryMatrix(np.exp(2j * np.pi * grid / n) / np.sqrt(n))
-
-
-def fourier_state(n: int, y: int, label: str = "C") -> StateVector:
-    """Fourier basis state of index ``y``: amplitude w^(y*k)/sqrt(n) at k."""
-    if not 0 <= y < n:
-        raise IndexError(f"index {y} out of range for modulus {n}")
-    amps = np.exp(2j * np.pi * y * np.arange(n) / n) / np.sqrt(n)
-    return StateVector(RegisterLayout(((label, n),)), amps)
-
-
-def conjugate_fourier_state(n: int, y: int, label: str = "C") -> StateVector:
-    """Entrywise conjugate of the Fourier state; equals index (n - y) mod n."""
-    if not 0 <= y < n:
-        raise IndexError(f"index {y} out of range for modulus {n}")
-    base = fourier_state(n, y, label)
-    return StateVector(base.layout, base.amps.conj())
 
 
 def fourier_weights(state: StateVector, register: str) -> np.ndarray:

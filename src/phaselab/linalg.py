@@ -1,8 +1,10 @@
-"""Dense complex kernels: labeled registers, state vectors, unitary matrices.
+"""Dense complex values: labeled registers, state vectors, unitary matrices,
+plus orthonormal basis completion and Haar-random unitaries.
 
-Every other module is built on the handful of operations defined here, so
-invariants (unit norm, unitarity, orthonormality) are validated eagerly at
-construction time, and all numerical tolerances live in this module.
+These are the values the simulator, the builders and the sweeps pass around.
+Their invariants (unit norm, unitarity, orthonormality) are validated once,
+at construction, and the tolerances every module compares against live
+here. The kernel that applies steps and queries is ``simulate._evolve``.
 
 Amplitude ordering is row-major over the register order of the layout: the
 first listed register is the most significant index block. All values are
@@ -133,65 +135,6 @@ class UnitaryMatrix:
     @cached_property
     def adjoint(self) -> "UnitaryMatrix":
         return UnitaryMatrix(self.matrix.conj().T)
-
-
-def basis_state(layout: RegisterLayout, values: tuple[int, ...] | list[int]) -> StateVector:
-    """Computational basis state with one index per register."""
-    if len(values) != len(layout.registers):
-        raise ValueError("need one basis index per register")
-    flat = 0
-    for (label, dim), v in zip(layout.registers, values):
-        if not 0 <= v < dim:
-            raise IndexError(f"basis index {v} out of range for register {label!r} (dim {dim})")
-        flat = flat * dim + v
-    amps = np.zeros(layout.total_dim, dtype=np.complex128)
-    amps[flat] = 1.0
-    return StateVector(layout, amps)
-
-
-def zero_state(layout: RegisterLayout) -> StateVector:
-    """All-zeros computational basis state."""
-    return basis_state(layout, [0] * len(layout.registers))
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """Hermitian inner product <a|b> with conjugation on the left argument."""
-    if a.layout != b.layout:
-        raise ValueError(f"layout mismatch: {a.layout.labels} vs {b.layout.labels}")
-    return complex(np.vdot(a.amps, b.amps))
-
-
-def apply_to_registers(state: StateVector, u: UnitaryMatrix, targets: list[str]) -> StateVector:
-    """Apply ``u`` to the listed registers, identity on the rest.
-
-    The matrix is interpreted over the tensor product of the target registers
-    in the given order (first target most significant).
-    """
-    axes = [state.layout.axis(t) for t in targets]
-    if len(set(axes)) != len(axes):
-        raise ValueError(f"duplicate target registers: {targets}")
-    dims = state.layout.dims
-    block = math.prod(dims[a] for a in axes)
-    if block != u.dim:
-        raise ValueError(
-            f"target registers {targets} span dimension {block}, matrix has dimension {u.dim}"
-        )
-    psi = state.amps.reshape(dims)
-    psi = np.moveaxis(psi, axes, range(len(axes)))
-    moved_shape = psi.shape
-    psi = u.matrix @ psi.reshape(block, -1)
-    psi = np.moveaxis(psi.reshape(moved_shape), range(len(axes)), axes)
-    return StateVector(state.layout, psi.reshape(-1))
-
-
-def projection_norm_sq(state: StateVector, register: str, value: int) -> float:
-    """Probability weight of a computational basis value on one register."""
-    axis = state.layout.axis(register)
-    dim = state.layout.dims[axis]
-    if not 0 <= value < dim:
-        raise IndexError(f"value {value} out of range for register {register!r} (dim {dim})")
-    sub = np.take(state.amps.reshape(state.layout.dims), value, axis=axis)
-    return float(np.sum(np.abs(sub) ** 2))
 
 
 def complete_orthonormal_basis(u, dim: int) -> np.ndarray:

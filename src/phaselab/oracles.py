@@ -21,21 +21,9 @@ class QueryKind:
 
     exponent: int
 
-    @classmethod
-    def forward(cls) -> "QueryKind":
-        return cls(1)
 
-    @classmethod
-    def inverse(cls) -> "QueryKind":
-        return cls(-1)
-
-    @classmethod
-    def power(cls, m: int) -> "QueryKind":
-        return cls(int(m))
-
-
-FORWARD = QueryKind.forward()
-INVERSE = QueryKind.inverse()
+FORWARD = QueryKind(1)
+INVERSE = QueryKind(-1)
 
 
 def _unit_vector(values) -> np.ndarray:
@@ -87,22 +75,12 @@ class PhaseInstance:
         return self.eigenstate.shape[0]
 
 
-def _phase_on(eigenstate: np.ndarray, turns: float) -> np.ndarray:
-    """I + (e^(2 pi i turns) - 1)|u><u|: the phase on u, identity on its complement."""
-    proj = np.outer(eigenstate, eigenstate.conj())
-    return np.eye(len(eigenstate), dtype=np.complex128) + (np.exp(2j * np.pi * turns) - 1) * proj
-
-
 def _member_matrix(family: PhaseOracleFamily, phase_power: int) -> np.ndarray:
-    """w^phase_power on the eigenstate, identity on its complement."""
-    return _phase_on(family.eigenstate, phase_power / family.n)
-
-
-def u_y_matrix(family: PhaseOracleFamily, y: int) -> UnitaryMatrix:
-    """Family member y: eigenvalue w^y on u, identity elsewhere."""
-    if not 0 <= y < family.n:
-        raise IndexError(f"label {y} out of range for {family.n} phases")
-    return UnitaryMatrix(_member_matrix(family, y))
+    """I + (w^phase_power - 1)|u><u|: w^phase_power on the eigenstate u,
+    identity on its complement."""
+    u = family.eigenstate
+    phase = np.exp(2j * np.pi * (phase_power / family.n))
+    return np.eye(len(u), dtype=np.complex128) + (phase - 1) * np.outer(u, u.conj())
 
 
 def controlled_u(family: PhaseOracleFamily, y: int, kind: QueryKind = FORWARD) -> UnitaryMatrix:
@@ -131,8 +109,3 @@ def coherent_controlled_u(family: PhaseOracleFamily, kind: QueryKind = FORWARD) 
     for y in range(n):
         mat[y::n, y::n] = controlled_u(family, y, kind).matrix
     return UnitaryMatrix(mat)
-
-
-def phase_unitary(inst: PhaseInstance) -> UnitaryMatrix:
-    """exp(2*pi*i*theta) on the eigenstate, identity on its complement."""
-    return UnitaryMatrix(_phase_on(inst.eigenstate, inst.theta))

@@ -1,7 +1,7 @@
 """Slow, obviously correct reference simulators for cross-checking phaselab.
 
 Every query goes through a dense oracle matrix applied with
-``apply_to_registers``: the coherent oracle ``coherent_controlled_u`` on
+``apply_to_registers`` below: the coherent oracle ``coherent_controlled_u`` on
 (B, W, C) for the purified view, ``controlled_u`` on (B, W) for one label,
 and an explicit controlled phase block on (B, W) for continuous phases.
 Counter spectra are read by rotating C with the inverse of ``qft_matrix``.
@@ -12,18 +12,53 @@ shares code with the simulation kernel in ``phaselab.simulate`` or with the
 builders in ``phaselab.algorithms``, so agreement between them is evidence.
 """
 
+import math
+
 import numpy as np
 
 from phaselab.fourier import qft_matrix
-from phaselab.linalg import (
-    StateVector,
-    UnitaryMatrix,
-    apply_to_registers,
-    projection_norm_sq,
-    zero_state,
-)
+from phaselab.linalg import StateVector, UnitaryMatrix
 from phaselab.oracles import coherent_controlled_u, controlled_u
 from phaselab.simulate import COUNTER, OUTPUT
+
+
+def zero_state(layout):
+    """All-zeros computational basis state."""
+    amps = np.zeros(layout.total_dim, dtype=np.complex128)
+    amps[0] = 1.0
+    return StateVector(layout, amps)
+
+
+def apply_to_registers(state, u, targets):
+    """Apply ``u`` to the listed registers, identity on the rest.
+
+    The matrix is interpreted over the tensor product of the target registers
+    in the given order (first target most significant).
+    """
+    axes = [state.layout.axis(t) for t in targets]
+    if len(set(axes)) != len(axes):
+        raise ValueError(f"duplicate target registers: {targets}")
+    dims = state.layout.dims
+    block = math.prod(dims[a] for a in axes)
+    if block != u.dim:
+        raise ValueError(
+            f"target registers {targets} span dimension {block}, matrix has dimension {u.dim}"
+        )
+    psi = np.moveaxis(state.amps.reshape(dims), axes, range(len(axes)))
+    moved_shape = psi.shape
+    psi = u.matrix @ psi.reshape(block, -1)
+    psi = np.moveaxis(psi.reshape(moved_shape), range(len(axes)), axes)
+    return StateVector(state.layout, psi.reshape(-1))
+
+
+def projection_norm_sq(state, register, value):
+    """Probability weight of a computational basis value on one register."""
+    axis = state.layout.axis(register)
+    dim = state.layout.dims[axis]
+    if not 0 <= value < dim:
+        raise IndexError(f"value {value} out of range for register {register!r} (dim {dim})")
+    sub = np.take(state.amps.reshape(state.layout.dims), value, axis=axis)
+    return float(np.sum(np.abs(sub) ** 2))
 
 
 def apply_step(state, step):

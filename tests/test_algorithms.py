@@ -14,7 +14,7 @@ from phaselab.algorithms import (
     round_to_grid,
     threshold_toggle,
 )
-from phaselab.linalg import RegisterLayout, StateVector, projection_norm_sq
+from phaselab.linalg import RegisterLayout, StateVector
 from phaselab.oracles import PhaseInstance, default_family
 from phaselab.simulate import (
     QueryAlgorithm,
@@ -82,7 +82,7 @@ class TestCemm:
         fam = default_family(n)
         for y in range(n):
             final = run_fixed_y(alg, fam, y)
-            assert projection_norm_sq(final, "O", y) == pytest.approx(1.0, abs=1e-9)
+            assert reference.projection_norm_sq(final, "O", y) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_matches_truncated_construction(self, n):

@@ -223,34 +223,44 @@ class TestSweepCommand:
 
 
 @pytest.mark.parametrize(
-    "config, out",
+    "config, argv",
     [
-        ({"kind": "epr-check", "n_values": [2]}, "missing/r.csv"),
-        ([["kind", "epr-check"], ["n_values", [2]]], None),
-        ({"kind": "epr-check", "n_values": 4}, None),
-        ({"kind": "epr-check", "n_values": [2], "trials": "5"}, None),
-        ({"kind": "bound-sweep", "n_values": [2], "trials": 2.5}, None),
-        ({"kind": "epr-check", "n_values": [2], "seed": 1.5}, None),
-        ({"kind": "cemm-curve", "n_values": [8], "theta_grid": [None]}, None),
-        ({"kind": "cemm-curve", "n_values": [8], "theta_grid": [[0.1]]}, None),
-        ({"kind": "cemm-curve", "n_values": [8], "theta_grid": ["0.1"]}, None),
-        ({"kind": "reduction-check", "n_values": [4], "theta_grid": [True]}, None),
-        ({"kind": ["x"], "n_values": [2]}, None),
+        ({"kind": "epr-check", "n_values": [2]}, ["--out", "missing/r.csv"]),
+        ([["kind", "epr-check"], ["n_values", [2]]], []),
+        ({"kind": "epr-check", "n_values": 4}, []),
+        ({"kind": "epr-check", "n_values": [2], "trials": "5"}, []),
+        ({"kind": "bound-sweep", "n_values": [2], "trials": 2.5}, []),
+        ({"kind": "epr-check", "n_values": [2], "seed": 1.5}, []),
+        ({"kind": "cemm-curve", "n_values": [8], "theta_grid": [None]}, []),
+        ({"kind": "cemm-curve", "n_values": [8], "theta_grid": [[0.1]]}, []),
+        ({"kind": "cemm-curve", "n_values": [8], "theta_grid": ["0.1"]}, []),
+        ({"kind": "reduction-check", "n_values": [4], "theta_grid": [True]}, []),
+        ({"kind": ["x"], "n_values": [2]}, []),
+        # fields the kind never reads
+        ({"kind": "reduction-check", "n_values": [4], "theta_grid": [0.3, 0.6],
+          "trials": 1000}, []),
+        ({"kind": "epr-check", "n_values": [3], "q_values": [0, 1, 2], "theta_grid": [0.1],
+          "trials": 7}, []),
+        ({"kind": "bound-sweep", "n_values": [4], "theta_grid": [0.1]}, []),
+        ({"kind": "cemm-curve", "n_values": [8], "theta_grid": [0.1], "q_values": [1]}, []),
+        (None, ["epr-check", "--n", "3", "--trials", "9"]),
+        (None, ["cemm", "--n", "8", "--theta", "0.1", "--trials", "9"]),
     ],
     ids=["out-in-missing-dir", "top-level-list", "n-not-a-list", "trials-string",
          "trials-fraction", "seed-fraction", "theta-null", "theta-list", "theta-string",
-         "floor-bool", "kind-list"],
+         "floor-bool", "kind-list", "reduction-floors-and-trials", "epr-unread-fields",
+         "bound-sweep-theta", "cemm-q", "epr-check-trials", "cemm-trials"],
 )
-def test_malformed_outside_input_exits_2(config, out, tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    argv = ["sweep", "--config", str(path)]
-    if out is not None:
-        argv += ["--out", str(tmp_path / out)]
+def test_malformed_outside_input_exits_2(config, argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = ["sweep", "--config", str(path)] + argv
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("phaselab: ")
-    if out is None:
+    if "--out" not in argv:
         assert err.startswith("phaselab: configuration error")
 
 

@@ -234,7 +234,7 @@ class TestEprAndReduction:
             assert r.bound_value == pytest.approx(1 / r.n, abs=1e-15)
 
     def test_reduction_rows_one_per_grid_point(self):
-        cfg = ExperimentConfig(kind="reduction-check", n_values=(4, 8), seed=5, trials=3)
+        cfg = ExperimentConfig(kind="reduction-check", n_values=(4, 8), seed=5)
         rows = run_experiment(cfg).rows
         assert [(r.n, r.q) for r in rows] == [(4, q) for q in range(4)] + [(8, q) for q in range(8)]
         assert {(r.kind, r.trial, r.seed, r.max_leakage) for r in rows} == {("reduction", 0, 5, 0.0)}

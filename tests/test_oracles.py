@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from phaselab.fourier import fourier_state
-from phaselab.linalg import RegisterLayout, StateVector, apply_to_registers, haar_random_unitary
+from phaselab.fourier import qft_matrix
+from phaselab.linalg import (
+    RegisterLayout,
+    StateVector,
+    complete_orthonormal_basis,
+    haar_random_unitary,
+)
 from phaselab.oracles import (
     FORWARD,
     INVERSE,
@@ -12,16 +17,28 @@ from phaselab.oracles import (
     coherent_controlled_u,
     controlled_u,
     default_family,
-    phase_unitary,
-    u_y_matrix,
 )
+from reference import apply_to_registers, controlled_phase
+
+
+def member(family, y):
+    """Family member y: the B = 1 block of ``controlled_u(family, y)``."""
+    d = family.work_dim
+    return controlled_u(family, y).matrix[d:, d:]
+
+
+def phase_block(inst):
+    """The continuous-phase unitary: the B = 1 block of the reference's
+    controlled phase."""
+    d = inst.work_dim
+    return controlled_phase(inst, FORWARD).matrix[d:, d:]
 
 
 class TestQueryKind:
     def test_aliases(self):
-        assert FORWARD == QueryKind.power(1)
-        assert INVERSE == QueryKind.power(-1)
-        assert QueryKind.power(3).exponent == 3
+        assert FORWARD == QueryKind(1)
+        assert INVERSE == QueryKind(-1)
+        assert QueryKind(3).exponent == 3
 
 
 class TestFamilyConstruction:
@@ -44,24 +61,24 @@ class TestFamilyConstruction:
 class TestMemberMatrix:
     def test_label_zero_is_identity(self):
         fam = default_family(5, work_dim=3)
-        np.testing.assert_allclose(u_y_matrix(fam, 0).matrix, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(member(fam, 0), np.eye(3), atol=1e-12)
 
     def test_n4_y1_diagonal(self):
         # w_4 = i on the eigenstate e_0, identity on e_1
         fam = default_family(4)
-        np.testing.assert_allclose(u_y_matrix(fam, 1).matrix, np.diag([1j, 1]), atol=1e-12)
+        np.testing.assert_allclose(member(fam, 1), np.diag([1j, 1]), atol=1e-12)
 
     @pytest.mark.parametrize("n,y", [(3, 1), (5, 2), (8, 7)])
     def test_nth_power_is_identity(self, n, y):
-        mat = u_y_matrix(default_family(n), y).matrix
+        mat = member(default_family(n), y)
         np.testing.assert_allclose(np.linalg.matrix_power(mat, n), np.eye(2), atol=1e-9)
 
     def test_out_of_range_label(self):
         fam = default_family(4)
         with pytest.raises(IndexError):
-            u_y_matrix(fam, 4)
+            controlled_u(fam, 4)
         with pytest.raises(IndexError):
-            u_y_matrix(fam, -1)
+            controlled_u(fam, -1)
 
     def test_eigenstructure(self):
         # one eigenvalue w^y, the rest exactly 1
@@ -69,15 +86,17 @@ class TestMemberMatrix:
         eig = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         eig /= np.linalg.norm(eig)
         fam = PhaseOracleFamily(6, eig)
-        mat = u_y_matrix(fam, 2).matrix
+        mat = member(fam, 2)
         np.testing.assert_allclose(mat @ eig, np.exp(2j * np.pi * 2 / 6) * eig, atol=1e-10)
         vals = np.sort_complex(np.linalg.eigvals(mat))
         expected = np.sort_complex(np.array([np.exp(2j * np.pi * 2 / 6), 1, 1, 1]))
         np.testing.assert_allclose(vals, expected, atol=1e-9)
+        complement = complete_orthonormal_basis(eig, 4)[1:].T
+        np.testing.assert_allclose(mat @ complement, complement, atol=1e-10)
 
     def test_family_members_commute(self):
         fam = PhaseOracleFamily(5, np.array([1, 1, 1]) / np.sqrt(3))
-        mats = [u_y_matrix(fam, y).matrix for y in range(5)]
+        mats = [member(fam, y) for y in range(5)]
         for a in mats:
             for b in mats:
                 assert np.max(np.abs(a @ b - b @ a)) < 1e-10
@@ -98,14 +117,14 @@ class TestControlled:
 
     def test_power3_matches_matrix_power(self):
         fam = default_family(8)
-        cu = controlled_u(fam, 3, QueryKind.power(3)).matrix
-        expected = np.linalg.matrix_power(u_y_matrix(fam, 3).matrix, 3)
+        cu = controlled_u(fam, 3, QueryKind(3)).matrix
+        expected = np.linalg.matrix_power(member(fam, 3), 3)
         np.testing.assert_allclose(cu[2:, 2:], expected, atol=1e-10)
 
     def test_exponent_reduced_mod_n(self):
         fam = default_family(6)
-        a = controlled_u(fam, 2, QueryKind.power(7)).matrix
-        b = controlled_u(fam, 2, QueryKind.power(1)).matrix
+        a = controlled_u(fam, 2, QueryKind(7)).matrix
+        b = controlled_u(fam, 2, QueryKind(1)).matrix
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -114,7 +133,7 @@ def coherent_input(n, control, work, k, work_dim=2):
     layout = RegisterLayout((("B", 2), ("W", work_dim), ("C", n)))
     b = np.zeros(2, dtype=complex)
     b[control] = 1.0
-    amps = np.kron(np.kron(b, work), fourier_state(n, k).amps)
+    amps = np.kron(np.kron(b, work), qft_matrix(n).matrix[:, k])
     return StateVector(layout, amps)
 
 
@@ -149,7 +168,7 @@ class TestCoherent:
     def test_counter_arithmetic_for_powers(self, m):
         n = 8
         fam = default_family(n)
-        um = coherent_controlled_u(fam, QueryKind.power(m))
+        um = coherent_controlled_u(fam, QueryKind(m))
         for k in range(n):
             state = coherent_input(n, 1, fam.eigenstate, k)
             out = apply_to_registers(state, um, ["B", "W", "C"])
@@ -167,21 +186,21 @@ class TestCoherent:
 
 
 class TestPhaseUnitary:
+    """The continuous-phase unitary that the reference's fixed-phase run applies."""
+
     def test_theta_zero_identity(self):
         inst = PhaseInstance(theta=0.0, eigenstate=np.array([1, 0]))
-        np.testing.assert_allclose(phase_unitary(inst).matrix, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(phase_block(inst), np.eye(2), atol=1e-12)
 
     def test_half_turn(self):
         inst = PhaseInstance(theta=0.5, eigenstate=np.array([1, 0]))
-        np.testing.assert_allclose(phase_unitary(inst).matrix, np.diag([-1, 1]), atol=1e-12)
+        np.testing.assert_allclose(phase_block(inst), np.diag([-1, 1]), atol=1e-12)
 
     @pytest.mark.parametrize("n,y", [(4, 1), (8, 3), (5, 4)])
     def test_grid_phase_matches_family_member(self, n, y):
         fam = default_family(n)
         inst = PhaseInstance(theta=y / n, eigenstate=fam.eigenstate)
-        np.testing.assert_allclose(
-            phase_unitary(inst).matrix, u_y_matrix(fam, y).matrix, atol=1e-12
-        )
+        np.testing.assert_allclose(phase_block(inst), member(fam, y), atol=1e-12)
 
     def test_theta_out_of_range(self):
         with pytest.raises(ValueError):
@@ -191,5 +210,5 @@ class TestPhaseUnitary:
         rng = np.random.default_rng(12)
         v = haar_random_unitary(3, rng).matrix[:, 0]
         inst = PhaseInstance(theta=0.77, eigenstate=v)
-        out = phase_unitary(inst).matrix @ v
+        out = phase_block(inst) @ v
         np.testing.assert_allclose(out, np.exp(2j * np.pi * 0.77) * v, atol=1e-10)

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from phaselab.fourier import fourier_state, fourier_weights
-from phaselab.linalg import (
-    RegisterLayout,
-    StateVector,
-    UnitaryMatrix,
-    apply_to_registers,
-    haar_random_unitary,
-    zero_state,
-)
+from phaselab.fourier import fourier_weights, qft_matrix
+from phaselab.linalg import RegisterLayout, StateVector, UnitaryMatrix, haar_random_unitary
 from phaselab.oracles import FORWARD, INVERSE, PhaseInstance, QueryKind, default_family
 from phaselab.simulate import (
     QueryAlgorithm,
@@ -26,6 +19,7 @@ from phaselab.simulate import (
     success_probability_average,
     success_probability_purified,
 )
+from reference import apply_to_registers, zero_state
 
 
 def embed_on_control(n, mat2, work_dim=2):
@@ -202,7 +196,7 @@ class TestRunPurified:
         n = 6
         alg = QueryAlgorithm(n, standard_layout(n), (identity_step(n),), ())
         out = run_purified(alg, default_family(n))
-        expected = np.kron(zero_state(alg.layout).amps, fourier_state(n, 0).amps)
+        expected = np.kron(zero_state(alg.layout).amps, qft_matrix(n).matrix[:, 0])
         np.testing.assert_allclose(out.amps, expected, atol=1e-12)
 
     def test_counter_slice_reproduces_fixed_runs(self):
@@ -254,7 +248,7 @@ class TestCounterLeakage:
 
     def test_power_query_lands_at_exponent(self):
         n = 8
-        alg = one_query_probe(n, kinds=(QueryKind.power(3),))
+        alg = one_query_probe(n, kinds=(QueryKind(3),))
         out = run_purified(alg, default_family(n))
         assert counter_leakage(out, 1) > 0.5  # all weight sits at index 3
         assert counter_leakage(out, 3) <= 1e-10
@@ -262,7 +256,7 @@ class TestCounterLeakage:
     def test_inverse_schedule_reachable_set(self):
         n = 6
         rng = np.random.default_rng(4)
-        alg = haar_random_algorithm(n, 1, rng, kinds=(QueryKind.inverse(),))
+        alg = haar_random_algorithm(n, 1, rng, kinds=(INVERSE,))
         out = run_purified(alg, default_family(n))
         assert leakage_from_weights(fourier_weights(out, "C"), {0, n - 1}) <= 1e-10
 
@@ -273,7 +267,7 @@ class TestCounterLeakage:
         n = 8
         layout = standard_layout(n)
         steps = (identity_step(n), embed_on_control(n, X2), identity_step(n))
-        alg = QueryAlgorithm(n, layout, steps, (QueryKind.power(2), FORWARD))
+        alg = QueryAlgorithm(n, layout, steps, (QueryKind(2), FORWARD))
         out = run_purified(alg, default_family(n))
         w = fourier_weights(out, "C")
         assert w[1] == pytest.approx(1.0, abs=1e-10)
@@ -328,7 +322,7 @@ class TestSuccessProbabilities:
         # |0>_O x |f0>_C: P(equal) = sum_y |<y,y|psi>|^2 = |1/sqrt(n)|^2 at y=0
         n = 7
         layout = RegisterLayout((("O", n), ("C", n)))
-        amps = np.kron(np.eye(1, n, 0).ravel(), fourier_state(n, 0).amps)
+        amps = np.kron(np.eye(1, n, 0).ravel(), qft_matrix(n).matrix[:, 0])
         assert success_probability_purified(StateVector(layout, amps)) == pytest.approx(1 / n)
 
     def test_register_dimension_mismatch(self):
