@@ -135,12 +135,15 @@ def phase_distance(a, b):
     return np.minimum(d, 1.0 - d)
 
 
-def round_to_grid(estimate, n: int) -> int:
-    """Nearest grid label y minimizing the circular distance |theta - y/n|.
+def round_to_grid(estimate, n: int):
+    """Nearest grid label y minimizing the circular distance |theta - y/n|;
+    an int for one estimate, an int array of labels for an array of them.
 
     Ties break toward the smaller label.
     """
-    return int(np.argmin(phase_distance(float(estimate) % 1.0, np.arange(n) / n)))
+    e = np.asarray(estimate, dtype=float) % 1.0
+    labels = np.argmin(phase_distance(e[..., None], np.arange(n) / n), axis=-1)
+    return int(labels) if labels.ndim == 0 else labels
 
 
 @dataclass(frozen=True)
@@ -191,7 +194,7 @@ def _epr_computational(n: int) -> np.ndarray:
 
 def _epr_fourier(n: int) -> np.ndarray:
     f = qft_matrix(n).matrix
-    return np.einsum("ay,by->ab", f.conj(), f).reshape(-1) / np.sqrt(n)
+    return (f.conj() @ f.T).reshape(-1) / np.sqrt(n)
 
 
 def epr_fourier_deviation(n: int) -> float:

@@ -32,7 +32,7 @@ from .algorithms import (
     round_to_grid,
 )
 from .linalg import AMP_TOL, PROB_TOL, UnitaryMatrix, haar_random_unitary
-from .oracles import FORWARD, PhaseInstance, QueryKind, default_family
+from .oracles import FORWARD, PhaseInstance, PhaseOracleFamily, QueryKind, default_family
 from .simulate import (
     QueryAlgorithm,
     _evolve,
@@ -335,6 +335,57 @@ def _counter_scan_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]
     return rows
 
 
+def _thin_polar(g: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The unitary U maximizing Re Tr(U† E) for E = G A†, G and A dim x k.
+
+    E has rank at most k. With complete QRs G = Q_g R_g and A = Q_a R_a,
+    E = Q_g[:, :k] C Q_a[:, :k]† for the k x k core C = R_g[:k] R_a[:k]†.
+    With C = W S V†, U = Q_g[:, :k] W V† Q_a[:, :k]† + Q_g[:, k:] Q_a[:, k:]†
+    is unitary and Re Tr(U† E) = Tr S, the nuclear norm of E. The part
+    outside E's range is a fixed function of (G, A), so the same inputs
+    always give the same U.
+    """
+    k = g.shape[1]
+    qg, rg = np.linalg.qr(g, mode="complete")
+    qa, ra = np.linalg.qr(a, mode="complete")
+    w, _, vh = np.linalg.svd(rg[:k] @ ra[:k].conj().T)
+    qg[:, :k] = qg[:, :k] @ (w @ vh)
+    return qg @ qa.conj().T
+
+
+def _sweep(steps: list, family: PhaseOracleFamily) -> float:
+    """Re-optimize each dense step of a forward-query search in place, left
+    to right; returns the success of the result.
+
+    The backward environments are built once, right to left, as adjoints:
+    H_q = I and H_s = Q† U_{s+1}† H_{s+1}, with the inverse query of label y
+    on column block y. Column block y of H_s is R_s[y]†, where R_s[y] is the
+    O = y rows of U_q Q_y ... U_{s+1} Q_y. The sweep reads H_s only while
+    slots s+1..q are still the ones it was built from, so it is exact. With
+    a the columns before slot s and b = U_s a, column y of the environment
+    G is R_s[y]† R_s[y] b_y, and the slot becomes ``_thin_polar(G, a)``. A
+    slot costs one dim x dim product and one batched query, not a re-run of
+    every later slot.
+    """
+    n = family.n
+    layout = standard_layout(n, family.work_dim)
+    dim = layout.total_dim
+    u = family.eigenstate
+    ahead = np.exp(2j * np.pi * _label_turns(range(n), n)(1)) - 1.0  # one forward query
+    undo = np.repeat(ahead.conj(), dim // n)  # its inverse, on the rows of each O block
+    envs = [np.eye(dim, dtype=np.complex128)]
+    for step in steps[:0:-1]:
+        envs.append(_query(step.conj().T @ envs[-1], layout, u, undo))
+    a = _start(layout, n)  # columns before the slot, one per label
+    for slot, h in enumerate(reversed(envs)):
+        h = h.reshape(dim, n, dim // n)
+        r = np.einsum("iyj,iy->yj", h.conj(), steps[slot] @ a)
+        steps[slot] = _thin_polar(np.einsum("iyj,yj->iy", h, r), a)
+        if slot < len(steps) - 1:
+            a = _query(steps[slot] @ a, layout, u, ahead)
+    return _label_success(steps[-1] @ a, layout)
+
+
 def adversarial_search(
     n: int,
     q: int,
@@ -345,10 +396,17 @@ def adversarial_search(
     """Local search for the most successful q-query algorithm.
 
     Haar restarts plus slot-wise re-optimization: the success functional is
-    linearized in one step unitary, whose maximizer under Tr is the polar
-    factor of the accumulated environment matrix. Each update is monotone,
+    linearized in one step unitary, whose maximizer under Re Tr is the polar
+    factor of the environment matrix on its range. Each update is monotone,
     so the search can only climb toward the proven ceiling (q+1)/n.
     ``iterations`` counts full slot sweeps across all restarts.
+
+    A sweep costs O(q) dim x dim products: the backward environments of
+    every slot are built once per sweep, and the environment of rank <= n
+    takes a thin polar update (QRs of the two dim x n factors and an SVD of
+    their n x n core), as in the environment sweeps of tensor networks
+    (Evenbly & Vidal, PRB 79, 144108 (2009), arXiv:0707.1454). See
+    ``_sweep`` and ``_thin_polar``.
     """
     if q < 0:
         raise ValueError(f"query count must be >= 0, got {q}")
@@ -358,30 +416,11 @@ def adversarial_search(
     layout = standard_layout(n)
     dim = layout.total_dim
     rng = np.random.default_rng(seed)
-    u = family.eigenstate
     turns = _label_turns(range(n), n)
-    forward = [1] * q
-    ahead = np.exp(2j * np.pi * turns(1)) - 1.0  # one forward query, per label
-    undo = ahead.conj()  # its inverse: the same update with the phases negated
-    # P_y: keep the O = y rows of column y
-    on_label = (np.arange(n)[:, None] == np.arange(n)).reshape(n, 1, n)
 
     def success(steps):
-        return _label_success(_evolve(_start(layout, n), steps, forward, layout, u, turns), layout)
-
-    def sweep(steps):
-        """Re-optimize each slot in turn; returns the success of the result."""
-        a = _start(layout, n)  # columns before step ``slot``, one per label
-        for slot in range(q + 1):
-            psi = _evolve(a, steps[slot:], forward, layout, u, turns)
-            g = (psi.reshape(n, -1, n) * on_label).reshape(dim, n)
-            for i in range(q, slot, -1):
-                g = _query(steps[i].conj().T @ g, layout, u, undo)
-            w, _, vh = np.linalg.svd(g @ a.conj().T)
-            steps[slot] = w @ vh
-            if slot < q:
-                a = _query(steps[slot] @ a, layout, u, ahead)
-        return _label_success(steps[q] @ a, layout)
+        cols = _evolve(_start(layout, n), steps, [1] * q, layout, family.eigenstate, turns)
+        return _label_success(cols, layout)
 
     best_p = -1.0
     best_steps = None
@@ -399,7 +438,7 @@ def adversarial_search(
         if prev > best_p:
             best_p, best_steps = prev, [s.copy() for s in steps]
         while done < iterations:
-            p = sweep(steps)
+            p = _sweep(steps, family)
             done += 1
             if p > best_p:
                 best_p, best_steps = p, [s.copy() for s in steps]
@@ -487,7 +526,7 @@ def _reduction_chain(alg: QueryAlgorithm) -> list[tuple[float, float]]:
     for m in range(1, n + 1):
         p = float(np.where(dist < 1 / (2 * m) - 1e-12, weights, 0.0).sum(axis=0).min())
         label_cols = column[m * (m - 1) // 2 : m * (m + 1) // 2]
-        rounded = [round_to_grid(e, m) for e in estimates]
+        rounded = round_to_grid(estimates, m)
         r = float(weights[np.arange(n), label_cols[rounded]].sum()) / m
         if p > r + PROB_TOL or r > (q + 1) / m + PROB_TOL:
             raise VerificationError(

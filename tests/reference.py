@@ -204,3 +204,35 @@ def controlled_phase(inst, kind):
 def run_fixed_phase(alg, inst):
     return _fixed_run(alg, lambda kind: controlled_phase(inst, kind))
 
+
+
+def search_environment(steps, family, slot):
+    """Columns a before the slot and the slot's environment G of a
+    forward-query search over dense steps, the O(q²) way.
+
+    Column y of a runs label y from |0..0> through the slots before
+    ``slot``. Column y of G re-evolves U_slot a_y forward through every
+    later slot, keeps its O = y rows, then undoes the later slots backward.
+    Each oracle is the dense ``controlled_u`` on (B, W), padded with the
+    identity on the leading O register.
+    """
+    n = family.n
+    dim = steps[0].shape[0]
+    a_cols, g_cols = [], []
+    for y in range(n):
+        oracle = np.kron(np.eye(n), controlled_u(family, y).matrix)
+        vec = np.zeros(dim, dtype=np.complex128)
+        vec[0] = 1.0
+        for step in steps[:slot]:
+            vec = oracle @ (step @ vec)
+        a_cols.append(vec)
+        vec = steps[slot] @ vec
+        for step in steps[slot + 1 :]:
+            vec = step @ (oracle @ vec)
+        keep = np.zeros((n, dim // n))
+        keep[y] = 1.0
+        vec = vec * keep.reshape(-1)
+        for step in steps[: slot : -1]:
+            vec = oracle.conj().T @ (step.conj().T @ vec)
+        g_cols.append(vec)
+    return np.array(a_cols).T, np.array(g_cols).T

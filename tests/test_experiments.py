@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import reference
 from phaselab import experiments, simulate
 from phaselab.experiments import (
     CSV_HEADER,
@@ -15,8 +16,9 @@ from phaselab.experiments import (
     run_experiment,
 )
 from phaselab.algorithms import build_truncated_optimal
-from phaselab.oracles import default_family
-from phaselab.simulate import success_probability_average
+from phaselab.linalg import UnitaryMatrix, haar_random_unitary
+from phaselab.oracles import FORWARD, default_family
+from phaselab.simulate import QueryAlgorithm, standard_layout, success_probability_average
 
 
 def strip_wall_time(csv_text):
@@ -186,6 +188,84 @@ class TestAdversarialSearch:
         for r in result.rows:
             assert r.gap >= -1e-9
 
+    @staticmethod
+    def _haar_steps(n, q, seed):
+        rng = np.random.default_rng(seed)
+        return [haar_random_unitary(4 * n, rng).matrix for _ in range(q + 1)]
+
+    @pytest.mark.parametrize("n, q, seed", [(2, 0, 4), (2, 1, 5), (4, 0, 6), (4, 3, 7), (8, 4, 8)])
+    def test_cached_environments_match_the_reference(self, n, q, seed, monkeypatch):
+        family = default_family(n)
+        steps = self._haar_steps(n, q, seed)
+        thin_polar = experiments._thin_polar
+        gaps = []
+
+        def checked(g, a):
+            # ``steps`` holds the updated slots before this one and the old ones after
+            want_a, want_g = reference.search_environment(steps, family, len(gaps))
+            gaps.append(max(np.max(np.abs(a - want_a)), np.max(np.abs(g - want_g))))
+            return thin_polar(g, a)
+
+        monkeypatch.setattr(experiments, "_thin_polar", checked)
+        for _ in range(3):
+            gaps.clear()
+            experiments._sweep(steps, family)
+            assert len(gaps) == q + 1
+            assert max(gaps) <= 1e-12
+
+    @pytest.mark.parametrize("n, q, seed", [(2, 1, 1), (4, 2, 2), (8, 3, 3), (16, 6, 4)])
+    def test_sweeps_never_lose_success(self, n, q, seed):
+        family = default_family(n)
+        steps = self._haar_steps(n, q, seed)
+        alg = QueryAlgorithm(
+            n, standard_layout(n), tuple(UnitaryMatrix(s) for s in steps), (FORWARD,) * q
+        )
+        prev = success_probability_average(alg, family)
+        for _ in range(25):
+            p = experiments._sweep(steps, family)
+            assert p >= prev - 1e-12
+            prev = p
+
+
+class TestThinPolar:
+    @staticmethod
+    def _factors(n, rank, seed):
+        """dim x n factors G, A with dim = 4n; G has the given rank."""
+        rng = np.random.default_rng(seed)
+
+        def gauss(rows, cols):
+            z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+            return z / np.sqrt(2 * rows)
+
+        return gauss(4 * n, rank) @ gauss(rank, n) * np.sqrt(rank), gauss(4 * n, n)
+
+    @staticmethod
+    def _slot_zero(n, seed):
+        """G from a Haar column block, and A with every column e_0 (rank 1)."""
+        g = haar_random_unitary(4 * n, seed).matrix[:, :n]
+        a = np.zeros((4 * n, n), dtype=np.complex128)
+        a[0] = 1.0
+        return g, a
+
+    def _cases(self):
+        for n, rank, seed in [(2, 1, 0), (4, 1, 1), (4, 3, 2), (8, 5, 3), (16, 1, 4), (16, 15, 5)]:
+            yield self._factors(n, rank, seed)
+        for n, seed in [(2, 6), (8, 7), (16, 8)]:
+            yield self._slot_zero(n, seed)
+
+    def test_unitary_and_attains_the_nuclear_norm(self):
+        for g, a in self._cases():
+            u = experiments._thin_polar(g, a)
+            e = g @ a.conj().T
+            assert np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) <= 1e-12
+            nuclear = np.linalg.svd(e, compute_uv=False).sum()
+            assert abs(np.trace(u.conj().T @ e).real - nuclear) <= 1e-12
+
+    def test_same_inputs_same_unitary(self):
+        for g, a in self._cases():
+            first = experiments._thin_polar(g, a)
+            assert np.array_equal(first, experiments._thin_polar(g.copy(), a.copy()))
+
 
 class TestCemmCurve:
     def test_grid_and_worst_rows(self):
@@ -242,7 +322,7 @@ class TestEprAndReduction:
     def test_floor_rounding_breaks_the_reduction_chain(self, monkeypatch):
         # planted defect: rounding down loses the estimates just below y/m
         monkeypatch.setattr(
-            experiments, "round_to_grid", lambda estimate, n: int(np.floor(estimate % 1.0 * n)) % n
+            experiments, "round_to_grid", lambda estimate, n: np.floor(estimate % 1.0 * n).astype(int) % n
         )
         with pytest.raises(VerificationError, match="rounding reduction broken: n=8"):
             run_experiment(ExperimentConfig(kind="reduction-check", n_values=(8,)))
