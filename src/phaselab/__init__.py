@@ -11,14 +11,12 @@ distinguishing.
 from ._version import __version__
 from .algorithms import (
     EprPair,
-    ReducedPdSolver,
     build_cemm,
     build_truncated_optimal,
     cemm_on_continuous_phase,
     epr_fourier_deviation,
     epr_state,
     phase_distance,
-    reduction_estimator_to_pd,
     round_to_grid,
     threshold_toggle,
 )

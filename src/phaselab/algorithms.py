@@ -11,7 +11,6 @@ At q = n-1 this is the standard phase estimation circuit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -144,33 +143,6 @@ def round_to_grid(estimate, n: int):
     e = np.asarray(estimate, dtype=float) % 1.0
     labels = np.argmin(phase_distance(e[..., None], np.arange(n) / n), axis=-1)
     return int(labels) if labels.ndim == 0 else labels
-
-
-@dataclass(frozen=True)
-class ReducedPdSolver:
-    """An estimator wrapped into a grid distinguisher by rounding.
-
-    If the estimator errs by less than 1/(2*grid_size) on a run, rounding
-    recovers the grid label exactly, so the wrapper's distinguishing success
-    is at least the estimator's success probability.
-    """
-
-    grid_size: int
-    estimator: Callable[[PhaseInstance], float]
-
-    def solve(self, inst: PhaseInstance) -> int:
-        return round_to_grid(self.estimator(inst), self.grid_size)
-
-
-def reduction_estimator_to_pd(estimator, epsilon: float) -> ReducedPdSolver:
-    """Wrap an epsilon-accurate estimator into a distinguisher on the
-    floor(1/(2*epsilon))-point grid."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    n = int(np.floor(1.0 / (2.0 * epsilon)))
-    if n < 1:
-        raise ValueError(f"epsilon={epsilon} yields an empty grid")
-    return ReducedPdSolver(grid_size=n, estimator=estimator)
 
 
 @dataclass(frozen=True, eq=False)

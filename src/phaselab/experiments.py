@@ -32,10 +32,12 @@ from .algorithms import (
     round_to_grid,
 )
 from .linalg import AMP_TOL, PROB_TOL, UnitaryMatrix, haar_random_unitary
-from .oracles import FORWARD, PhaseInstance, PhaseOracleFamily, QueryKind, default_family
+from .oracles import FORWARD, PhaseInstance, PhaseOracleFamily, default_family
 from .simulate import (
     QueryAlgorithm,
     _evolve,
+    _haar_run,
+    _haar_transcript,
     _label_success,
     _label_turns,
     _purified_state,
@@ -44,11 +46,9 @@ from .simulate import (
     _run_labels,
     _start,
     counter_leakage,
-    haar_random_algorithm,
     leakage_from_weights,
     reachable_counter_values,
     run_purified,
-    run_purified_transcript,
     standard_layout,
     success_probability_purified,
 )
@@ -280,22 +280,27 @@ def _row(kind: str, n: int, q: int, trial: int, seed: int, bound: float, measure
 
 
 def _bound_sweep_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]:
-    """The saturating algorithm plus ``trials`` Haar-random ones; every row
-    must satisfy observed <= (q+1)/n within tolerance."""
+    """The saturating algorithm plus ``trials`` Haar-random ones, drawn on
+    their label columns by ``_haar_run``; every row must satisfy
+    observed <= (q+1)/n within tolerance."""
     family = default_family(n)
+    layout = standard_layout(n)
     bound = (q + 1) / n
 
-    def measure(alg):
-        cols = _run_labels(alg, family, range(n))
-        return _label_success(cols, alg.layout), counter_leakage(_purified_state(alg, cols), q)
+    def measure(cols):
+        return _label_success(cols, layout), counter_leakage(_purified_state(layout, cols), q)
+
+    def optimal():
+        return measure(_run_labels(build_truncated_optimal(n, q), family, range(n)))
+
+    def haar(seed):
+        return measure(_haar_run(family, [1] * q, np.random.default_rng(seed)))
 
     seed = derive_seed(cfg.seed, "optimal", n, q, 0)
-    rows = [_row("optimal", n, q, 0, seed, bound, lambda: measure(build_truncated_optimal(n, q)))]
+    rows = [_row("optimal", n, q, 0, seed, bound, optimal)]
     for t in range(cfg.trials):
         seed = derive_seed(cfg.seed, "haar", n, q, t)
-        rows.append(
-            _row("haar", n, q, t, seed, bound, lambda: measure(haar_random_algorithm(n, q, seed)))
-        )
+        rows.append(_row("haar", n, q, t, seed, bound, lambda: haar(seed)))
     return rows
 
 
@@ -303,12 +308,14 @@ _SCHEDULE_EXPONENTS = (1, -1, 2, 3, 5)
 
 
 def _counter_scan_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]:
-    """Worst per-step counter leakage of Haar-random algorithms.
+    """Worst per-step counter leakage of Haar-random algorithms, drawn on
+    their label columns by ``_haar_run``.
 
     ``forward`` rows query forward only; ``schedule`` rows draw the query
-    kinds from {forward, inverse, power(2|3|5)}. Both check the weight outside
-    the subset-sum reachable set of the schedule prefix, which for forward
-    queries is the weight beyond index j after j queries.
+    kinds from {forward, inverse, power(2|3|5)}, from the generator that then
+    draws the steps. Both check the weight outside the subset-sum reachable
+    set of the schedule prefix, which for forward queries is the weight
+    beyond index j after j queries.
     """
     family = default_family(n)
 
@@ -317,8 +324,7 @@ def _counter_scan_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]
         exponents = [1] * q
         if schedule:
             exponents = [int(m) for m in rng.choice(_SCHEDULE_EXPONENTS, size=q)]
-        kinds = tuple(QueryKind(m) for m in exponents)
-        tr = run_purified_transcript(haar_random_algorithm(n, q, rng, kinds=kinds), family)
+        tr = _haar_transcript(family, exponents, rng)
         reach = reachable_counter_values(exponents, n)
         leak = max(
             leakage_from_weights(w, allowed) for w, allowed in zip(tr.counter_weights, reach)

@@ -26,7 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import _spectrum, fourier_weights
-from .linalg import RegisterLayout, StateVector, UnitaryMatrix, haar_random_unitary
+from .linalg import (
+    UNITARITY_TOL,
+    RegisterLayout,
+    StateVector,
+    UnitaryMatrix,
+    haar_random_unitary,
+)
 from .oracles import FORWARD, PhaseInstance, PhaseOracleFamily, QueryKind
 
 OUTPUT = "O"
@@ -288,15 +294,16 @@ def run_fixed_phase(alg: QueryAlgorithm, inst: PhaseInstance) -> StateVector:
     return StateVector(alg.layout, cols[:, 0])
 
 
-def _purified_state(alg: QueryAlgorithm, cols: np.ndarray) -> StateVector:
+def _purified_state(layout: RegisterLayout, cols: np.ndarray) -> StateVector:
+    """The purified state of n label columns over ``layout``."""
     # C is the least significant register, so column y is the C = y slice
-    layout = alg.layout.extended(COUNTER, alg.n)
-    return StateVector(layout, cols.reshape(-1) / np.sqrt(alg.n))
+    n = cols.shape[-1]
+    return StateVector(layout.extended(COUNTER, n), cols.reshape(-1) / np.sqrt(n))
 
 
 def run_purified(alg: QueryAlgorithm, family: PhaseOracleFamily) -> StateVector:
     """Final state on (algorithm registers) x C in the purified view."""
-    return _purified_state(alg, _run_labels(alg, family, range(alg.n)))
+    return _purified_state(alg.layout, _run_labels(alg, family, range(alg.n)))
 
 
 def run_purified_transcript(alg: QueryAlgorithm, family: PhaseOracleFamily) -> RunTranscript:
@@ -304,7 +311,8 @@ def run_purified_transcript(alg: QueryAlgorithm, family: PhaseOracleFamily) -> R
     snaps = []
     cols = _run_labels(alg, family, range(alg.n), snaps)
     return RunTranscript(
-        n=alg.n, q=alg.q, counter_weights=tuple(snaps), final_state=_purified_state(alg, cols)
+        n=alg.n, q=alg.q, counter_weights=tuple(snaps),
+        final_state=_purified_state(alg.layout, cols),
     )
 
 
@@ -375,3 +383,65 @@ def haar_random_algorithm(
     if kinds is None:
         kinds = (FORWARD,) * q
     return QueryAlgorithm(n=n, layout=layout, steps=steps, kinds=tuple(kinds))
+
+
+class _HaarColumns:
+    """A Haar-random step drawn only on the columns it acts on.
+
+    ``sampler @ X`` for a dim x m column matrix X (m <= dim) has the law of
+    U @ X for a fresh Haar-random unitary U on C^dim. Write X = Q_X R_X with
+    Q_X a dim x m isometry; a reduced QR gives one even when X is rank
+    deficient, as the all-zeros start columns are. Then U X = (U Q_X) R_X,
+    and U Q_X is a Haar-random isometry: it is the first m columns of U W
+    for any unitary W that completes Q_X, and U W is Haar because Haar
+    measure is invariant (Mezzadri 2007, arXiv:math-ph/0609050). The QR of a
+    dim x m complex Gaussian with the R diagonal rotated positive, as in
+    ``haar_random_unitary``, is exactly such an isometry V, drawn
+    independently of X. So V R_X has the law of U X, and a run of such steps
+    has the law of the same run on ``haar_random_algorithm``, though a seed
+    maps to different columns. It costs two thin QRs and an m x m check, not
+    a dim x dim QR and a dim x dim check.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+
+    def _isometry(self, dim: int, m: int) -> np.ndarray:
+        rng = self.rng
+        z = (rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m))) / np.sqrt(2)
+        v, r = np.linalg.qr(z)
+        d = np.diagonal(r)
+        return v * (d / np.abs(d))
+
+    def __matmul__(self, cols: np.ndarray) -> np.ndarray:
+        dim, m = cols.shape
+        if m > dim:
+            raise ValueError(f"cannot draw a {dim} x {m} isometry: more columns than rows")
+        v = self._isometry(dim, m)
+        dev = np.max(np.abs(v.conj().T @ v - np.eye(m)))
+        if not dev <= UNITARITY_TOL:  # NaN fails too
+            raise ValueError(f"sampled isometry fails its check: max |V†V - I| = {dev:.3e}")
+        return v @ np.linalg.qr(cols, mode="r")
+
+
+def _haar_run(family: PhaseOracleFamily, exponents, rng, snapshots=None) -> np.ndarray:
+    """Label columns of a Haar-random algorithm on (O, B, W) querying with
+    ``exponents``, its len(exponents) + 1 steps drawn by one ``_HaarColumns``
+    on ``rng``; column y is the fixed-label run of member y, as in
+    ``_run_labels``. For rows that need no algorithm object."""
+    n = family.n
+    layout = standard_layout(n, family.work_dim)
+    steps = [_HaarColumns(rng)] * (len(exponents) + 1)
+    turns = _label_turns(range(n), n)
+    return _evolve(_start(layout, n), steps, exponents, layout, family.eigenstate, turns, snapshots)
+
+
+def _haar_transcript(family: PhaseOracleFamily, exponents, rng) -> RunTranscript:
+    """``run_purified_transcript`` of the Haar-random run of ``_haar_run``."""
+    snaps = []
+    cols = _haar_run(family, exponents, rng, snaps)
+    layout = standard_layout(family.n, family.work_dim)
+    return RunTranscript(
+        n=family.n, q=len(exponents), counter_weights=tuple(snaps),
+        final_state=_purified_state(layout, cols),
+    )

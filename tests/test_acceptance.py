@@ -20,14 +20,14 @@ from phaselab.algorithms import (
     epr_fourier_deviation,
 )
 from phaselab.experiments import _reduction_chain, adversarial_search, derive_seed
-from phaselab.oracles import PhaseInstance, QueryKind, default_family
+from phaselab.oracles import PhaseInstance, default_family
 from phaselab.simulate import (
+    _haar_transcript,
     haar_random_algorithm,
     leakage_from_weights,
     reachable_counter_values,
     run_fixed_y,
     run_purified,
-    run_purified_transcript,
     success_probability_average,
     success_probability_purified,
 )
@@ -53,11 +53,12 @@ def report(num, label, ok, detail):
 def grid_sweep():
     """One pass over the shared grid of criteria 1 and 2.
 
-    For every (n, q) and 25 Haar-random algorithms: worst per-step counter
-    leakage plus the exact success probability read off the purified final
-    state. A seeded subsample cross-checks the kernel's fixed-label average
-    against the dense coherent-oracle purified run of the tests reference,
-    so the two success routes stay tied at 1e-9.
+    For every (n, q) and 25 Haar-random algorithms, drawn on their label
+    columns: worst per-step counter leakage plus the exact success
+    probability read off the purified final state. A seeded subsample of
+    dense ``haar_random_algorithm``s cross-checks the kernel's fixed-label
+    average against the dense coherent-oracle purified run of the tests
+    reference, so the two success routes stay tied at 1e-9.
     """
     t0 = time.perf_counter()
     max_leakage = 0.0
@@ -70,14 +71,14 @@ def grid_sweep():
             bound = (q + 1) / n
             for trial in range(GRID_TRIALS):
                 seed = derive_seed(MASTER_SEED, "haar", n, q, trial)
-                alg = haar_random_algorithm(n, q, seed)
-                tr = run_purified_transcript(alg, family)
+                tr = _haar_transcript(family, [1] * q, np.random.default_rng(seed))
                 leak = max(float(w[j + 1 :].sum()) for j, w in enumerate(tr.counter_weights))
                 observed = success_probability_purified(tr.final_state)
                 max_leakage = max(max_leakage, leak)
                 max_deficit = max(max_deficit, observed - bound)
                 rows += 1
                 if trial < 2 and q == max(_budgets(n)):
+                    alg = haar_random_algorithm(n, q, seed)
                     avg = success_probability_average(alg, family)
                     ref = success_probability_purified(reference.run_purified(alg, family))
                     max_consistency_gap = max(max_consistency_gap, abs(avg - ref))
@@ -191,8 +192,7 @@ def test_criterion_6_counter_arithmetic():
     for _ in range(100):
         q = int(rng.integers(1, 13))
         exponents = [int(m) for m in rng.choice([1, -1, 2, 3, 5], size=q)]
-        alg = haar_random_algorithm(n, q, rng, kinds=tuple(QueryKind(m) for m in exponents))
-        tr = run_purified_transcript(alg, family)
+        tr = _haar_transcript(family, exponents, rng)
         reach = reachable_counter_values(exponents, n)
         worst = max(
             worst,

@@ -10,7 +10,6 @@ from phaselab.algorithms import (
     epr_fourier_deviation,
     epr_state,
     phase_distance,
-    reduction_estimator_to_pd,
     round_to_grid,
     threshold_toggle,
 )
@@ -241,52 +240,14 @@ class TestRounding:
     def test_phase_distance_metrics(self):
         assert phase_distance(0.99, 0.01) == pytest.approx(0.02)
 
-
-class TestReduction:
-    def test_grid_size_from_epsilon(self):
-        assert reduction_estimator_to_pd(lambda inst: inst.theta, 1 / 8).grid_size == 4
-        assert reduction_estimator_to_pd(lambda inst: inst.theta, 0.1).grid_size == 5
-
-    def test_epsilon_validation(self):
-        with pytest.raises(ValueError):
-            reduction_estimator_to_pd(lambda inst: inst.theta, 0.0)
-        with pytest.raises(ValueError):
-            reduction_estimator_to_pd(lambda inst: inst.theta, 0.7)
-
-    def test_perfect_estimator_always_solves(self):
-        n = 8
-        solver = reduction_estimator_to_pd(lambda inst: inst.theta, 1 / (2 * n))
-        assert solver.grid_size == n
-        for y in range(n):
-            assert solver.solve(PhaseInstance(theta=y / n, eigenstate=[1, 0])) == y
-
-    def test_noise_inside_premise_never_hurts(self):
-        # error radius strictly below 1/(2n) => rounding always recovers
+    def test_noise_inside_premise_is_recovered(self):
+        # an estimate strictly within 1/(2n) of y/n always rounds back to y
         n = 8
         rng = np.random.default_rng(6)
+        labels = rng.integers(n, size=500)
         radius = 0.99 / (2 * n)
-
-        def estimator(inst):
-            return (inst.theta + rng.uniform(-radius, radius)) % 1.0
-
-        solver = reduction_estimator_to_pd(estimator, 1 / (2 * n))
-        for _ in range(500):
-            y = int(rng.integers(n))
-            assert solver.solve(PhaseInstance(theta=y / n, eigenstate=[1, 0])) == y
-
-    def test_sampled_grid_estimator_is_identity_reduction(self):
-        # estimating with the grid-n circuit on a grid instance and rounding
-        # returns the label itself
-        n = 4
-        rng = np.random.default_rng(11)
-
-        def estimator(inst):
-            dist = cemm_on_continuous_phase(inst, n)
-            return int(rng.choice(n, p=dist / dist.sum())) / n
-
-        solver = reduction_estimator_to_pd(estimator, 1 / (2 * n))
-        for y in range(n):
-            assert solver.solve(PhaseInstance(theta=y / n, eigenstate=[1, 0])) == y
+        estimates = (labels / n + rng.uniform(-radius, radius, size=500)) % 1.0
+        np.testing.assert_array_equal(round_to_grid(estimates, n), labels)
 
 
 class TestEpr:

@@ -7,6 +7,9 @@ from phaselab.oracles import FORWARD, INVERSE, PhaseInstance, QueryKind, default
 from phaselab.simulate import (
     QueryAlgorithm,
     Step,
+    _HaarColumns,
+    _haar_run,
+    _label_success,
     counter_leakage,
     haar_random_algorithm,
     leakage_from_weights,
@@ -354,3 +357,94 @@ class TestSuccessProbabilities:
         for _ in range(8):
             alg = haar_random_algorithm(n, q, rng)
             assert success_probability_average(alg, fam) <= (q + 1) / n + 1e-9
+
+
+class _NoPhaseFix(_HaarColumns):
+    """The column sampler with the QR phase fix left out: LAPACK leaves the
+    R diagonal real but of either sign, so V's phases are biased."""
+
+    def _isometry(self, dim, m):
+        rng = self.rng
+        z = (rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m))) / np.sqrt(2)
+        return np.linalg.qr(z)[0]
+
+
+class _NanGenerator:
+    def standard_normal(self, shape):
+        return np.full(shape, np.nan)
+
+
+def _within(samples, expected):
+    """Whether the sample mean of every entry, real and imaginary part, lies
+    within 4 standard errors of ``expected``."""
+    err = samples.mean(axis=0) - expected
+    root_n = np.sqrt(len(samples))
+    return bool(
+        np.all(np.abs(err.real) <= 4 * samples.real.std(axis=0) / root_n)
+        and np.all(np.abs(err.imag) <= 4 * samples.imag.std(axis=0) / root_n)
+    )
+
+
+class TestHaarColumns:
+    """``_HaarColumns @ X`` must have the law of U @ X for Haar U."""
+
+    DIM, M, DRAWS = 4, 2, 20_000
+
+    @staticmethod
+    def start(dim, m):
+        cols = np.zeros((dim, m), dtype=complex)
+        cols[0] = 1.0
+        return cols
+
+    def columns(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((self.DIM, self.M)) + 1j * rng.standard_normal((self.DIM, self.M))
+        return x / np.linalg.norm(x, axis=0)
+
+    def draws(self, sampler_cls, x, seed):
+        sampler = sampler_cls(np.random.default_rng(seed))
+        return np.array([sampler @ x for _ in range(self.DRAWS)])
+
+    @pytest.mark.parametrize("dim,m", [(8, 3), (16, 4), (32, 8)])
+    def test_each_draw_preserves_the_gram_matrix(self, dim, m):
+        rng = np.random.default_rng(dim + m)
+        x = rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m))
+        x /= np.linalg.norm(x, axis=0)
+        sampler = _HaarColumns(rng)
+        for cols in (x, self.start(dim, m)):  # full rank, then rank 1
+            for _ in range(10):
+                y = sampler @ cols
+                assert y.shape == cols.shape
+                np.testing.assert_allclose(
+                    y.conj().T @ y, cols.conj().T @ cols, rtol=0, atol=1e-12
+                )
+
+    def test_first_and_second_moments_are_haar(self):
+        # E[U X] = 0 and E[U X X† U†] = tr(X†X)/dim I
+        x = self.columns(0)
+        ys = self.draws(_HaarColumns, x, 1)
+        assert _within(ys, 0.0)
+        outer = np.einsum("kim,kjm->kij", ys, ys.conj())
+        assert _within(outer, np.trace(x.conj().T @ x).real / self.DIM * np.eye(self.DIM))
+
+    def test_mean_test_catches_a_missing_phase_fix(self):
+        assert not _within(self.draws(_NoPhaseFix, self.columns(0), 1), 0.0)
+
+    @pytest.mark.parametrize("n,q", [(2, 1), (4, 1)])
+    def test_haar_row_success_averages_to_chance(self, n, q):
+        # a bound-sweep haar row's success over 20,000 seeds; the last step
+        # is Haar, so on average every label's outcome is uniform
+        family, layout = default_family(n), standard_layout(n)
+        p = np.array([
+            _label_success(_haar_run(family, [1] * q, np.random.default_rng(seed)), layout)
+            for seed in range(self.DRAWS)
+        ])
+        assert abs(p.mean() - 1 / n) <= 4 * p.std() / np.sqrt(len(p))
+
+    def test_failed_isometry_check_raises(self):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="isometry fails"):
+            _HaarColumns(_NanGenerator()) @ self.start(8, 2)
+
+    def test_more_columns_than_rows_rejected(self):
+        with pytest.raises(ValueError, match="more columns than rows"):
+            _HaarColumns(np.random.default_rng(0)) @ np.eye(3, 4, dtype=complex)
