@@ -1,7 +1,8 @@
 """Command-line front end for the verification sweeps.
 
-Exit codes: 0 success, 1 a proven bound or leakage budget was violated,
-2 usage or configuration error, or an output file that cannot be written. Row data goes to --out or stdout; the
+Exit codes: 0 success, 1 a proven bound or leakage budget was violated or
+a numerical check inside a row failed, 2 usage or configuration error, or an
+output file that cannot be written. Row data goes to --out or stdout; the
 one-line summary always goes to stderr so piped CSV stays clean.
 """
 

@@ -17,7 +17,7 @@ import datetime as _dt
 import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -160,6 +160,8 @@ class ExperimentConfig:
         if self.kind == "cemm-curve":
             if not self.theta_grid:
                 raise ValueError("cemm-curve requires a theta grid")
+            if min(self.n_values) < 2:
+                raise ValueError(f"cemm-curve needs grid sizes n >= 2, got {self.n_values}")
             if any(not 0.0 <= t < 1.0 for t in self.theta_grid):
                 raise ValueError("theta values must lie in [0, 1)")
         elif self.theta_grid is not None:
@@ -192,6 +194,9 @@ class ResultRow:
     gap: float
     max_leakage: float
     wall_time_ms: float
+
+
+_ROW_FIELDS = tuple(f.name for f in fields(ResultRow))
 
 
 @dataclass(frozen=True)
@@ -227,7 +232,7 @@ def _fmt(v: float) -> str:
 def _rendered(row: ResultRow) -> dict:
     """The row's fields with its leakages rounded to ``RESOLUTION_DECIMALS``
     decimal places; every other value is kept as computed."""
-    out = asdict(row)
+    out = {name: getattr(row, name) for name in _ROW_FIELDS}
     keys = ("max_leakage",)
     if row.kind in _LEAKAGE_ROW_KINDS:
         keys += ("observed_probability",)
@@ -272,9 +277,19 @@ def _guard(row: ResultRow) -> ResultRow:
 
 
 def _row(kind: str, n: int, q: int, trial: int, seed: int, bound: float, measure) -> ResultRow:
-    """Time ``measure() -> (observed, leakage)`` and return its guarded row."""
+    """Time ``measure() -> (observed, leakage)`` and return its guarded row.
+
+    The config is checked before any row runs, so a ``ValueError`` from
+    ``measure`` is a failed numerical check (a sampled isometry, a
+    unitarity or norm check) and is raised as a ``VerificationError`` that
+    names the row."""
     t0 = time.perf_counter()
-    observed, leak = measure()
+    try:
+        observed, leak = measure()
+    except ValueError as exc:
+        raise VerificationError(
+            f"{exc} (n={n} q={q} kind={kind} trial={trial} seed={seed})"
+        ) from exc
     ms = (time.perf_counter() - t0) * 1000.0
     return _guard(ResultRow(n, q, kind, trial, seed, observed, bound, bound - observed, leak, ms))
 

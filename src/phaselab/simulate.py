@@ -20,6 +20,7 @@ verification paths; sampling never enters these functions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -204,6 +205,22 @@ def _check_compatible(alg: QueryAlgorithm, family: PhaseOracleFamily) -> None:
         )
 
 
+@functools.lru_cache(maxsize=64)
+def _query_blocks(layout: RegisterLayout):
+    """The layout's dims merged into ``(A, lo, M, hi, R)``, with B and W at
+    axes 1 and 3 in layout order and A, M and R the products of the dims
+    before, between and after them; and whether W comes before B.
+    ``_query`` appends the columns to R."""
+    ax_b, ax_w = layout.axis(CONTROL), layout.axis(WORK)
+    first, second = sorted((ax_b, ax_w))
+    dims = layout.dims
+    blocks = (
+        math.prod(dims[:first]), dims[first], math.prod(dims[first + 1 : second]),
+        dims[second], math.prod(dims[second + 1 :]),
+    )
+    return blocks, ax_w < ax_b
+
+
 def _query(cols: np.ndarray, layout: RegisterLayout, eigenstate, factor) -> np.ndarray:
     """One oracle call on every column: W <- W + factor * u<u|W> where B = 1.
 
@@ -211,10 +228,13 @@ def _query(cols: np.ndarray, layout: RegisterLayout, eigenstate, factor) -> np.n
     query power m; the B = 0 slice and the complement of u are left alone.
     Writes into ``cols`` when it is contiguous; callers use the return value.
     """
-    t = cols.reshape(layout.dims + (cols.shape[-1],))
-    ax_b, ax_w = layout.axis(CONTROL), layout.axis(WORK)
-    w = np.moveaxis(t[(slice(None),) * ax_b + (1,)], ax_w - (ax_w > ax_b), 0)
-    w += np.multiply.outer(eigenstate, np.tensordot(eigenstate.conj(), w, axes=1) * factor)
+    (a, lo, mid, hi, r), w_first = _query_blocks(layout)
+    m = cols.shape[-1]
+    t = cols.reshape(a, lo, mid, hi, r * m)
+    # the B = 1 slice as (A, M, W, R * m): W next to the columns
+    s = t[:, :, :, 1].swapaxes(1, 2) if w_first else t[:, 1]
+    inner = (eigenstate.conj() @ s).reshape(-1, m) * factor
+    s += eigenstate[:, None] * inner.reshape(a, mid, 1, r * m)
     return t.reshape(cols.shape)
 
 
@@ -386,7 +406,7 @@ def haar_random_algorithm(
 
 
 class _HaarColumns:
-    """A Haar-random step drawn only on the columns it acts on.
+    """Haar-random steps drawn only on the columns they act on.
 
     ``sampler @ X`` for a dim x m column matrix X (m <= dim) has the law of
     U @ X for a fresh Haar-random unitary U on C^dim. Write X = Q_X R_X with
@@ -401,37 +421,55 @@ class _HaarColumns:
     has the law of the same run on ``haar_random_algorithm``, though a seed
     maps to different columns. It costs two thin QRs and an m x m check, not
     a dim x dim QR and a dim x dim check.
+
+    ``isometries(count, dim, m)`` draws the V of ``count`` steps at once,
+    from the same stream as ``count`` successive ``@`` calls.
     """
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
 
-    def _isometry(self, dim: int, m: int) -> np.ndarray:
-        rng = self.rng
-        z = (rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m))) / np.sqrt(2)
-        v, r = np.linalg.qr(z)
-        d = np.diagonal(r)
+    def _isometries(self, count: int, dim: int, m: int) -> np.ndarray:
+        """``count`` independent dim x m isometries V, stacked on axis 0."""
+        # each draw's real part, then its imaginary part, in stream order
+        g = self.rng.standard_normal((count, 2, dim, m))
+        v, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
+        d = np.diagonal(r, axis1=1, axis2=2)[:, None, :]
         return v * (d / np.abs(d))
 
-    def __matmul__(self, cols: np.ndarray) -> np.ndarray:
-        dim, m = cols.shape
+    def isometries(self, count: int, dim: int, m: int) -> np.ndarray:
+        """``_isometries`` after rejecting m > dim, with every V checked."""
         if m > dim:
             raise ValueError(f"cannot draw a {dim} x {m} isometry: more columns than rows")
-        v = self._isometry(dim, m)
-        dev = np.max(np.abs(v.conj().T @ v - np.eye(m)))
+        v = self._isometries(count, dim, m)
+        dev = np.max(np.abs(v.conj().swapaxes(1, 2) @ v - np.eye(m)))
         if not dev <= UNITARITY_TOL:  # NaN fails too
             raise ValueError(f"sampled isometry fails its check: max |V†V - I| = {dev:.3e}")
-        return v @ np.linalg.qr(cols, mode="r")
+        return v
+
+    def __matmul__(self, cols: np.ndarray) -> np.ndarray:
+        return _IsometryStep(self.isometries(1, *cols.shape)[0]) @ cols
+
+
+class _IsometryStep:
+    """The step X -> V R_X of ``_HaarColumns`` for one drawn isometry V."""
+
+    def __init__(self, v: np.ndarray):
+        self.v = v
+
+    def __matmul__(self, cols: np.ndarray) -> np.ndarray:
+        return self.v @ np.linalg.qr(cols, mode="r")
 
 
 def _haar_run(family: PhaseOracleFamily, exponents, rng, snapshots=None) -> np.ndarray:
     """Label columns of a Haar-random algorithm on (O, B, W) querying with
-    ``exponents``, its len(exponents) + 1 steps drawn by one ``_HaarColumns``
-    on ``rng``; column y is the fixed-label run of member y, as in
-    ``_run_labels``. For rows that need no algorithm object."""
+    ``exponents``, its len(exponents) + 1 steps drawn at once by one
+    ``_HaarColumns`` on ``rng``; column y is the fixed-label run of member
+    y, as in ``_run_labels``. For rows that need no algorithm object."""
     n = family.n
     layout = standard_layout(n, family.work_dim)
-    steps = [_HaarColumns(rng)] * (len(exponents) + 1)
+    vs = _HaarColumns(rng).isometries(len(exponents) + 1, layout.total_dim, n)
+    steps = [_IsometryStep(v) for v in vs]
     turns = _label_turns(range(n), n)
     return _evolve(_start(layout, n), steps, exponents, layout, family.eigenstate, turns, snapshots)
 

@@ -4,9 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from phaselab import cli, experiments
+from phaselab import cli, experiments, simulate
 from phaselab.experiments import CSV_HEADER, VerificationError
 
 
@@ -243,13 +244,14 @@ class TestSweepCommand:
           "trials": 7}, []),
         ({"kind": "bound-sweep", "n_values": [4], "theta_grid": [0.1]}, []),
         ({"kind": "cemm-curve", "n_values": [8], "theta_grid": [0.1], "q_values": [1]}, []),
+        (None, ["cemm", "--n", "8,1", "--theta", "0.1"]),
         (None, ["epr-check", "--n", "3", "--trials", "9"]),
         (None, ["cemm", "--n", "8", "--theta", "0.1", "--trials", "9"]),
     ],
     ids=["out-in-missing-dir", "top-level-list", "n-not-a-list", "trials-string",
          "trials-fraction", "seed-fraction", "theta-null", "theta-list", "theta-string",
          "floor-bool", "kind-list", "reduction-floors-and-trials", "epr-unread-fields",
-         "bound-sweep-theta", "cemm-q", "epr-check-trials", "cemm-trials"],
+         "bound-sweep-theta", "cemm-q", "cemm-grid-below-2", "epr-check-trials", "cemm-trials"],
 )
 def test_malformed_outside_input_exits_2(config, argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -272,6 +274,20 @@ class TestFailurePropagation:
         monkeypatch.setattr(cli, "run_experiment", boom)
         assert cli.main(["verify-bound", "--n", "4", "--q", "1"]) == 1
         assert "VERIFICATION FAILURE" in capsys.readouterr().err
+
+    def test_failed_numerical_check_in_a_row_exits_1(self, monkeypatch, capsys):
+        class NanGenerator:
+            def standard_normal(self, shape):
+                return np.full(shape, np.nan)
+
+        monkeypatch.setattr(
+            simulate._HaarColumns, "__init__", lambda self, rng: setattr(self, "rng", NanGenerator())
+        )
+        with np.errstate(invalid="ignore"):
+            assert cli.main(["verify-bound", "--n", "4", "--q", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("phaselab: VERIFICATION FAILURE: sampled isometry fails its check")
+        assert "(n=4 q=1 kind=haar trial=0 seed=" in err
 
     def test_leakage_over_budget_exits_1(self, monkeypatch, capsys):
         monkeypatch.setattr(experiments, "counter_leakage", lambda state, budget: 1e-6)

@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 
 import reference
 from phaselab.fourier import fourier_weights
-from phaselab.linalg import RegisterLayout, haar_random_unitary
+from phaselab.linalg import RegisterLayout, StateVector, haar_random_unitary
 from phaselab.oracles import PhaseInstance, PhaseOracleFamily, QueryKind
 from phaselab.simulate import (
     QueryAlgorithm,
     Step,
+    _query,
     counter_leakage,
     leakage_from_weights,
     reachable_counter_values,
@@ -138,3 +139,36 @@ def test_kernel_properties(n, work_dim, anc_dim, exponents, seed):
     assert avg <= len(reach[-1]) / n + 1e-9
     if set(exponents) <= {1, -1}:
         assert avg <= (alg.q + 1) / n + 1e-9
+
+
+def random_unit_columns(dim, m, rng):
+    cols = rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m))
+    return cols / np.linalg.norm(cols, axis=0)
+
+
+@pytest.mark.parametrize(
+    "layouts",
+    [
+        [(("W", 2), ("B", 2), ("O", 3))],
+        [(("O", 3), ("B", 2), ("anc", 2), ("W", 2))],
+        [(("O", 4), ("B", 2), ("W", 3)), (("anc", 3), ("W", 3), ("O", 2), ("B", 2))],
+        # equal dims, different register order: one cache entry per layout
+        [(("O", 2), ("B", 2), ("W", 2), ("anc", 3)), (("W", 2), ("O", 2), ("B", 2), ("anc", 3))],
+    ],
+    ids=["W-B-O", "register-between-B-and-W", "work-dim-3", "same-dims-reordered"],
+)
+def test_query_matches_dense_oracle(layouts):
+    """``_query`` on each column against the dense controlled phase block on
+    (B, W) of ``reference.controlled_phase``, layouts in the listed order."""
+    rng = np.random.default_rng(len(layouts[0]))
+    for regs in layouts:
+        layout = RegisterLayout(regs)
+        work_dim = layout.dim_of("W")
+        eigenstate = random_unit_columns(work_dim, 1, rng)[:, 0]
+        cols = random_unit_columns(layout.total_dim, 5, rng)
+        thetas = rng.uniform(size=5)
+        got = _query(cols.copy(), layout, eigenstate, np.exp(2j * np.pi * thetas) - 1.0)
+        for j, theta in enumerate(thetas):
+            oracle = reference.controlled_phase(PhaseInstance(theta, eigenstate), QueryKind(1))
+            want = reference.apply_to_registers(StateVector(layout, cols[:, j]), oracle, ["B", "W"])
+            np.testing.assert_allclose(got[:, j], want.amps, rtol=0, atol=TOL)

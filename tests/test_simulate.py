@@ -7,9 +7,12 @@ from phaselab.oracles import FORWARD, INVERSE, PhaseInstance, QueryKind, default
 from phaselab.simulate import (
     QueryAlgorithm,
     Step,
+    _evolve,
     _HaarColumns,
     _haar_run,
     _label_success,
+    _label_turns,
+    _start,
     counter_leakage,
     haar_random_algorithm,
     leakage_from_weights,
@@ -363,10 +366,24 @@ class _NoPhaseFix(_HaarColumns):
     """The column sampler with the QR phase fix left out: LAPACK leaves the
     R diagonal real but of either sign, so V's phases are biased."""
 
-    def _isometry(self, dim, m):
-        rng = self.rng
-        z = (rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m))) / np.sqrt(2)
-        return np.linalg.qr(z)[0]
+    def _isometries(self, count, dim, m):
+        g = self.rng.standard_normal((count, 2, dim, m))
+        return np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))[0]
+
+
+class _OneDraw:
+    """The column sampler step drawn one step at a time: the real, then the
+    imaginary part of one dim x m Gaussian per call."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def __matmul__(self, cols):
+        dim, m = cols.shape
+        z = self.rng.standard_normal((dim, m)) + 1j * self.rng.standard_normal((dim, m))
+        v, r = np.linalg.qr(z / np.sqrt(2))
+        d = np.diagonal(r)
+        return (v * (d / np.abs(d))) @ np.linalg.qr(cols, mode="r")
 
 
 class _NanGenerator:
@@ -402,8 +419,9 @@ class TestHaarColumns:
         return x / np.linalg.norm(x, axis=0)
 
     def draws(self, sampler_cls, x, seed):
-        sampler = sampler_cls(np.random.default_rng(seed))
-        return np.array([sampler @ x for _ in range(self.DRAWS)])
+        """DRAWS samples of ``sampler @ x``, their isometries drawn in one call."""
+        v = sampler_cls(np.random.default_rng(seed)).isometries(self.DRAWS, *x.shape)
+        return v @ np.linalg.qr(x, mode="r")
 
     @pytest.mark.parametrize("dim,m", [(8, 3), (16, 4), (32, 8)])
     def test_each_draw_preserves_the_gram_matrix(self, dim, m):
@@ -444,6 +462,32 @@ class TestHaarColumns:
     def test_failed_isometry_check_raises(self):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="isometry fails"):
             _HaarColumns(_NanGenerator()) @ self.start(8, 2)
+
+    @pytest.mark.parametrize(
+        "n,exponents",
+        [(2, ()), (4, (1,)), (8, (1, 1, 1)), (12, (1, -1, 2, 3, 5)), (16, (1,) * 9)],
+    )
+    def test_batched_run_keeps_the_seed_to_row_map(self, n, exponents):
+        # haar, forward and schedule rows: one batched draw per run gives the
+        # columns of q+1 successive single draws on the same generator
+        family, layout = default_family(n), standard_layout(n)
+        turns = _label_turns(range(n), n)
+        for seed in range(3):
+            steps = [_OneDraw(np.random.default_rng(seed))] * (len(exponents) + 1)
+            want = _evolve(_start(layout, n), steps, exponents, layout, family.eigenstate, turns)
+            got = _haar_run(family, exponents, np.random.default_rng(seed))
+            assert np.array_equal(got, want)
+
+    def test_failed_isometry_check_raises_on_a_batched_run(self):
+        # only the last step's draw is NaN: every V of the batch is checked
+        class LastNan:
+            def standard_normal(self, shape):
+                g = np.random.default_rng(0).standard_normal(shape)
+                g.flat[-1] = np.nan
+                return g
+
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="isometry fails"):
+            _haar_run(default_family(4), [1, 1], LastNan())
 
     def test_more_columns_than_rows_rejected(self):
         with pytest.raises(ValueError, match="more columns than rows"):
