@@ -10,15 +10,12 @@ distinguishing.
 
 from ._version import __version__
 from .algorithms import (
-    EprPair,
     build_cemm,
     build_truncated_optimal,
     cemm_on_continuous_phase,
     epr_fourier_deviation,
-    epr_state,
     phase_distance,
     round_to_grid,
-    threshold_toggle,
 )
 from .experiments import (
     ExperimentConfig,
@@ -41,10 +38,8 @@ from .linalg import (
 )
 from .oracles import (
     FORWARD,
-    INVERSE,
     PhaseInstance,
     PhaseOracleFamily,
-    QueryKind,
     coherent_controlled_u,
     controlled_u,
     default_family,
@@ -57,7 +52,6 @@ from .simulate import (
     haar_random_algorithm,
     reachable_counter_values,
     run_fixed_phase,
-    run_fixed_y,
     run_purified,
     run_purified_transcript,
     standard_layout,

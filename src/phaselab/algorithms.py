@@ -10,21 +10,12 @@ At q = n-1 this is the standard phase estimation circuit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fourier import qft_matrix
-from .linalg import (
-    AMP_TOL,
-    RegisterLayout,
-    StateVector,
-    UnitaryMatrix,
-    complete_orthonormal_basis,
-)
+from .linalg import RegisterLayout, UnitaryMatrix, complete_orthonormal_basis
 from .oracles import FORWARD, PhaseInstance
 from .simulate import (
-    COUNTER,
     OUTPUT,
     WORK,
     QueryAlgorithm,
@@ -47,16 +38,6 @@ def _control_flip(n: int, work_dim: int, flip) -> np.ndarray:
     return ((o * 2 + b) * work_dim + np.arange(work_dim)).reshape(-1)
 
 
-def threshold_toggle(n: int, threshold: int, work_dim: int = 2) -> Step:
-    """Flip the control wire B on every output branch with O >= threshold.
-
-    XOR semantics: applying the same toggle twice is the identity, so it
-    both sets and clears the predicate. The step is one basis permutation.
-    """
-    flip = _control_flip(n, work_dim, np.arange(n) >= threshold)
-    return Step(standard_layout(n, work_dim), (flip,))
-
-
 def _assemble(n: int, q: int, prep_o: UnitaryMatrix, eigenstate: np.ndarray) -> QueryAlgorithm:
     """Prepare O and W, walk [O >= j] across the queries, then apply F† on O.
 
@@ -75,7 +56,7 @@ def _assemble(n: int, q: int, prep_o: UnitaryMatrix, eigenstate: np.ndarray) -> 
         steps = [Step(layout, prep + [_control_flip(n, work_dim, outputs >= 1)])]
         steps += [Step(layout, (_control_flip(n, work_dim, outputs == j),)) for j in range(1, q)]
         steps.append(Step(layout, (_control_flip(n, work_dim, outputs >= q), iqft)))
-    return QueryAlgorithm(n=n, layout=layout, steps=steps, kinds=(FORWARD,) * q)
+    return QueryAlgorithm(n=n, layout=layout, steps=steps, exponents=(FORWARD,) * q)
 
 
 def build_truncated_optimal(n: int, q: int, eigenstate=None) -> QueryAlgorithm:
@@ -145,20 +126,9 @@ def round_to_grid(estimate, n: int):
     return int(labels) if labels.ndim == 0 else labels
 
 
-@dataclass(frozen=True, eq=False)
-class EprPair:
-    """The maximally correlated state (1/sqrt(n)) sum_y |y>|y> on (O, C)."""
-
-    n: int
-    state: StateVector
-
-    def __post_init__(self):
-        ideal = _epr_computational(self.n)
-        if np.max(np.abs(self.state.amps - ideal)) > AMP_TOL:
-            raise ValueError("state deviates from the maximally correlated form")
-
-
 def _epr_computational(n: int) -> np.ndarray:
+    """Amplitudes of the maximally correlated state (1/sqrt(n)) sum_y |y>|y>
+    on (O, C), O most significant."""
     amps = np.zeros(n * n, dtype=np.complex128)
     amps[:: n + 1] = 1.0 / np.sqrt(n)
     return amps
@@ -174,19 +144,3 @@ def epr_fourier_deviation(n: int) -> float:
     (conjugate Fourier state on O paired with Fourier state on C)."""
     return float(np.max(np.abs(_epr_computational(n) - _epr_fourier(n))))
 
-
-def epr_state(n: int) -> EprPair:
-    """Build the pair state and verify both constructions agree entrywise."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    dev = epr_fourier_deviation(n)
-    if dev > AMP_TOL:
-        raise ValueError(f"basis-change identity violated: deviation {dev:.3e}")
-    return _epr_pair(n)
-
-
-def _epr_pair(n: int) -> EprPair:
-    """The pair state from its computational construction, unchecked against
-    the Fourier one."""
-    layout = RegisterLayout(((OUTPUT, n), (COUNTER, n)))
-    return EprPair(n=n, state=StateVector(layout, _epr_computational(n)))

@@ -61,7 +61,11 @@ def parse_int_spec(text: str) -> tuple[int, ...]:
 
 
 def parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(token) for token in str(text).split(",") if token.strip())
+    """Parse a comma list of floats, '0.1,0.25'; an empty entry is an error."""
+    tokens = str(text).split(",")
+    if not all(token.strip() for token in tokens):
+        raise ValueError(f"empty entry in number list {text!r}")
+    return tuple(float(token) for token in tokens)
 
 
 def build_parser() -> argparse.ArgumentParser:

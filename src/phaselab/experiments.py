@@ -23,7 +23,7 @@ import numpy as np
 
 from ._version import __version__
 from .algorithms import (
-    _epr_pair,
+    _epr_computational,
     _outcome_weights,
     build_truncated_optimal,
     cemm_on_continuous_phase,
@@ -31,9 +31,11 @@ from .algorithms import (
     phase_distance,
     round_to_grid,
 )
-from .linalg import AMP_TOL, PROB_TOL, UnitaryMatrix, haar_random_unitary
+from .linalg import AMP_TOL, PROB_TOL, RegisterLayout, StateVector, UnitaryMatrix, haar_random_unitary
 from .oracles import FORWARD, PhaseInstance, PhaseOracleFamily, default_family
 from .simulate import (
+    COUNTER,
+    OUTPUT,
     QueryAlgorithm,
     _evolve,
     _haar_run,
@@ -261,13 +263,13 @@ def _metadata(cfg: ExperimentConfig) -> dict:
 
 
 def _guard(row: ResultRow) -> ResultRow:
-    """Fail the sweep on a row over its leakage budget or its bound."""
-    if row.max_leakage > LEAKAGE_BUDGET:
+    """Fail the sweep on a row over its leakage budget or its bound, or NaN."""
+    if not row.max_leakage <= LEAKAGE_BUDGET:
         raise VerificationError(
             f"counter leakage {row.max_leakage!r} exceeds budget {LEAKAGE_BUDGET} "
             f"(n={row.n} q={row.q} kind={row.kind} trial={row.trial} seed={row.seed})"
         )
-    if row.gap < -PROB_TOL:
+    if not row.gap >= -PROB_TOL:
         raise VerificationError(
             f"bound violated: n={row.n} q={row.q} kind={row.kind} trial={row.trial} "
             f"seed={row.seed} observed={row.observed_probability!r} "
@@ -327,7 +329,7 @@ def _counter_scan_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]
     their label columns by ``_haar_run``.
 
     ``forward`` rows query forward only; ``schedule`` rows draw the query
-    kinds from {forward, inverse, power(2|3|5)}, from the generator that then
+    exponents from {1, -1, 2, 3, 5}, from the generator that then
     draws the steps. Both check the weight outside the subset-sum reachable
     set of the schedule prefix, which for forward queries is the weight
     beyond index j after j queries.
@@ -471,7 +473,7 @@ def adversarial_search(
         n=n,
         layout=layout,
         steps=tuple(UnitaryMatrix(s) for s in best_steps),
-        kinds=(FORWARD,) * q,
+        exponents=(FORWARD,) * q,
     )
     return best_p, alg
 
@@ -510,10 +512,11 @@ def _cemm_rows(cfg: ExperimentConfig, n: int) -> list[ResultRow]:
 def _epr_rows(cfg: ExperimentConfig, n: int) -> list[ResultRow]:
     """Entrywise agreement of the two maximally-correlated-state constructions;
     the deviation lands in the leakage column, where ``_guard`` holds it to
-    the budget that ``epr_state`` checks."""
+    the leakage budget."""
 
     def measure():
-        return success_probability_purified(_epr_pair(n).state), epr_fourier_deviation(n)
+        pair = StateVector(RegisterLayout(((OUTPUT, n), (COUNTER, n))), _epr_computational(n))
+        return success_probability_purified(pair), epr_fourier_deviation(n)
 
     return [_row("epr", n, 0, 0, cfg.seed, 1.0, measure)]
 
@@ -529,7 +532,7 @@ def _reduction_chain(alg: QueryAlgorithm) -> list[tuple[float, float]]:
     estimate to the m-grid with ``round_to_grid``, averaged over the m
     labels. Rounding recovers every estimate inside the premise, and the
     rounded estimator is a q-query m-phase distinguisher, so
-    p_m <= r_m <= (q+1)/m; a break raises ``VerificationError``.
+    p_m <= r_m <= (q+1)/m; a break or a NaN raises ``VerificationError``.
     """
     n, q = alg.n, alg.q
     # every (y, m) in order, so y/m is entry m(m-1)/2 + y; np.unique keeps
@@ -549,7 +552,7 @@ def _reduction_chain(alg: QueryAlgorithm) -> list[tuple[float, float]]:
         label_cols = column[m * (m - 1) // 2 : m * (m + 1) // 2]
         rounded = round_to_grid(estimates, m)
         r = float(weights[np.arange(n), label_cols[rounded]].sum()) / m
-        if p > r + PROB_TOL or r > (q + 1) / m + PROB_TOL:
+        if not (p <= r + PROB_TOL and r <= (q + 1) / m + PROB_TOL):
             raise VerificationError(
                 f"rounding reduction broken: n={n} q={q} m={m} p_m={p!r} r_m={r!r} "
                 f"bound={(q + 1) / m!r}"

@@ -150,7 +150,7 @@ def complete_orthonormal_basis(u, dim: int) -> np.ndarray:
     if first.shape != (dim,):
         raise ValueError(f"seed vector has length {first.shape[0]}, expected {dim}")
     nrm = np.linalg.norm(first)
-    if abs(nrm - 1.0) > NORM_TOL:
+    if not abs(nrm - 1.0) <= NORM_TOL:  # NaN fails too
         raise ValueError(f"seed vector norm {nrm} deviates from 1 beyond {NORM_TOL}")
     rows = np.zeros((dim, dim), dtype=np.complex128)
     rows[0] = first / nrm
@@ -176,18 +176,25 @@ def complete_orthonormal_basis(u, dim: int) -> np.ndarray:
     return rows
 
 
+def _haar_isometries(rng: np.random.Generator, count: int, dim: int, m: int) -> np.ndarray:
+    """``count`` independent Haar-random dim x m isometries (unitaries at
+    m = dim), stacked on axis 0 and not checked: QR of a complex Gaussian
+    with the R diagonal rotated positive, which makes the law exactly Haar
+    (Mezzadri 2007, arXiv:math-ph/0609050). The one ``(count, 2, dim, m)``
+    draw is the stream of ``count`` successive real, then imaginary, draws.
+    """
+    g = rng.standard_normal((count, 2, dim, m))
+    v, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
+    d = np.diagonal(r, axis1=1, axis2=2)[:, None, :]
+    return v * (d / np.abs(d))
+
+
 def haar_random_unitary(dim: int, seed) -> UnitaryMatrix:
     """Haar-distributed random unitary, deterministic for a fixed seed.
 
-    QR of a complex Gaussian matrix with the R diagonal rotated to be
-    positive real, which removes the QR phase ambiguity and makes the
-    distribution exactly Haar. ``seed`` may be an int or a Generator.
+    One ``_haar_isometries`` draw, checked unitary by ``UnitaryMatrix``.
+    ``seed`` may be an int or a Generator.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return UnitaryMatrix(q)
+    return UnitaryMatrix(_haar_isometries(np.random.default_rng(seed), 1, dim, dim)[0])

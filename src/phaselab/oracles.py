@@ -15,15 +15,8 @@ import numpy as np
 from .linalg import NORM_TOL, UnitaryMatrix, _frozen_complex_array
 
 
-@dataclass(frozen=True)
-class QueryKind:
-    """Which power of the oracle a query applies: 1 forward, -1 inverse."""
-
-    exponent: int
-
-
-FORWARD = QueryKind(1)
-INVERSE = QueryKind(-1)
+# The power of the oracle a plain forward query applies.
+FORWARD = 1
 
 
 def _unit_vector(values) -> np.ndarray:
@@ -83,8 +76,9 @@ def _member_matrix(family: PhaseOracleFamily, phase_power: int) -> np.ndarray:
     return np.eye(len(u), dtype=np.complex128) + (phase - 1) * np.outer(u, u.conj())
 
 
-def controlled_u(family: PhaseOracleFamily, y: int, kind: QueryKind = FORWARD) -> UnitaryMatrix:
-    """Controlled member y on (control qubit, work): |0><0| I + |1><1| U_y^m.
+def controlled_u(family: PhaseOracleFamily, y: int, exponent: int = FORWARD) -> UnitaryMatrix:
+    """Controlled member y on (control qubit, work): |0><0| I + |1><1| U_y^m
+    for m = ``exponent``.
 
     The exponent is reduced modulo n first, since U_y^n is the identity.
     """
@@ -92,13 +86,13 @@ def controlled_u(family: PhaseOracleFamily, y: int, kind: QueryKind = FORWARD) -
         raise IndexError(f"label {y} out of range for {family.n} phases")
     d = family.work_dim
     block = np.eye(2 * d, dtype=np.complex128)
-    block[d:, d:] = _member_matrix(family, (y * kind.exponent) % family.n)
+    block[d:, d:] = _member_matrix(family, (y * exponent) % family.n)
     return UnitaryMatrix(block)
 
 
-def coherent_controlled_u(family: PhaseOracleFamily, kind: QueryKind = FORWARD) -> UnitaryMatrix:
+def coherent_controlled_u(family: PhaseOracleFamily, exponent: int = FORWARD) -> UnitaryMatrix:
     """Coherent oracle on (control, work, counter): applies member y when the
-    counter register holds computational value y.
+    counter register holds computational value y, raised to ``exponent``.
 
     Register order is (control qubit, work dim D, counter dim n), control
     most significant, matching the simulator convention.
@@ -107,5 +101,5 @@ def coherent_controlled_u(family: PhaseOracleFamily, kind: QueryKind = FORWARD) 
     dim = 2 * d * n
     mat = np.zeros((dim, dim), dtype=np.complex128)
     for y in range(n):
-        mat[y::n, y::n] = controlled_u(family, y, kind).matrix
+        mat[y::n, y::n] = controlled_u(family, y, exponent).matrix
     return UnitaryMatrix(mat)

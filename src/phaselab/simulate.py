@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +33,10 @@ from .linalg import (
     RegisterLayout,
     StateVector,
     UnitaryMatrix,
+    _haar_isometries,
     haar_random_unitary,
 )
-from .oracles import FORWARD, PhaseInstance, PhaseOracleFamily, QueryKind
+from .oracles import FORWARD, PhaseInstance, PhaseOracleFamily
 
 OUTPUT = "O"
 CONTROL = "B"
@@ -126,18 +128,22 @@ class QueryAlgorithm:
 
     ``steps`` holds q+1 ``Step``s over the layout; a dense ``UnitaryMatrix``
     passed in becomes the one-factor step on every register, without a copy
-    or a second unitarity check. ``kinds`` holds one oracle power per query.
-    The initial state is all-zeros; any other start state is folded into the
+    or a second unitarity check. ``exponents`` holds the oracle power of each
+    query, an int (numpy ints are stored as int; a bool is rejected). The
+    initial state is all-zeros; any other start state is folded into the
     first step.
     """
 
     n: int
     layout: RegisterLayout
     steps: tuple[Step, ...]
-    kinds: tuple[QueryKind, ...]
+    exponents: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "kinds", tuple(self.kinds))
+        exponents = tuple(self.exponents)
+        if any(isinstance(m, bool) or not isinstance(m, numbers.Integral) for m in exponents):
+            raise ValueError(f"query exponents must be integers, got {exponents!r}")
+        object.__setattr__(self, "exponents", tuple(map(int, exponents)))
         if self.n < 1:
             raise ValueError(f"problem size must be >= 1, got {self.n}")
         if self.layout.dim_of(OUTPUT) != self.n:
@@ -154,9 +160,10 @@ class QueryAlgorithm:
         )
         if len(steps) < 1:
             raise ValueError("an algorithm needs at least one step")
-        if len(self.kinds) != len(steps) - 1:
+        if len(self.exponents) != len(steps) - 1:
             raise ValueError(
-                f"{len(steps)} steps require {len(steps) - 1} query kinds, got {len(self.kinds)}"
+                f"{len(steps)} steps require {len(steps) - 1} query exponents, "
+                f"got {len(self.exponents)}"
             )
         for i, step in enumerate(steps):
             if not isinstance(step, Step):
@@ -167,7 +174,7 @@ class QueryAlgorithm:
 
     @property
     def q(self) -> int:
-        return len(self.kinds)
+        return len(self.exponents)
 
     @property
     def work_dim(self) -> int:
@@ -192,7 +199,7 @@ class RunTranscript:
             raise ValueError(f"expected {self.q + 1} snapshots, got {len(self.counter_weights)}")
         for j, w in enumerate(self.counter_weights):
             total = float(np.sum(w))
-            if abs(total - 1.0) > 1e-9:
+            if not abs(total - 1.0) <= 1e-9:  # NaN fails too
                 raise ValueError(f"snapshot {j} weights sum to {total}, expected 1")
 
 
@@ -278,8 +285,7 @@ def _label_turns(labels, n):
 def _run(alg: QueryAlgorithm, eigenstate, turns, m: int, snapshots=None) -> np.ndarray:
     """The algorithm on m columns started at all-zeros; see ``_evolve``."""
     return _evolve(
-        _start(alg.layout, m), alg.steps, [k.exponent for k in alg.kinds],
-        alg.layout, eigenstate, turns, snapshots,
+        _start(alg.layout, m), alg.steps, alg.exponents, alg.layout, eigenstate, turns, snapshots
     )
 
 
@@ -295,13 +301,6 @@ def _label_success(cols: np.ndarray, layout: RegisterLayout) -> float:
     t = cols.reshape(layout.dims + (cols.shape[-1],))
     diag = np.diagonal(t, axis1=layout.axis(OUTPUT), axis2=t.ndim - 1)
     return float(np.sum(np.abs(diag) ** 2)) / cols.shape[-1]
-
-
-def run_fixed_y(alg: QueryAlgorithm, family: PhaseOracleFamily, y: int) -> StateVector:
-    """Final state on the algorithm registers when querying family member y."""
-    if not 0 <= y < family.n:
-        raise IndexError(f"label {y} out of range for {family.n} phases")
-    return StateVector(alg.layout, _run_labels(alg, family, [y])[:, 0])
 
 
 def run_fixed_phase(alg: QueryAlgorithm, inst: PhaseInstance) -> StateVector:
@@ -392,7 +391,7 @@ def haar_random_algorithm(
     q: int,
     seed,
     work_dim: int = 2,
-    kinds: tuple[QueryKind, ...] | None = None,
+    exponents: tuple[int, ...] | None = None,
 ) -> QueryAlgorithm:
     """Algorithm with q+1 independent Haar-random steps on (O, B, W)."""
     if q < 0:
@@ -400,59 +399,40 @@ def haar_random_algorithm(
     rng = np.random.default_rng(seed)
     layout = standard_layout(n, work_dim)
     steps = tuple(haar_random_unitary(layout.total_dim, rng) for _ in range(q + 1))
-    if kinds is None:
-        kinds = (FORWARD,) * q
-    return QueryAlgorithm(n=n, layout=layout, steps=steps, kinds=tuple(kinds))
+    if exponents is None:
+        exponents = (FORWARD,) * q
+    return QueryAlgorithm(n=n, layout=layout, steps=steps, exponents=exponents)
 
 
-class _HaarColumns:
-    """Haar-random steps drawn only on the columns they act on.
-
-    ``sampler @ X`` for a dim x m column matrix X (m <= dim) has the law of
-    U @ X for a fresh Haar-random unitary U on C^dim. Write X = Q_X R_X with
-    Q_X a dim x m isometry; a reduced QR gives one even when X is rank
-    deficient, as the all-zeros start columns are. Then U X = (U Q_X) R_X,
-    and U Q_X is a Haar-random isometry: it is the first m columns of U W
-    for any unitary W that completes Q_X, and U W is Haar because Haar
-    measure is invariant (Mezzadri 2007, arXiv:math-ph/0609050). The QR of a
-    dim x m complex Gaussian with the R diagonal rotated positive, as in
-    ``haar_random_unitary``, is exactly such an isometry V, drawn
-    independently of X. So V R_X has the law of U X, and a run of such steps
-    has the law of the same run on ``haar_random_algorithm``, though a seed
-    maps to different columns. It costs two thin QRs and an m x m check, not
-    a dim x dim QR and a dim x dim check.
-
-    ``isometries(count, dim, m)`` draws the V of ``count`` steps at once,
-    from the same stream as ``count`` successive ``@`` calls.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-
-    def _isometries(self, count: int, dim: int, m: int) -> np.ndarray:
-        """``count`` independent dim x m isometries V, stacked on axis 0."""
-        # each draw's real part, then its imaginary part, in stream order
-        g = self.rng.standard_normal((count, 2, dim, m))
-        v, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
-        d = np.diagonal(r, axis1=1, axis2=2)[:, None, :]
-        return v * (d / np.abs(d))
-
-    def isometries(self, count: int, dim: int, m: int) -> np.ndarray:
-        """``_isometries`` after rejecting m > dim, with every V checked."""
-        if m > dim:
-            raise ValueError(f"cannot draw a {dim} x {m} isometry: more columns than rows")
-        v = self._isometries(count, dim, m)
-        dev = np.max(np.abs(v.conj().swapaxes(1, 2) @ v - np.eye(m)))
-        if not dev <= UNITARITY_TOL:  # NaN fails too
-            raise ValueError(f"sampled isometry fails its check: max |V†V - I| = {dev:.3e}")
-        return v
-
-    def __matmul__(self, cols: np.ndarray) -> np.ndarray:
-        return _IsometryStep(self.isometries(1, *cols.shape)[0]) @ cols
+def _checked_isometries(rng, count: int, dim: int, m: int) -> np.ndarray:
+    """``count`` dim x m isometries from ``_haar_isometries``, stacked on
+    axis 0, after rejecting m > dim; every V is checked here, once:
+    max |V†V - I| <= 1e-9, and NaN fails."""
+    if m > dim:
+        raise ValueError(f"cannot draw a {dim} x {m} isometry: more columns than rows")
+    v = _haar_isometries(rng, count, dim, m)
+    dev = np.max(np.abs(v.conj().swapaxes(1, 2) @ v - np.eye(m)))
+    if not dev <= UNITARITY_TOL:  # NaN fails too
+        raise ValueError(f"sampled isometry fails its check: max |V†V - I| = {dev:.3e}")
+    return v
 
 
 class _IsometryStep:
-    """The step X -> V R_X of ``_HaarColumns`` for one drawn isometry V."""
+    """A Haar-random step drawn only on the columns it acts on.
+
+    ``_IsometryStep(V) @ X`` for a dim x m column matrix X (m <= dim) is
+    V R_X, where X = Q_X R_X is a reduced QR; one exists even when X is rank
+    deficient, as the all-zeros start columns are. For V a Haar-random
+    isometry drawn independently of X, as ``_checked_isometries`` gives,
+    this has the law of U X for a fresh Haar-random unitary U on C^dim:
+    U X = (U Q_X) R_X, and U Q_X is a Haar-random isometry, the first m
+    columns of U W for any unitary W completing Q_X, with U W Haar by the
+    invariance of Haar measure (Mezzadri 2007, arXiv:math-ph/0609050). So a
+    run of such steps has the law of the same run on
+    ``haar_random_algorithm``, though a seed maps to different columns. A
+    step costs two thin QRs and an m x m check, not a dim x dim QR and a
+    dim x dim check.
+    """
 
     def __init__(self, v: np.ndarray):
         self.v = v
@@ -463,12 +443,13 @@ class _IsometryStep:
 
 def _haar_run(family: PhaseOracleFamily, exponents, rng, snapshots=None) -> np.ndarray:
     """Label columns of a Haar-random algorithm on (O, B, W) querying with
-    ``exponents``, its len(exponents) + 1 steps drawn at once by one
-    ``_HaarColumns`` on ``rng``; column y is the fixed-label run of member
-    y, as in ``_run_labels``. For rows that need no algorithm object."""
+    ``exponents``, the isometries of its len(exponents) + 1 steps drawn at
+    once by ``_checked_isometries`` on ``rng``; column y is the fixed-label
+    run of member y, as in ``_run_labels``. For rows that need no algorithm
+    object."""
     n = family.n
     layout = standard_layout(n, family.work_dim)
-    vs = _HaarColumns(rng).isometries(len(exponents) + 1, layout.total_dim, n)
+    vs = _checked_isometries(rng, len(exponents) + 1, layout.total_dim, n)
     steps = [_IsometryStep(v) for v in vs]
     turns = _label_turns(range(n), n)
     return _evolve(_start(layout, n), steps, exponents, layout, family.eigenstate, turns, snapshots)

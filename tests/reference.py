@@ -158,11 +158,11 @@ def fourier_weights(state, register):
 
 def purified_run(alg, family):
     """Final purified state and the counter spectrum after every step."""
-    oracles = {k: coherent_controlled_u(family, k) for k in set(alg.kinds)}
+    oracles = {m: coherent_controlled_u(family, m) for m in set(alg.exponents)}
     state = apply_step(purified_initial(alg), alg.steps[0])
     snapshots = [fourier_weights(state, COUNTER)]
-    for kind, step in zip(alg.kinds, alg.steps[1:]):
-        state = apply_to_registers(state, oracles[kind], ["B", "W", COUNTER])
+    for m, step in zip(alg.exponents, alg.steps[1:]):
+        state = apply_to_registers(state, oracles[m], ["B", "W", COUNTER])
         state = apply_step(state, step)
         snapshots.append(fourier_weights(state, COUNTER))
     return state, snapshots
@@ -173,16 +173,17 @@ def run_purified(alg, family):
 
 
 def _fixed_run(alg, oracle):
-    """Run with ``oracle(kind)`` on (B, W) between consecutive steps."""
+    """Run with ``oracle(m)`` on (B, W) between consecutive steps, m the
+    query's exponent."""
     state = apply_step(zero_state(alg.layout), alg.steps[0])
-    for kind, step in zip(alg.kinds, alg.steps[1:]):
-        state = apply_to_registers(state, oracle(kind), ["B", "W"])
+    for m, step in zip(alg.exponents, alg.steps[1:]):
+        state = apply_to_registers(state, oracle(m), ["B", "W"])
         state = apply_step(state, step)
     return state
 
 
 def run_fixed_y(alg, family, y):
-    return _fixed_run(alg, lambda kind: controlled_u(family, y, kind))
+    return _fixed_run(alg, lambda m: controlled_u(family, y, m))
 
 
 def success_probability_average(alg, family):
@@ -191,18 +192,18 @@ def success_probability_average(alg, family):
     ) / family.n
 
 
-def controlled_phase(inst, kind):
+def controlled_phase(inst, m):
     """|0><0| I + |1><1| V^m on (B, W) for the continuous-phase unitary V."""
     proj = np.outer(inst.eigenstate, inst.eigenstate.conj())
     d = inst.work_dim
-    core = np.eye(d) + (np.exp(2j * np.pi * inst.theta * kind.exponent) - 1) * proj
+    core = np.eye(d) + (np.exp(2j * np.pi * inst.theta * m) - 1) * proj
     block = np.eye(2 * d, dtype=np.complex128)
     block[d:, d:] = core
     return UnitaryMatrix(block)
 
 
 def run_fixed_phase(alg, inst):
-    return _fixed_run(alg, lambda kind: controlled_phase(inst, kind))
+    return _fixed_run(alg, lambda m: controlled_phase(inst, m))
 
 
 

@@ -23,10 +23,10 @@ from phaselab.experiments import _reduction_chain, adversarial_search, derive_se
 from phaselab.oracles import PhaseInstance, default_family
 from phaselab.simulate import (
     _haar_transcript,
+    _run_labels,
     haar_random_algorithm,
     leakage_from_weights,
     reachable_counter_values,
-    run_fixed_y,
     run_purified,
     success_probability_average,
     success_probability_purified,
@@ -168,9 +168,8 @@ def test_criterion_4_estimator_equivalence():
     for n in range(2, 17):
         family = default_family(n)
         a, b = build_cemm(n), build_truncated_optimal(n, n - 1)
-        for y in range(n):
-            diff = run_fixed_y(a, family, y).amps - run_fixed_y(b, family, y).amps
-            worst = max(worst, float(np.max(np.abs(diff))))
+        diff = _run_labels(a, family, range(n)) - _run_labels(b, family, range(n))
+        worst = max(worst, float(np.max(np.abs(diff))))
         pur = run_purified(a, family).amps - run_purified(b, family).amps
         worst = max(worst, float(np.max(np.abs(pur))))
     ok = worst <= AMP_TOL

@@ -3,24 +3,30 @@ import pytest
 
 import reference
 from phaselab.algorithms import (
-    EprPair,
+    _control_flip,
+    _epr_computational,
     build_cemm,
     build_truncated_optimal,
     cemm_on_continuous_phase,
     epr_fourier_deviation,
-    epr_state,
     phase_distance,
     round_to_grid,
-    threshold_toggle,
 )
-from phaselab.linalg import RegisterLayout, StateVector
 from phaselab.oracles import PhaseInstance, default_family
 from phaselab.simulate import (
     QueryAlgorithm,
-    run_fixed_y,
+    Step,
+    _run_labels,
     run_purified,
+    standard_layout,
     success_probability_average,
 )
+
+
+def threshold_toggle(n, threshold, work_dim=2):
+    """The step that flips B on every output branch with O >= threshold."""
+    flip = _control_flip(n, work_dim, np.arange(n) >= threshold)
+    return Step(standard_layout(n, work_dim), (flip,))
 
 
 def closed_form_outcome(n, theta, y):
@@ -80,16 +86,15 @@ class TestCemm:
         alg = build_cemm(n)
         fam = default_family(n)
         for y in range(n):
-            final = run_fixed_y(alg, fam, y)
+            final = reference.run_fixed_y(alg, fam, y)
             assert reference.projection_norm_sq(final, "O", y) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_matches_truncated_construction(self, n):
         fam = default_family(n)
         a, b = build_cemm(n), build_truncated_optimal(n, n - 1)
-        for y in range(n):
-            diff = run_fixed_y(a, fam, y).amps - run_fixed_y(b, fam, y).amps
-            assert np.max(np.abs(diff)) < 1e-10
+        diff = _run_labels(a, fam, range(n)) - _run_labels(b, fam, range(n))
+        assert np.max(np.abs(diff)) < 1e-10
         pur = run_purified(a, fam).amps - run_purified(b, fam).amps
         assert np.max(np.abs(pur)) < 1e-10
 
@@ -99,10 +104,10 @@ class TestCemm:
         n = 6
         alg = build_cemm(n)
         clear = threshold_toggle(n, n - 1)
-        partial = QueryAlgorithm(n, alg.layout, alg.steps[:-1] + (clear,), alg.kinds)
+        partial = QueryAlgorithm(n, alg.layout, alg.steps[:-1] + (clear,), alg.exponents)
         fam = default_family(n)
         for y in range(n):
-            got = run_fixed_y(partial, fam, y).amps.reshape(n, 2, 2)
+            got = _run_labels(partial, fam, [y])[:, 0].reshape(n, 2, 2)
             expected = np.exp(2j * np.pi * y * np.arange(n) / n) / np.sqrt(n)
             np.testing.assert_allclose(got[:, 0, 0], expected, atol=1e-10)
             assert np.max(np.abs(got[:, 1, :])) < 1e-12
@@ -252,22 +257,15 @@ class TestRounding:
 
 class TestEpr:
     def test_n1_trivial(self):
-        pair = epr_state(1)
-        np.testing.assert_allclose(pair.state.amps, [1.0])
+        np.testing.assert_allclose(_epr_computational(1), [1.0])
+        assert epr_fourier_deviation(1) < 1e-12
 
     def test_n2_bell_state_by_direct_expansion(self):
-        pair = epr_state(2)
         np.testing.assert_allclose(
-            pair.state.amps, np.array([1, 0, 0, 1]) / np.sqrt(2), atol=1e-12
+            _epr_computational(2), np.array([1, 0, 0, 1]) / np.sqrt(2), atol=1e-12
         )
         assert epr_fourier_deviation(2) < 1e-12
 
     @pytest.mark.parametrize("n", [3, 7, 12, 20])
     def test_constructions_agree(self, n):
         assert epr_fourier_deviation(n) <= 1e-10
-
-    def test_pair_invariant_enforced(self):
-        layout = RegisterLayout((("O", 2), ("C", 2)))
-        skew = StateVector(layout, np.array([1, 0, 0, 0], dtype=complex))
-        with pytest.raises(ValueError):
-            EprPair(n=2, state=skew)

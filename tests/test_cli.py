@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phaselab import cli, experiments, simulate
+from phaselab import cli, experiments, linalg, simulate
 from phaselab.experiments import CSV_HEADER, VerificationError
 
 
@@ -247,11 +247,13 @@ class TestSweepCommand:
         (None, ["cemm", "--n", "8,1", "--theta", "0.1"]),
         (None, ["epr-check", "--n", "3", "--trials", "9"]),
         (None, ["cemm", "--n", "8", "--theta", "0.1", "--trials", "9"]),
+        (None, ["cemm", "--n", "8", "--theta", "0.1,,0.2"]),
     ],
     ids=["out-in-missing-dir", "top-level-list", "n-not-a-list", "trials-string",
          "trials-fraction", "seed-fraction", "theta-null", "theta-list", "theta-string",
          "floor-bool", "kind-list", "reduction-floors-and-trials", "epr-unread-fields",
-         "bound-sweep-theta", "cemm-q", "cemm-grid-below-2", "epr-check-trials", "cemm-trials"],
+         "bound-sweep-theta", "cemm-q", "cemm-grid-below-2", "epr-check-trials", "cemm-trials",
+         "theta-empty-entry"],
 )
 def test_malformed_outside_input_exits_2(config, argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -281,7 +283,8 @@ class TestFailurePropagation:
                 return np.full(shape, np.nan)
 
         monkeypatch.setattr(
-            simulate._HaarColumns, "__init__", lambda self, rng: setattr(self, "rng", NanGenerator())
+            simulate, "_haar_isometries",
+            lambda rng, count, dim, m: linalg._haar_isometries(NanGenerator(), count, dim, m),
         )
         with np.errstate(invalid="ignore"):
             assert cli.main(["verify-bound", "--n", "4", "--q", "1"]) == 1

@@ -70,6 +70,15 @@ class TestGuards:
         ok = ResultRow(4, 1, "haar", 0, 1, 0.5 + 5e-10, 0.5, -5e-10, 0.0, 0.0)
         assert _guard(ok) is ok
 
+    @pytest.mark.parametrize(
+        "gap, leakage", [(np.nan, np.nan), (0.0, np.nan), (np.nan, 0.0)],
+        ids=["both-nan", "leakage-nan", "gap-nan"],
+    )
+    def test_nan_row_trips(self, gap, leakage):
+        bad = ResultRow(4, 1, "optimal", 0, 0, 0.5 - gap, 0.5, gap, leakage, 0.0)
+        with pytest.raises(VerificationError):
+            _guard(bad)
+
     def test_leakage_guard_trips(self):
         bad = ResultRow(4, 1, "forward", 0, 1, 0.5, 0.5, 0.0, 1e-6, 0.0)
         with pytest.raises(VerificationError, match="leakage"):
@@ -318,6 +327,15 @@ class TestEprAndReduction:
         rows = run_experiment(cfg).rows
         assert [(r.n, r.q) for r in rows] == [(4, q) for q in range(4)] + [(8, q) for q in range(8)]
         assert {(r.kind, r.trial, r.seed, r.max_leakage) for r in rows} == {("reduction", 0, 5, 0.0)}
+
+    def test_nan_weights_break_the_reduction_chain(self, monkeypatch):
+        # planted defect: every outcome weight comes out NaN
+        weights = experiments._outcome_weights
+        monkeypatch.setattr(
+            experiments, "_outcome_weights", lambda cols, layout: weights(cols, layout) * np.nan
+        )
+        with pytest.raises(VerificationError, match="rounding reduction broken: n=4 q=1 m=1"):
+            experiments._reduction_chain(build_truncated_optimal(4, 1))
 
     def test_floor_rounding_breaks_the_reduction_chain(self, monkeypatch):
         # planted defect: rounding down loses the estimates just below y/m

@@ -18,16 +18,16 @@ from hypothesis import strategies as st
 import reference
 from phaselab.fourier import fourier_weights
 from phaselab.linalg import RegisterLayout, StateVector, haar_random_unitary
-from phaselab.oracles import PhaseInstance, PhaseOracleFamily, QueryKind
+from phaselab.oracles import PhaseInstance, PhaseOracleFamily
 from phaselab.simulate import (
     QueryAlgorithm,
     Step,
     _query,
+    _run_labels,
     counter_leakage,
     leakage_from_weights,
     reachable_counter_values,
     run_fixed_phase,
-    run_fixed_y,
     run_purified,
     run_purified_transcript,
     success_probability_average,
@@ -66,7 +66,7 @@ def random_case(n, work_dim, anc_dim, exponents, seed, local=False):
         steps = [random_step(layout, rng) for _ in range(len(exponents) + 1)]
     else:
         steps = [haar_random_unitary(layout.total_dim, rng) for _ in range(len(exponents) + 1)]
-    alg = QueryAlgorithm(n, layout, steps, tuple(QueryKind(m) for m in exponents))
+    alg = QueryAlgorithm(n, layout, steps, exponents)
     eig = rng.standard_normal(work_dim) + 1j * rng.standard_normal(work_dim)
     family = PhaseOracleFamily(n, eig / np.linalg.norm(eig))
     return alg, family, float(rng.uniform())
@@ -76,7 +76,7 @@ def check_against_reference(alg, family, theta):
     n, q = alg.n, alg.q
     for y in range(n):
         np.testing.assert_allclose(
-            run_fixed_y(alg, family, y).amps, reference.run_fixed_y(alg, family, y).amps,
+            _run_labels(alg, family, [y])[:, 0], reference.run_fixed_y(alg, family, y).amps,
             rtol=0, atol=TOL,
         )
     inst = PhaseInstance(theta=theta, eigenstate=family.eigenstate)
@@ -169,6 +169,6 @@ def test_query_matches_dense_oracle(layouts):
         thetas = rng.uniform(size=5)
         got = _query(cols.copy(), layout, eigenstate, np.exp(2j * np.pi * thetas) - 1.0)
         for j, theta in enumerate(thetas):
-            oracle = reference.controlled_phase(PhaseInstance(theta, eigenstate), QueryKind(1))
+            oracle = reference.controlled_phase(PhaseInstance(theta, eigenstate), 1)
             want = reference.apply_to_registers(StateVector(layout, cols[:, j]), oracle, ["B", "W"])
             np.testing.assert_allclose(got[:, j], want.amps, rtol=0, atol=TOL)

@@ -179,6 +179,10 @@ class TestBasisCompletion:
         with pytest.raises(ValueError):
             complete_orthonormal_basis([0, 0], 2)
 
+    def test_nan_input_rejected(self):
+        with pytest.raises(ValueError, match="seed vector norm"):
+            complete_orthonormal_basis([np.nan, 0], 2)
+
 
 class TestHaar:
     def test_dim1_is_unit_modulus(self):

@@ -10,10 +10,8 @@ from phaselab.linalg import (
 )
 from phaselab.oracles import (
     FORWARD,
-    INVERSE,
     PhaseInstance,
     PhaseOracleFamily,
-    QueryKind,
     coherent_controlled_u,
     controlled_u,
     default_family,
@@ -32,13 +30,6 @@ def phase_block(inst):
     controlled phase."""
     d = inst.work_dim
     return controlled_phase(inst, FORWARD).matrix[d:, d:]
-
-
-class TestQueryKind:
-    def test_aliases(self):
-        assert FORWARD == QueryKind(1)
-        assert INVERSE == QueryKind(-1)
-        assert QueryKind(3).exponent == 3
 
 
 class TestFamilyConstruction:
@@ -112,19 +103,19 @@ class TestControlled:
     def test_inverse_composes_to_identity(self):
         fam = default_family(8)
         fwd = controlled_u(fam, 5, FORWARD).matrix
-        inv = controlled_u(fam, 5, INVERSE).matrix
+        inv = controlled_u(fam, 5, -1).matrix
         np.testing.assert_allclose(inv @ fwd, np.eye(4), atol=1e-10)
 
     def test_power3_matches_matrix_power(self):
         fam = default_family(8)
-        cu = controlled_u(fam, 3, QueryKind(3)).matrix
+        cu = controlled_u(fam, 3, 3).matrix
         expected = np.linalg.matrix_power(member(fam, 3), 3)
         np.testing.assert_allclose(cu[2:, 2:], expected, atol=1e-10)
 
     def test_exponent_reduced_mod_n(self):
         fam = default_family(6)
-        a = controlled_u(fam, 2, QueryKind(7)).matrix
-        b = controlled_u(fam, 2, QueryKind(1)).matrix
+        a = controlled_u(fam, 2, 7).matrix
+        b = controlled_u(fam, 2, 1).matrix
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -168,7 +159,7 @@ class TestCoherent:
     def test_counter_arithmetic_for_powers(self, m):
         n = 8
         fam = default_family(n)
-        um = coherent_controlled_u(fam, QueryKind(m))
+        um = coherent_controlled_u(fam, m)
         for k in range(n):
             state = coherent_input(n, 1, fam.eigenstate, k)
             out = apply_to_registers(state, um, ["B", "W", "C"])

@@ -3,22 +3,24 @@ import pytest
 
 from phaselab.fourier import fourier_weights, qft_matrix
 from phaselab.linalg import RegisterLayout, StateVector, UnitaryMatrix, haar_random_unitary
-from phaselab.oracles import FORWARD, INVERSE, PhaseInstance, QueryKind, default_family
+from phaselab.oracles import FORWARD, PhaseInstance, default_family
 from phaselab.simulate import (
     QueryAlgorithm,
+    RunTranscript,
     Step,
     _evolve,
-    _HaarColumns,
+    _checked_isometries,
     _haar_run,
+    _IsometryStep,
     _label_success,
     _label_turns,
+    _run_labels,
     _start,
     counter_leakage,
     haar_random_algorithm,
     leakage_from_weights,
     reachable_counter_values,
     run_fixed_phase,
-    run_fixed_y,
     run_purified,
     run_purified_transcript,
     standard_layout,
@@ -40,15 +42,20 @@ def identity_step(n, work_dim=2):
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def one_query_probe(n, kinds=(FORWARD,)):
+def one_query_probe(n, exponents=(FORWARD,)):
     """A_0 raises the control wire, then one query, then nothing."""
     layout = standard_layout(n)
     steps = (embed_on_control(n, X2), identity_step(n))
-    return QueryAlgorithm(n=n, layout=layout, steps=steps, kinds=tuple(kinds))
+    return QueryAlgorithm(n=n, layout=layout, steps=steps, exponents=exponents)
+
+
+def run_fixed_y(alg, family, y):
+    """The fixed-label run of member y: the kernel on one label column."""
+    return StateVector(alg.layout, _run_labels(alg, family, [y])[:, 0])
 
 
 class TestAlgorithmValidation:
-    def test_step_count_must_match_kinds(self):
+    def test_step_count_must_match_exponents(self):
         layout = standard_layout(3)
         with pytest.raises(ValueError):
             QueryAlgorithm(3, layout, (identity_step(3),), (FORWARD,))
@@ -67,6 +74,18 @@ class TestAlgorithmValidation:
         layout = standard_layout(3)
         with pytest.raises(ValueError):
             QueryAlgorithm(3, layout, (UnitaryMatrix(np.eye(6)),), ())
+
+    @pytest.mark.parametrize("exponent", [1.0, 2.5, True, "1", None])
+    def test_exponent_must_be_an_integer(self, exponent):
+        steps = (identity_step(3), identity_step(3))
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            QueryAlgorithm(3, standard_layout(3), steps, (exponent,))
+
+    def test_numpy_exponents_stored_as_int(self):
+        steps = (identity_step(3),) * 3
+        alg = QueryAlgorithm(3, standard_layout(3), steps, np.array([2, -1]))
+        assert alg.exponents == (2, -1)
+        assert all(type(m) is int for m in alg.exponents)
 
     def test_extra_ancilla_register_allowed(self):
         layout = RegisterLayout((("O", 3), ("B", 2), ("W", 2), ("anc", 3)))
@@ -158,11 +177,6 @@ class TestRunFixedY:
         assert out.amps[idx] == pytest.approx(np.exp(2j * np.pi * y / n), abs=1e-12)
         assert abs(out.norm - 1) < 1e-9
 
-    def test_label_out_of_range(self):
-        alg = one_query_probe(4)
-        with pytest.raises(IndexError):
-            run_fixed_y(alg, default_family(4), 4)
-
     def test_family_size_mismatch(self):
         alg = one_query_probe(4)
         with pytest.raises(ValueError):
@@ -181,7 +195,7 @@ class TestRunFixedPhase:
         # raise the control, query V then V^-1: the state returns to |0,1,0>
         n = 4
         steps = (embed_on_control(n, X2), identity_step(n), identity_step(n))
-        alg = QueryAlgorithm(n, standard_layout(n), steps, (FORWARD, INVERSE))
+        alg = QueryAlgorithm(n, standard_layout(n), steps, (1, -1))
         out = run_fixed_phase(alg, PhaseInstance(theta=0.3, eigenstate=np.array([1, 0])))
         expected = np.zeros(alg.layout.total_dim)
         expected[2] = 1.0
@@ -189,7 +203,7 @@ class TestRunFixedPhase:
 
     def test_grid_phase_matches_fixed_label(self):
         n = 6
-        alg = haar_random_algorithm(n, 3, seed=21, kinds=(FORWARD, INVERSE, QueryKind(8)))
+        alg = haar_random_algorithm(n, 3, seed=21, exponents=(1, -1, 8))
         fam = default_family(n)
         inst = PhaseInstance(theta=5 / n, eigenstate=fam.eigenstate)
         np.testing.assert_allclose(
@@ -254,7 +268,7 @@ class TestCounterLeakage:
 
     def test_power_query_lands_at_exponent(self):
         n = 8
-        alg = one_query_probe(n, kinds=(QueryKind(3),))
+        alg = one_query_probe(n, exponents=(3,))
         out = run_purified(alg, default_family(n))
         assert counter_leakage(out, 1) > 0.5  # all weight sits at index 3
         assert counter_leakage(out, 3) <= 1e-10
@@ -262,7 +276,7 @@ class TestCounterLeakage:
     def test_inverse_schedule_reachable_set(self):
         n = 6
         rng = np.random.default_rng(4)
-        alg = haar_random_algorithm(n, 1, rng, kinds=(INVERSE,))
+        alg = haar_random_algorithm(n, 1, rng, exponents=(-1,))
         out = run_purified(alg, default_family(n))
         assert leakage_from_weights(fourier_weights(out, "C"), {0, n - 1}) <= 1e-10
 
@@ -273,7 +287,7 @@ class TestCounterLeakage:
         n = 8
         layout = standard_layout(n)
         steps = (identity_step(n), embed_on_control(n, X2), identity_step(n))
-        alg = QueryAlgorithm(n, layout, steps, (QueryKind(2), FORWARD))
+        alg = QueryAlgorithm(n, layout, steps, (2, 1))
         out = run_purified(alg, default_family(n))
         w = fourier_weights(out, "C")
         assert w[1] == pytest.approx(1.0, abs=1e-10)
@@ -285,7 +299,7 @@ class TestCounterLeakage:
         for _ in range(8):
             q = int(rng.integers(1, 5))
             exps = [int(m) for m in rng.choice([1, -1, 2, 3, 5], size=q)]
-            alg = haar_random_algorithm(n, q, rng, kinds=tuple(QueryKind(m) for m in exps))
+            alg = haar_random_algorithm(n, q, rng, exponents=exps)
             tr = run_purified_transcript(alg, default_family(n))
             reach = reachable_counter_values(exps, n)
             for w, allowed in zip(tr.counter_weights, reach):
@@ -307,6 +321,11 @@ class TestTranscript:
         for w in tr.counter_weights:
             assert w.sum() == pytest.approx(1.0, abs=1e-9)
         assert tr.q == 3 and tr.n == 5
+
+    def test_nan_snapshot_rejected(self):
+        state = run_purified(haar_random_algorithm(2, 0, seed=1), default_family(2))
+        with pytest.raises(ValueError, match="snapshot 0 weights sum to nan"):
+            RunTranscript(n=2, q=0, counter_weights=(np.array([np.nan, 0.0]),), final_state=state)
 
     def test_final_state_matches_plain_run(self):
         n = 4
@@ -362,13 +381,11 @@ class TestSuccessProbabilities:
             assert success_probability_average(alg, fam) <= (q + 1) / n + 1e-9
 
 
-class _NoPhaseFix(_HaarColumns):
-    """The column sampler with the QR phase fix left out: LAPACK leaves the
+def _no_phase_fix(rng, count, dim, m):
+    """The isometry draw with the QR phase fix left out: LAPACK leaves the
     R diagonal real but of either sign, so V's phases are biased."""
-
-    def _isometries(self, count, dim, m):
-        g = self.rng.standard_normal((count, 2, dim, m))
-        return np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))[0]
+    g = rng.standard_normal((count, 2, dim, m))
+    return np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))[0]
 
 
 class _OneDraw:
@@ -403,7 +420,8 @@ def _within(samples, expected):
 
 
 class TestHaarColumns:
-    """``_HaarColumns @ X`` must have the law of U @ X for Haar U."""
+    """``_IsometryStep(V) @ X`` for a drawn V must have the law of U @ X
+    for Haar U."""
 
     DIM, M, DRAWS = 4, 2, 20_000
 
@@ -418,9 +436,10 @@ class TestHaarColumns:
         x = rng.standard_normal((self.DIM, self.M)) + 1j * rng.standard_normal((self.DIM, self.M))
         return x / np.linalg.norm(x, axis=0)
 
-    def draws(self, sampler_cls, x, seed):
-        """DRAWS samples of ``sampler @ x``, their isometries drawn in one call."""
-        v = sampler_cls(np.random.default_rng(seed)).isometries(self.DRAWS, *x.shape)
+    def draws(self, draw, x, seed):
+        """DRAWS samples of ``_IsometryStep(V) @ x``, the V drawn in one
+        ``draw(rng, count, dim, m)`` call."""
+        v = draw(np.random.default_rng(seed), self.DRAWS, *x.shape)
         return v @ np.linalg.qr(x, mode="r")
 
     @pytest.mark.parametrize("dim,m", [(8, 3), (16, 4), (32, 8)])
@@ -428,10 +447,9 @@ class TestHaarColumns:
         rng = np.random.default_rng(dim + m)
         x = rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m))
         x /= np.linalg.norm(x, axis=0)
-        sampler = _HaarColumns(rng)
         for cols in (x, self.start(dim, m)):  # full rank, then rank 1
-            for _ in range(10):
-                y = sampler @ cols
+            for v in _checked_isometries(rng, 10, dim, m):
+                y = _IsometryStep(v) @ cols
                 assert y.shape == cols.shape
                 np.testing.assert_allclose(
                     y.conj().T @ y, cols.conj().T @ cols, rtol=0, atol=1e-12
@@ -440,13 +458,13 @@ class TestHaarColumns:
     def test_first_and_second_moments_are_haar(self):
         # E[U X] = 0 and E[U X X† U†] = tr(X†X)/dim I
         x = self.columns(0)
-        ys = self.draws(_HaarColumns, x, 1)
+        ys = self.draws(_checked_isometries, x, 1)
         assert _within(ys, 0.0)
         outer = np.einsum("kim,kjm->kij", ys, ys.conj())
         assert _within(outer, np.trace(x.conj().T @ x).real / self.DIM * np.eye(self.DIM))
 
     def test_mean_test_catches_a_missing_phase_fix(self):
-        assert not _within(self.draws(_NoPhaseFix, self.columns(0), 1), 0.0)
+        assert not _within(self.draws(_no_phase_fix, self.columns(0), 1), 0.0)
 
     @pytest.mark.parametrize("n,q", [(2, 1), (4, 1)])
     def test_haar_row_success_averages_to_chance(self, n, q):
@@ -461,7 +479,7 @@ class TestHaarColumns:
 
     def test_failed_isometry_check_raises(self):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="isometry fails"):
-            _HaarColumns(_NanGenerator()) @ self.start(8, 2)
+            _checked_isometries(_NanGenerator(), 1, 8, 2)
 
     @pytest.mark.parametrize(
         "n,exponents",
@@ -491,4 +509,4 @@ class TestHaarColumns:
 
     def test_more_columns_than_rows_rejected(self):
         with pytest.raises(ValueError, match="more columns than rows"):
-            _HaarColumns(np.random.default_rng(0)) @ np.eye(3, 4, dtype=complex)
+            _checked_isometries(np.random.default_rng(0), 1, 3, 4)
