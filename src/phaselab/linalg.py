@@ -1,14 +1,19 @@
 """Dense complex values: labeled registers, state vectors, unitary matrices,
-plus orthonormal basis completion and Haar-random unitaries.
+plus orthonormal basis completion and Haar-random isometries and unitaries.
 
 These are the values the simulator, the builders and the sweeps pass around.
 Their invariants (unit norm, unitarity, orthonormality) are validated once,
 at construction, and the tolerances every module compares against live
 here. The kernel that applies steps and queries is ``simulate._evolve``.
 
+The one Haar draw, ``_haar_isometries``, checks what it draws itself, so
+``haar_random_unitary`` wraps its result with ``UnitaryMatrix._trusted``,
+which freezes the array in place instead of copying and checking it again.
+
 Amplitude ordering is row-major over the register order of the layout: the
 first listed register is the most significant index block. All values are
-immutable after construction; operations return new values.
+immutable after construction: the public constructors copy their input and
+freeze the copy; operations return new values.
 """
 
 from __future__ import annotations
@@ -127,6 +132,16 @@ class UnitaryMatrix:
             raise ValueError(f"matrix fails unitarity check: max |U†U - I| = {dev:.3e}")
         object.__setattr__(self, "matrix", mat)
 
+    @classmethod
+    def _trusted(cls, mat: np.ndarray) -> "UnitaryMatrix":
+        """Wrap a C-ordered square complex128 array that has already passed
+        the unitarity check: frozen in place, neither copied nor checked
+        again. Only for arrays nothing else holds a writeable view of."""
+        mat.setflags(write=False)
+        self = object.__new__(cls)
+        object.__setattr__(self, "matrix", mat)
+        return self
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -178,23 +193,47 @@ def complete_orthonormal_basis(u, dim: int) -> np.ndarray:
 
 def _haar_isometries(rng: np.random.Generator, count: int, dim: int, m: int) -> np.ndarray:
     """``count`` independent Haar-random dim x m isometries (unitaries at
-    m = dim), stacked on axis 0 and not checked: QR of a complex Gaussian
-    with the R diagonal rotated positive, which makes the law exactly Haar
-    (Mezzadri 2007, arXiv:math-ph/0609050). The one ``(count, 2, dim, m)``
-    draw is the stream of ``count`` successive real, then imaginary, draws.
+    m = dim), stacked on axis 0: QR of a complex Gaussian with the R diagonal
+    rotated positive, which makes the law exactly Haar (Mezzadri 2007,
+    arXiv:math-ph/0609050). The one ``(count, 2, dim, m)`` draw is the stream
+    of ``count`` successive real, then imaginary, draws. Every V is checked
+    here, once: max |V†V - I| <= 1e-9, and NaN fails.
+
+    The work is done in place, one complex array and the QR's own outputs:
+    at dim 256 each extra temporary is a megabyte that the allocator hands
+    back to the OS and the next call faults in again.
     """
+    if m > dim:
+        raise ValueError(f"cannot draw a {dim} x {m} isometry: more columns than rows")
     g = rng.standard_normal((count, 2, dim, m))
-    v, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
-    d = np.diagonal(r, axis1=1, axis2=2)[:, None, :]
-    return v * (d / np.abs(d))
+    z = np.empty((count, dim, m), dtype=np.complex128)
+    # z = (g_re + i g_im) / sqrt(2), bit for bit: numpy divides by the real
+    # sqrt(2) as a multiplication by its reciprocal
+    scale = 1.0 / np.sqrt(2)
+    np.multiply(g[:, 0], scale, out=z.real)
+    np.multiply(g[:, 1], scale, out=z.imag)
+    del g
+    v, r = np.linalg.qr(z)
+    del z
+    d = np.diagonal(r, axis1=1, axis2=2).copy()
+    del r
+    d /= np.abs(d)
+    v *= d[:, None, :]
+    gram = v.conj().swapaxes(1, 2) @ v
+    gram.reshape(count, m * m)[:, :: m + 1] -= 1.0
+    dev = np.max(np.abs(gram))
+    if not dev <= UNITARITY_TOL:  # NaN fails too
+        raise ValueError(f"sampled isometry fails its check: max |V†V - I| = {dev:.3e}")
+    return v
 
 
 def haar_random_unitary(dim: int, seed) -> UnitaryMatrix:
     """Haar-distributed random unitary, deterministic for a fixed seed.
 
-    One ``_haar_isometries`` draw, checked unitary by ``UnitaryMatrix``.
-    ``seed`` may be an int or a Generator.
+    One ``_haar_isometries`` draw, which checks it unitary; the matrix is
+    frozen in place, not copied or checked again. ``seed`` may be an int or
+    a Generator.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    return UnitaryMatrix(_haar_isometries(np.random.default_rng(seed), 1, dim, dim)[0])
+    return UnitaryMatrix._trusted(_haar_isometries(np.random.default_rng(seed), 1, dim, dim)[0])

@@ -102,6 +102,18 @@ def complete_orthonormal_basis(u, dim):
     return np.array(rows)
 
 
+def haar_unitary(dim, rng):
+    """The dense Haar draw as its formula (Mezzadri 2007,
+    arXiv:math-ph/0609050): the real, then the imaginary part of a dim x dim
+    Gaussian, a QR of their sum over sqrt(2), and each column of Q turned by
+    the phase of its R diagonal entry."""
+    re = rng.standard_normal((dim, dim))
+    im = rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
 def dense_threshold_toggle(n, threshold, work_dim=2):
     d2 = 2 * work_dim
     flip = np.zeros((d2, d2), dtype=np.complex128)

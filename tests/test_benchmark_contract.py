@@ -41,7 +41,7 @@ def test_referenced_name_exists(ref):
     assert hasattr(importlib.import_module(f"phaselab.{module}"), name), ref
 
 
-@pytest.mark.parametrize("n,q,seed", [(2, 0, 3), (4, 3, 11), (8, 5, 2**63 + 5)])
+@pytest.mark.parametrize("n,q,seed", [(2, 0, 3), (4, 3, 11), (8, 5, 2**63 + 5), (64, 2, 7)])
 def test_haar_algorithm_steps_are_successive_unitary_draws(n, q, seed):
     # step j of haar_random_algorithm(n, q, seed) is draw j of
     # haar_random_unitary on default_rng(seed), bit for bit

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import phaselab
 import reference
+from phaselab.experiments import adversarial_search
 from phaselab.linalg import (
     RegisterLayout,
     StateVector,
@@ -9,6 +11,7 @@ from phaselab.linalg import (
     complete_orthonormal_basis,
     haar_random_unitary,
 )
+from phaselab.simulate import haar_random_algorithm
 from reference import apply_to_registers, projection_norm_sq, zero_state
 
 QUBIT = RegisterLayout((("a", 2),))
@@ -207,6 +210,53 @@ class TestHaar:
         with pytest.raises(ValueError):
             haar_random_unitary(0, seed=1)
 
+    @pytest.mark.parametrize("dim", [1, 2, 7, 64, 256])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seed_to_matrix_map_is_the_reference_formula(self, dim, seed):
+        # three successive draws on one generator, bit for bit, and the
+        # generator left where the formula leaves it
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got = haar_random_unitary(dim, rng).matrix
+            want = reference.haar_unitary(dim, ref_rng)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class _NanGaussians(np.random.Generator):
+    def standard_normal(self, *args, **kwargs):
+        return np.full_like(super().standard_normal(*args, **kwargs), np.nan)
+
+
+_DENSE_ROUTES = {
+    "haar_random_unitary": lambda rng: haar_random_unitary(8, rng),
+    "haar_random_algorithm": lambda rng: haar_random_algorithm(2, 1, rng),
+    "adversarial_search": lambda rng: adversarial_search(2, 1, iterations=1, seed=rng),
+}
+
+
+class TestDenseDrawCheck:
+    """A failing dense draw raises on every route that draws one."""
+
+    @pytest.mark.parametrize("route", sorted(_DENSE_ROUTES))
+    def test_non_unitary_draw_raises(self, route, monkeypatch):
+        qr = np.linalg.qr
+
+        def scaled_qr(a, *args, **kwargs):
+            v, r = qr(a, *args, **kwargs)
+            return v * (1 + 1e-6), r
+
+        monkeypatch.setattr(np.linalg, "qr", scaled_qr)
+        with pytest.raises(ValueError, match=r"max \|V†V - I\| = 2\.0+e-06"):
+            _DENSE_ROUTES[route](np.random.default_rng(0))
+
+    @pytest.mark.parametrize("route", sorted(_DENSE_ROUTES))
+    def test_nan_draw_raises(self, route):
+        rng = _NanGaussians(np.random.PCG64(0))
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"max \|V†V - I\| = nan"):
+            _DENSE_ROUTES[route](rng)
+
 
 class TestUnitaryMatrix:
     def test_non_unitary_rejected(self):
@@ -216,6 +266,23 @@ class TestUnitaryMatrix:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             UnitaryMatrix(np.ones((2, 3)))
+
+    def test_matrix_is_read_only(self):
+        assert not UnitaryMatrix(np.eye(3)).matrix.flags.writeable
+        assert not haar_random_unitary(4, seed=0).matrix.flags.writeable
+        for step in haar_random_algorithm(2, 2, seed=0).steps:
+            ((u, _),) = step.factors
+            assert not u.matrix.flags.writeable
+
+    def test_public_constructor_copies(self):
+        src = np.eye(2, dtype=np.complex128)
+        u = UnitaryMatrix(src)
+        src[0, 0] = -1.0
+        assert src.flags.writeable
+        np.testing.assert_array_equal(u.matrix, np.eye(2))
+
+    def test_trusted_constructor_is_not_public(self):
+        assert not [name for name in phaselab.__all__ if name.startswith("_")]
 
 
 def test_cauchy_schwarz_vector_bound():

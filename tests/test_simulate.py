@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 
 from phaselab.fourier import fourier_weights, qft_matrix
-from phaselab.linalg import RegisterLayout, StateVector, UnitaryMatrix, haar_random_unitary
+from phaselab.linalg import (
+    RegisterLayout,
+    StateVector,
+    UnitaryMatrix,
+    _haar_isometries,
+    haar_random_unitary,
+)
 from phaselab.oracles import FORWARD, PhaseInstance, default_family
 from phaselab.simulate import (
     QueryAlgorithm,
     RunTranscript,
     Step,
     _evolve,
-    _checked_isometries,
     _haar_run,
     _IsometryStep,
     _label_success,
@@ -448,7 +453,7 @@ class TestHaarColumns:
         x = rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m))
         x /= np.linalg.norm(x, axis=0)
         for cols in (x, self.start(dim, m)):  # full rank, then rank 1
-            for v in _checked_isometries(rng, 10, dim, m):
+            for v in _haar_isometries(rng, 10, dim, m):
                 y = _IsometryStep(v) @ cols
                 assert y.shape == cols.shape
                 np.testing.assert_allclose(
@@ -458,7 +463,7 @@ class TestHaarColumns:
     def test_first_and_second_moments_are_haar(self):
         # E[U X] = 0 and E[U X X† U†] = tr(X†X)/dim I
         x = self.columns(0)
-        ys = self.draws(_checked_isometries, x, 1)
+        ys = self.draws(_haar_isometries, x, 1)
         assert _within(ys, 0.0)
         outer = np.einsum("kim,kjm->kij", ys, ys.conj())
         assert _within(outer, np.trace(x.conj().T @ x).real / self.DIM * np.eye(self.DIM))
@@ -479,7 +484,7 @@ class TestHaarColumns:
 
     def test_failed_isometry_check_raises(self):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="isometry fails"):
-            _checked_isometries(_NanGenerator(), 1, 8, 2)
+            _haar_isometries(_NanGenerator(), 1, 8, 2)
 
     @pytest.mark.parametrize(
         "n,exponents",
@@ -509,4 +514,4 @@ class TestHaarColumns:
 
     def test_more_columns_than_rows_rejected(self):
         with pytest.raises(ValueError, match="more columns than rows"):
-            _checked_isometries(np.random.default_rng(0), 1, 3, 4)
+            _haar_isometries(np.random.default_rng(0), 1, 3, 4)
