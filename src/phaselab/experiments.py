@@ -13,11 +13,15 @@ deterministically under any worker count.
 
 from __future__ import annotations
 
+import copy
 import datetime as _dt
+import functools
 import numbers
+import os
+import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -38,8 +42,7 @@ from .simulate import (
     OUTPUT,
     QueryAlgorithm,
     _evolve,
-    _haar_run,
-    _haar_transcript,
+    _haar_runs,
     _label_success,
     _label_turns,
     _purified_state,
@@ -252,6 +255,26 @@ def derive_seed(master: int, row_kind: str, n: int, q: int, trial: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+# The variables that set the BLAS thread count, which the last bits of
+# probabilities and gaps depend on (see the README's determinism contract).
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@functools.cache
+def _environment() -> dict:
+    """The numeric environment rows are computed in, read once per process:
+    numpy's build config and the platform lookup cost ~0.4 ms, and every
+    ``run_experiment`` call builds metadata, which gets a copy."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        **{var: os.environ.get(var) for var in _THREAD_VARS},
+        "platform": platform.platform(),
+    }
+
+
 def _metadata(cfg: ExperimentConfig) -> dict:
     return {
         "tool": "phaselab",
@@ -259,6 +282,7 @@ def _metadata(cfg: ExperimentConfig) -> dict:
         "kind": cfg.kind,
         "timestamp": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         "config": asdict(cfg),
+        "environment": copy.deepcopy(_environment()),
     }
 
 
@@ -296,9 +320,16 @@ def _row(kind: str, n: int, q: int, trial: int, seed: int, bound: float, measure
     return _guard(ResultRow(n, q, kind, trial, seed, observed, bound, bound - observed, leak, ms))
 
 
+def _share_time(rows: list[ResultRow]) -> list[ResultRow]:
+    """The rows of one batch of trials, each timed at an equal share of the
+    batch: the work of a batch lands in the row that first reads it."""
+    ms = sum(r.wall_time_ms for r in rows) / len(rows)
+    return [replace(r, wall_time_ms=ms) for r in rows]
+
+
 def _bound_sweep_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]:
-    """The saturating algorithm plus ``trials`` Haar-random ones, drawn on
-    their label columns by ``_haar_run``; every row must satisfy
+    """The saturating algorithm plus ``trials`` Haar-random ones, run side by
+    side on their label columns by ``_haar_runs``; every row must satisfy
     observed <= (q+1)/n within tolerance."""
     family = default_family(n)
     layout = standard_layout(n)
@@ -310,23 +341,23 @@ def _bound_sweep_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]:
     def optimal():
         return measure(_run_labels(build_truncated_optimal(n, q), family, range(n)))
 
-    def haar(seed):
-        return measure(_haar_run(family, [1] * q, np.random.default_rng(seed)))
-
     seed = derive_seed(cfg.seed, "optimal", n, q, 0)
     rows = [_row("optimal", n, q, 0, seed, bound, optimal)]
-    for t in range(cfg.trials):
-        seed = derive_seed(cfg.seed, "haar", n, q, t)
-        rows.append(_row("haar", n, q, t, seed, bound, lambda: haar(seed)))
-    return rows
+    seeds = [derive_seed(cfg.seed, "haar", n, q, t) for t in range(cfg.trials)]
+    runs = _haar_runs(family, [[1] * q] * len(seeds), [np.random.default_rng(s) for s in seeds])
+    # row t reads trial t off the batch, so a failed check names its trial
+    haar = [
+        _row("haar", n, q, t, s, bound, lambda: measure(next(runs))) for t, s in enumerate(seeds)
+    ]
+    return rows + _share_time(haar)
 
 
 _SCHEDULE_EXPONENTS = (1, -1, 2, 3, 5)
 
 
 def _counter_scan_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]:
-    """Worst per-step counter leakage of Haar-random algorithms, drawn on
-    their label columns by ``_haar_run``.
+    """Worst per-step counter leakage of Haar-random algorithms, run side by
+    side on their label columns by ``_haar_runs``, one batch per scan.
 
     ``forward`` rows query forward only; ``schedule`` rows draw the query
     exponents from {1, -1, 2, 3, 5}, from the generator that then
@@ -335,27 +366,31 @@ def _counter_scan_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]
     beyond index j after j queries.
     """
     family = default_family(n)
+    scans = []
+    for kind in ("forward", "schedule") if q else ("forward",):
+        seeds = [derive_seed(cfg.seed, kind, n, q, t) for t in range(cfg.trials)]
+        rngs = [np.random.default_rng(s) for s in seeds]
+        exponents = [[1] * q] * len(rngs)
+        if kind == "schedule":
+            exponents = [[int(m) for m in rng.choice(_SCHEDULE_EXPONENTS, size=q)] for rng in rngs]
+        runs = zip(exponents, _haar_runs(family, exponents, rngs, snapshots=True))
 
-    def measure(seed, schedule):
-        rng = np.random.default_rng(seed)
-        exponents = [1] * q
-        if schedule:
-            exponents = [int(m) for m in rng.choice(_SCHEDULE_EXPONENTS, size=q)]
-        tr = _haar_transcript(family, exponents, rng)
-        reach = reachable_counter_values(exponents, n)
-        leak = max(
-            leakage_from_weights(w, allowed) for w, allowed in zip(tr.counter_weights, reach)
-        )
-        return leak, leak
+        def measure(runs=runs):
+            exps, tr = next(runs)
+            reach = reachable_counter_values(exps, n)
+            leak = max(
+                leakage_from_weights(w, allowed) for w, allowed in zip(tr.counter_weights, reach)
+            )
+            return leak, leak
 
-    scans = ("forward", "schedule") if q else ("forward",)
-    rows = []
-    for t in range(cfg.trials):
-        for kind in scans:
-            seed = derive_seed(cfg.seed, kind, n, q, t)
-            schedule = kind == "schedule"
-            rows.append(_row(kind, n, q, t, seed, LEAKAGE_BUDGET, lambda: measure(seed, schedule)))
-    return rows
+        scans.append((kind, seeds, measure))
+    rows = [
+        _row(kind, n, q, t, seeds[t], LEAKAGE_BUDGET, measure)
+        for t in range(cfg.trials)
+        for kind, seeds, measure in scans
+    ]
+    shared = [_share_time(rows[k :: len(scans)]) for k in range(len(scans))]
+    return [row for trial in zip(*shared) for row in trial]
 
 
 def _thin_polar(g: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -6,9 +6,10 @@ Their invariants (unit norm, unitarity, orthonormality) are validated once,
 at construction, and the tolerances every module compares against live
 here. The kernel that applies steps and queries is ``simulate._evolve``.
 
-The one Haar draw, ``_haar_isometries``, checks what it draws itself, so
-``haar_random_unitary`` wraps its result with ``UnitaryMatrix._trusted``,
-which freezes the array in place instead of copying and checking it again.
+The one Haar draw, ``_haar_isometries``, measures how far each draw is
+from an isometry and ``_check_isometry`` fails it, so ``haar_random_unitary``
+wraps its result with ``UnitaryMatrix._trusted``, which freezes the array
+in place instead of copying and checking it again.
 
 Amplitude ordering is row-major over the register order of the layout: the
 first listed register is the most significant index block. All values are
@@ -191,13 +192,16 @@ def complete_orthonormal_basis(u, dim: int) -> np.ndarray:
     return rows
 
 
-def _haar_isometries(rng: np.random.Generator, count: int, dim: int, m: int) -> np.ndarray:
+def _haar_isometries(rngs, count: int, dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """``count`` independent Haar-random dim x m isometries (unitaries at
-    m = dim), stacked on axis 0: QR of a complex Gaussian with the R diagonal
-    rotated positive, which makes the law exactly Haar (Mezzadri 2007,
-    arXiv:math-ph/0609050). The one ``(count, 2, dim, m)`` draw is the stream
-    of ``count`` successive real, then imaginary, draws. Every V is checked
-    here, once: max |V†V - I| <= 1e-9, and NaN fails.
+    m = dim) from each generator, stacked as ``(len(rngs), count, dim, m)``:
+    QR of a complex Gaussian with the R diagonal rotated positive, which
+    makes the law exactly Haar (Mezzadri 2007, arXiv:math-ph/0609050). Each
+    generator's ``(count, 2, dim, m)`` draw is the stream of ``count``
+    successive real, then imaginary, draws, so a generator's isometries do
+    not depend on what is stacked beside them. One stacked QR, phase fix and
+    check ``max |V†V - I|`` cover every V; the second value holds each
+    generator's deviation, and ``_check_isometry`` fails it.
 
     The work is done in place, one complex array and the QR's own outputs:
     at dim 256 each extra temporary is a megabyte that the allocator hands
@@ -205,35 +209,42 @@ def _haar_isometries(rng: np.random.Generator, count: int, dim: int, m: int) -> 
     """
     if m > dim:
         raise ValueError(f"cannot draw a {dim} x {m} isometry: more columns than rows")
-    g = rng.standard_normal((count, 2, dim, m))
-    z = np.empty((count, dim, m), dtype=np.complex128)
+    z = np.empty((len(rngs), count, dim, m), dtype=np.complex128)
     # z = (g_re + i g_im) / sqrt(2), bit for bit: numpy divides by the real
     # sqrt(2) as a multiplication by its reciprocal
     scale = 1.0 / np.sqrt(2)
-    np.multiply(g[:, 0], scale, out=z.real)
-    np.multiply(g[:, 1], scale, out=z.imag)
-    del g
+    for t, rng in enumerate(rngs):  # no view of z outlives the loop: z is freed below
+        g = rng.standard_normal((count, 2, dim, m))
+        np.multiply(g[:, 0], scale, out=z[t].real)
+        np.multiply(g[:, 1], scale, out=z[t].imag)
+        del g
     v, r = np.linalg.qr(z)
     del z
-    d = np.diagonal(r, axis1=1, axis2=2).copy()
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     del r
     d /= np.abs(d)
-    v *= d[:, None, :]
-    gram = v.conj().swapaxes(1, 2) @ v
-    gram.reshape(count, m * m)[:, :: m + 1] -= 1.0
-    dev = np.max(np.abs(gram))
+    v *= d[..., None, :]
+    gram = v.conj().swapaxes(-2, -1) @ v
+    gram.reshape(-1, m * m)[:, :: m + 1] -= 1.0
+    dev = np.abs(gram).reshape(len(rngs), -1).max(axis=1)  # NaN propagates
+    return v, dev
+
+
+def _check_isometry(dev) -> None:
+    """Fail a drawn isometry whose ``max |V†V - I|`` exceeds 1e-9, or is NaN."""
     if not dev <= UNITARITY_TOL:  # NaN fails too
         raise ValueError(f"sampled isometry fails its check: max |V†V - I| = {dev:.3e}")
-    return v
 
 
 def haar_random_unitary(dim: int, seed) -> UnitaryMatrix:
     """Haar-distributed random unitary, deterministic for a fixed seed.
 
-    One ``_haar_isometries`` draw, which checks it unitary; the matrix is
-    frozen in place, not copied or checked again. ``seed`` may be an int or
-    a Generator.
+    One ``_haar_isometries`` draw, checked unitary by ``_check_isometry``;
+    the matrix is frozen in place, not copied or checked again. ``seed`` may
+    be an int or a Generator.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    return UnitaryMatrix._trusted(_haar_isometries(np.random.default_rng(seed), 1, dim, dim)[0])
+    v, dev = _haar_isometries([np.random.default_rng(seed)], 1, dim, dim)
+    _check_isometry(dev[0])
+    return UnitaryMatrix._trusted(v[0, 0])

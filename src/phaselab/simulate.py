@@ -12,7 +12,11 @@ the zero Fourier state, which makes the purified state
 So every view is one computation: ``_evolve`` runs a dim x m matrix whose
 columns each carry one oracle phase, a query being a rank-1 update on the
 B = 1 slice along the eigenstate. The counter spectrum of the purified
-state is an FFT along the columns.
+state is an FFT along the columns. Haar-random trials that need no
+algorithm object run side by side in that same matrix, n label columns
+per trial: ``_haar_runs`` draws each trial's steps on its own generator,
+only on the columns they act on, and runs a whole chunk of trials as one
+``_evolve`` call, each trial's result bit for bit that of its own run.
 
 Success probabilities are computed exactly from amplitudes in all
 verification paths; sampling never enters these functions.
@@ -32,6 +36,7 @@ from .linalg import (
     RegisterLayout,
     StateVector,
     UnitaryMatrix,
+    _check_isometry,
     _haar_isometries,
     haar_random_unitary,
 )
@@ -245,26 +250,27 @@ def _query(cols: np.ndarray, layout: RegisterLayout, eigenstate, factor) -> np.n
     return t.reshape(cols.shape)
 
 
-def _evolve(cols, steps, exponents, layout, eigenstate, turns, snapshots=None) -> np.ndarray:
+def _evolve(cols, steps, exponents, layout, eigenstate, turns, snapshot=None) -> np.ndarray:
     """Apply steps[0], then each query followed by the next step, to the columns.
 
     ``turns(m)`` gives, in turns, the phase of every column's oracle raised
-    to the power m. When ``snapshots`` is a list, the counter spectrum of the
-    columns (one per label of an n-phase family) is appended after each step.
-    A step is anything that maps the columns with ``@``: a ``Step`` or a
+    to the power m; an exponent is any hashable value ``turns`` reads, such
+    as an int, or a tuple with one power per run for ``_haar_runs``. When
+    given, ``snapshot(cols)`` is called after each step. A step is anything
+    that maps the columns with ``@``: a ``Step``, an ``_IsometryStep`` or a
     dense matrix.
     """
     factors = {}
     steps = iter(steps)
     cols = next(steps) @ cols
-    if snapshots is not None:
-        snapshots.append(_spectrum(cols) / cols.shape[-1])
+    if snapshot is not None:
+        snapshot(cols)
     for m, step in zip(exponents, steps):
         if m not in factors:
             factors[m] = np.exp(2j * np.pi * turns(m)) - 1.0
         cols = step @ _query(cols, layout, eigenstate, factors[m])
-        if snapshots is not None:
-            snapshots.append(_spectrum(cols) / cols.shape[-1])
+        if snapshot is not None:
+            snapshot(cols)
     return cols
 
 
@@ -282,18 +288,18 @@ def _label_turns(labels, n):
     return lambda m: (labels * m % n) / n
 
 
-def _run(alg: QueryAlgorithm, eigenstate, turns, m: int, snapshots=None) -> np.ndarray:
+def _run(alg: QueryAlgorithm, eigenstate, turns, m: int, snapshot=None) -> np.ndarray:
     """The algorithm on m columns started at all-zeros; see ``_evolve``."""
     return _evolve(
-        _start(alg.layout, m), alg.steps, alg.exponents, alg.layout, eigenstate, turns, snapshots
+        _start(alg.layout, m), alg.steps, alg.exponents, alg.layout, eigenstate, turns, snapshot
     )
 
 
-def _run_labels(alg: QueryAlgorithm, family: PhaseOracleFamily, labels, snapshots=None):
+def _run_labels(alg: QueryAlgorithm, family: PhaseOracleFamily, labels, snapshot=None):
     """Column j is the fixed-label run of family member labels[j]."""
     _check_compatible(alg, family)
     turns = _label_turns(labels, family.n)
-    return _run(alg, family.eigenstate, turns, len(labels), snapshots)
+    return _run(alg, family.eigenstate, turns, len(labels), snapshot)
 
 
 def _label_success(cols: np.ndarray, layout: RegisterLayout) -> float:
@@ -328,7 +334,7 @@ def run_purified(alg: QueryAlgorithm, family: PhaseOracleFamily) -> StateVector:
 def run_purified_transcript(alg: QueryAlgorithm, family: PhaseOracleFamily) -> RunTranscript:
     """Purified run keeping a counter-spectrum snapshot after every query."""
     snaps = []
-    cols = _run_labels(alg, family, range(alg.n), snaps)
+    cols = _run_labels(alg, family, range(alg.n), lambda c: snaps.append(_spectrum(c) / alg.n))
     return RunTranscript(
         n=alg.n, q=alg.q, counter_weights=tuple(snaps),
         final_state=_purified_state(alg.layout, cols),
@@ -408,49 +414,91 @@ def haar_random_algorithm(
 
 
 class _IsometryStep:
-    """A Haar-random step drawn only on the columns it acts on.
+    """Haar-random steps drawn only on the columns they act on, one per run
+    of m columns side by side.
 
-    ``_IsometryStep(V) @ X`` for a dim x m column matrix X (m <= dim) is
-    V R_X, where X = Q_X R_X is a reduced QR; one exists even when X is rank
-    deficient, as the all-zeros start columns are. For V a Haar-random
-    isometry drawn independently of X, as ``_haar_isometries`` gives,
-    this has the law of U X for a fresh Haar-random unitary U on C^dim:
-    U X = (U Q_X) R_X, and U Q_X is a Haar-random isometry, the first m
-    columns of U W for any unitary W completing Q_X, with U W Haar by the
-    invariance of Haar measure (Mezzadri 2007, arXiv:math-ph/0609050). So a
-    run of such steps has the law of the same run on
-    ``haar_random_algorithm``, though a seed maps to different columns. A
-    step costs two thin QRs and an m x m check, not a dim x dim QR and a
-    dim x dim check.
+    ``_IsometryStep(V) @ X`` for V of shape (T, dim, m), or (dim, m) for
+    T = 1, and a dim x (T m) column matrix X maps run t's columns X_t
+    (m <= dim) to V_t R_t, where X_t = Q_t R_t is a reduced QR; one exists
+    even when X_t is rank deficient, as the all-zeros start columns are. For
+    V_t a Haar-random isometry drawn independently of X_t, as
+    ``_haar_isometries`` gives, this has the law of U X_t for a fresh
+    Haar-random unitary U on C^dim: U X_t = (U Q_t) R_t, and U Q_t is a
+    Haar-random isometry, the first m columns of U W for any unitary W
+    completing Q_t, with U W Haar by the invariance of Haar measure
+    (Mezzadri 2007, arXiv:math-ph/0609050). So a run of such steps has the
+    law of the same run on ``haar_random_algorithm``, though a seed maps to
+    different columns. Per run, a step costs two thin QRs (V_t's draw and
+    X_t's) and an m x m check, not a dim x dim QR and a dim x dim check; the
+    runs share one stacked QR and one stacked product, and run t's result
+    does not depend on the runs beside it, bit for bit.
     """
 
     def __init__(self, v: np.ndarray):
         self.v = v
 
     def __matmul__(self, cols: np.ndarray) -> np.ndarray:
-        return self.v @ np.linalg.qr(cols, mode="r")
+        dim, m = self.v.shape[-2:]
+        out = np.empty(cols.shape, dtype=np.complex128)
+        runs = cols.reshape(dim, -1, m).swapaxes(0, 1)  # (T, dim, m) views
+        r = np.linalg.qr(runs, mode="r")
+        np.matmul(self.v, r, out=out.reshape(dim, -1, m).swapaxes(0, 1))
+        return out
 
 
-def _haar_run(family: PhaseOracleFamily, exponents, rng, snapshots=None) -> np.ndarray:
-    """Label columns of a Haar-random algorithm on (O, B, W) querying with
-    ``exponents``, the isometries of its len(exponents) + 1 steps drawn at
-    once by ``_haar_isometries`` on ``rng``; column y is the fixed-label
-    run of member y, as in ``_run_labels``. For rows that need no algorithm
-    object."""
+# Most complex elements of isometries one ``_haar_runs`` chunk draws at
+# once (4 MB): n = 64 at q = 12 is one trial a chunk, not 25 trials' 85 MB.
+_CHUNK_ELEMENTS = 1 << 18
+
+
+def _haar_runs(family: PhaseOracleFamily, exponents, rngs, snapshots: bool = False):
+    """Haar-random algorithms on (O, B, W), run side by side; yields each
+    trial's result in order.
+
+    Trial t queries with ``exponents[t]`` (the same number q for every
+    trial) and draws the isometries of its q+1 steps at once by
+    ``_haar_isometries`` on ``rngs[t]``. It yields the trial's dim x n label
+    columns, column y the fixed-label run of member y as in ``_run_labels``,
+    or with ``snapshots`` its ``RunTranscript``. The trials go in chunks of
+    at most ``_CHUNK_ELEMENTS`` drawn elements, and a chunk is one ``_evolve``
+    run over dim x (T n) columns: its steps are ``_IsometryStep``s, and each
+    query has one factor per column, from that trial's exponent. A trial's
+    result does not depend on the trials beside it or on the chunking, bit
+    for bit. A trial whose draw fails ``_check_isometry`` raises
+    ``ValueError`` when its turn comes, after the trials before it.
+    """
     n = family.n
     layout = standard_layout(n, family.work_dim)
-    vs = _haar_isometries(rng, len(exponents) + 1, layout.total_dim, n)
-    steps = [_IsometryStep(v) for v in vs]
-    turns = _label_turns(range(n), n)
-    return _evolve(_start(layout, n), steps, exponents, layout, family.eigenstate, turns, snapshots)
+    dim = layout.total_dim
+    q = len(exponents[0])
+    size = max(1, _CHUNK_ELEMENTS // ((q + 1) * dim * n))
+    for lo in range(0, len(rngs), size):
+        batch = rngs[lo : lo + size]
+        powers = np.array(exponents[lo : lo + size], dtype=int).reshape(len(batch), q)
+        vs, dev = _haar_isometries(batch, q + 1, dim, n)
+        labels = np.tile(np.arange(n), len(batch))
+        snaps = []
 
+        def snapshot(cols):  # each trial's _spectrum(cols_t) / n, bit for bit: (T, n)
+            weights = np.abs(np.fft.fft(cols.reshape(dim, -1, n), axis=-1)) ** 2
+            snaps.append(weights.sum(axis=0) / n / n)
 
-def _haar_transcript(family: PhaseOracleFamily, exponents, rng) -> RunTranscript:
-    """``run_purified_transcript`` of the Haar-random run of ``_haar_run``."""
-    snaps = []
-    cols = _haar_run(family, exponents, rng, snaps)
-    layout = standard_layout(family.n, family.work_dim)
-    return RunTranscript(
-        n=family.n, q=len(exponents), counter_weights=tuple(snaps),
-        final_state=_purified_state(layout, cols),
-    )
+        cols = _evolve(
+            _start(layout, len(labels)),
+            [_IsometryStep(vs[:, j]) for j in range(q + 1)],
+            [tuple(m) for m in powers.T],
+            layout,
+            family.eigenstate,
+            lambda m: labels * np.repeat(m, n) % n / n,
+            snapshot if snapshots else None,
+        ).reshape(dim, -1, n)
+        del vs  # before the next chunk draws, while the trials are read
+        for t in range(len(batch)):
+            _check_isometry(dev[t])
+            if not snapshots:
+                yield cols[:, t]
+                continue
+            yield RunTranscript(
+                n=n, q=q, counter_weights=tuple(w[t] for w in snaps),
+                final_state=_purified_state(layout, cols[:, t]),
+            )

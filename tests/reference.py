@@ -10,6 +10,9 @@ permutations by re-indexing the amplitudes, never with ``Step @``. The dense
 ``kron`` construction of the optimal circuits lives here too. None of this
 shares code with the simulation kernel in ``phaselab.simulate`` or with the
 builders in ``phaselab.algorithms``, so agreement between them is evidence.
+The one exception is ``haar_trial`` at the end, the reference for how
+Haar trials are batched and chunked: it runs one trial through the
+kernel's ``_evolve``, drawing one step at a time.
 """
 
 import math
@@ -19,7 +22,8 @@ import numpy as np
 from phaselab.fourier import qft_matrix
 from phaselab.linalg import StateVector, UnitaryMatrix
 from phaselab.oracles import coherent_controlled_u, controlled_u
-from phaselab.simulate import COUNTER, OUTPUT
+from phaselab.fourier import _spectrum
+from phaselab.simulate import COUNTER, OUTPUT, _evolve, _label_turns, _start, standard_layout
 
 
 def zero_state(layout):
@@ -249,3 +253,34 @@ def search_environment(steps, family, slot):
             vec = oracle.conj().T @ (step.conj().T @ vec)
         g_cols.append(vec)
     return np.array(a_cols).T, np.array(g_cols).T
+
+
+class OneDraw:
+    """The Haar column step drawn one step at a time: the real, then the
+    imaginary part of one dim x m Gaussian per call, its QR with each column
+    of Q turned by the phase of its R diagonal entry, applied as V R_X."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def __matmul__(self, cols):
+        dim, m = cols.shape
+        z = self.rng.standard_normal((dim, m)) + 1j * self.rng.standard_normal((dim, m))
+        v, r = np.linalg.qr(z / np.sqrt(2))
+        d = np.diagonal(r)
+        return (v * (d / np.abs(d))) @ np.linalg.qr(cols, mode="r")
+
+
+def haar_trial(family, exponents, rng):
+    """One Haar column run on its own: ``OneDraw`` steps on ``rng`` through
+    ``_evolve`` on the n label columns. Returns the final columns and the
+    counter spectrum after every step."""
+    n = family.n
+    layout = standard_layout(n, family.work_dim)
+    steps = [OneDraw(rng)] * (len(exponents) + 1)
+    snaps = []
+    cols = _evolve(
+        _start(layout, n), steps, exponents, layout, family.eigenstate,
+        _label_turns(range(n), n), lambda c: snaps.append(_spectrum(c) / n),
+    )
+    return cols, snaps

@@ -22,7 +22,7 @@ from phaselab.algorithms import (
 from phaselab.experiments import _reduction_chain, adversarial_search, derive_seed
 from phaselab.oracles import PhaseInstance, default_family
 from phaselab.simulate import (
-    _haar_transcript,
+    _haar_runs,
     _run_labels,
     haar_random_algorithm,
     leakage_from_weights,
@@ -53,9 +53,10 @@ def report(num, label, ok, detail):
 def grid_sweep():
     """One pass over the shared grid of criteria 1 and 2.
 
-    For every (n, q) and 25 Haar-random algorithms, drawn on their label
-    columns: worst per-step counter leakage plus the exact success
-    probability read off the purified final state. A seeded subsample of
+    For every (n, q), 25 Haar-random algorithms drawn on their label
+    columns and run side by side by ``_haar_runs``: worst per-step counter
+    leakage plus the exact success probability read off the purified final
+    state. A seeded subsample of
     dense ``haar_random_algorithm``s cross-checks the kernel's fixed-label
     average against the dense coherent-oracle purified run of the tests
     reference, so the two success routes stay tied at 1e-9.
@@ -69,9 +70,10 @@ def grid_sweep():
         family = default_family(n)
         for q in _budgets(n):
             bound = (q + 1) / n
-            for trial in range(GRID_TRIALS):
-                seed = derive_seed(MASTER_SEED, "haar", n, q, trial)
-                tr = _haar_transcript(family, [1] * q, np.random.default_rng(seed))
+            seeds = [derive_seed(MASTER_SEED, "haar", n, q, t) for t in range(GRID_TRIALS)]
+            rngs = [np.random.default_rng(seed) for seed in seeds]
+            runs = _haar_runs(family, [[1] * q] * GRID_TRIALS, rngs, snapshots=True)
+            for trial, (seed, tr) in enumerate(zip(seeds, runs)):
                 leak = max(float(w[j + 1 :].sum()) for j, w in enumerate(tr.counter_weights))
                 observed = success_probability_purified(tr.final_state)
                 max_leakage = max(max_leakage, leak)
@@ -191,7 +193,7 @@ def test_criterion_6_counter_arithmetic():
     for _ in range(100):
         q = int(rng.integers(1, 13))
         exponents = [int(m) for m in rng.choice([1, -1, 2, 3, 5], size=q)]
-        tr = _haar_transcript(family, exponents, rng)
+        tr = next(_haar_runs(family, [exponents], [rng], snapshots=True))
         reach = reachable_counter_values(exponents, n)
         worst = max(
             worst,

@@ -268,6 +268,11 @@ def test_malformed_outside_input_exits_2(config, argv, tmp_path, monkeypatch, ca
         assert err.startswith("phaselab: configuration error")
 
 
+class NanGenerator:
+    def standard_normal(self, shape):
+        return np.full(shape, np.nan)
+
+
 class TestFailurePropagation:
     def test_verification_failure_exits_1(self, monkeypatch, capsys):
         def boom(cfg, jobs=None):
@@ -278,19 +283,42 @@ class TestFailurePropagation:
         assert "VERIFICATION FAILURE" in capsys.readouterr().err
 
     def test_failed_numerical_check_in_a_row_exits_1(self, monkeypatch, capsys):
-        class NanGenerator:
-            def standard_normal(self, shape):
-                return np.full(shape, np.nan)
-
         monkeypatch.setattr(
             simulate, "_haar_isometries",
-            lambda rng, count, dim, m: linalg._haar_isometries(NanGenerator(), count, dim, m),
+            lambda rngs, count, dim, m: linalg._haar_isometries(
+                [NanGenerator()] * len(rngs), count, dim, m
+            ),
         )
         with np.errstate(invalid="ignore"):
             assert cli.main(["verify-bound", "--n", "4", "--q", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("phaselab: VERIFICATION FAILURE: sampled isometry fails its check")
         assert "(n=4 q=1 kind=haar trial=0 seed=" in err
+
+    @pytest.mark.parametrize(
+        "command,kind", [("verify-bound", "haar"), ("verify-counter", "schedule")]
+    )
+    def test_failed_trial_of_a_batch_is_named(self, command, kind, monkeypatch, capsys):
+        # only trial 2's generator draws NaN; the trials batched beside it pass
+        n, q, trial, master = 4, 1, 2, 5
+        seed = experiments.derive_seed(master, kind, n, q, trial)
+        rng = np.random.default_rng(seed)
+        if kind == "schedule":
+            rng.choice(experiments._SCHEDULE_EXPONENTS, size=q)
+        target = rng.bit_generator.state  # the state the steps are drawn from
+        draw = linalg._haar_isometries
+
+        def nan_in_one(rngs, count, dim, m):
+            rngs = [NanGenerator() if r.bit_generator.state == target else r for r in rngs]
+            return draw(rngs, count, dim, m)
+
+        monkeypatch.setattr(simulate, "_haar_isometries", nan_in_one)
+        argv = [command, "--n", str(n), "--q", str(q), "--trials", "3", "--seed", str(master)]
+        with np.errstate(invalid="ignore"):
+            assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("phaselab: VERIFICATION FAILURE: sampled isometry fails its check")
+        assert f"(n=4 q=1 kind={kind} trial=2 seed={seed})" in err
 
     def test_leakage_over_budget_exits_1(self, monkeypatch, capsys):
         monkeypatch.setattr(experiments, "counter_leakage", lambda state, budget: 1e-6)

@@ -18,7 +18,16 @@ from phaselab.experiments import (
 from phaselab.algorithms import build_truncated_optimal
 from phaselab.linalg import UnitaryMatrix, haar_random_unitary
 from phaselab.oracles import FORWARD, default_family
-from phaselab.simulate import QueryAlgorithm, standard_layout, success_probability_average
+from phaselab.simulate import (
+    QueryAlgorithm,
+    _label_success,
+    _purified_state,
+    counter_leakage,
+    leakage_from_weights,
+    reachable_counter_values,
+    standard_layout,
+    success_probability_average,
+)
 
 
 def strip_wall_time(csv_text):
@@ -129,7 +138,7 @@ class TestBoundSweep:
         evolve = simulate._evolve
 
         def counted(*args, **kwargs):
-            calls.append(1)
+            calls.append(args[0].shape[-1])  # the columns this run evolves
             return evolve(*args, **kwargs)
 
         monkeypatch.setattr(simulate, "_evolve", counted)
@@ -137,7 +146,23 @@ class TestBoundSweep:
             kind="bound-sweep", n_values=(4,), q_values=(0, 2), trials=2, seed=1
         )
         result = run_experiment(cfg)
-        assert len(calls) == len(result.rows) == 6
+        assert len(result.rows) == 6
+        # per q: the optimal row's 4 label columns, then one batch of both
+        # Haar trials' 4 columns each; every row's columns evolve once
+        assert calls == [4, 8, 4, 8]
+
+    @pytest.mark.parametrize("trials", [1, 3, 7])
+    def test_haar_rows_match_one_run_per_trial(self, trials):
+        cfg = ExperimentConfig(
+            kind="bound-sweep", n_values=(8,), q_values=(0, 3), trials=trials, seed=7
+        )
+        rows = [r for r in run_experiment(cfg).rows if r.kind == "haar"]
+        assert [(r.q, r.trial) for r in rows] == [(q, t) for q in (0, 3) for t in range(trials)]
+        for r in rows:
+            assert r.seed == derive_seed(7, "haar", 8, r.q, r.trial)
+            assert (r.observed_probability, r.max_leakage) == haar_row_values(r)
+        for q in (0, 3):  # each row's time is its equal share of the batch
+            assert len({r.wall_time_ms for r in rows if r.q == q}) == 1
 
 
 class TestCounterScan:
@@ -153,12 +178,59 @@ class TestCounterScan:
             assert r.max_leakage <= 1e-10
             assert r.observed_probability == r.max_leakage
 
+    @pytest.mark.parametrize("trials", [1, 3, 7])
+    def test_rows_match_one_run_per_trial(self, trials):
+        cfg = ExperimentConfig(
+            kind="counter-scan", n_values=(12,), q_values=(0, 5), trials=trials, seed=5
+        )
+        rows = run_experiment(cfg).rows
+        want = [(0, t, "forward") for t in range(trials)]
+        want += [(5, t, kind) for t in range(trials) for kind in ("forward", "schedule")]
+        assert [(r.q, r.trial, r.kind) for r in rows] == want
+        for r in rows:
+            assert r.seed == derive_seed(5, r.kind, 12, r.q, r.trial)
+            leak = scan_row_leakage(r)
+            assert r.observed_probability == r.max_leakage == leak
+
     def test_larger_grid_stays_clean(self):
         cfg = ExperimentConfig(
             kind="counter-scan", n_values=(16,), q_values=(5,), trials=10, seed=3
         )
         result = run_experiment(cfg)
         assert all(r.max_leakage <= 1e-10 for r in result.rows)
+
+
+def test_chunked_batches_keep_every_row(monkeypatch):
+    # chunks of 2 trials: a 7-trial batch crosses three chunk boundaries
+    n, q = 8, 3
+    monkeypatch.setattr(simulate, "_CHUNK_ELEMENTS", 2 * (q + 1) * 4 * n * n)
+    for kind, check in (("bound-sweep", haar_row_values), ("counter-scan", scan_row_leakage)):
+        cfg = ExperimentConfig(kind=kind, n_values=(n,), q_values=(q,), trials=7, seed=3)
+        rows = [r for r in run_experiment(cfg).rows if r.kind != "optimal"]
+        assert len(rows) == 7 * (1 if kind == "bound-sweep" else 2)
+        for r in rows:
+            got = (r.observed_probability, r.max_leakage)
+            assert got == (check(r) if kind == "bound-sweep" else (check(r),) * 2)
+
+
+def haar_row_values(row):
+    """(observed, leakage) of a ``haar`` row, its trial run on its own."""
+    family, layout = default_family(row.n), standard_layout(row.n)
+    cols, _ = reference.haar_trial(family, [1] * row.q, np.random.default_rng(row.seed))
+    leak = counter_leakage(_purified_state(layout, cols), row.q)
+    return _label_success(cols, layout), leak
+
+
+def scan_row_leakage(row):
+    """Worst per-step leakage of a ``forward`` or ``schedule`` row, its trial
+    run on its own."""
+    rng = np.random.default_rng(row.seed)
+    exponents = [1] * row.q
+    if row.kind == "schedule":
+        exponents = [int(m) for m in rng.choice(experiments._SCHEDULE_EXPONENTS, size=row.q)]
+    _, snaps = reference.haar_trial(default_family(row.n), exponents, rng)
+    reach = reachable_counter_values(exponents, row.n)
+    return max(leakage_from_weights(w, allowed) for w, allowed in zip(snaps, reach))
 
 
 class TestAdversarialSearch:
@@ -376,6 +448,23 @@ class TestSerialization:
             "n", "q", "kind", "trial", "seed", "observed_probability",
             "bound_value", "gap", "max_leakage", "wall_time_ms",
         ]
+
+    def test_json_metadata_names_the_numeric_environment(self, result, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "changed after the first read")
+        env = json.loads(result.to_json())["metadata"]["environment"]
+        assert list(env) == [
+            "python", "numpy", "blas", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+            "MKL_NUM_THREADS", "platform",
+        ]
+        assert list(env["blas"]) == ["name", "version"]
+        assert env["numpy"] == np.__version__
+        # read once per process: later calls reuse it, and each result
+        # gets its own copy
+        result.metadata["environment"]["blas"]["name"] = "edited"
+        again = experiments._metadata(ExperimentConfig(kind="epr-check", n_values=(2,)))
+        assert again["environment"] == env
+        assert experiments._environment.cache_info().misses == 1
+        assert result.to_csv().split("\n")[0] == CSV_HEADER  # CSV carries no metadata
 
     def test_dispatch(self):
         cfg = ExperimentConfig(kind="epr-check", n_values=(2,), seed=0)

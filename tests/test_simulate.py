@@ -6,19 +6,22 @@ from phaselab.linalg import (
     RegisterLayout,
     StateVector,
     UnitaryMatrix,
+    _check_isometry,
     _haar_isometries,
     haar_random_unitary,
 )
+from phaselab import simulate
 from phaselab.oracles import FORWARD, PhaseInstance, default_family
 from phaselab.simulate import (
     QueryAlgorithm,
     RunTranscript,
     Step,
     _evolve,
-    _haar_run,
+    _haar_runs,
     _IsometryStep,
     _label_success,
     _label_turns,
+    _purified_state,
     _run_labels,
     _start,
     counter_leakage,
@@ -32,6 +35,7 @@ from phaselab.simulate import (
     success_probability_average,
     success_probability_purified,
 )
+import reference
 from reference import apply_to_registers, zero_state
 
 
@@ -386,26 +390,18 @@ class TestSuccessProbabilities:
             assert success_probability_average(alg, fam) <= (q + 1) / n + 1e-9
 
 
+def _isometries(rng, count, dim, m):
+    """``count`` checked isometries from one generator, (count, dim, m)."""
+    v, dev = _haar_isometries([rng], count, dim, m)
+    _check_isometry(dev[0])
+    return v[0]
+
+
 def _no_phase_fix(rng, count, dim, m):
     """The isometry draw with the QR phase fix left out: LAPACK leaves the
     R diagonal real but of either sign, so V's phases are biased."""
     g = rng.standard_normal((count, 2, dim, m))
     return np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))[0]
-
-
-class _OneDraw:
-    """The column sampler step drawn one step at a time: the real, then the
-    imaginary part of one dim x m Gaussian per call."""
-
-    def __init__(self, rng):
-        self.rng = rng
-
-    def __matmul__(self, cols):
-        dim, m = cols.shape
-        z = self.rng.standard_normal((dim, m)) + 1j * self.rng.standard_normal((dim, m))
-        v, r = np.linalg.qr(z / np.sqrt(2))
-        d = np.diagonal(r)
-        return (v * (d / np.abs(d))) @ np.linalg.qr(cols, mode="r")
 
 
 class _NanGenerator:
@@ -453,7 +449,7 @@ class TestHaarColumns:
         x = rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m))
         x /= np.linalg.norm(x, axis=0)
         for cols in (x, self.start(dim, m)):  # full rank, then rank 1
-            for v in _haar_isometries(rng, 10, dim, m):
+            for v in _isometries(rng, 10, dim, m):
                 y = _IsometryStep(v) @ cols
                 assert y.shape == cols.shape
                 np.testing.assert_allclose(
@@ -463,7 +459,7 @@ class TestHaarColumns:
     def test_first_and_second_moments_are_haar(self):
         # E[U X] = 0 and E[U X X† U†] = tr(X†X)/dim I
         x = self.columns(0)
-        ys = self.draws(_haar_isometries, x, 1)
+        ys = self.draws(_isometries, x, 1)
         assert _within(ys, 0.0)
         outer = np.einsum("kim,kjm->kij", ys, ys.conj())
         assert _within(outer, np.trace(x.conj().T @ x).real / self.DIM * np.eye(self.DIM))
@@ -476,15 +472,14 @@ class TestHaarColumns:
         # a bound-sweep haar row's success over 20,000 seeds; the last step
         # is Haar, so on average every label's outcome is uniform
         family, layout = default_family(n), standard_layout(n)
-        p = np.array([
-            _label_success(_haar_run(family, [1] * q, np.random.default_rng(seed)), layout)
-            for seed in range(self.DRAWS)
-        ])
+        rngs = [np.random.default_rng(seed) for seed in range(self.DRAWS)]
+        runs = _haar_runs(family, [[1] * q] * len(rngs), rngs)
+        p = np.array([_label_success(cols, layout) for cols in runs])
         assert abs(p.mean() - 1 / n) <= 4 * p.std() / np.sqrt(len(p))
 
     def test_failed_isometry_check_raises(self):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="isometry fails"):
-            _haar_isometries(_NanGenerator(), 1, 8, 2)
+            _isometries(_NanGenerator(), 1, 8, 2)
 
     @pytest.mark.parametrize(
         "n,exponents",
@@ -496,10 +491,54 @@ class TestHaarColumns:
         family, layout = default_family(n), standard_layout(n)
         turns = _label_turns(range(n), n)
         for seed in range(3):
-            steps = [_OneDraw(np.random.default_rng(seed))] * (len(exponents) + 1)
+            steps = [reference.OneDraw(np.random.default_rng(seed))] * (len(exponents) + 1)
             want = _evolve(_start(layout, n), steps, exponents, layout, family.eigenstate, turns)
-            got = _haar_run(family, exponents, np.random.default_rng(seed))
+            got = next(_haar_runs(family, [exponents], [np.random.default_rng(seed)]))
             assert np.array_equal(got, want)
+
+    @staticmethod
+    def schedules(trials, q):
+        return [
+            [int(m) for m in np.random.default_rng(t).choice([1, -1, 2, 3, 5], size=q)]
+            for t in range(trials)
+        ]
+
+    @staticmethod
+    def assert_trials_match(family, exponents, seeds):
+        """Each trial of a batch, columns and transcript, equals its run on
+        its own generator, bit for bit."""
+        layout = standard_layout(family.n)
+        cols = _haar_runs(family, exponents, [np.random.default_rng(s) for s in seeds])
+        trs = _haar_runs(family, exponents, [np.random.default_rng(s) for s in seeds], True)
+        got = list(zip(cols, trs))
+        assert len(got) == len(seeds)
+        for (c, tr), e, s in zip(got, exponents, seeds):
+            want, snaps = reference.haar_trial(family, e, np.random.default_rng(s))
+            assert np.array_equal(c, want)
+            assert len(tr.counter_weights) == len(snaps)
+            assert all(np.array_equal(a, b) for a, b in zip(tr.counter_weights, snaps))
+            assert np.array_equal(tr.final_state.amps, _purified_state(layout, want).amps)
+
+    @pytest.mark.parametrize("trials", [1, 3, 7])
+    def test_each_trial_of_a_batch_is_its_own_run(self, trials):
+        # forward and per-trial mixed schedules side by side
+        family = default_family(12)
+        self.assert_trials_match(family, [[1] * 4] * trials, range(trials))
+        self.assert_trials_match(family, self.schedules(trials, 5), range(20, 20 + trials))
+
+    def test_chunks_do_not_change_a_trial(self, monkeypatch):
+        n, q, trials = 8, 3, 7
+        sizes = []
+        draw = simulate._haar_isometries
+
+        def counted(rngs, count, dim, m):
+            sizes.append(len(rngs))
+            return draw(rngs, count, dim, m)
+
+        monkeypatch.setattr(simulate, "_haar_isometries", counted)
+        monkeypatch.setattr(simulate, "_CHUNK_ELEMENTS", 2 * (q + 1) * 4 * n * n)
+        self.assert_trials_match(default_family(n), self.schedules(trials, q), range(trials))
+        assert sizes == [2, 2] * 3 + [1, 1]  # chunks of columns and transcripts, read in turn
 
     def test_failed_isometry_check_raises_on_a_batched_run(self):
         # only the last step's draw is NaN: every V of the batch is checked
@@ -510,8 +549,8 @@ class TestHaarColumns:
                 return g
 
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="isometry fails"):
-            _haar_run(default_family(4), [1, 1], LastNan())
+            list(_haar_runs(default_family(4), [[1, 1]], [LastNan()]))
 
     def test_more_columns_than_rows_rejected(self):
         with pytest.raises(ValueError, match="more columns than rows"):
-            _haar_isometries(np.random.default_rng(0), 1, 3, 4)
+            _haar_isometries([np.random.default_rng(0)], 1, 3, 4)
