@@ -51,7 +51,6 @@ from .simulate import (
     counter_leakage,
     haar_random_algorithm,
     reachable_counter_values,
-    run_fixed_phase,
     run_purified,
     run_purified_transcript,
     standard_layout,

@@ -20,7 +20,8 @@ from .simulate import (
     WORK,
     QueryAlgorithm,
     Step,
-    run_fixed_phase,
+    _check_spectra,
+    _run,
     standard_layout,
 )
 
@@ -98,7 +99,10 @@ def cemm_on_continuous_phase(inst: PhaseInstance, n: int) -> np.ndarray:
     if n < 2:
         raise ValueError(f"grid size must be >= 2, got {n}")
     alg = build_cemm(n, eigenstate=inst.eigenstate)
-    return _outcome_weights(run_fixed_phase(alg, inst).amps[:, None], alg.layout)[:, 0]
+    cols = _run(alg, inst.eigenstate, lambda m: np.array([inst.theta * m]), 1)
+    weights = _outcome_weights(cols, alg.layout)[:, 0]
+    _check_spectra([weights])  # they sum to the squared norm of the final state
+    return weights
 
 
 def _outcome_weights(cols: np.ndarray, layout: RegisterLayout) -> np.ndarray:

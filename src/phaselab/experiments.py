@@ -41,19 +41,18 @@ from .simulate import (
     COUNTER,
     OUTPUT,
     QueryAlgorithm,
+    _check_spectra,
+    _counter_spectra,
     _evolve,
     _haar_runs,
     _label_success,
     _label_turns,
-    _purified_state,
     _query,
     _run,
     _run_labels,
     _start,
-    counter_leakage,
     leakage_from_weights,
     reachable_counter_values,
-    run_purified,
     standard_layout,
     success_probability_purified,
 )
@@ -327,6 +326,14 @@ def _share_time(rows: list[ResultRow]) -> list[ResultRow]:
     return [replace(r, wall_time_ms=ms) for r in rows]
 
 
+def _checked_labels(alg: QueryAlgorithm) -> tuple[np.ndarray, np.ndarray]:
+    """The label columns of ``alg`` on the default family and their checked (1, n) spectrum."""
+    cols = _run_labels(alg, default_family(alg.n), range(alg.n))
+    spectra = _counter_spectra(cols, alg.n)
+    _check_spectra(spectra)
+    return cols, spectra
+
+
 def _bound_sweep_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]:
     """The saturating algorithm plus ``trials`` Haar-random ones, run side by
     side on their label columns by ``_haar_runs``; every row must satisfy
@@ -335,11 +342,12 @@ def _bound_sweep_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]:
     layout = standard_layout(n)
     bound = (q + 1) / n
 
-    def measure(cols):
-        return _label_success(cols, layout), counter_leakage(_purified_state(layout, cols), q)
+    def measure(run):
+        cols, spectra = run
+        return _label_success(cols, layout), leakage_from_weights(spectra[-1], range(q + 1))
 
     def optimal():
-        return measure(_run_labels(build_truncated_optimal(n, q), family, range(n)))
+        return measure(_checked_labels(build_truncated_optimal(n, q)))
 
     seed = derive_seed(cfg.seed, "optimal", n, q, 0)
     rows = [_row("optimal", n, q, 0, seed, bound, optimal)]
@@ -373,14 +381,12 @@ def _counter_scan_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]
         exponents = [[1] * q] * len(rngs)
         if kind == "schedule":
             exponents = [[int(m) for m in rng.choice(_SCHEDULE_EXPONENTS, size=q)] for rng in rngs]
-        runs = zip(exponents, _haar_runs(family, exponents, rngs, snapshots=True))
+        runs = zip(exponents, _haar_runs(family, exponents, rngs))
 
         def measure(runs=runs):
-            exps, tr = next(runs)
+            exps, (_, spectra) = next(runs)
             reach = reachable_counter_values(exps, n)
-            leak = max(
-                leakage_from_weights(w, allowed) for w, allowed in zip(tr.counter_weights, reach)
-            )
+            leak = max(leakage_from_weights(w, allowed) for w, allowed in zip(spectra, reach))
             return leak, leak
 
         scans.append((kind, seeds, measure))
@@ -444,13 +450,7 @@ def _sweep(steps: list, family: PhaseOracleFamily) -> float:
     return _label_success(steps[-1] @ a, layout)
 
 
-def adversarial_search(
-    n: int,
-    q: int,
-    iterations: int,
-    seed,
-    initial: QueryAlgorithm | None = None,
-) -> tuple[float, QueryAlgorithm]:
+def adversarial_search(n: int, q: int, iterations: int, seed) -> tuple[float, QueryAlgorithm]:
     """Local search for the most successful q-query algorithm.
 
     Haar restarts plus slot-wise re-optimization: the success functional is
@@ -483,15 +483,8 @@ def adversarial_search(
     best_p = -1.0
     best_steps = None
     done = 0
-    use_initial = initial is not None
     while done < iterations:
-        if use_initial:
-            if initial.layout != layout or initial.q != q:
-                raise ValueError("initial algorithm does not match the search space")
-            steps = [s @ np.eye(dim, dtype=np.complex128) for s in initial.steps]
-            use_initial = False
-        else:
-            steps = [haar_random_unitary(dim, rng).matrix for _ in range(q + 1)]
+        steps = [haar_random_unitary(dim, rng).matrix for _ in range(q + 1)]
         prev = success(steps)
         if prev > best_p:
             best_p, best_steps = prev, [s.copy() for s in steps]
@@ -520,7 +513,8 @@ def _stress_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]:
 
     def measure():
         best, alg = adversarial_search(n, q, cfg.trials, seed)
-        return best, counter_leakage(run_purified(alg, default_family(n)), q)
+        _, spectra = _checked_labels(alg)
+        return best, leakage_from_weights(spectra[-1], range(q + 1))
 
     return [_row("adversarial", n, q, 0, seed, (q + 1) / n, measure)]
 

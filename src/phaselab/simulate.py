@@ -11,12 +11,13 @@ the zero Fourier state, which makes the purified state
 
 So every view is one computation: ``_evolve`` runs a dim x m matrix whose
 columns each carry one oracle phase, a query being a rank-1 update on the
-B = 1 slice along the eigenstate. The counter spectrum of the purified
-state is an FFT along the columns. Haar-random trials that need no
-algorithm object run side by side in that same matrix, n label columns
-per trial: ``_haar_runs`` draws each trial's steps on its own generator,
-only on the columns they act on, and runs a whole chunk of trials as one
-``_evolve`` call, each trial's result bit for bit that of its own run.
+B = 1 slice along the eigenstate. ``_counter_spectra`` reads the counter
+spectrum straight off the label columns as an FFT along them, and
+``_check_spectra`` checks once that it sums to 1. Haar-random trials that
+need no algorithm object run side by side in that same matrix, n label
+columns per trial: ``_haar_runs`` draws each trial's steps on its own
+generator, only on the columns they act on, and runs a whole chunk of
+trials as one ``_evolve`` call, each trial bit for bit its own run.
 
 Success probabilities are computed exactly from amplitudes in all
 verification paths; sampling never enters these functions.
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import _spectrum, fourier_weights
+from .fourier import fourier_weights
 from .linalg import (
     RegisterLayout,
     StateVector,
@@ -40,7 +41,7 @@ from .linalg import (
     _haar_isometries,
     haar_random_unitary,
 )
-from .oracles import FORWARD, PhaseInstance, PhaseOracleFamily
+from .oracles import FORWARD, PhaseOracleFamily
 
 OUTPUT = "O"
 CONTROL = "B"
@@ -202,10 +203,25 @@ class RunTranscript:
     def __post_init__(self):
         if len(self.counter_weights) != self.q + 1:
             raise ValueError(f"expected {self.q + 1} snapshots, got {len(self.counter_weights)}")
-        for j, w in enumerate(self.counter_weights):
-            total = float(np.sum(w))
-            if not abs(total - 1.0) <= 1e-9:  # NaN fails too
-                raise ValueError(f"snapshot {j} weights sum to {total}, expected 1")
+        _check_spectra(self.counter_weights)
+
+
+def _counter_spectra(cols: np.ndarray, n: int) -> np.ndarray:
+    """Counter weights of each run of n label columns side by side in a
+    dim x (T n) matrix, shape (T, n): run t's purified state is its columns
+    over sqrt(n), and its weights are ``_spectrum(cols_t) / n`` bit for bit."""
+    weights = np.abs(np.fft.fft(cols.reshape(cols.shape[0], -1, n), axis=-1)) ** 2
+    return weights.sum(axis=0) / n / n
+
+
+def _check_spectra(spectra) -> None:
+    """Raise ``ValueError`` unless each spectrum, ``spectra[j]`` after j
+    queries, sums to 1 within 1e-9; NaN and Inf fail."""
+    totals = np.sum(spectra, axis=-1)
+    ok = np.abs(totals - 1.0) <= 1e-9  # NaN and Inf compare False
+    if not ok.all():
+        j = int(np.argmin(ok))
+        raise ValueError(f"snapshot {j} weights sum to {float(totals[j])}, expected 1")
 
 
 def _check_compatible(alg: QueryAlgorithm, family: PhaseOracleFamily) -> None:
@@ -309,16 +325,6 @@ def _label_success(cols: np.ndarray, layout: RegisterLayout) -> float:
     return float(np.sum(np.abs(diag) ** 2)) / cols.shape[-1]
 
 
-def run_fixed_phase(alg: QueryAlgorithm, inst: PhaseInstance) -> StateVector:
-    """Final state when the oracle is a continuous-phase unitary."""
-    if alg.work_dim != inst.work_dim:
-        raise ValueError(
-            f"work register has dimension {alg.work_dim}, instance acts on {inst.work_dim}"
-        )
-    cols = _run(alg, inst.eigenstate, lambda m: np.array([inst.theta * m]), 1)
-    return StateVector(alg.layout, cols[:, 0])
-
-
 def _purified_state(layout: RegisterLayout, cols: np.ndarray) -> StateVector:
     """The purified state of n label columns over ``layout``."""
     # C is the least significant register, so column y is the C = y slice
@@ -334,7 +340,9 @@ def run_purified(alg: QueryAlgorithm, family: PhaseOracleFamily) -> StateVector:
 def run_purified_transcript(alg: QueryAlgorithm, family: PhaseOracleFamily) -> RunTranscript:
     """Purified run keeping a counter-spectrum snapshot after every query."""
     snaps = []
-    cols = _run_labels(alg, family, range(alg.n), lambda c: snaps.append(_spectrum(c) / alg.n))
+    cols = _run_labels(
+        alg, family, range(alg.n), lambda c: snaps.append(_counter_spectra(c, alg.n)[0])
+    )
     return RunTranscript(
         n=alg.n, q=alg.q, counter_weights=tuple(snaps),
         final_state=_purified_state(alg.layout, cols),
@@ -451,20 +459,20 @@ class _IsometryStep:
 _CHUNK_ELEMENTS = 1 << 18
 
 
-def _haar_runs(family: PhaseOracleFamily, exponents, rngs, snapshots: bool = False):
+def _haar_runs(family: PhaseOracleFamily, exponents, rngs):
     """Haar-random algorithms on (O, B, W), run side by side; yields each
-    trial's result in order.
+    trial's dim x n label columns, as in ``_run_labels``, and its (q+1, n)
+    counter spectra, row j after j queries, in trial order.
 
     Trial t queries with ``exponents[t]`` (the same number q for every
     trial) and draws the isometries of its q+1 steps at once by
-    ``_haar_isometries`` on ``rngs[t]``. It yields the trial's dim x n label
-    columns, column y the fixed-label run of member y as in ``_run_labels``,
-    or with ``snapshots`` its ``RunTranscript``. The trials go in chunks of
-    at most ``_CHUNK_ELEMENTS`` drawn elements, and a chunk is one ``_evolve``
-    run over dim x (T n) columns: its steps are ``_IsometryStep``s, and each
-    query has one factor per column, from that trial's exponent. A trial's
-    result does not depend on the trials beside it or on the chunking, bit
-    for bit. A trial whose draw fails ``_check_isometry`` raises
+    ``_haar_isometries`` on ``rngs[t]``. The trials go in chunks of at most
+    ``_CHUNK_ELEMENTS`` drawn elements, and a chunk is one ``_evolve`` run
+    over dim x (T n) columns: its steps are ``_IsometryStep``s, each query
+    has one factor per column, from that trial's exponent, and
+    ``_counter_spectra`` reads the spectra after each step. A trial's result
+    does not depend on the trials beside it or on the chunking, bit for bit.
+    A trial that fails ``_check_isometry`` or ``_check_spectra`` raises
     ``ValueError`` when its turn comes, after the trials before it.
     """
     n = family.n
@@ -478,11 +486,6 @@ def _haar_runs(family: PhaseOracleFamily, exponents, rngs, snapshots: bool = Fal
         vs, dev = _haar_isometries(batch, q + 1, dim, n)
         labels = np.tile(np.arange(n), len(batch))
         snaps = []
-
-        def snapshot(cols):  # each trial's _spectrum(cols_t) / n, bit for bit: (T, n)
-            weights = np.abs(np.fft.fft(cols.reshape(dim, -1, n), axis=-1)) ** 2
-            snaps.append(weights.sum(axis=0) / n / n)
-
         cols = _evolve(
             _start(layout, len(labels)),
             [_IsometryStep(vs[:, j]) for j in range(q + 1)],
@@ -490,15 +493,11 @@ def _haar_runs(family: PhaseOracleFamily, exponents, rngs, snapshots: bool = Fal
             layout,
             family.eigenstate,
             lambda m: labels * np.repeat(m, n) % n / n,
-            snapshot if snapshots else None,
+            lambda c: snaps.append(_counter_spectra(c, n)),
         ).reshape(dim, -1, n)
         del vs  # before the next chunk draws, while the trials are read
+        spectra = np.stack(snaps, axis=1)  # (T, q+1, n)
         for t in range(len(batch)):
             _check_isometry(dev[t])
-            if not snapshots:
-                yield cols[:, t]
-                continue
-            yield RunTranscript(
-                n=n, q=q, counter_weights=tuple(w[t] for w in snaps),
-                final_state=_purified_state(layout, cols[:, t]),
-            )
+            _check_spectra(spectra[t])
+            yield cols[:, t], spectra[t]

@@ -23,11 +23,13 @@ from phaselab.experiments import _reduction_chain, adversarial_search, derive_se
 from phaselab.oracles import PhaseInstance, default_family
 from phaselab.simulate import (
     _haar_runs,
+    _purified_state,
     _run_labels,
     haar_random_algorithm,
     leakage_from_weights,
     reachable_counter_values,
     run_purified,
+    standard_layout,
     success_probability_average,
     success_probability_purified,
 )
@@ -67,15 +69,15 @@ def grid_sweep():
     max_consistency_gap = 0.0
     rows = 0
     for n in GRID_N:
-        family = default_family(n)
+        family, layout = default_family(n), standard_layout(n)
         for q in _budgets(n):
             bound = (q + 1) / n
             seeds = [derive_seed(MASTER_SEED, "haar", n, q, t) for t in range(GRID_TRIALS)]
             rngs = [np.random.default_rng(seed) for seed in seeds]
-            runs = _haar_runs(family, [[1] * q] * GRID_TRIALS, rngs, snapshots=True)
-            for trial, (seed, tr) in enumerate(zip(seeds, runs)):
-                leak = max(float(w[j + 1 :].sum()) for j, w in enumerate(tr.counter_weights))
-                observed = success_probability_purified(tr.final_state)
+            runs = _haar_runs(family, [[1] * q] * GRID_TRIALS, rngs)
+            for trial, (seed, (cols, spectra)) in enumerate(zip(seeds, runs)):
+                leak = max(float(w[j + 1 :].sum()) for j, w in enumerate(spectra))
+                observed = success_probability_purified(_purified_state(layout, cols))
                 max_leakage = max(max_leakage, leak)
                 max_deficit = max(max_deficit, observed - bound)
                 rows += 1
@@ -193,12 +195,9 @@ def test_criterion_6_counter_arithmetic():
     for _ in range(100):
         q = int(rng.integers(1, 13))
         exponents = [int(m) for m in rng.choice([1, -1, 2, 3, 5], size=q)]
-        tr = next(_haar_runs(family, [exponents], [rng], snapshots=True))
+        _, spectra = next(_haar_runs(family, [exponents], [rng]))
         reach = reachable_counter_values(exponents, n)
-        worst = max(
-            worst,
-            max(leakage_from_weights(w, s) for w, s in zip(tr.counter_weights, reach)),
-        )
+        worst = max(worst, max(leakage_from_weights(w, s) for w, s in zip(spectra, reach)))
     ok = worst <= LEAK_TOL
     report(
         6,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import reference
+from phaselab import algorithms
 from phaselab.algorithms import (
     _control_flip,
     _epr_computational,
@@ -199,6 +200,13 @@ class TestContinuousPhase:
         n = 8
         dist = cemm_on_continuous_phase(PhaseInstance(theta=3 / n, eigenstate=[1, 0]), n)
         assert dist[3] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("scale", [1 + 1e-6, np.nan])
+    def test_off_norm_run_rejected(self, scale, monkeypatch):
+        run = algorithms._run
+        monkeypatch.setattr(algorithms, "_run", lambda *args: run(*args) * scale)
+        with pytest.raises(ValueError, match="weights sum to"):
+            cemm_on_continuous_phase(PhaseInstance(theta=0.3, eigenstate=[1, 0]), 8)
 
     def test_distribution_matches_closed_form(self):
         n, theta = 8, 0.3

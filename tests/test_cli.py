@@ -320,7 +320,32 @@ class TestFailurePropagation:
         assert err.startswith("phaselab: VERIFICATION FAILURE: sampled isometry fails its check")
         assert f"(n=4 q=1 kind={kind} trial=2 seed={seed})" in err
 
+    @pytest.mark.parametrize(
+        "command,kind", [("verify-bound", "haar"), ("verify-counter", "forward")]
+    )
+    def test_off_norm_trial_of_a_batch_is_named(self, command, kind, monkeypatch, capsys):
+        # trial 2's columns scaled by 1 + 1e-6 in the first Haar step: its
+        # counter spectrum sums to ~1 + 2e-6, and its own row fails
+        n, q, master = 4, 1, 5
+        apply = simulate._IsometryStep.__matmul__
+        planted = []
+
+        def scaled(step, cols):
+            out = apply(step, cols)
+            if not planted:
+                planted.append(True)
+                out.reshape(out.shape[0], -1, n)[:, 2] *= 1 + 1e-6
+            return out
+
+        monkeypatch.setattr(simulate._IsometryStep, "__matmul__", scaled)
+        argv = [command, "--n", str(n), "--q", str(q), "--trials", "3", "--seed", str(master)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("phaselab: VERIFICATION FAILURE: ")
+        seed = experiments.derive_seed(master, kind, n, q, 2)
+        assert f"(n=4 q=1 kind={kind} trial=2 seed={seed})" in err
+
     def test_leakage_over_budget_exits_1(self, monkeypatch, capsys):
-        monkeypatch.setattr(experiments, "counter_leakage", lambda state, budget: 1e-6)
+        monkeypatch.setattr(experiments, "leakage_from_weights", lambda weights, allowed: 1e-6)
         assert cli.main(["verify-bound", "--n", "4", "--q", "1", "--trials", "1"]) == 1
         assert "counter leakage 1e-06 exceeds budget" in capsys.readouterr().err

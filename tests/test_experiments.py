@@ -21,8 +21,6 @@ from phaselab.oracles import FORWARD, default_family
 from phaselab.simulate import (
     QueryAlgorithm,
     _label_success,
-    _purified_state,
-    counter_leakage,
     leakage_from_weights,
     reachable_counter_values,
     standard_layout,
@@ -93,9 +91,20 @@ class TestGuards:
         with pytest.raises(VerificationError, match="leakage"):
             _guard(bad)
 
+    @pytest.mark.parametrize(
+        "kind,row", [("bound-sweep", "optimal"), ("random-stress", "adversarial")]
+    )
+    def test_off_norm_label_run_fails_its_row(self, kind, row, monkeypatch):
+        # the spectrum sum check on an algorithm's own label columns
+        run = experiments._run_labels
+        monkeypatch.setattr(experiments, "_run_labels", lambda *args: run(*args) * (1 + 1e-6))
+        cfg = ExperimentConfig(kind=kind, n_values=(4,), q_values=(1,), trials=1, seed=3)
+        with pytest.raises(VerificationError, match=f"weights sum to .* kind={row} trial=0"):
+            run_experiment(cfg)
+
     @pytest.mark.parametrize("kind", ["bound-sweep", "random-stress"])
     def test_every_kind_checks_leakage(self, kind, monkeypatch):
-        monkeypatch.setattr(experiments, "counter_leakage", lambda state, budget: 1e-6)
+        monkeypatch.setattr(experiments, "leakage_from_weights", lambda weights, allowed: 1e-6)
         cfg = ExperimentConfig(kind=kind, n_values=(2,), q_values=(1,), trials=2, seed=3)
         with pytest.raises(VerificationError, match="counter leakage 1e-06 exceeds budget"):
             run_experiment(cfg)
@@ -216,9 +225,8 @@ def test_chunked_batches_keep_every_row(monkeypatch):
 def haar_row_values(row):
     """(observed, leakage) of a ``haar`` row, its trial run on its own."""
     family, layout = default_family(row.n), standard_layout(row.n)
-    cols, _ = reference.haar_trial(family, [1] * row.q, np.random.default_rng(row.seed))
-    leak = counter_leakage(_purified_state(layout, cols), row.q)
-    return _label_success(cols, layout), leak
+    cols, snaps = reference.haar_trial(family, [1] * row.q, np.random.default_rng(row.seed))
+    return _label_success(cols, layout), leakage_from_weights(snaps[-1], range(row.q + 1))
 
 
 def scan_row_leakage(row):
@@ -244,9 +252,11 @@ class TestAdversarialSearch:
         assert 0.45 <= best <= 0.5 + 1e-9
 
     def test_never_improves_past_bound_from_optimal_start(self):
-        initial = build_truncated_optimal(4, 1)
-        best, _ = adversarial_search(4, 1, iterations=10, seed=2, initial=initial)
-        assert 0.5 - 1e-9 <= best <= 0.5 + 1e-9
+        # the search's sweep, started at the saturating algorithm's dense steps
+        alg = build_truncated_optimal(4, 1)
+        steps = [s @ np.eye(alg.layout.total_dim, dtype=np.complex128) for s in alg.steps]
+        for _ in range(10):
+            assert 0.5 - 1e-9 <= experiments._sweep(steps, default_family(4)) <= 0.5 + 1e-9
 
     @pytest.mark.parametrize("n, q, iterations, seed", [(2, 1, 5, 3), (4, 2, 4, 8), (8, 3, 3, 1)])
     def test_best_is_the_returned_algorithms_success(self, n, q, iterations, seed):

@@ -23,11 +23,11 @@ from phaselab.simulate import (
     QueryAlgorithm,
     Step,
     _query,
+    _run,
     _run_labels,
     counter_leakage,
     leakage_from_weights,
     reachable_counter_values,
-    run_fixed_phase,
     run_purified,
     run_purified_transcript,
     success_probability_average,
@@ -81,8 +81,8 @@ def check_against_reference(alg, family, theta):
         )
     inst = PhaseInstance(theta=theta, eigenstate=family.eigenstate)
     np.testing.assert_allclose(
-        run_fixed_phase(alg, inst).amps, reference.run_fixed_phase(alg, inst).amps,
-        rtol=0, atol=TOL,
+        _run(alg, inst.eigenstate, lambda m: np.array([theta * m]), 1)[:, 0],
+        reference.run_fixed_phase(alg, inst).amps, rtol=0, atol=TOL,
     )
 
     ref_state, ref_snaps = reference.purified_run(alg, family)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phaselab.fourier import fourier_weights, qft_matrix
+from phaselab.fourier import _spectrum, fourier_weights, qft_matrix
 from phaselab.linalg import (
     RegisterLayout,
     StateVector,
@@ -16,19 +16,20 @@ from phaselab.simulate import (
     QueryAlgorithm,
     RunTranscript,
     Step,
+    _check_spectra,
+    _counter_spectra,
     _evolve,
     _haar_runs,
     _IsometryStep,
     _label_success,
     _label_turns,
-    _purified_state,
+    _run,
     _run_labels,
     _start,
     counter_leakage,
     haar_random_algorithm,
     leakage_from_weights,
     reachable_counter_values,
-    run_fixed_phase,
     run_purified,
     run_purified_transcript,
     standard_layout,
@@ -199,25 +200,29 @@ class TestRunFixedY:
             assert abs(out.norm - 1.0) < 1e-9
 
 
+def run_phase(alg, inst):
+    """The kernel's final state for the continuous-phase oracle of ``inst``."""
+    return _run(alg, inst.eigenstate, lambda m: np.array([inst.theta * m]), 1)[:, 0]
+
+
 class TestRunFixedPhase:
     def test_inverse_query_undoes_forward(self):
         # raise the control, query V then V^-1: the state returns to |0,1,0>
         n = 4
         steps = (embed_on_control(n, X2), identity_step(n), identity_step(n))
         alg = QueryAlgorithm(n, standard_layout(n), steps, (1, -1))
-        out = run_fixed_phase(alg, PhaseInstance(theta=0.3, eigenstate=np.array([1, 0])))
+        inst = PhaseInstance(theta=0.3, eigenstate=np.array([1, 0]))
         expected = np.zeros(alg.layout.total_dim)
         expected[2] = 1.0
-        np.testing.assert_allclose(out.amps, expected, atol=1e-12)
+        np.testing.assert_allclose(run_phase(alg, inst), expected, atol=1e-12)
+        np.testing.assert_allclose(reference.run_fixed_phase(alg, inst).amps, expected, atol=1e-12)
 
     def test_grid_phase_matches_fixed_label(self):
         n = 6
         alg = haar_random_algorithm(n, 3, seed=21, exponents=(1, -1, 8))
         fam = default_family(n)
         inst = PhaseInstance(theta=5 / n, eigenstate=fam.eigenstate)
-        np.testing.assert_allclose(
-            run_fixed_phase(alg, inst).amps, run_fixed_y(alg, fam, 5).amps, atol=1e-12
-        )
+        np.testing.assert_allclose(run_phase(alg, inst), run_fixed_y(alg, fam, 5).amps, atol=1e-12)
 
 
 class TestRunPurified:
@@ -342,6 +347,39 @@ class TestTranscript:
         fam = default_family(n)
         tr = run_purified_transcript(alg, fam)
         np.testing.assert_allclose(tr.final_state.amps, run_purified(alg, fam).amps)
+
+
+class TestSpectra:
+    @pytest.mark.parametrize("n", [2, 3, 8, 12, 16, 64])
+    def test_runs_side_by_side_are_each_their_own(self, n):
+        # run t's weights are _spectrum(cols_t) / n bit for bit, also at T = 1
+        rng = np.random.default_rng(n)
+        runs = rng.standard_normal((3, 4 * n, n)) + 1j * rng.standard_normal((3, 4 * n, n))
+        cols = np.concatenate(list(runs), axis=1)
+        assert np.array_equal(_counter_spectra(runs[0], n), [_spectrum(runs[0]) / n])
+        got = _counter_spectra(cols, n)
+        assert got.shape == (3, n)
+        for w, run in zip(got, runs):
+            assert np.array_equal(w, _spectrum(run) / n)
+
+    def test_one_run_is_the_purified_spectrum(self):
+        n, q = 8, 3
+        alg = haar_random_algorithm(n, q, seed=4)
+        fam = default_family(n)
+        (w,) = _counter_spectra(_run_labels(alg, fam, range(n)), n)
+        np.testing.assert_allclose(w, fourier_weights(run_purified(alg, fam), "C"), atol=1e-15)
+
+    @pytest.mark.parametrize("total", [np.nan, np.inf, -np.inf, 1 + 2e-9, 1 - 2e-9])
+    def test_check_names_the_first_spectrum_off_one(self, total):
+        spectra = np.array([[0.25, 0.75], [total, 0.0], [np.nan, 0.0]])
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match=f"snapshot 1 weights sum to {total}, expected 1"
+        ):
+            _check_spectra(spectra)
+
+    def test_check_passes_within_tolerance(self):
+        _check_spectra(np.array([[0.5, 0.5 + 9e-10], [1 - 9e-10, 0.0]]))
+        _check_spectra((np.array([1.0]),))
 
 
 class TestSuccessProbabilities:
@@ -474,7 +512,7 @@ class TestHaarColumns:
         family, layout = default_family(n), standard_layout(n)
         rngs = [np.random.default_rng(seed) for seed in range(self.DRAWS)]
         runs = _haar_runs(family, [[1] * q] * len(rngs), rngs)
-        p = np.array([_label_success(cols, layout) for cols in runs])
+        p = np.array([_label_success(cols, layout) for cols, _ in runs])
         assert abs(p.mean() - 1 / n) <= 4 * p.std() / np.sqrt(len(p))
 
     def test_failed_isometry_check_raises(self):
@@ -493,7 +531,7 @@ class TestHaarColumns:
         for seed in range(3):
             steps = [reference.OneDraw(np.random.default_rng(seed))] * (len(exponents) + 1)
             want = _evolve(_start(layout, n), steps, exponents, layout, family.eigenstate, turns)
-            got = next(_haar_runs(family, [exponents], [np.random.default_rng(seed)]))
+            got, _ = next(_haar_runs(family, [exponents], [np.random.default_rng(seed)]))
             assert np.array_equal(got, want)
 
     @staticmethod
@@ -505,19 +543,14 @@ class TestHaarColumns:
 
     @staticmethod
     def assert_trials_match(family, exponents, seeds):
-        """Each trial of a batch, columns and transcript, equals its run on
-        its own generator, bit for bit."""
-        layout = standard_layout(family.n)
-        cols = _haar_runs(family, exponents, [np.random.default_rng(s) for s in seeds])
-        trs = _haar_runs(family, exponents, [np.random.default_rng(s) for s in seeds], True)
-        got = list(zip(cols, trs))
+        """Each trial of a batch, columns and spectra, equals its run on its
+        own generator, bit for bit."""
+        got = list(_haar_runs(family, exponents, [np.random.default_rng(s) for s in seeds]))
         assert len(got) == len(seeds)
-        for (c, tr), e, s in zip(got, exponents, seeds):
+        for (cols, spectra), e, s in zip(got, exponents, seeds):
             want, snaps = reference.haar_trial(family, e, np.random.default_rng(s))
-            assert np.array_equal(c, want)
-            assert len(tr.counter_weights) == len(snaps)
-            assert all(np.array_equal(a, b) for a, b in zip(tr.counter_weights, snaps))
-            assert np.array_equal(tr.final_state.amps, _purified_state(layout, want).amps)
+            assert np.array_equal(cols, want)
+            assert np.array_equal(spectra, np.array(snaps))
 
     @pytest.mark.parametrize("trials", [1, 3, 7])
     def test_each_trial_of_a_batch_is_its_own_run(self, trials):
@@ -538,7 +571,27 @@ class TestHaarColumns:
         monkeypatch.setattr(simulate, "_haar_isometries", counted)
         monkeypatch.setattr(simulate, "_CHUNK_ELEMENTS", 2 * (q + 1) * 4 * n * n)
         self.assert_trials_match(default_family(n), self.schedules(trials, q), range(trials))
-        assert sizes == [2, 2] * 3 + [1, 1]  # chunks of columns and transcripts, read in turn
+        assert sizes == [2] * 3 + [1]
+
+    def test_off_norm_trial_of_a_batch_raises_in_its_turn(self, monkeypatch):
+        # trial 2's columns scaled by 1 + 1e-6 in the first step: its spectra
+        # sum to ~1 + 2e-6, and the trials before it are read first
+        apply = _IsometryStep.__matmul__
+        planted = []
+
+        def scaled(step, cols):
+            out = apply(step, cols)
+            if not planted:
+                planted.append(True)
+                out.reshape(out.shape[0], -1, 4)[:, 2] *= 1 + 1e-6
+            return out
+
+        monkeypatch.setattr(_IsometryStep, "__matmul__", scaled)
+        rngs = [np.random.default_rng(s) for s in range(4)]
+        runs = _haar_runs(default_family(4), [[1]] * 4, rngs)
+        next(runs), next(runs)
+        with pytest.raises(ValueError, match="snapshot 0 weights sum to 1.000002"):
+            next(runs)
 
     def test_failed_isometry_check_raises_on_a_batched_run(self):
         # only the last step's draw is NaN: every V of the batch is checked
