@@ -32,31 +32,28 @@ def _default_eigenstate() -> np.ndarray:
     return eig
 
 
-def _control_flip(n: int, work_dim: int, flip) -> np.ndarray:
-    """Basis permutation of the (O, B, W) layout that flips B where flip[O]."""
-    o = np.arange(n)[:, None, None]
-    b = np.arange(2)[None, :, None] ^ np.asarray(flip, dtype=int)[:, None, None]
-    return ((o * 2 + b) * work_dim + np.arange(work_dim)).reshape(-1)
-
-
 def _assemble(n: int, q: int, prep_o: UnitaryMatrix, eigenstate: np.ndarray) -> QueryAlgorithm:
-    """Prepare O and W, walk [O >= j] across the queries, then apply F† on O.
-
-    Between queries j and j+1 the predicate moves from [O >= j] to
-    [O >= j+1]; their XOR flips B exactly where O = j.
+    """Prepare O and W, walk a control predicate across the queries, then
+    apply F† on O. The walk is one table: active[j, o] = [1 <= j <= q and
+    o >= j] for j = 0..q+1 is the predicate before step j, so [O >= j]
+    between queries j and j+1. Step j flips B where active[j] XOR
+    active[j+1] (O = j for a middle step), reading the B-reversed basis
+    index there; a step that flips nothing (q = 0) has no permutation.
     """
     work_dim = eigenstate.shape[0]
     layout = standard_layout(n, work_dim)
     prep_w = UnitaryMatrix(complete_orthonormal_basis(eigenstate, work_dim).T)
+    j, o = np.arange(q + 2)[:, None], np.arange(n)
+    active = (j >= 1) & (j <= q) & (o >= j)
+    idx = np.arange(layout.total_dim).reshape(n, 2, work_dim)
     prep = [(prep_o, (OUTPUT,)), (prep_w, (WORK,))]
-    iqft = (qft_matrix(n).adjoint, (OUTPUT,))
-    outputs = np.arange(n)
-    if q == 0:
-        steps = [Step(layout, prep + [iqft])]
-    else:
-        steps = [Step(layout, prep + [_control_flip(n, work_dim, outputs >= 1)])]
-        steps += [Step(layout, (_control_flip(n, work_dim, outputs == j),)) for j in range(1, q)]
-        steps.append(Step(layout, (_control_flip(n, work_dim, outputs >= q), iqft)))
+    iqft = [(qft_matrix(n).adjoint, (OUTPUT,))]
+    steps = []
+    for k, row in enumerate(active[:-1] ^ active[1:]):
+        # one permutation at a time: each Step keeps its own copy, so holding
+        # them all until the steps are built would double their memory
+        perm = [np.where(row[:, None, None], idx[:, ::-1], idx).reshape(-1)] if row.any() else []
+        steps.append(Step(layout, (prep if k == 0 else []) + perm + (iqft if k == q else [])))
     return QueryAlgorithm(n=n, layout=layout, steps=steps, exponents=(FORWARD,) * q)
 
 

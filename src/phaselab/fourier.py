@@ -15,7 +15,9 @@ import numpy as np
 from .linalg import StateVector, UnitaryMatrix
 
 
-@lru_cache(maxsize=None)
+# bounded: a sweep over n = 2..1024 would otherwise keep ~5.7 GB of matrices
+# (twice that with their cached adjoints); 32 sizes hold a 2..24 scan and more
+@lru_cache(maxsize=32)
 def qft_matrix(n: int) -> UnitaryMatrix:
     """The n x n Fourier transform matrix, entries w^(y*k)/sqrt(n)."""
     if n < 1:

@@ -154,13 +154,17 @@ class UnitaryMatrix:
 
 
 def complete_orthonormal_basis(u, dim: int) -> np.ndarray:
-    """Orthonormal basis of C^dim whose first vector is ``u``.
+    """Orthonormal basis of C^dim whose first vector is ``u``, as the rows
+    of a (dim, dim) array.
 
-    Gram-Schmidt completion over the computational basis vectors in index
-    order; a candidate is skipped when its residual norm drops below 1e-8.
-    Deterministic: no randomness enters the construction.
-
-    Returns an array of shape (dim, dim) whose rows are the basis vectors.
+    The result equals the Gram-Schmidt completion over the computational
+    basis vectors in index order, skipping a candidate whose residual norm
+    is below 1e-8, with each row written in closed form. Once e_0..e_{k-1}
+    are spanned, u adds only its entries from k on, so the residual of e_k
+    has norm |u_{>k}| / |u_{>=k}| and a reversed cumulative sum finds the one
+    skipped candidate. Every other e_k leaves e_k - conj(u_k) w / |w|^2, with
+    w the entries of u the earlier rows do not span (i >= k and the skipped
+    index). Row 0 is exactly u/|u|. Deterministic, no factorization.
     """
     first = np.array(u, dtype=np.complex128).reshape(-1)
     if first.shape != (dim,):
@@ -168,26 +172,23 @@ def complete_orthonormal_basis(u, dim: int) -> np.ndarray:
     nrm = np.linalg.norm(first)
     if not abs(nrm - 1.0) <= NORM_TOL:  # NaN fails too
         raise ValueError(f"seed vector norm {nrm} deviates from 1 beyond {NORM_TOL}")
-    rows = np.zeros((dim, dim), dtype=np.complex128)
-    rows[0] = first / nrm
-    done = 1
-    for k in range(dim):
-        if done == dim:
-            break
-        accepted = rows[:done]
-        cand = np.zeros(dim, dtype=np.complex128)
-        cand[k] = 1.0
-        cand -= accepted.T @ (accepted.conj() @ cand)
-        res = np.linalg.norm(cand)
-        if res < _RESIDUAL_TOL:
-            continue
-        cand /= res
-        # second orthogonalization pass keeps the Gram matrix at ~1e-16
-        cand -= accepted.T @ (accepted.conj() @ cand)
-        rows[done] = cand / np.linalg.norm(cand)
-        done += 1
-    if done != dim:
-        raise ValueError("could not complete an orthonormal basis")
+    first /= nrm
+    p = np.abs(first) ** 2
+    tail = np.cumsum(p[::-1])[::-1]  # |u_{>=k}|^2
+    after = np.append(tail[1:], 0.0)  # |u_{>k}|^2
+    # the first residual below tol; the last nonzero entry of u always qualifies
+    skip = int(np.argmax(after < _RESIDUAL_TOL**2 * tail))
+    k = np.delete(np.arange(dim), skip)
+    extra = np.where(k > skip, p[skip], 0.0)
+    w2 = tail[k] + extra  # |w|^2
+    # residual norm; |w|^2 - |u_k|^2 is read off the sums, not subtracted
+    res = np.sqrt((after[k] + extra) / w2)
+    # entry k of row k is (1 - |u_k|^2 / |w|^2) / res = res, set last
+    spans = (np.arange(dim) > k[:, None]) | (np.arange(dim) == skip)
+    rows = np.empty((dim, dim), dtype=np.complex128)
+    rows[0] = first
+    rows[1:] = np.where(spans, (-first[k].conj() / (w2 * res))[:, None] * first, 0.0)
+    rows[np.arange(1, dim), k] = res
     rows.setflags(write=False)
     return rows
 

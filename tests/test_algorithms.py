@@ -4,7 +4,6 @@ import pytest
 import reference
 from phaselab import algorithms
 from phaselab.algorithms import (
-    _control_flip,
     _epr_computational,
     build_cemm,
     build_truncated_optimal,
@@ -24,10 +23,15 @@ from phaselab.simulate import (
 )
 
 
+def flip_perm(mask, work_dim=2):
+    """Basis permutation of the (O, B, W) layout that flips B where mask[O]."""
+    o, b, w = np.indices((len(mask), 2, work_dim))
+    return ((o * 2 + (b ^ np.asarray(mask)[o])) * work_dim + w).reshape(-1)
+
+
 def threshold_toggle(n, threshold, work_dim=2):
     """The step that flips B on every output branch with O >= threshold."""
-    flip = _control_flip(n, work_dim, np.arange(n) >= threshold)
-    return Step(standard_layout(n, work_dim), (flip,))
+    return Step(standard_layout(n, work_dim), (flip_perm(np.arange(n) >= threshold, work_dim),))
 
 
 def closed_form_outcome(n, theta, y):
@@ -125,27 +129,54 @@ E0 = np.array([1.0, 0.0], dtype=np.complex128)
 class TestDenseReference:
     """Local-factor steps against the dense ``kron`` construction, step by step."""
 
+    @staticmethod
+    def assert_steps_match(steps, expected):
+        assert len(steps) == len(expected)
+        for step, dense in zip(steps, expected):
+            np.testing.assert_allclose(reference.dense_step(step), dense, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_truncated_optimal_steps(self, n):
         for q in range(n):
             alg = build_truncated_optimal(n, q)
-            expected = reference.truncated_optimal_steps(n, q, E0)
-            assert len(alg.steps) == len(expected) == q + 1
-            for step, dense in zip(alg.steps, expected):
-                np.testing.assert_allclose(reference.dense_step(step), dense, rtol=0, atol=1e-12)
+            assert len(alg.steps) == q + 1
+            self.assert_steps_match(alg.steps, reference.truncated_optimal_steps(n, q, E0))
+
+    @pytest.mark.parametrize("n, q", [(3, 1), (5, 2), (6, 5)])
+    def test_off_by_one_walk_is_caught(self, n, q):
+        # planted defect: a walk table whose step j flips B at O = j+1
+        j, o = np.arange(q + 2)[:, None], np.arange(n)
+        shifted = (j >= 1) & (j <= q) & (o >= j + 1)
+        steps = [
+            Step(step.layout, [flip_perm(a ^ b) if isinstance(f, np.ndarray) else f
+                               for f in step.factors])
+            for step, a, b in zip(build_truncated_optimal(n, q).steps, shifted[:-1], shifted[1:])
+        ]
+        with pytest.raises(AssertionError):
+            self.assert_steps_match(steps, reference.truncated_optimal_steps(n, q, E0))
+
+    @pytest.mark.parametrize("n", [2, 9, 24])
+    def test_walk_permutations_match_the_predicate(self, n):
+        # [O >= 1] switched on, moved on at O = j, [O >= q] switched off
+        def perms(step):
+            return [f for f in step.factors if isinstance(f, np.ndarray)]
+
+        assert perms(build_truncated_optimal(n, 0).steps[0]) == []
+        o = np.arange(n)
+        for q in range(1, n):
+            masks = [o >= 1] + [o == j for j in range(1, q)] + [o >= q]
+            for step, mask in zip(build_truncated_optimal(n, q).steps, masks, strict=True):
+                (perm,) = perms(step)
+                np.testing.assert_array_equal(perm, flip_perm(mask))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cemm_steps(self, n):
-        alg = build_cemm(n)
-        for step, dense in zip(alg.steps, reference.cemm_steps(n, E0), strict=True):
-            np.testing.assert_allclose(reference.dense_step(step), dense, rtol=0, atol=1e-12)
+        self.assert_steps_match(build_cemm(n).steps, reference.cemm_steps(n, E0))
 
     def test_three_dimensional_work_register(self):
         eig = np.array([0.6, 0.0, 0.8j])
         alg = build_truncated_optimal(5, 3, eigenstate=eig)
-        expected = reference.truncated_optimal_steps(5, 3, eig)
-        for step, dense in zip(alg.steps, expected, strict=True):
-            np.testing.assert_allclose(reference.dense_step(step), dense, rtol=0, atol=1e-12)
+        self.assert_steps_match(alg.steps, reference.truncated_optimal_steps(5, 3, eig))
 
     @pytest.mark.parametrize("threshold", [0, 2, 5])
     def test_threshold_toggle(self, threshold):

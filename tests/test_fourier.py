@@ -40,6 +40,19 @@ class TestQftMatrix:
         assert qft_matrix(8).adjoint is qft_matrix(8).adjoint
         np.testing.assert_allclose(qft_matrix(8).adjoint.matrix, qft_matrix(8).matrix.conj().T)
 
+    def test_cache_is_bounded_and_evicts(self):
+        size = qft_matrix.cache_info().maxsize
+        assert size is not None and size >= 25  # the 2..24 scan and two curve sizes
+        qft_matrix.cache_clear()
+        first = qft_matrix(1)
+        for n in range(2, size + 2):
+            qft_matrix(n)
+        assert qft_matrix.cache_info().currsize == size
+        misses = qft_matrix.cache_info().misses
+        assert qft_matrix(size + 1) is qft_matrix(size + 1)  # still cached
+        assert qft_matrix(1) is not first  # the oldest size was evicted and is rebuilt
+        assert qft_matrix.cache_info().misses == misses + 1
+
 
 class TestFourierState:
     """The Fourier basis states are the columns F[:, y] of ``qft_matrix``."""

@@ -164,7 +164,7 @@ class TestBasisCompletion:
     @pytest.mark.parametrize("dim", [1, 2, 5, 24, 96])
     def test_matches_one_row_at_a_time_reference(self, dim):
         # seeds that skip a candidate (e_k, a truncated uniform vector) and a
-        # generic one; projecting against all rows at once only reorders sums
+        # generic one; the closed-form rows and the loop differ only in rounding
         rng = np.random.default_rng(dim)
         generic = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         truncated = np.zeros(dim)
@@ -175,6 +175,50 @@ class TestBasisCompletion:
                 complete_orthonormal_basis(u, dim), reference.complete_orthonormal_basis(u, dim),
                 rtol=0, atol=1e-12,
             )
+
+    @staticmethod
+    def assert_matches_reference(u, dim):
+        basis = complete_orthonormal_basis(u, dim)
+        np.testing.assert_allclose(
+            basis, reference.complete_orthonormal_basis(u, dim), rtol=0, atol=1e-12
+        )
+        # row 0 is u/|u| bit for bit: it is the only prep column the circuits reach
+        first = np.asarray(u, dtype=np.complex128)
+        np.testing.assert_array_equal(basis[0], first / np.linalg.norm(first))
+        return basis
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 64])
+    def test_last_basis_vector(self, dim):
+        # the one skipped candidate is e_{dim-1} itself
+        basis = self.assert_matches_reference(np.eye(dim)[dim - 1], dim)
+        np.testing.assert_array_equal(np.abs(basis[1:, :-1]), np.eye(dim - 1))
+
+    def test_support_in_the_middle(self):
+        u = np.zeros(9, dtype=np.complex128)
+        u[3:6] = [0.6, 0.0, 0.8j]
+        self.assert_matches_reference(u, 9)
+
+    @pytest.mark.parametrize("eps, skipped", [(1e-9, True), (1e-7, False)])
+    def test_tail_below_the_residual_tolerance_is_skipped(self, eps, skipped):
+        # e_2's residual against span(u, e_0, e_1) is about eps: below 1e-8
+        # e_2 is skipped and row 3 lies along e_3, above it row 3 is e_2's
+        # residual, which lies along the tail
+        u = np.zeros(6, dtype=np.complex128)
+        u[2] = 1.0
+        u[3:] = eps / np.sqrt(3)
+        basis = self.assert_matches_reference(u / np.linalg.norm(u), 6)
+        expected = 1.0 if skipped else 1 / np.sqrt(3)
+        assert abs(basis[3, 3]) == pytest.approx(expected, abs=1e-6)
+
+    def test_dim_one(self):
+        basis = self.assert_matches_reference([1j], 1)
+        assert basis.shape == (1, 1)
+
+    def test_wide_register_truncated_target(self):
+        u = np.zeros(256)
+        u[:64] = 1 / 8
+        basis = self.assert_matches_reference(u, 256)
+        assert np.max(np.abs(basis @ basis.conj().T - np.eye(256))) < 1e-12
 
     def test_non_unit_input_rejected(self):
         with pytest.raises(ValueError):
