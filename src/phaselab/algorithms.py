@@ -26,20 +26,16 @@ from .simulate import (
 )
 
 
-def _default_eigenstate() -> np.ndarray:
-    eig = np.zeros(2, dtype=np.complex128)
-    eig[0] = 1.0
-    return eig
-
-
-def _assemble(n: int, q: int, prep_o: UnitaryMatrix, eigenstate: np.ndarray) -> QueryAlgorithm:
+def _assemble(n: int, q: int, prep_o: UnitaryMatrix, eigenstate) -> QueryAlgorithm:
     """Prepare O and W, walk a control predicate across the queries, then
-    apply F† on O. The walk is one table: active[j, o] = [1 <= j <= q and
-    o >= j] for j = 0..q+1 is the predicate before step j, so [O >= j]
-    between queries j and j+1. Step j flips B where active[j] XOR
-    active[j+1] (O = j for a middle step), reading the B-reversed basis
-    index there; a step that flips nothing (q = 0) has no permutation.
+    apply F† on O. W is prepared in ``eigenstate``, or |0> of a qubit if it
+    is None. The walk is one table: active[j, o] = [1 <= j <= q and o >= j]
+    for j = 0..q+1 is the predicate before step j, so [O >= j] between
+    queries j and j+1. Step j flips B where active[j] XOR active[j+1]
+    (O = j for a middle step), reading the B-reversed basis index there; a
+    step that flips nothing (q = 0) has no permutation.
     """
+    eigenstate = np.asarray([1.0, 0.0] if eigenstate is None else eigenstate, np.complex128)
     work_dim = eigenstate.shape[0]
     layout = standard_layout(n, work_dim)
     prep_w = UnitaryMatrix(complete_orthonormal_basis(eigenstate, work_dim).T)
@@ -67,11 +63,10 @@ def build_truncated_optimal(n: int, q: int, eigenstate=None) -> QueryAlgorithm:
     """
     if not 0 <= q <= n - 1:
         raise ValueError(f"query count must satisfy 0 <= q <= n-1, got q={q}, n={n}")
-    eig = _default_eigenstate() if eigenstate is None else np.asarray(eigenstate, np.complex128)
     target = np.zeros(n, dtype=np.complex128)
     target[: q + 1] = 1.0 / np.sqrt(q + 1)
     prep_o = UnitaryMatrix(complete_orthonormal_basis(target, n).T)
-    return _assemble(n, q, prep_o, eig)
+    return _assemble(n, q, prep_o, eigenstate)
 
 
 def build_cemm(n: int, eigenstate=None) -> QueryAlgorithm:
@@ -83,8 +78,7 @@ def build_cemm(n: int, eigenstate=None) -> QueryAlgorithm:
     """
     if n < 1:
         raise ValueError(f"problem size must be >= 1, got {n}")
-    eig = _default_eigenstate() if eigenstate is None else np.asarray(eigenstate, np.complex128)
-    return _assemble(n, n - 1, qft_matrix(n), eig)
+    return _assemble(n, n - 1, qft_matrix(n), eigenstate)
 
 
 def cemm_on_continuous_phase(inst: PhaseInstance, n: int) -> np.ndarray:

@@ -18,25 +18,22 @@ from ._version import __version__
 from .experiments import (
     ExperimentConfig,
     ExperimentResult,
+    KINDS,
     LEAKAGE_BUDGET,
     VerificationError,
     run_experiment,
 )
 from .linalg import PROB_TOL
 
-_KIND_BY_COMMAND = {
-    "verify-bound": "bound-sweep",
-    "verify-counter": "counter-scan",
-    "stress": "random-stress",
-    "cemm": "cemm-curve",
-    "epr-check": "epr-check",
-    "reduction-check": "reduction-check",
-}
-
-_DEFAULT_TRIALS = {
-    "bound-sweep": 10,
-    "counter-scan": 25,
-    "random-stress": 200,
+# Each command runs one sweep kind of ``experiments.KINDS``; ``sweep`` reads
+# the kind from its config file.
+_COMMANDS = {
+    "verify-bound": ("bound-sweep", "success probability vs the (q+1)/n ceiling"),
+    "verify-counter": ("counter-scan", "counter-spectrum leakage scans"),
+    "stress": ("random-stress", "adversarial search for bound violations"),
+    "cemm": ("cemm-curve", "estimator success curve over a phase grid"),
+    "epr-check": ("epr-check", "correlated-state basis-change identity"),
+    "reduction-check": ("reduction-check", "exact estimation bound via the rounding reduction"),
 }
 
 ENV_SEED = "PHASELAB_SEED"
@@ -85,28 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
         p.add_argument("--config", help="JSON config file; flags override its values")
 
-    p = sub.add_parser("verify-bound", help="success probability vs the (q+1)/n ceiling")
-    common(p)
-    p.add_argument("--q", help="query counts: value, comma list, or a..b range")
-
-    p = sub.add_parser("verify-counter", help="counter-spectrum leakage scans")
-    common(p)
-    p.add_argument("--q", help="query counts (default: 0..min(n-1, 12))")
-
-    p = sub.add_parser("stress", help="adversarial search for bound violations")
-    common(p)
-    p.add_argument("--q", help="query counts (default: 0..min(n-1, 12))")
-
-    p = sub.add_parser("cemm", help="estimator success curve over a phase grid")
-    common(p)
-    p.add_argument("--theta", help="comma list of phases in [0, 1)")
-
-    p = sub.add_parser("epr-check", help="correlated-state basis-change identity")
-    common(p)
-
-    p = sub.add_parser("reduction-check", help="exact estimation bound via the rounding reduction")
-    common(p)
-    p.add_argument("--q", help="query counts (default: 0..min(n-1, 12))")
+    for command, (kind, text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        common(p)
+        if KINDS[kind].takes_q:
+            p.add_argument("--q", help="query counts: value, comma list, or a..b range "
+                           "(default: 0..min(n-1, 12))")
+        if kind == "cemm-curve":
+            p.add_argument("--theta", help="comma list of phases in [0, 1)")
 
     p = sub.add_parser("sweep", help="run an experiment described by a config file")
     common(p)
@@ -128,7 +111,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         if "kind" not in data:
             raise ValueError("sweep requires a config file that sets 'kind'")
     else:
-        data["kind"] = _KIND_BY_COMMAND[args.command]
+        data["kind"] = _COMMANDS[args.command][0]
 
     if args.n is not None:
         data["n_values"] = parse_int_spec(args.n)
@@ -152,9 +135,10 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     if "n_values" not in data:
         raise ValueError("no problem sizes given: pass --n or a config file")
     cfg = ExperimentConfig.from_dict(data)  # checks the kind before it picks a default
-    if "trials" in data or cfg.kind not in _DEFAULT_TRIALS:
+    trials = KINDS[cfg.kind].trials
+    if "trials" in data or trials is None:
         return cfg
-    return dataclasses.replace(cfg, trials=_DEFAULT_TRIALS[cfg.kind])
+    return dataclasses.replace(cfg, trials=trials)
 
 
 def _summary(result: ExperimentResult, cfg: ExperimentConfig) -> str:

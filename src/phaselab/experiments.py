@@ -20,6 +20,7 @@ import numbers
 import os
 import platform
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -56,23 +57,6 @@ from .simulate import (
     standard_layout,
     success_probability_purified,
 )
-
-EXPERIMENT_KINDS = (
-    "bound-sweep",
-    "counter-scan",
-    "random-stress",
-    "cemm-curve",
-    "epr-check",
-    "reduction-check",
-)
-
-# Kinds whose rows are indexed by (n, q); the others take one task per n.
-_Q_KINDS = ("bound-sweep", "counter-scan", "random-stress", "reduction-check")
-
-# Kinds that compute each row once and never read ``trials``.
-_SINGLE_TRIAL_KINDS = ("cemm-curve", "epr-check", "reduction-check")
-
-CSV_HEADER = "n,q,kind,trial,seed,observed_probability,bound_value,gap,max_leakage,wall_time_ms"
 
 # Fourier weight allowed outside the schedule-consistent counter range.
 LEAKAGE_BUDGET = AMP_TOL
@@ -142,8 +126,9 @@ class ExperimentConfig:
         if self.theta_grid is not None:
             grid = tuple(_real("theta_grid", t) for t in _sequence("theta_grid", self.theta_grid))
             object.__setattr__(self, "theta_grid", grid)
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}, expected one of {EXPERIMENT_KINDS}")
+        if not isinstance(self.kind, str) or self.kind not in KINDS:  # a JSON list is unhashable
+            raise ValueError(f"unknown experiment kind {self.kind!r}, expected one of {tuple(KINDS)}")
+        kind = KINDS[self.kind]
         if not self.n_values:
             raise ValueError("at least one n value is required")
         if any(n < 1 for n in self.n_values):
@@ -156,7 +141,7 @@ class ExperimentConfig:
             raise ValueError(f"output_path must be a string, got {self.output_path!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
-        if self.kind in _Q_KINDS and self.q_values:
+        if kind.takes_q and self.q_values:
             if max(self.q_values) > max(self.n_values) - 1:
                 raise ValueError(
                     f"q={max(self.q_values)} exceeds max(n)-1={max(self.n_values) - 1}"
@@ -170,9 +155,9 @@ class ExperimentConfig:
                 raise ValueError("theta values must lie in [0, 1)")
         elif self.theta_grid is not None:
             raise ValueError(f"{self.kind} does not read theta_grid")
-        if self.kind not in _Q_KINDS and self.q_values:
+        if not kind.takes_q and self.q_values:
             raise ValueError(f"{self.kind} does not read q_values")
-        if self.kind in _SINGLE_TRIAL_KINDS and self.trials != 1:
+        if kind.trials is None and self.trials != 1:
             raise ValueError(f"{self.kind} does not read trials, got trials={self.trials}")
 
     @classmethod
@@ -201,6 +186,8 @@ class ResultRow:
 
 
 _ROW_FIELDS = tuple(f.name for f in fields(ResultRow))
+
+CSV_HEADER = ",".join(_ROW_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -319,13 +306,6 @@ def _row(kind: str, n: int, q: int, trial: int, seed: int, bound: float, measure
     return _guard(ResultRow(n, q, kind, trial, seed, observed, bound, bound - observed, leak, ms))
 
 
-def _share_time(rows: list[ResultRow]) -> list[ResultRow]:
-    """The rows of one batch of trials, each timed at an equal share of the
-    batch: the work of a batch lands in the row that first reads it."""
-    ms = sum(r.wall_time_ms for r in rows) / len(rows)
-    return [replace(r, wall_time_ms=ms) for r in rows]
-
-
 def _checked_labels(alg: QueryAlgorithm) -> tuple[np.ndarray, np.ndarray]:
     """The label columns of ``alg`` on the default family and their checked (1, n) spectrum."""
     cols = _run_labels(alg, default_family(alg.n), range(alg.n))
@@ -334,38 +314,54 @@ def _checked_labels(alg: QueryAlgorithm) -> tuple[np.ndarray, np.ndarray]:
     return cols, spectra
 
 
+def _haar_rows(
+    cfg: ExperimentConfig, kind: str, n: int, q: int, bound: float, measure, schedule=None
+) -> list[ResultRow]:
+    """``cfg.trials`` rows of Haar-random algorithms, run side by side on
+    their label columns by ``_haar_runs``; trial t has seed
+    ``derive_seed(cfg.seed, kind, n, q, t)``.
+
+    ``schedule(rng)`` draws a trial's q query exponents from its generator,
+    which then draws the steps (default: q forward queries), and
+    ``measure(exponents, (cols, spectra))`` gives a row's (observed,
+    leakage). Row t reads trial t off the batch, so a failed check names its
+    own trial, and each row is timed at an equal share of the batch: the
+    work of a batch lands in the row that first reads it.
+    """
+    seeds = [derive_seed(cfg.seed, kind, n, q, t) for t in range(cfg.trials)]
+    rngs = [np.random.default_rng(s) for s in seeds]
+    exponents = [[1] * q if schedule is None else schedule(rng) for rng in rngs]
+    runs = zip(exponents, _haar_runs(default_family(n), exponents, rngs))
+    rows = [
+        _row(kind, n, q, t, s, bound, lambda: measure(*next(runs))) for t, s in enumerate(seeds)
+    ]
+    ms = sum(r.wall_time_ms for r in rows) / len(rows)
+    return [replace(r, wall_time_ms=ms) for r in rows]
+
+
 def _bound_sweep_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]:
-    """The saturating algorithm plus ``trials`` Haar-random ones, run side by
-    side on their label columns by ``_haar_runs``; every row must satisfy
-    observed <= (q+1)/n within tolerance."""
-    family = default_family(n)
+    """The saturating algorithm plus ``trials`` Haar-random ones; every row
+    must satisfy observed <= (q+1)/n within tolerance."""
     layout = standard_layout(n)
     bound = (q + 1) / n
 
-    def measure(run):
-        cols, spectra = run
+    def measure(cols, spectra):
         return _label_success(cols, layout), leakage_from_weights(spectra[-1], range(q + 1))
 
     def optimal():
-        return measure(_checked_labels(build_truncated_optimal(n, q)))
+        return measure(*_checked_labels(build_truncated_optimal(n, q)))
 
     seed = derive_seed(cfg.seed, "optimal", n, q, 0)
     rows = [_row("optimal", n, q, 0, seed, bound, optimal)]
-    seeds = [derive_seed(cfg.seed, "haar", n, q, t) for t in range(cfg.trials)]
-    runs = _haar_runs(family, [[1] * q] * len(seeds), [np.random.default_rng(s) for s in seeds])
-    # row t reads trial t off the batch, so a failed check names its trial
-    haar = [
-        _row("haar", n, q, t, s, bound, lambda: measure(next(runs))) for t, s in enumerate(seeds)
-    ]
-    return rows + _share_time(haar)
+    return rows + _haar_rows(cfg, "haar", n, q, bound, lambda _, run: measure(*run))
 
 
 _SCHEDULE_EXPONENTS = (1, -1, 2, 3, 5)
 
 
 def _counter_scan_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]:
-    """Worst per-step counter leakage of Haar-random algorithms, run side by
-    side on their label columns by ``_haar_runs``, one batch per scan.
+    """Worst per-step counter leakage of Haar-random algorithms, one batch
+    per scan, the rows alternating by trial.
 
     ``forward`` rows query forward only; ``schedule`` rows draw the query
     exponents from {1, -1, 2, 3, 5}, from the generator that then
@@ -373,30 +369,20 @@ def _counter_scan_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]
     set of the schedule prefix, which for forward queries is the weight
     beyond index j after j queries.
     """
-    family = default_family(n)
-    scans = []
-    for kind in ("forward", "schedule") if q else ("forward",):
-        seeds = [derive_seed(cfg.seed, kind, n, q, t) for t in range(cfg.trials)]
-        rngs = [np.random.default_rng(s) for s in seeds]
-        exponents = [[1] * q] * len(rngs)
-        if kind == "schedule":
-            exponents = [[int(m) for m in rng.choice(_SCHEDULE_EXPONENTS, size=q)] for rng in rngs]
-        runs = zip(exponents, _haar_runs(family, exponents, rngs))
 
-        def measure(runs=runs):
-            exps, (_, spectra) = next(runs)
-            reach = reachable_counter_values(exps, n)
-            leak = max(leakage_from_weights(w, allowed) for w, allowed in zip(spectra, reach))
-            return leak, leak
+    def measure(exps, run):
+        _, spectra = run
+        reach = reachable_counter_values(exps, n)
+        leak = max(leakage_from_weights(w, allowed) for w, allowed in zip(spectra, reach))
+        return leak, leak
 
-        scans.append((kind, seeds, measure))
-    rows = [
-        _row(kind, n, q, t, seeds[t], LEAKAGE_BUDGET, measure)
-        for t in range(cfg.trials)
-        for kind, seeds, measure in scans
-    ]
-    shared = [_share_time(rows[k :: len(scans)]) for k in range(len(scans))]
-    return [row for trial in zip(*shared) for row in trial]
+    def schedule(rng):
+        return [int(m) for m in rng.choice(_SCHEDULE_EXPONENTS, size=q)]
+
+    scans = [_haar_rows(cfg, "forward", n, q, LEAKAGE_BUDGET, measure)]
+    if q:
+        scans.append(_haar_rows(cfg, "schedule", n, q, LEAKAGE_BUDGET, measure, schedule))
+    return [row for trial in zip(*scans) for row in trial]
 
 
 def _thin_polar(g: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -601,13 +587,25 @@ def _reduction_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]:
     return [_row("reduction", n, q, 0, cfg.seed, (q + 1) / n, measure)]
 
 
-_RUNNERS = {
-    "bound-sweep": _bound_sweep_rows,
-    "counter-scan": _counter_scan_rows,
-    "random-stress": _stress_rows,
-    "cemm-curve": _cemm_rows,
-    "epr-check": _epr_rows,
-    "reduction-check": _reduction_rows,
+@dataclass(frozen=True)
+class Kind:
+    """A sweep kind. ``rows(cfg, n, q)``, or ``rows(cfg, n)`` unless
+    ``takes_q``, computes one task's rows; ``trials`` is the command line's
+    default trial count, None for a kind that computes each row once and
+    never reads ``trials``."""
+
+    rows: Callable[..., list[ResultRow]]
+    takes_q: bool
+    trials: int | None
+
+
+KINDS = {
+    "bound-sweep": Kind(_bound_sweep_rows, takes_q=True, trials=10),
+    "counter-scan": Kind(_counter_scan_rows, takes_q=True, trials=25),
+    "random-stress": Kind(_stress_rows, takes_q=True, trials=200),
+    "cemm-curve": Kind(_cemm_rows, takes_q=False, trials=None),
+    "epr-check": Kind(_epr_rows, takes_q=False, trials=None),
+    "reduction-check": Kind(_reduction_rows, takes_q=True, trials=None),
 }
 
 
@@ -618,7 +616,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     q values that fit each n (none configured: 0..min(n-1, 12)), and one task
     per n otherwise. ``jobs`` caps the worker threads.
     """
-    if cfg.kind in _Q_KINDS:
+    kind = KINDS[cfg.kind]
+    if kind.takes_q:
         tasks = [
             (n, q)
             for n in cfg.n_values
@@ -631,7 +630,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
     def work(task):
-        return _RUNNERS[cfg.kind](cfg, *task)
+        return kind.rows(cfg, *task)
 
     if jobs == 1 or len(tasks) <= 1:
         groups = [work(t) for t in tasks]

@@ -404,14 +404,13 @@ def haar_random_algorithm(
     n: int,
     q: int,
     seed,
-    work_dim: int = 2,
     exponents: tuple[int, ...] | None = None,
 ) -> QueryAlgorithm:
     """Algorithm with q+1 independent Haar-random steps on (O, B, W)."""
     if q < 0:
         raise ValueError(f"query count must be >= 0, got {q}")
     rng = np.random.default_rng(seed)
-    layout = standard_layout(n, work_dim)
+    layout = standard_layout(n)
     # one draw per step, not one stacked (q+1, dim, dim) draw: stacking
     # holds every step's Gaussian and QR work at once, and raised the peak
     # RSS of a haar-grid benchmark pass (dim up to 256) from 57 MB to 92 MB

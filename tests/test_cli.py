@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -221,6 +222,49 @@ class TestSweepCommand:
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
         assert cli.main(["sweep", "--config", str(path)]) == 2
+
+
+def subcommand_flags():
+    """{command: its option strings} for every subcommand of the parser."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: {opt for action in p._actions for opt in action.option_strings}
+        for command, p in sub.choices.items()
+    }
+
+
+class TestCommandTable:
+    def test_every_kind_has_one_command(self):
+        kinds = [kind for kind, _ in cli._COMMANDS.values()]
+        assert sorted(kinds) == sorted(experiments.KINDS)
+        assert set(subcommand_flags()) == set(cli._COMMANDS) | {"sweep"}
+
+    def test_flags_follow_the_kind(self):
+        flags = subcommand_flags()
+        assert {"--q", "--theta"} <= flags.pop("sweep")
+        for command, opts in flags.items():
+            kind = cli._COMMANDS[command][0]
+            assert ("--q" in opts) == experiments.KINDS[kind].takes_q, command
+            assert ("--theta" in opts) == (command == "cemm"), command
+
+    @pytest.mark.parametrize(
+        "command,kind,trials",
+        [("verify-bound", "bound-sweep", 10), ("verify-counter", "counter-scan", 25),
+         ("stress", "random-stress", 200), ("cemm", "cemm-curve", 1),
+         ("epr-check", "epr-check", 1), ("reduction-check", "reduction-check", 1)],
+    )
+    def test_default_trials(self, command, kind, trials, tmp_path):
+        theta = ["--theta", "0.25"] if kind == "cemm-curve" else []
+        args = cli.build_parser().parse_args([command, "--n", "4"] + theta)
+        assert cli._build_config(args).trials == trials
+        config = {"kind": kind, "n_values": [4]}
+        if theta:
+            config["theta_grid"] = [0.25]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        args = cli.build_parser().parse_args(["sweep", "--config", str(path)])
+        assert cli._build_config(args).trials == trials
 
 
 @pytest.mark.parametrize(
