@@ -413,16 +413,26 @@ def _sweep(steps: list, family: PhaseOracleFamily) -> float:
     O = y rows of U_q Q_y ... U_{s+1} Q_y. The sweep reads H_s only while
     slots s+1..q are still the ones it was built from, so it is exact. With
     a the columns before slot s and b = U_s a, column y of the environment
-    G is R_s[y]† R_s[y] b_y, and the slot becomes ``_thin_polar(G, a)``. A
-    slot costs one dim x dim product and one batched query, not a re-run of
-    every later slot.
+    G is R_s[y]† R_s[y] b_y, and the slot maximizes Re Tr(U† E) for
+    E = G a†. A slot costs one dim x dim product and one batched query, not
+    a re-run of every later slot.
+
+    After s forward queries column y of a is sum_{j<=s} w^(yj) phi_j, with
+    w = e^(2 pi i/n): the n columns span at most k = min(s+1, n) counter
+    coefficients phi_j. With L[j, y] = w^(yj), L L† = n I, so the
+    coefficient columns are C = a L†/n and E = (G L†) C†. The slot takes
+    ``_thin_polar`` of the dim x k factors G L†[:, :k] and C[:, :k]: QRs of
+    k columns and a k x k core, not n. This holds only while the counter
+    weight of C beyond index s is within ``LEAKAGE_BUDGET``, which is
+    checked before every slot; a ``ValueError`` names n, q and the slot.
     """
-    n = family.n
+    n, q = family.n, len(steps) - 1
     layout = standard_layout(n, family.work_dim)
     dim = layout.total_dim
     u = family.eigenstate
     ahead = np.exp(2j * np.pi * _label_turns(range(n), n)(1)) - 1.0  # one forward query
     undo = np.repeat(ahead.conj(), dim // n)  # its inverse, on the rows of each O block
+    dft = np.exp(-2j * np.pi * (np.outer(range(n), range(n)) % n) / n)  # L†, symmetric
     envs = [np.eye(dim, dtype=np.complex128)]
     for step in steps[:0:-1]:
         envs.append(_query(step.conj().T @ envs[-1], layout, u, undo))
@@ -430,8 +440,17 @@ def _sweep(steps: list, family: PhaseOracleFamily) -> float:
     for slot, h in enumerate(reversed(envs)):
         h = h.reshape(dim, n, dim // n)
         r = np.einsum("iyj,iy->yj", h.conj(), steps[slot] @ a)
-        steps[slot] = _thin_polar(np.einsum("iyj,yj->iy", h, r), a)
-        if slot < len(steps) - 1:
+        k = min(slot + 1, n)
+        coeffs = a @ dft / n
+        leak = float(np.sum(np.abs(coeffs[:, k:]) ** 2))
+        if not leak <= LEAKAGE_BUDGET:
+            raise ValueError(
+                f"counter weight {leak!r} beyond index {slot} exceeds budget "
+                f"{LEAKAGE_BUDGET} (n={n} q={q} slot={slot})"
+            )
+        g = np.einsum("iyj,yj->iy", h, r)
+        steps[slot] = _thin_polar(g @ dft[:, :k], coeffs[:, :k])
+        if slot < q:
             a = _query(steps[slot] @ a, layout, u, ahead)
     return _label_success(steps[-1] @ a, layout)
 
@@ -446,11 +465,15 @@ def adversarial_search(n: int, q: int, iterations: int, seed) -> tuple[float, Qu
     ``iterations`` counts full slot sweeps across all restarts.
 
     A sweep costs O(q) dim x dim products: the backward environments of
-    every slot are built once per sweep, and the environment of rank <= n
-    takes a thin polar update (QRs of the two dim x n factors and an SVD of
-    their n x n core), as in the environment sweeps of tensor networks
-    (Evenbly & Vidal, PRB 79, 144108 (2009), arXiv:0707.1454). See
-    ``_sweep`` and ``_thin_polar``.
+    every slot are built once per sweep, as in the environment sweeps of
+    tensor networks (Evenbly & Vidal, PRB 79, 144108 (2009),
+    arXiv:0707.1454). By counter sparsity the n label columns before slot s
+    span at most s+1 counter coefficients, so the slot's environment has
+    rank <= min(s+1, n) and takes a thin polar update on those coefficients:
+    QRs of two dim x k factors and an SVD of their k x k core, with
+    k = min(s+1, n). A slot whose columns carry counter weight beyond index
+    s, over ``LEAKAGE_BUDGET``, raises ``ValueError``. See ``_sweep`` and
+    ``_thin_polar``.
     """
     if q < 0:
         raise ValueError(f"query count must be >= 0, got {q}")

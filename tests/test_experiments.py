@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import reference
-from phaselab import experiments, simulate
+from phaselab import cli, experiments, simulate
 from phaselab.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -284,25 +284,92 @@ class TestAdversarialSearch:
         rng = np.random.default_rng(seed)
         return [haar_random_unitary(4 * n, rng).matrix for _ in range(q + 1)]
 
-    @pytest.mark.parametrize("n, q, seed", [(2, 0, 4), (2, 1, 5), (4, 0, 6), (4, 3, 7), (8, 4, 8)])
-    def test_cached_environments_match_the_reference(self, n, q, seed, monkeypatch):
+    def _worst_slot(self, n, q, seed, monkeypatch, error):
+        """Three sweeps from Haar steps, with each slot's ``_thin_polar(g, a)``
+        also scored by ``error(slot, g, a, u, want_a, want_g)`` against the
+        slot's (a, G) from ``reference.search_environment``; the largest score."""
         family = default_family(n)
         steps = self._haar_steps(n, q, seed)
         thin_polar = experiments._thin_polar
-        gaps = []
+        scores = []
 
         def checked(g, a):
             # ``steps`` holds the updated slots before this one and the old ones after
-            want_a, want_g = reference.search_environment(steps, family, len(gaps))
-            gaps.append(max(np.max(np.abs(a - want_a)), np.max(np.abs(g - want_g))))
-            return thin_polar(g, a)
+            slot = len(scores)
+            want_a, want_g = reference.search_environment(steps, family, slot)
+            u = thin_polar(g, a)
+            scores.append(error(slot, g, a, u, want_a, want_g))
+            return u
 
         monkeypatch.setattr(experiments, "_thin_polar", checked)
+        worst = 0.0
         for _ in range(3):
-            gaps.clear()
+            scores.clear()
             experiments._sweep(steps, family)
-            assert len(gaps) == q + 1
-            assert max(gaps) <= 1e-12
+            assert len(scores) == q + 1
+            worst = max(worst, *scores)
+        return worst
+
+    @pytest.mark.parametrize("n, q, seed", [(2, 0, 4), (2, 1, 5), (4, 0, 6), (4, 3, 7), (8, 4, 8)])
+    def test_cached_environments_match_the_reference(self, n, q, seed, monkeypatch):
+        def gap(slot, g, a, u, want_a, want_g):
+            # the reference's factors on the slot's first k counter coefficients:
+            # a L†/n and G L†, with L[j, y] = e^(2 pi i yj/n)
+            k = min(slot + 1, n)
+            want_a = np.fft.fft(want_a, axis=1)[:, :k] / n
+            want_g = np.fft.fft(want_g, axis=1)[:, :k]
+            return max(np.max(np.abs(a - want_a)), np.max(np.abs(g - want_g)))
+
+        assert self._worst_slot(n, q, seed, monkeypatch, gap) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n, q, seed",
+        [(4, 1, 11), (4, 3, 12), (4, 5, 13), (8, 2, 14), (8, 7, 15), (16, 4, 16), (16, 15, 17)],
+    )
+    def test_reduced_core_reaches_the_full_width_update(self, n, q, seed, monkeypatch):
+        # each update on the slot's counter coefficients attains the nuclear
+        # norm of the reference E = G a†, as the full-width update does
+        thin_polar = experiments._thin_polar
+
+        def shortfall(slot, g, a, u, want_a, want_g):
+            e = want_g @ want_a.conj().T
+            nuclear = np.linalg.svd(e, compute_uv=False).sum()
+            full = np.trace(thin_polar(want_g, want_a).conj().T @ e).real
+            reduced = np.trace(u.conj().T @ e).real
+            return max(abs(reduced - nuclear), abs(full - nuclear)) / nuclear
+
+        assert self._worst_slot(n, q, seed, monkeypatch, shortfall) <= 1e-10
+
+    @staticmethod
+    def _first_forward_query_twice(n):
+        """``experiments._query`` with a planted defect: the first call on the
+        n label columns, the sweep's query after slot 0, runs twice. The
+        columns before slot 1 then carry counter weight at index 2."""
+        query = experiments._query
+        calls = []
+
+        def doubled(cols, layout, eigenstate, factor):
+            cols = query(cols, layout, eigenstate, factor)
+            if cols.shape[-1] == n and not calls:
+                calls.append(factor)
+                cols = query(cols, layout, eigenstate, factor)
+            return cols
+
+        return doubled
+
+    def test_leaking_slot_is_refused(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_query", self._first_forward_query_twice(8))
+        with pytest.raises(ValueError, match=r"beyond index 1 .* \(n=8 q=3 slot=1\)"):
+            experiments._sweep(self._haar_steps(8, 3, 9), default_family(8))
+
+    def test_stress_names_the_row_of_a_leaking_slot(self, monkeypatch, capsys):
+        # the sweep's ValueError reaches the command line as a VerificationError
+        monkeypatch.setattr(experiments, "_query", self._first_forward_query_twice(8))
+        assert cli.main(["stress", "--n", "8", "--q", "3", "--trials", "2", "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "VERIFICATION FAILURE" in err
+        seed = derive_seed(1, "adversarial", 8, 3, 0)
+        assert f"(n=8 q=3 slot=1) (n=8 q=3 kind=adversarial trial=0 seed={seed})" in err
 
     @pytest.mark.parametrize("n, q, seed", [(2, 1, 1), (4, 2, 2), (8, 3, 3), (16, 6, 4)])
     def test_sweeps_never_lose_success(self, n, q, seed):
