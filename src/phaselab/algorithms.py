@@ -26,19 +26,20 @@ from .simulate import (
 )
 
 
-def _assemble(n: int, q: int, prep_o: UnitaryMatrix, eigenstate) -> QueryAlgorithm:
+def _assemble(q: int, prep_o: UnitaryMatrix, eigenstate) -> QueryAlgorithm:
     """Prepare O and W, walk a control predicate across the queries, then
-    apply F† on O. W is prepared in ``eigenstate``, or |0> of a qubit if it
-    is None. The walk is one table: active[j, o] = [1 <= j <= q and o >= j]
-    for j = 0..q+1 is the predicate before step j, so [O >= j] between
-    queries j and j+1. Step j flips B where active[j] XOR active[j+1]
-    (O = j for a middle step), reading the B-reversed basis index there; a
-    step that flips nothing (q = 0) has no permutation.
+    apply F† on O. O is prepared by ``prep_o``, whose dimension is n, and W
+    in ``eigenstate``, or |0> of a qubit if it is None. The walk is one
+    table: active[j, o] = [1 <= j <= q and o >= j] for j = 0..q+1 is the
+    predicate before step j, so [O >= j] between queries j and j+1. Step j
+    flips B where active[j] XOR active[j+1] (O = j for a middle step),
+    reading the B-reversed basis index there; a step that flips nothing
+    (q = 0) has no permutation.
     """
     eigenstate = np.asarray([1.0, 0.0] if eigenstate is None else eigenstate, np.complex128)
-    work_dim = eigenstate.shape[0]
+    n, work_dim = prep_o.dim, eigenstate.shape[0]
     layout = standard_layout(n, work_dim)
-    prep_w = UnitaryMatrix(complete_orthonormal_basis(eigenstate, work_dim).T)
+    prep_w = UnitaryMatrix(complete_orthonormal_basis(eigenstate).T)
     j, o = np.arange(q + 2)[:, None], np.arange(n)
     active = (j >= 1) & (j <= q) & (o >= j)
     idx = np.arange(layout.total_dim).reshape(n, 2, work_dim)
@@ -50,7 +51,7 @@ def _assemble(n: int, q: int, prep_o: UnitaryMatrix, eigenstate) -> QueryAlgorit
         # them all until the steps are built would double their memory
         perm = [np.where(row[:, None, None], idx[:, ::-1], idx).reshape(-1)] if row.any() else []
         steps.append(Step(layout, (prep if k == 0 else []) + perm + (iqft if k == q else [])))
-    return QueryAlgorithm(n=n, layout=layout, steps=steps, exponents=(FORWARD,) * q)
+    return QueryAlgorithm(layout, steps, (FORWARD,) * q)
 
 
 def build_truncated_optimal(n: int, q: int, eigenstate=None) -> QueryAlgorithm:
@@ -65,8 +66,7 @@ def build_truncated_optimal(n: int, q: int, eigenstate=None) -> QueryAlgorithm:
         raise ValueError(f"query count must satisfy 0 <= q <= n-1, got q={q}, n={n}")
     target = np.zeros(n, dtype=np.complex128)
     target[: q + 1] = 1.0 / np.sqrt(q + 1)
-    prep_o = UnitaryMatrix(complete_orthonormal_basis(target, n).T)
-    return _assemble(n, q, prep_o, eigenstate)
+    return _assemble(q, UnitaryMatrix(complete_orthonormal_basis(target).T), eigenstate)
 
 
 def build_cemm(n: int, eigenstate=None) -> QueryAlgorithm:
@@ -78,7 +78,7 @@ def build_cemm(n: int, eigenstate=None) -> QueryAlgorithm:
     """
     if n < 1:
         raise ValueError(f"problem size must be >= 1, got {n}")
-    return _assemble(n, n - 1, qft_matrix(n), eigenstate)
+    return _assemble(n - 1, qft_matrix(n), eigenstate)
 
 
 def cemm_on_continuous_phase(inst: PhaseInstance, n: int) -> np.ndarray:

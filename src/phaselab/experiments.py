@@ -306,12 +306,19 @@ def _row(kind: str, n: int, q: int, trial: int, seed: int, bound: float, measure
     return _guard(ResultRow(n, q, kind, trial, seed, observed, bound, bound - observed, leak, ms))
 
 
-def _checked_labels(alg: QueryAlgorithm) -> tuple[np.ndarray, np.ndarray]:
-    """The label columns of ``alg`` on the default family and their checked (1, n) spectrum."""
+def _readout(layout: RegisterLayout, q: int, cols, spectra) -> tuple[float, float]:
+    """A row's (success, leakage): the success of its label columns averaged
+    over the labels, and the weight of its final spectrum beyond index q."""
+    return _label_success(cols, layout), leakage_from_weights(spectra[-1], range(q + 1))
+
+
+def _measured(alg: QueryAlgorithm) -> tuple[float, float]:
+    """``_readout`` of ``alg`` run on the default family's label columns,
+    whose (1, n) spectrum is checked first."""
     cols = _run_labels(alg, default_family(alg.n), range(alg.n))
     spectra = _counter_spectra(cols, alg.n)
     _check_spectra(spectra)
-    return cols, spectra
+    return _readout(alg.layout, alg.q, cols, spectra)
 
 
 def _haar_rows(
@@ -344,16 +351,9 @@ def _bound_sweep_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]:
     must satisfy observed <= (q+1)/n within tolerance."""
     layout = standard_layout(n)
     bound = (q + 1) / n
-
-    def measure(cols, spectra):
-        return _label_success(cols, layout), leakage_from_weights(spectra[-1], range(q + 1))
-
-    def optimal():
-        return measure(*_checked_labels(build_truncated_optimal(n, q)))
-
     seed = derive_seed(cfg.seed, "optimal", n, q, 0)
-    rows = [_row("optimal", n, q, 0, seed, bound, optimal)]
-    return rows + _haar_rows(cfg, "haar", n, q, bound, lambda _, run: measure(*run))
+    rows = [_row("optimal", n, q, 0, seed, bound, lambda: _measured(build_truncated_optimal(n, q)))]
+    return rows + _haar_rows(cfg, "haar", n, q, bound, lambda _, run: _readout(layout, q, *run))
 
 
 _SCHEDULE_EXPONENTS = (1, -1, 2, 3, 5)
@@ -407,9 +407,11 @@ def _sweep(steps: list, family: PhaseOracleFamily) -> float:
     """Re-optimize each dense step of a forward-query search in place, left
     to right; returns the success of the result.
 
-    The backward environments are built once, right to left, as adjoints:
-    H_q = I and H_s = Q† U_{s+1}† H_{s+1}, with the inverse query of label y
-    on column block y. Column block y of H_s is R_s[y]†, where R_s[y] is the
+    The backward environments are built once, right to left, as in the
+    environment sweeps of tensor networks (Evenbly & Vidal, PRB 79, 144108
+    (2009), arXiv:0707.1454), and as adjoints: H_q = I and
+    H_s = Q† U_{s+1}† H_{s+1}, with the inverse query of label y on column
+    block y. Column block y of H_s is R_s[y]†, where R_s[y] is the
     O = y rows of U_q Q_y ... U_{s+1} Q_y. The sweep reads H_s only while
     slots s+1..q are still the ones it was built from, so it is exact. With
     a the columns before slot s and b = U_s a, column y of the environment
@@ -456,24 +458,16 @@ def _sweep(steps: list, family: PhaseOracleFamily) -> float:
 
 
 def adversarial_search(n: int, q: int, iterations: int, seed) -> tuple[float, QueryAlgorithm]:
-    """Local search for the most successful q-query algorithm.
+    """Local search for the most successful forward-query q-query algorithm;
+    returns its success and the algorithm.
 
-    Haar restarts plus slot-wise re-optimization: the success functional is
-    linearized in one step unitary, whose maximizer under Re Tr is the polar
-    factor of the environment matrix on its range. Each update is monotone,
-    so the search can only climb toward the proven ceiling (q+1)/n.
-    ``iterations`` counts full slot sweeps across all restarts.
-
-    A sweep costs O(q) dim x dim products: the backward environments of
-    every slot are built once per sweep, as in the environment sweeps of
-    tensor networks (Evenbly & Vidal, PRB 79, 144108 (2009),
-    arXiv:0707.1454). By counter sparsity the n label columns before slot s
-    span at most s+1 counter coefficients, so the slot's environment has
-    rank <= min(s+1, n) and takes a thin polar update on those coefficients:
-    QRs of two dim x k factors and an SVD of their k x k core, with
-    k = min(s+1, n). A slot whose columns carry counter weight beyond index
-    s, over ``LEAKAGE_BUDGET``, raises ``ValueError``. See ``_sweep`` and
-    ``_thin_polar``.
+    Each restart draws q+1 Haar-random steps, then sweeps them with
+    ``_sweep`` until a sweep gains less than 1e-12. A sweep re-optimizes
+    every slot in turn and never lowers the success, so the search can only
+    climb toward the proven ceiling (q+1)/n. ``iterations`` counts sweeps
+    across all restarts. A slot whose columns carry counter weight beyond
+    its index, over ``LEAKAGE_BUDGET``, raises ``ValueError`` (see
+    ``_sweep``).
     """
     if q < 0:
         raise ValueError(f"query count must be >= 0, got {q}")
@@ -506,24 +500,22 @@ def adversarial_search(n: int, q: int, iterations: int, seed) -> tuple[float, Qu
                 break
             prev = p
 
-    alg = QueryAlgorithm(
-        n=n,
-        layout=layout,
-        steps=tuple(UnitaryMatrix(s) for s in best_steps),
-        exponents=(FORWARD,) * q,
-    )
-    return best_p, alg
+    return best_p, QueryAlgorithm(layout, tuple(map(UnitaryMatrix, best_steps)), (FORWARD,) * q)
 
 
 def _stress_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]:
-    """Best success probability ``adversarial_search`` finds; ``trials``
-    bounds the search iterations. It must stay at or below (q+1)/n."""
+    """The success of the best algorithm ``adversarial_search`` finds,
+    measured on its own label columns; ``trials`` bounds the search
+    iterations. It must stay at or below (q+1)/n, and the search's reported
+    success must match it within ``PROB_TOL``."""
     seed = derive_seed(cfg.seed, "adversarial", n, q, 0)
 
     def measure():
         best, alg = adversarial_search(n, q, cfg.trials, seed)
-        _, spectra = _checked_labels(alg)
-        return best, leakage_from_weights(spectra[-1], range(q + 1))
+        observed, leak = _measured(alg)
+        if not abs(best - observed) <= PROB_TOL:
+            raise ValueError(f"search reports success {best!r}, its algorithm has {observed!r}")
+        return observed, leak
 
     return [_row("adversarial", n, q, 0, seed, (q + 1) / n, measure)]
 

@@ -36,10 +36,8 @@ PROB_TOL = 1e-9
 _RESIDUAL_TOL = 1e-8
 
 
-def _frozen_complex_array(values, shape=None) -> np.ndarray:
+def _frozen_complex_array(values) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128, order="C")
-    if shape is not None:
-        arr = arr.reshape(shape)
     if not np.all(np.isfinite(arr)):
         raise ValueError("amplitudes must be finite (no NaN/Inf)")
     arr.setflags(write=False)
@@ -153,9 +151,9 @@ class UnitaryMatrix:
         return UnitaryMatrix(self.matrix.conj().T)
 
 
-def complete_orthonormal_basis(u, dim: int) -> np.ndarray:
-    """Orthonormal basis of C^dim whose first vector is ``u``, as the rows
-    of a (dim, dim) array.
+def complete_orthonormal_basis(u) -> np.ndarray:
+    """Orthonormal basis of C^dim, dim = len(u), whose first vector is
+    ``u``, as the rows of a (dim, dim) array.
 
     The result equals the Gram-Schmidt completion over the computational
     basis vectors in index order, skipping a candidate whose residual norm
@@ -167,8 +165,7 @@ def complete_orthonormal_basis(u, dim: int) -> np.ndarray:
     index). Row 0 is exactly u/|u|. Deterministic, no factorization.
     """
     first = np.array(u, dtype=np.complex128).reshape(-1)
-    if first.shape != (dim,):
-        raise ValueError(f"seed vector has length {first.shape[0]}, expected {dim}")
+    dim = len(first)
     nrm = np.linalg.norm(first)
     if not abs(nrm - 1.0) <= NORM_TOL:  # NaN fails too
         raise ValueError(f"seed vector norm {nrm} deviates from 1 beyond {NORM_TOL}")

@@ -34,6 +34,7 @@ import numpy as np
 
 from .fourier import fourier_weights
 from .linalg import (
+    NORM_TOL,
     RegisterLayout,
     StateVector,
     UnitaryMatrix,
@@ -130,7 +131,8 @@ def _apply_factor(cols, layout: RegisterLayout, u: UnitaryMatrix, targets) -> np
 
 @dataclass(frozen=True, eq=False)
 class QueryAlgorithm:
-    """Register layout plus the interleaving unitaries of a q-query algorithm.
+    """Register layout plus the interleaving unitaries of a q-query algorithm;
+    its problem size ``n`` is the dimension of the output register O.
 
     ``steps`` holds q+1 ``Step``s over the layout; a dense ``UnitaryMatrix``
     passed in becomes the one-factor step on every register, without a copy
@@ -140,7 +142,6 @@ class QueryAlgorithm:
     first step.
     """
 
-    n: int
     layout: RegisterLayout
     steps: tuple[Step, ...]
     exponents: tuple[int, ...]
@@ -150,10 +151,7 @@ class QueryAlgorithm:
         if any(isinstance(m, bool) or not isinstance(m, numbers.Integral) for m in exponents):
             raise ValueError(f"query exponents must be integers, got {exponents!r}")
         object.__setattr__(self, "exponents", tuple(map(int, exponents)))
-        if self.n < 1:
-            raise ValueError(f"problem size must be >= 1, got {self.n}")
-        if self.layout.dim_of(OUTPUT) != self.n:
-            raise ValueError("output register O must have dimension n")
+        self.layout.axis(OUTPUT)
         if self.layout.dim_of(CONTROL) != 2:
             raise ValueError("control wire B must have dimension 2")
         self.layout.axis(WORK)
@@ -179,6 +177,10 @@ class QueryAlgorithm:
         object.__setattr__(self, "steps", steps)
 
     @property
+    def n(self) -> int:
+        return self.layout.dim_of(OUTPUT)
+
+    @property
     def q(self) -> int:
         return len(self.exponents)
 
@@ -195,14 +197,10 @@ class RunTranscript:
     (the algorithm steps in between leave it unchanged).
     """
 
-    n: int
-    q: int
     counter_weights: tuple[np.ndarray, ...]
     final_state: StateVector
 
     def __post_init__(self):
-        if len(self.counter_weights) != self.q + 1:
-            raise ValueError(f"expected {self.q + 1} snapshots, got {len(self.counter_weights)}")
         _check_spectra(self.counter_weights)
 
 
@@ -216,9 +214,9 @@ def _counter_spectra(cols: np.ndarray, n: int) -> np.ndarray:
 
 def _check_spectra(spectra) -> None:
     """Raise ``ValueError`` unless each spectrum, ``spectra[j]`` after j
-    queries, sums to 1 within 1e-9; NaN and Inf fail."""
+    queries, sums to 1 within ``NORM_TOL``; NaN and Inf fail."""
     totals = np.sum(spectra, axis=-1)
-    ok = np.abs(totals - 1.0) <= 1e-9  # NaN and Inf compare False
+    ok = np.abs(totals - 1.0) <= NORM_TOL  # NaN and Inf compare False
     if not ok.all():
         j = int(np.argmin(ok))
         raise ValueError(f"snapshot {j} weights sum to {float(totals[j])}, expected 1")
@@ -343,10 +341,7 @@ def run_purified_transcript(alg: QueryAlgorithm, family: PhaseOracleFamily) -> R
     cols = _run_labels(
         alg, family, range(alg.n), lambda c: snaps.append(_counter_spectra(c, alg.n)[0])
     )
-    return RunTranscript(
-        n=alg.n, q=alg.q, counter_weights=tuple(snaps),
-        final_state=_purified_state(alg.layout, cols),
-    )
+    return RunTranscript(tuple(snaps), _purified_state(alg.layout, cols))
 
 
 def counter_leakage(state: StateVector, budget: int) -> float:
@@ -400,13 +395,9 @@ def standard_layout(n: int, work_dim: int = 2) -> RegisterLayout:
     return RegisterLayout(((OUTPUT, n), (CONTROL, 2), (WORK, work_dim)))
 
 
-def haar_random_algorithm(
-    n: int,
-    q: int,
-    seed,
-    exponents: tuple[int, ...] | None = None,
-) -> QueryAlgorithm:
-    """Algorithm with q+1 independent Haar-random steps on (O, B, W)."""
+def haar_random_algorithm(n: int, q: int, seed) -> QueryAlgorithm:
+    """Algorithm with q+1 independent Haar-random steps on (O, B, W) and q
+    forward queries; ``dataclasses.replace`` sets another schedule."""
     if q < 0:
         raise ValueError(f"query count must be >= 0, got {q}")
     rng = np.random.default_rng(seed)
@@ -415,9 +406,7 @@ def haar_random_algorithm(
     # holds every step's Gaussian and QR work at once, and raised the peak
     # RSS of a haar-grid benchmark pass (dim up to 256) from 57 MB to 92 MB
     steps = tuple(haar_random_unitary(layout.total_dim, rng) for _ in range(q + 1))
-    if exponents is None:
-        exponents = (FORWARD,) * q
-    return QueryAlgorithm(n=n, layout=layout, steps=steps, exponents=exponents)
+    return QueryAlgorithm(layout, steps, (FORWARD,) * q)
 
 
 class _IsometryStep:

@@ -86,9 +86,10 @@ def dense_step(step):
     return np.array(cols).T
 
 
-def complete_orthonormal_basis(u, dim):
-    """Gram-Schmidt completion one accepted row at a time (two passes)."""
+def complete_orthonormal_basis(u):
+    """Gram-Schmidt completion of C^len(u) one accepted row at a time (two passes)."""
     rows = [np.asarray(u, dtype=np.complex128)]
+    dim = len(rows[0])
     for k in range(dim):
         if len(rows) == dim:
             break
@@ -133,7 +134,7 @@ def dense_threshold_toggle(n, threshold, work_dim=2):
 def dense_assemble(n, q, prep_o, eigenstate):
     """Dense full-layout steps of the optimal circuit, built with ``kron``."""
     work_dim = eigenstate.shape[0]
-    prep_w = complete_orthonormal_basis(eigenstate, work_dim).T
+    prep_w = complete_orthonormal_basis(eigenstate).T
     prep = np.kron(prep_o, np.kron(np.eye(2), prep_w))
     iqft = np.kron(qft_matrix(n).matrix.conj().T, np.eye(2 * work_dim))
     if q == 0:
@@ -149,7 +150,7 @@ def dense_assemble(n, q, prep_o, eigenstate):
 def truncated_optimal_steps(n, q, eigenstate):
     target = np.zeros(n, dtype=np.complex128)
     target[: q + 1] = 1.0 / np.sqrt(q + 1)
-    return dense_assemble(n, q, complete_orthonormal_basis(target, n).T, eigenstate)
+    return dense_assemble(n, q, complete_orthonormal_basis(target).T, eigenstate)
 
 
 def cemm_steps(n, eigenstate):

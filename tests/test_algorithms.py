@@ -109,7 +109,7 @@ class TestCemm:
         n = 6
         alg = build_cemm(n)
         clear = threshold_toggle(n, n - 1)
-        partial = QueryAlgorithm(n, alg.layout, alg.steps[:-1] + (clear,), alg.exponents)
+        partial = QueryAlgorithm(alg.layout, alg.steps[:-1] + (clear,), alg.exponents)
         fam = default_family(n)
         for y in range(n):
             got = _run_labels(partial, fam, [y])[:, 0].reshape(n, 2, 2)

@@ -371,13 +371,26 @@ class TestAdversarialSearch:
         seed = derive_seed(1, "adversarial", 8, 3, 0)
         assert f"(n=8 q=3 slot=1) (n=8 q=3 kind=adversarial trial=0 seed={seed})" in err
 
+    def test_stress_refuses_a_success_its_algorithm_does_not_reach(self, monkeypatch, capsys):
+        # planted defect: the search reports 1e-6 more than its algorithm measures
+        search = experiments.adversarial_search
+
+        def inflated(*args):
+            best, alg = search(*args)
+            return best + 1e-6, alg
+
+        monkeypatch.setattr(experiments, "adversarial_search", inflated)
+        assert cli.main(["stress", "--n", "4", "--q", "1", "--trials", "3", "--seed", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "VERIFICATION FAILURE: search reports success" in err
+        seed = derive_seed(2, "adversarial", 4, 1, 0)
+        assert f"(n=4 q=1 kind=adversarial trial=0 seed={seed})" in err
+
     @pytest.mark.parametrize("n, q, seed", [(2, 1, 1), (4, 2, 2), (8, 3, 3), (16, 6, 4)])
     def test_sweeps_never_lose_success(self, n, q, seed):
         family = default_family(n)
         steps = self._haar_steps(n, q, seed)
-        alg = QueryAlgorithm(
-            n, standard_layout(n), tuple(UnitaryMatrix(s) for s in steps), (FORWARD,) * q
-        )
+        alg = QueryAlgorithm(standard_layout(n), tuple(map(UnitaryMatrix, steps)), (FORWARD,) * q)
         prev = success_probability_average(alg, family)
         for _ in range(25):
             p = experiments._sweep(steps, family)

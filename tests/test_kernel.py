@@ -66,7 +66,7 @@ def random_case(n, work_dim, anc_dim, exponents, seed, local=False):
         steps = [random_step(layout, rng) for _ in range(len(exponents) + 1)]
     else:
         steps = [haar_random_unitary(layout.total_dim, rng) for _ in range(len(exponents) + 1)]
-    alg = QueryAlgorithm(n, layout, steps, exponents)
+    alg = QueryAlgorithm(layout, steps, exponents)
     eig = rng.standard_normal(work_dim) + 1j * rng.standard_normal(work_dim)
     family = PhaseOracleFamily(n, eig / np.linalg.norm(eig))
     return alg, family, float(rng.uniform())

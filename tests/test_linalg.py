@@ -134,12 +134,12 @@ class TestProjection:
 
 class TestBasisCompletion:
     def test_e0_completes_to_identity(self):
-        basis = complete_orthonormal_basis([1, 0], 2)
+        basis = complete_orthonormal_basis([1, 0])
         np.testing.assert_allclose(basis, np.eye(2), atol=1e-12)
 
     def test_hadamard_direction_gram_matrix(self):
         u = np.array([1, 1]) / np.sqrt(2)
-        basis = complete_orthonormal_basis(u, 2)
+        basis = complete_orthonormal_basis(u)
         gram = basis @ basis.conj().T
         np.testing.assert_allclose(gram, np.eye(2), atol=1e-10)
         np.testing.assert_allclose(basis[0], u)
@@ -149,7 +149,7 @@ class TestBasisCompletion:
         for dim in (2, 3, 7, 16):
             u = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             u /= np.linalg.norm(u)
-            basis = complete_orthonormal_basis(u, dim)
+            basis = complete_orthonormal_basis(u)
             assert basis.shape == (dim, dim)
             np.testing.assert_allclose(basis[0], u, atol=1e-12)
             gram = basis @ basis.conj().T
@@ -157,8 +157,8 @@ class TestBasisCompletion:
 
     def test_deterministic(self):
         u = np.array([1, 1j, 1]) / np.sqrt(3)
-        b1 = complete_orthonormal_basis(u, 3)
-        b2 = complete_orthonormal_basis(u, 3)
+        b1 = complete_orthonormal_basis(u)
+        b2 = complete_orthonormal_basis(u)
         np.testing.assert_array_equal(b1, b2)
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 24, 96])
@@ -172,15 +172,15 @@ class TestBasisCompletion:
         for u in (np.eye(dim)[dim // 2], truncated, generic):
             u = u / np.linalg.norm(u)
             np.testing.assert_allclose(
-                complete_orthonormal_basis(u, dim), reference.complete_orthonormal_basis(u, dim),
+                complete_orthonormal_basis(u), reference.complete_orthonormal_basis(u),
                 rtol=0, atol=1e-12,
             )
 
     @staticmethod
-    def assert_matches_reference(u, dim):
-        basis = complete_orthonormal_basis(u, dim)
+    def assert_matches_reference(u):
+        basis = complete_orthonormal_basis(u)
         np.testing.assert_allclose(
-            basis, reference.complete_orthonormal_basis(u, dim), rtol=0, atol=1e-12
+            basis, reference.complete_orthonormal_basis(u), rtol=0, atol=1e-12
         )
         # row 0 is u/|u| bit for bit: it is the only prep column the circuits reach
         first = np.asarray(u, dtype=np.complex128)
@@ -190,13 +190,13 @@ class TestBasisCompletion:
     @pytest.mark.parametrize("dim", [1, 2, 7, 64])
     def test_last_basis_vector(self, dim):
         # the one skipped candidate is e_{dim-1} itself
-        basis = self.assert_matches_reference(np.eye(dim)[dim - 1], dim)
+        basis = self.assert_matches_reference(np.eye(dim)[dim - 1])
         np.testing.assert_array_equal(np.abs(basis[1:, :-1]), np.eye(dim - 1))
 
     def test_support_in_the_middle(self):
         u = np.zeros(9, dtype=np.complex128)
         u[3:6] = [0.6, 0.0, 0.8j]
-        self.assert_matches_reference(u, 9)
+        self.assert_matches_reference(u)
 
     @pytest.mark.parametrize("eps, skipped", [(1e-9, True), (1e-7, False)])
     def test_tail_below_the_residual_tolerance_is_skipped(self, eps, skipped):
@@ -206,29 +206,29 @@ class TestBasisCompletion:
         u = np.zeros(6, dtype=np.complex128)
         u[2] = 1.0
         u[3:] = eps / np.sqrt(3)
-        basis = self.assert_matches_reference(u / np.linalg.norm(u), 6)
+        basis = self.assert_matches_reference(u / np.linalg.norm(u))
         expected = 1.0 if skipped else 1 / np.sqrt(3)
         assert abs(basis[3, 3]) == pytest.approx(expected, abs=1e-6)
 
     def test_dim_one(self):
-        basis = self.assert_matches_reference([1j], 1)
+        basis = self.assert_matches_reference([1j])
         assert basis.shape == (1, 1)
 
     def test_wide_register_truncated_target(self):
         u = np.zeros(256)
         u[:64] = 1 / 8
-        basis = self.assert_matches_reference(u, 256)
+        basis = self.assert_matches_reference(u)
         assert np.max(np.abs(basis @ basis.conj().T - np.eye(256))) < 1e-12
 
     def test_non_unit_input_rejected(self):
         with pytest.raises(ValueError):
-            complete_orthonormal_basis([1, 1], 2)
+            complete_orthonormal_basis([1, 1])
         with pytest.raises(ValueError):
-            complete_orthonormal_basis([0, 0], 2)
+            complete_orthonormal_basis([0, 0])
 
     def test_nan_input_rejected(self):
         with pytest.raises(ValueError, match="seed vector norm"):
-            complete_orthonormal_basis([np.nan, 0], 2)
+            complete_orthonormal_basis([np.nan, 0])
 
 
 class TestHaar:

@@ -82,7 +82,7 @@ class TestMemberMatrix:
         vals = np.sort_complex(np.linalg.eigvals(mat))
         expected = np.sort_complex(np.array([np.exp(2j * np.pi * 2 / 6), 1, 1, 1]))
         np.testing.assert_allclose(vals, expected, atol=1e-9)
-        complement = complete_orthonormal_basis(eig, 4)[1:].T
+        complement = complete_orthonormal_basis(eig)[1:].T
         np.testing.assert_allclose(mat @ complement, complement, atol=1e-10)
 
     def test_family_members_commute(self):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -56,7 +58,7 @@ def one_query_probe(n, exponents=(FORWARD,)):
     """A_0 raises the control wire, then one query, then nothing."""
     layout = standard_layout(n)
     steps = (embed_on_control(n, X2), identity_step(n))
-    return QueryAlgorithm(n=n, layout=layout, steps=steps, exponents=exponents)
+    return QueryAlgorithm(layout, steps, exponents)
 
 
 def run_fixed_y(alg, family, y):
@@ -68,38 +70,39 @@ class TestAlgorithmValidation:
     def test_step_count_must_match_exponents(self):
         layout = standard_layout(3)
         with pytest.raises(ValueError):
-            QueryAlgorithm(3, layout, (identity_step(3),), (FORWARD,))
+            QueryAlgorithm(layout, (identity_step(3),), (FORWARD,))
 
-    def test_output_register_dimension(self):
+    def test_problem_size_read_from_output_register(self):
         layout = RegisterLayout((("O", 5), ("B", 2), ("W", 2)))
-        with pytest.raises(ValueError):
-            QueryAlgorithm(3, layout, (UnitaryMatrix(np.eye(20)),), ())
+        assert QueryAlgorithm(layout, (UnitaryMatrix(np.eye(20)),), ()).n == 5
+        with pytest.raises(KeyError):
+            QueryAlgorithm(RegisterLayout((("B", 2), ("W", 2))), (UnitaryMatrix(np.eye(4)),), ())
 
     def test_counter_label_reserved(self):
         layout = RegisterLayout((("O", 3), ("B", 2), ("W", 2), ("C", 2)))
         with pytest.raises(ValueError):
-            QueryAlgorithm(3, layout, (UnitaryMatrix(np.eye(24)),), ())
+            QueryAlgorithm(layout, (UnitaryMatrix(np.eye(24)),), ())
 
     def test_step_dimension_checked(self):
         layout = standard_layout(3)
         with pytest.raises(ValueError):
-            QueryAlgorithm(3, layout, (UnitaryMatrix(np.eye(6)),), ())
+            QueryAlgorithm(layout, (UnitaryMatrix(np.eye(6)),), ())
 
     @pytest.mark.parametrize("exponent", [1.0, 2.5, True, "1", None])
     def test_exponent_must_be_an_integer(self, exponent):
         steps = (identity_step(3), identity_step(3))
         with pytest.raises(ValueError, match="exponents must be integers"):
-            QueryAlgorithm(3, standard_layout(3), steps, (exponent,))
+            QueryAlgorithm(standard_layout(3), steps, (exponent,))
 
     def test_numpy_exponents_stored_as_int(self):
         steps = (identity_step(3),) * 3
-        alg = QueryAlgorithm(3, standard_layout(3), steps, np.array([2, -1]))
+        alg = QueryAlgorithm(standard_layout(3), steps, np.array([2, -1]))
         assert alg.exponents == (2, -1)
         assert all(type(m) is int for m in alg.exponents)
 
     def test_extra_ancilla_register_allowed(self):
         layout = RegisterLayout((("O", 3), ("B", 2), ("W", 2), ("anc", 3)))
-        alg = QueryAlgorithm(3, layout, (UnitaryMatrix(np.eye(36)),), ())
+        alg = QueryAlgorithm(layout, (UnitaryMatrix(np.eye(36)),), ())
         assert alg.q == 0
 
 
@@ -108,7 +111,7 @@ class TestStep:
 
     def test_dense_matrix_wrapped_without_copy(self):
         u = haar_random_unitary(12, seed=1)
-        alg = QueryAlgorithm(3, self.LAYOUT, (u,), ())
+        alg = QueryAlgorithm(self.LAYOUT, (u,), ())
         (factor,) = alg.steps[0].factors
         assert factor[0] is u
         assert factor[1] == self.LAYOUT.labels
@@ -166,14 +169,14 @@ class TestStep:
     def test_step_layout_must_match_algorithm(self):
         step = Step(standard_layout(3, work_dim=3), (np.arange(18),))
         layout = RegisterLayout((("O", 3), ("B", 2), ("W", 3)))
-        QueryAlgorithm(3, layout, (step,), ())  # equal layouts are accepted
+        QueryAlgorithm(layout, (step,), ())  # equal layouts are accepted
         with pytest.raises(ValueError):
-            QueryAlgorithm(3, RegisterLayout((("O", 3), ("W", 3), ("B", 2))), (step,), ())
+            QueryAlgorithm(RegisterLayout((("O", 3), ("W", 3), ("B", 2))), (step,), ())
 
 
 class TestRunFixedY:
     def test_zero_query_identity_step(self):
-        alg = QueryAlgorithm(4, standard_layout(4), (identity_step(4),), ())
+        alg = QueryAlgorithm(standard_layout(4), (identity_step(4),), ())
         out = run_fixed_y(alg, default_family(4), 2)
         np.testing.assert_allclose(out.amps, zero_state(alg.layout).amps)
 
@@ -210,7 +213,7 @@ class TestRunFixedPhase:
         # raise the control, query V then V^-1: the state returns to |0,1,0>
         n = 4
         steps = (embed_on_control(n, X2), identity_step(n), identity_step(n))
-        alg = QueryAlgorithm(n, standard_layout(n), steps, (1, -1))
+        alg = QueryAlgorithm(standard_layout(n), steps, (1, -1))
         inst = PhaseInstance(theta=0.3, eigenstate=np.array([1, 0]))
         expected = np.zeros(alg.layout.total_dim)
         expected[2] = 1.0
@@ -219,7 +222,7 @@ class TestRunFixedPhase:
 
     def test_grid_phase_matches_fixed_label(self):
         n = 6
-        alg = haar_random_algorithm(n, 3, seed=21, exponents=(1, -1, 8))
+        alg = replace(haar_random_algorithm(n, 3, seed=21), exponents=(1, -1, 8))
         fam = default_family(n)
         inst = PhaseInstance(theta=5 / n, eigenstate=fam.eigenstate)
         np.testing.assert_allclose(run_phase(alg, inst), run_fixed_y(alg, fam, 5).amps, atol=1e-12)
@@ -228,7 +231,7 @@ class TestRunFixedPhase:
 class TestRunPurified:
     def test_zero_query_product_state(self):
         n = 6
-        alg = QueryAlgorithm(n, standard_layout(n), (identity_step(n),), ())
+        alg = QueryAlgorithm(standard_layout(n), (identity_step(n),), ())
         out = run_purified(alg, default_family(n))
         expected = np.kron(zero_state(alg.layout).amps, qft_matrix(n).matrix[:, 0])
         np.testing.assert_allclose(out.amps, expected, atol=1e-12)
@@ -268,7 +271,7 @@ class TestRunPurified:
 class TestCounterLeakage:
     def test_initial_state_budget_zero(self):
         n = 5
-        alg = QueryAlgorithm(n, standard_layout(n), (identity_step(n),), ())
+        alg = QueryAlgorithm(standard_layout(n), (identity_step(n),), ())
         out = run_purified(alg, default_family(n))
         assert counter_leakage(out, 0) == pytest.approx(0.0, abs=1e-12)
 
@@ -290,7 +293,7 @@ class TestCounterLeakage:
     def test_inverse_schedule_reachable_set(self):
         n = 6
         rng = np.random.default_rng(4)
-        alg = haar_random_algorithm(n, 1, rng, exponents=(-1,))
+        alg = replace(haar_random_algorithm(n, 1, rng), exponents=(-1,))
         out = run_purified(alg, default_family(n))
         assert leakage_from_weights(fourier_weights(out, "C"), {0, n - 1}) <= 1e-10
 
@@ -301,7 +304,7 @@ class TestCounterLeakage:
         n = 8
         layout = standard_layout(n)
         steps = (identity_step(n), embed_on_control(n, X2), identity_step(n))
-        alg = QueryAlgorithm(n, layout, steps, (2, 1))
+        alg = QueryAlgorithm(layout, steps, (2, 1))
         out = run_purified(alg, default_family(n))
         w = fourier_weights(out, "C")
         assert w[1] == pytest.approx(1.0, abs=1e-10)
@@ -313,7 +316,7 @@ class TestCounterLeakage:
         for _ in range(8):
             q = int(rng.integers(1, 5))
             exps = [int(m) for m in rng.choice([1, -1, 2, 3, 5], size=q)]
-            alg = haar_random_algorithm(n, q, rng, exponents=exps)
+            alg = replace(haar_random_algorithm(n, q, rng), exponents=exps)
             tr = run_purified_transcript(alg, default_family(n))
             reach = reachable_counter_values(exps, n)
             for w, allowed in zip(tr.counter_weights, reach):
@@ -334,12 +337,11 @@ class TestTranscript:
         assert len(tr.counter_weights) == 4
         for w in tr.counter_weights:
             assert w.sum() == pytest.approx(1.0, abs=1e-9)
-        assert tr.q == 3 and tr.n == 5
 
     def test_nan_snapshot_rejected(self):
         state = run_purified(haar_random_algorithm(2, 0, seed=1), default_family(2))
         with pytest.raises(ValueError, match="snapshot 0 weights sum to nan"):
-            RunTranscript(n=2, q=0, counter_weights=(np.array([np.nan, 0.0]),), final_state=state)
+            RunTranscript((np.array([np.nan, 0.0]),), state)
 
     def test_final_state_matches_plain_run(self):
         n = 4
@@ -406,7 +408,7 @@ class TestSuccessProbabilities:
 
     def test_blind_guess(self):
         n = 5
-        alg = QueryAlgorithm(n, standard_layout(n), (identity_step(n),), ())
+        alg = QueryAlgorithm(standard_layout(n), (identity_step(n),), ())
         assert success_probability_average(alg, default_family(n)) == pytest.approx(1 / n)
 
     @pytest.mark.parametrize("n,q", [(4, 0), (4, 2), (6, 1), (8, 3)])
