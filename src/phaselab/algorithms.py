@@ -29,28 +29,35 @@ from .simulate import (
 def _assemble(q: int, prep_o: UnitaryMatrix, eigenstate) -> QueryAlgorithm:
     """Prepare O and W, walk a control predicate across the queries, then
     apply F† on O. O is prepared by ``prep_o``, whose dimension is n, and W
-    in ``eigenstate``, or |0> of a qubit if it is None. The walk is one
-    table: active[j, o] = [1 <= j <= q and o >= j] for j = 0..q+1 is the
-    predicate before step j, so [O >= j] between queries j and j+1. Step j
-    flips B where active[j] XOR active[j+1] (O = j for a middle step),
-    reading the B-reversed basis index there; a step that flips nothing
-    (q = 0) has no permutation.
+    in ``eigenstate``, or |0> of a qubit if it is None; W gets no factor
+    when the eigenstate is exactly e_0, whose basis completion is the
+    identity. The walk is one table: active[j, o] = [1 <= j <= q and
+    o >= j] for j = 0..q+1 is the predicate before step j, so [O >= j]
+    between queries j and j+1. Step j flips B where active[j] XOR
+    active[j+1] (O = j for a middle step), reading the B-reversed basis
+    index there; a step that flips nothing (q = 0) has no permutation.
+
+    Every factor is valid by construction, so the steps are built by
+    ``Step._trusted``: the matrices are checked ``UnitaryMatrix``es on the
+    registers they span, and each permutation is a fresh bijection.
     """
     eigenstate = np.asarray([1.0, 0.0] if eigenstate is None else eigenstate, np.complex128)
-    n, work_dim = prep_o.dim, eigenstate.shape[0]
+    eigenstate = eigenstate.reshape(-1)
+    n, work_dim = prep_o.dim, len(eigenstate)
     layout = standard_layout(n, work_dim)
-    prep_w = UnitaryMatrix(complete_orthonormal_basis(eigenstate).T)
+    prep = [(prep_o, (OUTPUT,))]
+    if not np.array_equal(eigenstate, np.eye(1, work_dim)[0]):
+        prep.append((UnitaryMatrix(complete_orthonormal_basis(eigenstate).T), (WORK,)))
     j, o = np.arange(q + 2)[:, None], np.arange(n)
     active = (j >= 1) & (j <= q) & (o >= j)
     idx = np.arange(layout.total_dim).reshape(n, 2, work_dim)
-    prep = [(prep_o, (OUTPUT,)), (prep_w, (WORK,))]
     iqft = [(qft_matrix(n).adjoint, (OUTPUT,))]
     steps = []
     for k, row in enumerate(active[:-1] ^ active[1:]):
-        # one permutation at a time: each Step keeps its own copy, so holding
-        # them all until the steps are built would double their memory
+        # the step keeps the array np.where builds, frozen in place, not a copy
         perm = [np.where(row[:, None, None], idx[:, ::-1], idx).reshape(-1)] if row.any() else []
-        steps.append(Step(layout, (prep if k == 0 else []) + perm + (iqft if k == q else [])))
+        factors = (prep if k == 0 else []) + perm + (iqft if k == q else [])
+        steps.append(Step._trusted(layout, factors))
     return QueryAlgorithm(layout, steps, (FORWARD,) * q)
 
 

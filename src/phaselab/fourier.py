@@ -12,14 +12,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import StateVector, UnitaryMatrix
+from .linalg import StateVector, UnitaryMatrix, _integer
 
 
 # bounded: a sweep over n = 2..1024 would otherwise keep ~5.7 GB of matrices
-# (twice that with their cached adjoints); 32 sizes hold a 2..24 scan and more
-@lru_cache(maxsize=32)
+# (twice that with their cached adjoints); 32 sizes hold a 2..24 scan and more.
+# typed: True and 2.0 would otherwise hit the entries of 1 and 2
+@lru_cache(maxsize=32, typed=True)
 def qft_matrix(n: int) -> UnitaryMatrix:
     """The n x n Fourier transform matrix, entries w^(y*k)/sqrt(n)."""
+    n = _integer(n, "dimension")
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     grid = np.outer(np.arange(n), np.arange(n))

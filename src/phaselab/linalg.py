@@ -20,6 +20,7 @@ freeze the copy; operations return new values.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,6 +35,16 @@ PROB_TOL = 1e-9
 
 # Gram-Schmidt candidates whose residual norm falls below this are skipped.
 _RESIDUAL_TOL = 1e-8
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a bool, float, str or other non-integer raises
+    ``ValueError`` naming it. numpy integers are accepted."""
+    # __index__ marks an integer type; the plain-int test first keeps the
+    # common case as cheap as int(value)
+    if type(value) is int or (not isinstance(value, bool) and hasattr(type(value), "__index__")):
+        return operator.index(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _frozen_complex_array(values) -> np.ndarray:
@@ -51,7 +62,10 @@ class RegisterLayout:
     registers: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        regs = tuple((str(label), int(dim)) for label, dim in self.registers)
+        regs = tuple(
+            (str(label), _integer(dim, "register dimension"))
+            for label, dim in self.registers
+        )
         object.__setattr__(self, "registers", regs)
         labels = [label for label, _ in regs]
         if len(set(labels)) != len(labels):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NORM_TOL, UnitaryMatrix, _frozen_complex_array
+from .linalg import NORM_TOL, UnitaryMatrix, _frozen_complex_array, _integer
 
 
 # The power of the oracle a plain forward query applies.
@@ -35,6 +35,7 @@ class PhaseOracleFamily:
     eigenstate: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "number of phases"))
         if self.n < 1:
             raise ValueError(f"number of phases must be >= 1, got {self.n}")
         object.__setattr__(self, "eigenstate", _unit_vector(self.eigenstate))

@@ -74,6 +74,22 @@ class Step:
             raise ValueError("a step needs at least one factor")
         object.__setattr__(self, "factors", factors)
 
+    @classmethod
+    def _trusted(cls, layout: RegisterLayout, factors) -> "Step":
+        """Wrap factors that are valid by construction: at least one, each a
+        ``(UnitaryMatrix, targets)`` whose distinct, existing target registers,
+        a tuple, span its dimension, or a fresh integer bijection of the basis
+        states. The permutations are frozen in place; nothing is copied or
+        checked. Only for permutations nothing else holds a writeable view of.
+        """
+        for factor in factors:
+            if isinstance(factor, np.ndarray):
+                factor.setflags(write=False)
+        self = object.__new__(cls)
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "factors", tuple(factors))
+        return self
+
     def __matmul__(self, cols: np.ndarray) -> np.ndarray:
         """The step applied to a dim x m column matrix; returns a new array.
 
@@ -118,15 +134,16 @@ def _checked_factor(layout: RegisterLayout, factor):
 
 
 def _apply_factor(cols, layout: RegisterLayout, u: UnitaryMatrix, targets) -> np.ndarray:
-    """``u`` on the target registers of every column, identity elsewhere."""
+    """``u`` on the target registers of every column, identity elsewhere: one
+    product with the targets moved to the front, a (span, rest) view when
+    they already lead, as O does."""
     if targets == layout.labels:
         return u.matrix @ cols
     axes = [layout.axis(t) for t in targets]
-    k = len(axes)
-    block = tuple(layout.dims[a] for a in axes)
-    t = cols.reshape(layout.dims + (cols.shape[-1],))
-    t = np.tensordot(u.matrix.reshape(block + block), t, axes=(range(k, 2 * k), axes))
-    return np.moveaxis(t, range(k), axes).reshape(cols.shape)
+    front = range(len(axes))
+    t = np.moveaxis(cols.reshape(layout.dims + (cols.shape[-1],)), axes, front)
+    t = (u.matrix @ t.reshape(u.dim, -1)).reshape(t.shape)
+    return np.moveaxis(t, front, axes).reshape(cols.shape)
 
 
 @dataclass(frozen=True, eq=False)

@@ -186,6 +186,59 @@ class TestDenseReference:
         )
 
 
+class TestTrustedSteps:
+    """The builders' steps skip the public ``Step`` checks; they must pass them."""
+
+    @staticmethod
+    def assert_public_rebuild(alg):
+        for step in alg.steps:
+            rebuilt = Step(step.layout, step.factors)
+            assert len(rebuilt.factors) == len(step.factors)
+            for got, want in zip(rebuilt.factors, step.factors):
+                if isinstance(want, np.ndarray):
+                    np.testing.assert_array_equal(got, want)
+                    with pytest.raises(ValueError, match="read-only"):
+                        want[0] = 0
+                else:
+                    assert got[0] is want[0] and got[1] == want[1]
+
+    @pytest.mark.parametrize("eigenstate", [None, [0.6, 0, 0.8j]])
+    @pytest.mark.parametrize("n", [1, 2, 9, 24])
+    def test_truncated_optimal_steps_pass_the_public_checks(self, n, eigenstate):
+        for q in range(n):
+            self.assert_public_rebuild(build_truncated_optimal(n, q, eigenstate))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cemm_steps_pass_the_public_checks(self, n):
+        self.assert_public_rebuild(build_cemm(n))
+
+
+class TestWorkPreparation:
+    """Step 0 prepares W unless the eigenstate is exactly e_0, whose basis
+    completion is the identity."""
+
+    @pytest.mark.parametrize(
+        "eigenstate, prepared",
+        [(None, False), ([1, 0], False), ([1, 0, 0], False), ([0, 1], True), ([0.6, 0, 0.8j], True)],
+    )
+    def test_only_a_non_identity_preparation_is_kept(self, eigenstate, prepared):
+        eig = E0 if eigenstate is None else np.asarray(eigenstate, dtype=np.complex128)
+        for n in (1, 3, 5):
+            algs = [build_truncated_optimal(n, q, eigenstate) for q in range(n)]
+            expected = [reference.truncated_optimal_steps(n, q, eig) for q in range(n)]
+            algs.append(build_cemm(n, eigenstate))
+            expected.append(reference.cemm_steps(n, eig))
+            for alg, dense in zip(algs, expected):
+                targets = [f[1] for f in alg.steps[0].factors if isinstance(f, tuple)]
+                assert (("W",) in targets) == prepared
+                TestDenseReference.assert_steps_match(alg.steps, dense)
+
+    @pytest.mark.parametrize("eigenstate", [[1, 1], [np.nan, 0], [1 + 1e-6, 0]])
+    def test_non_unit_eigenstate_rejected(self, eigenstate):
+        with pytest.raises(ValueError, match="seed vector norm"):
+            build_cemm(4, eigenstate)
+
+
 def fejer(theta, n):
     """Closed-form outcome distribution of grid-n phase estimation at theta."""
     delta = theta - np.arange(n) / n
@@ -222,8 +275,9 @@ class TestLargeN:
         for step in alg.steps:
             for factor in step.factors:
                 elems += factor.size if isinstance(factor, np.ndarray) else factor[0].matrix.size
-        # F and F† on O (2 n^2), prep on W (4), one length-4n permutation per step
-        assert elems == 2 * n * n + 4 + n * 4 * n
+        # F and F† on O (2 n^2), one length-4n permutation per step; W starts
+        # in the default eigenstate e_0, so it has no preparation
+        assert elems == 2 * n * n + n * 4 * n
 
 
 class TestContinuousPhase:

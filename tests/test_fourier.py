@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,15 @@ class TestQftMatrix:
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError):
             qft_matrix(0)
+
+    @pytest.mark.parametrize("n", [2.5, True, "3", 2.0])
+    def test_non_integer_dimension_rejected(self, n):
+        qft_matrix(1), qft_matrix(2)  # cached sizes that True and 2.0 compare equal to
+        with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {n!r}")):
+            qft_matrix(n)
+
+    def test_numpy_integer_dimension_accepted(self):
+        np.testing.assert_array_equal(qft_matrix(np.int64(4)).matrix, qft_matrix(4).matrix)
 
     def test_adjoint_is_built_and_checked_once_per_n(self):
         assert qft_matrix(8).adjoint is qft_matrix(8).adjoint

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,19 @@ class TestLayout:
     def test_unknown_label(self):
         with pytest.raises(KeyError):
             QUBIT.axis("nope")
+
+    @pytest.mark.parametrize("dim", [2.5, True, "3"])
+    def test_non_integer_dimension_rejected(self, dim):
+        with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {dim!r}")):
+            RegisterLayout((("O", dim),))
+
+    def test_numpy_integer_dimension_accepted(self):
+        layout = RegisterLayout((("O", np.int64(3)),))
+        assert layout.registers == (("O", 3),) and type(layout.dims[0]) is int
+
+    def test_haar_algorithm_size_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="must be an integer, got 4.5"):
+            haar_random_algorithm(4.5, 1, 0)
 
 
 class TestStateVector:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,15 @@ class TestFamilyConstruction:
     def test_non_unit_eigenstate_rejected(self):
         with pytest.raises(ValueError):
             PhaseOracleFamily(4, [1, 1])
+
+    @pytest.mark.parametrize("n", [2.5, True, "3"])
+    def test_non_integer_size_rejected(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {n!r}")):
+            PhaseOracleFamily(n, [1, 0])
+
+    def test_numpy_integer_size_accepted(self):
+        fam = PhaseOracleFamily(np.int64(4), [1, 0])
+        assert fam.n == 4 and type(fam.n) is int
 
 
 class TestMemberMatrix:
