@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fourier import qft_matrix
-from .linalg import RegisterLayout, UnitaryMatrix, complete_orthonormal_basis
+from .linalg import RegisterLayout, UnitaryMatrix, _integer, complete_orthonormal_basis
 from .oracles import FORWARD, PhaseInstance
 from .simulate import (
     OUTPUT,
@@ -69,7 +69,8 @@ def build_truncated_optimal(n: int, q: int, eigenstate=None) -> QueryAlgorithm:
     leaving the Fourier state of index y truncated to q+1 terms, which the
     final inverse transform concentrates on outcome y with weight (q+1)/n.
     """
-    if not 0 <= q <= n - 1:
+    n, q = _integer(n, "problem size", 1), _integer(q, "query count", 0)
+    if q > n - 1:
         raise ValueError(f"query count must satisfy 0 <= q <= n-1, got q={q}, n={n}")
     target = np.zeros(n, dtype=np.complex128)
     target[: q + 1] = 1.0 / np.sqrt(q + 1)
@@ -83,8 +84,6 @@ def build_cemm(n: int, eigenstate=None) -> QueryAlgorithm:
     Semantically the q = n-1 case of ``build_truncated_optimal``, but
     assembled with the Fourier transform as the superposition preparation.
     """
-    if n < 1:
-        raise ValueError(f"problem size must be >= 1, got {n}")
     return _assemble(n - 1, qft_matrix(n), eigenstate)
 
 
@@ -94,8 +93,7 @@ def cemm_on_continuous_phase(inst: PhaseInstance, n: int) -> np.ndarray:
     Entry y is the probability of measuring outcome y on the output register
     when the oracle has eigenphase ``inst.theta`` instead of a grid value.
     """
-    if n < 2:
-        raise ValueError(f"grid size must be >= 2, got {n}")
+    n = _integer(n, "grid size", 2)
     alg = build_cemm(n, eigenstate=inst.eigenstate)
     cols = _run(alg, inst.eigenstate, lambda m: np.array([inst.theta * m]), 1)
     weights = _outcome_weights(cols, alg.layout)[:, 0]

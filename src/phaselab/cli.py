@@ -9,7 +9,6 @@ one-line summary always goes to stderr so piped CSV stays clean.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -66,36 +65,29 @@ def parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flat parser: every command takes every flag, and
+    ``ExperimentConfig`` rejects a field the command's kind never reads."""
     parser = argparse.ArgumentParser(
         prog="phaselab",
         description="Numerical verification lab for phase-oracle query bounds",
     )
     parser.add_argument("--version", action="version", version=f"phaselab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--n", help="problem sizes: value, comma list, or a..b range")
-        p.add_argument("--trials", type=int, help="trials / search iterations per grid point")
-        p.add_argument("--seed", type=int, help=f"master seed (fallback: ${ENV_SEED})")
-        p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-        p.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
-        p.add_argument("--config", help="JSON config file; flags override its values")
-
-    for command, (kind, text) in _COMMANDS.items():
-        p = sub.add_parser(command, help=text)
-        common(p)
-        if KINDS[kind].takes_q:
-            p.add_argument("--q", help="query counts: value, comma list, or a..b range "
-                           "(default: 0..min(n-1, 12))")
-        if kind == "cemm-curve":
-            p.add_argument("--theta", help="comma list of phases in [0, 1)")
-
-    p = sub.add_parser("sweep", help="run an experiment described by a config file")
-    common(p)
-    p.add_argument("--q", help="query counts override")
-    p.add_argument("--theta", help="phase grid override")
-
+    commands = [f"{command}: {text}" for command, (_, text) in _COMMANDS.items()]
+    commands.append("sweep: run an experiment described by a config file")
+    parser.add_argument(
+        "command", choices=(*_COMMANDS, "sweep"), metavar="command",
+        help="one of " + "; ".join(commands),
+    )
+    parser.add_argument("--n", help="problem sizes: value, comma list, or a..b range")
+    parser.add_argument("--q", help="query counts: value, comma list, or a..b range "
+                        "(default: 0..min(n-1, 12))")
+    parser.add_argument("--theta", help="comma list of phases in [0, 1)")
+    parser.add_argument("--trials", type=int, help="trials / search iterations per grid point")
+    parser.add_argument("--seed", type=int, help=f"master seed (fallback: ${ENV_SEED})")
+    parser.add_argument("--out", help="output file (default: stdout)")
+    parser.add_argument("--format", help="output format: csv (default) or json")
+    parser.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
+    parser.add_argument("--config", help="JSON config file; flags override its values")
     return parser
 
 
@@ -111,13 +103,18 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         if "kind" not in data:
             raise ValueError("sweep requires a config file that sets 'kind'")
     else:
-        data["kind"] = _COMMANDS[args.command][0]
+        kind = _COMMANDS[args.command][0]
+        if data.setdefault("kind", kind) != kind:
+            raise ValueError(
+                f"config file kind {data['kind']!r} does not match {args.command}, "
+                f"which runs {kind!r}"
+            )
 
     if args.n is not None:
         data["n_values"] = parse_int_spec(args.n)
-    if getattr(args, "q", None) is not None:
+    if args.q is not None:
         data["q_values"] = parse_int_spec(args.q)
-    if getattr(args, "theta", None) is not None:
+    if args.theta is not None:
         data["theta_grid"] = parse_float_list(args.theta)
     if args.trials is not None:
         data["trials"] = args.trials
@@ -134,11 +131,12 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
 
     if "n_values" not in data:
         raise ValueError("no problem sizes given: pass --n or a config file")
-    cfg = ExperimentConfig.from_dict(data)  # checks the kind before it picks a default
-    trials = KINDS[cfg.kind].trials
-    if "trials" in data or trials is None:
-        return cfg
-    return dataclasses.replace(cfg, trials=trials)
+    # the kind's default trials; ExperimentConfig reports an unknown kind
+    kind = data["kind"]
+    default = KINDS[kind].trials if isinstance(kind, str) and kind in KINDS else None
+    if "trials" not in data and default is not None:
+        data["trials"] = default
+    return ExperimentConfig.from_dict(data)
 
 
 def _summary(result: ExperimentResult, cfg: ExperimentConfig) -> str:

@@ -36,7 +36,15 @@ from .algorithms import (
     phase_distance,
     round_to_grid,
 )
-from .linalg import AMP_TOL, PROB_TOL, RegisterLayout, StateVector, UnitaryMatrix, haar_random_unitary
+from .linalg import (
+    AMP_TOL,
+    PROB_TOL,
+    RegisterLayout,
+    StateVector,
+    UnitaryMatrix,
+    _integer,
+    haar_random_unitary,
+)
 from .oracles import FORWARD, PhaseInstance, PhaseOracleFamily, default_family
 from .simulate import (
     COUNTER,
@@ -91,14 +99,8 @@ def _sequence(name: str, values):
     return values
 
 
-def _integer(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _integers(name: str, values) -> tuple[int, ...]:
-    return tuple(_integer(name, v) for v in _sequence(name, values))
+def _integers(name: str, values, minimum: int) -> tuple[int, ...]:
+    return tuple(_integer(v, name, minimum) for v in _sequence(name, values))
 
 
 def _real(name: str, value) -> float:
@@ -119,10 +121,10 @@ class ExperimentConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", _integers("n_values", self.n_values))
-        object.__setattr__(self, "q_values", _integers("q_values", self.q_values))
-        object.__setattr__(self, "trials", _integer("trials", self.trials))
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        object.__setattr__(self, "n_values", _integers("n_values", self.n_values, 1))
+        object.__setattr__(self, "q_values", _integers("q_values", self.q_values, 0))
+        object.__setattr__(self, "trials", _integer(self.trials, "trials", 1))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if self.theta_grid is not None:
             grid = tuple(_real("theta_grid", t) for t in _sequence("theta_grid", self.theta_grid))
             object.__setattr__(self, "theta_grid", grid)
@@ -131,12 +133,6 @@ class ExperimentConfig:
         kind = KINDS[self.kind]
         if not self.n_values:
             raise ValueError("at least one n value is required")
-        if any(n < 1 for n in self.n_values):
-            raise ValueError(f"all n values must be >= 1, got {self.n_values}")
-        if any(q < 0 for q in self.q_values):
-            raise ValueError(f"all q values must be >= 0, got {self.q_values}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ValueError(f"output_path must be a string, got {self.output_path!r}")
         if self.format not in ("csv", "json"):
@@ -469,10 +465,8 @@ def adversarial_search(n: int, q: int, iterations: int, seed) -> tuple[float, Qu
     its index, over ``LEAKAGE_BUDGET``, raises ``ValueError`` (see
     ``_sweep``).
     """
-    if q < 0:
-        raise ValueError(f"query count must be >= 0, got {q}")
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    q = _integer(q, "query count", 0)
+    iterations = _integer(iterations, "iterations", 1)
     family = default_family(n)
     layout = standard_layout(n)
     dim = layout.total_dim
@@ -641,8 +635,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         ]
     else:
         tasks = [(n,) for n in cfg.n_values]
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    jobs = _integer(jobs, "jobs", 1)
 
     def work(task):
         return kind.rows(cfg, *task)

@@ -21,9 +21,7 @@ from .linalg import StateVector, UnitaryMatrix, _integer
 @lru_cache(maxsize=32, typed=True)
 def qft_matrix(n: int) -> UnitaryMatrix:
     """The n x n Fourier transform matrix, entries w^(y*k)/sqrt(n)."""
-    n = _integer(n, "dimension")
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    n = _integer(n, "dimension", 1)
     grid = np.outer(np.arange(n), np.arange(n))
     return UnitaryMatrix(np.exp(2j * np.pi * grid / n) / np.sqrt(n))
 

@@ -37,14 +37,22 @@ PROB_TOL = 1e-9
 _RESIDUAL_TOL = 1e-8
 
 
-def _integer(value, what: str) -> int:
-    """``value`` as an int; a bool, float, str or other non-integer raises
+def _integer(value, what: str, minimum: int | None = None) -> int:
+    """``value`` as an int, the package's one integer check: a bool, float,
+    str or other non-integer, or an int below ``minimum``, raises
     ``ValueError`` naming it. numpy integers are accepted."""
-    # __index__ marks an integer type; the plain-int test first keeps the
-    # common case as cheap as int(value)
-    if type(value) is int or (not isinstance(value, bool) and hasattr(type(value), "__index__")):
-        return operator.index(value)
-    raise ValueError(f"{what} must be an integer, got {value!r}")
+    # operator.index takes exactly the integer types, bool among them; a
+    # plain int skips it, which keeps the common case as cheap as int(value)
+    if type(value) is not int:
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            value = operator.index(value)
+        except TypeError:
+            raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {value!r}")
+    return value
 
 
 def _frozen_complex_array(values) -> np.ndarray:
@@ -63,15 +71,13 @@ class RegisterLayout:
 
     def __post_init__(self):
         regs = tuple(
-            (str(label), _integer(dim, "register dimension"))
+            (str(label), _integer(dim, "register dimension", 1))
             for label, dim in self.registers
         )
         object.__setattr__(self, "registers", regs)
         labels = [label for label, _ in regs]
         if len(set(labels)) != len(labels):
             raise ValueError(f"register labels must be unique, got {labels}")
-        if any(dim < 1 for _, dim in regs):
-            raise ValueError("every register dimension must be >= 1")
 
     # cached: the simulator reads these on every step and query
     @cached_property
@@ -255,8 +261,7 @@ def haar_random_unitary(dim: int, seed) -> UnitaryMatrix:
     the matrix is frozen in place, not copied or checked again. ``seed`` may
     be an int or a Generator.
     """
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
+    dim = _integer(dim, "dimension", 1)
     v, dev = _haar_isometries([np.random.default_rng(seed)], 1, dim, dim)
     _check_isometry(dev[0])
     return UnitaryMatrix._trusted(v[0, 0])

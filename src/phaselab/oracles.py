@@ -35,9 +35,7 @@ class PhaseOracleFamily:
     eigenstate: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _integer(self.n, "number of phases"))
-        if self.n < 1:
-            raise ValueError(f"number of phases must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", _integer(self.n, "number of phases", 1))
         object.__setattr__(self, "eigenstate", _unit_vector(self.eigenstate))
 
     @property

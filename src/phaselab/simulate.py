@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +39,7 @@ from .linalg import (
     UnitaryMatrix,
     _check_isometry,
     _haar_isometries,
+    _integer,
     haar_random_unitary,
 )
 from .oracles import FORWARD, PhaseOracleFamily
@@ -164,10 +164,8 @@ class QueryAlgorithm:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        exponents = tuple(self.exponents)
-        if any(isinstance(m, bool) or not isinstance(m, numbers.Integral) for m in exponents):
-            raise ValueError(f"query exponents must be integers, got {exponents!r}")
-        object.__setattr__(self, "exponents", tuple(map(int, exponents)))
+        exponents = tuple(_integer(m, "query exponent") for m in self.exponents)
+        object.__setattr__(self, "exponents", exponents)
         self.layout.axis(OUTPUT)
         if self.layout.dim_of(CONTROL) != 2:
             raise ValueError("control wire B must have dimension 2")
@@ -415,8 +413,7 @@ def standard_layout(n: int, work_dim: int = 2) -> RegisterLayout:
 def haar_random_algorithm(n: int, q: int, seed) -> QueryAlgorithm:
     """Algorithm with q+1 independent Haar-random steps on (O, B, W) and q
     forward queries; ``dataclasses.replace`` sets another schedule."""
-    if q < 0:
-        raise ValueError(f"query count must be >= 0, got {q}")
+    q = _integer(q, "query count", 0)
     rng = np.random.default_rng(seed)
     layout = standard_layout(n)
     # one draw per step, not one stacked (q+1, dim, dim) draw: stacking

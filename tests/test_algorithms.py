@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,12 @@ class TestTruncatedOptimal:
             build_truncated_optimal(4, 4)
         with pytest.raises(ValueError):
             build_truncated_optimal(4, -1)
+        for n, q, bad in [(4, True, True), (4, 1.0, 1.0), (4, "1", "1"), (4.0, 1, 4.0)]:
+            with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+                build_truncated_optimal(n, q)
+
+    def test_numpy_sizes_accepted(self):
+        assert build_truncated_optimal(np.int64(4), np.int64(2)).q == 2
 
     def test_arbitrary_eigenstate(self):
         eig = np.array([0.6, 0.8j])
@@ -121,6 +129,12 @@ class TestCemm:
     def test_query_count(self):
         assert build_cemm(7).q == 6
         assert build_cemm(1).q == 0
+        assert build_cemm(np.int64(3)).q == 2
+
+    @pytest.mark.parametrize("n", [True, 0, 2.0])
+    def test_size_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"got {n!r}")):
+            build_cemm(n)
 
 
 E0 = np.array([1.0, 0.0], dtype=np.complex128)
@@ -320,8 +334,9 @@ class TestContinuousPhase:
         assert abs(dist[0] - 4 / np.pi**2) <= 0.02
 
     def test_small_grid_rejected(self):
-        with pytest.raises(ValueError):
-            cemm_on_continuous_phase(PhaseInstance(theta=0.1, eigenstate=[1, 0]), 1)
+        for n in [1, True, 4.0, "4"]:
+            with pytest.raises(ValueError, match=re.escape(f"got {n!r}")):
+                cemm_on_continuous_phase(PhaseInstance(theta=0.1, eigenstate=[1, 0]), n)
 
 
 class TestRounding:

@@ -186,6 +186,22 @@ class TestOtherCommands:
         assert cli.main([]) == 2
 
 
+class TestConfigKind:
+    @pytest.mark.parametrize("config", [{}, {"kind": "counter-scan"}], ids=["no-kind", "same-kind"])
+    def test_matching_or_absent_kind_is_accepted(self, config, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**config, "n_values": [4], "trials": 2}))
+        args = cli.build_parser().parse_args(["verify-counter", "--config", str(path)])
+        assert cli._build_config(args).kind == "counter-scan"
+
+    def test_other_kind_names_both(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": "bound-sweep", "n_values": [4], "trials": 2}))
+        args = cli.build_parser().parse_args(["verify-counter", "--config", str(path)])
+        with pytest.raises(ValueError, match="'bound-sweep' does not match .* 'counter-scan'"):
+            cli._build_config(args)
+
+
 class TestSweepCommand:
     def test_runs_config_file(self, tmp_path, capsys):
         cfg = {
@@ -224,29 +240,21 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--config", str(path)]) == 2
 
 
-def subcommand_flags():
-    """{command: its option strings} for every subcommand of the parser."""
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {
-        command: {opt for action in p._actions for opt in action.option_strings}
-        for command, p in sub.choices.items()
-    }
-
-
 class TestCommandTable:
     def test_every_kind_has_one_command(self):
         kinds = [kind for kind, _ in cli._COMMANDS.values()]
         assert sorted(kinds) == sorted(experiments.KINDS)
-        assert set(subcommand_flags()) == set(cli._COMMANDS) | {"sweep"}
+        parser = cli.build_parser()
+        assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
+        command = next(a for a in parser._actions if a.dest == "command")
+        assert tuple(command.choices) == (*cli._COMMANDS, "sweep")
 
-    def test_flags_follow_the_kind(self):
-        flags = subcommand_flags()
-        assert {"--q", "--theta"} <= flags.pop("sweep")
-        for command, opts in flags.items():
-            kind = cli._COMMANDS[command][0]
-            assert ("--q" in opts) == experiments.KINDS[kind].takes_q, command
-            assert ("--theta" in opts) == (command == "cemm"), command
+    def test_help_names_every_command(self, capsys):
+        assert cli.main(["--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())  # argparse wraps long help lines
+        for command, (_, text) in cli._COMMANDS.items():
+            assert f"{command}: {text}" in out
+        assert "sweep: run an experiment described by a config file" in out
 
     @pytest.mark.parametrize(
         "command,kind,trials",
@@ -292,19 +300,29 @@ class TestCommandTable:
         (None, ["epr-check", "--n", "3", "--trials", "9"]),
         (None, ["cemm", "--n", "8", "--theta", "0.1", "--trials", "9"]),
         (None, ["cemm", "--n", "8", "--theta", "0.1,,0.2"]),
+        # flags the command's kind never reads, and a format no writer has
+        (None, ["verify-bound", "--n", "4", "--theta", "0.1"]),
+        (None, ["epr-check", "--n", "3", "--q", "1"]),
+        (None, ["reduction-check", "--n", "4", "--theta", "0.3"]),
+        (None, ["verify-bound", "--n", "4", "--format", "xml"]),
+        # a config file whose kind is not the command's
+        ({"kind": "bound-sweep", "n_values": [4], "trials": 2}, ["verify-counter"]),
     ],
     ids=["out-in-missing-dir", "top-level-list", "n-not-a-list", "trials-string",
          "trials-fraction", "seed-fraction", "theta-null", "theta-list", "theta-string",
          "floor-bool", "kind-list", "reduction-floors-and-trials", "epr-unread-fields",
          "bound-sweep-theta", "cemm-q", "cemm-grid-below-2", "epr-check-trials", "cemm-trials",
-         "theta-empty-entry"],
+         "theta-empty-entry", "bound-sweep-theta-flag", "epr-check-q-flag",
+         "reduction-theta-flag", "format-xml", "config-kind-not-the-commands"],
 )
 def test_malformed_outside_input_exits_2(config, argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
-        argv = ["sweep", "--config", str(path)] + argv
+        if not argv or argv[0].startswith("-"):  # a case that names no command runs sweep
+            argv = ["sweep"] + argv
+        argv = argv + ["--config", str(path)]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("phaselab: ")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +41,13 @@ class TestConfig:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             ExperimentConfig(kind="bound-sweep", n_values=(4,), trials=0)
+
+    @pytest.mark.parametrize("jobs", [1.5, True, 0])
+    def test_jobs_must_be_a_positive_integer(self, jobs):
+        cfg = ExperimentConfig(kind="epr-check", n_values=(2,))
+        with pytest.raises(ValueError, match=re.escape(f"got {jobs!r}")):
+            run_experiment(cfg, jobs=jobs)
+        assert len(run_experiment(cfg, jobs=np.int64(2)).rows) == 1
 
     def test_bound_sweep_q_range(self):
         with pytest.raises(ValueError):
@@ -265,10 +273,15 @@ class TestAdversarialSearch:
             success_probability_average(alg, default_family(n)), abs=1e-12
         )
 
-    @pytest.mark.parametrize("q, iterations", [(-1, 5), (1, 0), (1, -2)])
+    @pytest.mark.parametrize("q, iterations", [(-1, 5), (1, 0), (1, -2), (True, 1), (1, 1.5)])
     def test_bad_inputs_rejected(self, q, iterations):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             adversarial_search(4, q, iterations, seed=0)
+        assert str(info.value).endswith((f"got {q!r}", f"got {iterations!r}"))
+
+    def test_numpy_counts_accepted(self):
+        _, alg = adversarial_search(4, np.int64(1), np.int64(1), seed=0)
+        assert alg.q == 1
 
     def test_runner_rows(self):
         cfg = ExperimentConfig(

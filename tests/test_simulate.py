@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -91,7 +92,7 @@ class TestAlgorithmValidation:
     @pytest.mark.parametrize("exponent", [1.0, 2.5, True, "1", None])
     def test_exponent_must_be_an_integer(self, exponent):
         steps = (identity_step(3), identity_step(3))
-        with pytest.raises(ValueError, match="exponents must be integers"):
+        with pytest.raises(ValueError, match="query exponent must be an integer"):
             QueryAlgorithm(standard_layout(3), steps, (exponent,))
 
     def test_numpy_exponents_stored_as_int(self):
@@ -99,6 +100,14 @@ class TestAlgorithmValidation:
         alg = QueryAlgorithm(standard_layout(3), steps, np.array([2, -1]))
         assert alg.exponents == (2, -1)
         assert all(type(m) is int for m in alg.exponents)
+
+    @pytest.mark.parametrize("q", [1.5, True, "1", -1])
+    def test_haar_query_count_must_be_a_count(self, q):
+        with pytest.raises(ValueError, match=re.escape(f"got {q!r}")):
+            haar_random_algorithm(4, q, 0)
+
+    def test_haar_numpy_query_count_accepted(self):
+        assert haar_random_algorithm(4, np.int64(2), 0).q == 2
 
     def test_extra_ancilla_register_allowed(self):
         layout = RegisterLayout((("O", 3), ("B", 2), ("W", 2), ("anc", 3)))
