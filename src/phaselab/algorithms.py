@@ -35,11 +35,13 @@ def _assemble(q: int, prep_o: UnitaryMatrix, eigenstate) -> QueryAlgorithm:
     o >= j] for j = 0..q+1 is the predicate before step j, so [O >= j]
     between queries j and j+1. Step j flips B where active[j] XOR
     active[j+1] (O = j for a middle step), reading the B-reversed basis
-    index there; a step that flips nothing (q = 0) has no permutation.
+    index there; all q+1 permutations are the rows of one array, frozen
+    once, and a step that flips nothing (q = 0) has no permutation.
 
     Every factor is valid by construction, so the steps are built by
     ``Step._trusted``: the matrices are checked ``UnitaryMatrix``es on the
-    registers they span, and each permutation is a fresh bijection.
+    registers they span, and each permutation is a read-only row of a
+    fresh, frozen array of bijections.
     """
     eigenstate = np.asarray([1.0, 0.0] if eigenstate is None else eigenstate, np.complex128)
     eigenstate = eigenstate.reshape(-1)
@@ -50,12 +52,16 @@ def _assemble(q: int, prep_o: UnitaryMatrix, eigenstate) -> QueryAlgorithm:
         prep.append((UnitaryMatrix(complete_orthonormal_basis(eigenstate).T), (WORK,)))
     j, o = np.arange(q + 2)[:, None], np.arange(n)
     active = (j >= 1) & (j <= q) & (o >= j)
+    flips = active[:-1] ^ active[1:]
     idx = np.arange(layout.total_dim).reshape(n, 2, work_dim)
+    # frozen before the reshape, so the array that owns the rows is read-only
+    perms = np.where(flips[:, :, None, None], idx[:, ::-1], idx)
+    perms.setflags(write=False)
+    perms = perms.reshape(q + 1, -1)
     iqft = [(qft_matrix(n).adjoint, (OUTPUT,))]
     steps = []
-    for k, row in enumerate(active[:-1] ^ active[1:]):
-        # the step keeps the array np.where builds, frozen in place, not a copy
-        perm = [np.where(row[:, None, None], idx[:, ::-1], idx).reshape(-1)] if row.any() else []
+    for k, flipped in enumerate(flips.any(axis=1)):
+        perm = [perms[k]] if flipped else []
         factors = (prep if k == 0 else []) + perm + (iqft if k == q else [])
         steps.append(Step._trusted(layout, factors))
     return QueryAlgorithm(layout, steps, (FORWARD,) * q)

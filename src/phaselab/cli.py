@@ -56,6 +56,18 @@ def parse_int_spec(text: str) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _one_int(text: str, flag: str) -> int:
+    """The one integer a flag such as ``--seed`` takes, read as
+    ``parse_int_spec`` reads ``--n``; anything else raises ``ValueError``."""
+    try:
+        values = parse_int_spec(text)
+    except ValueError:
+        values = ()
+    if len(values) != 1:
+        raise ValueError(f"{flag} takes one integer, got {text!r}")
+    return values[0]
+
+
 def parse_float_list(text: str) -> tuple[float, ...]:
     """Parse a comma list of floats, '0.1,0.25'; an empty entry is an error."""
     tokens = str(text).split(",")
@@ -82,11 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--q", help="query counts: value, comma list, or a..b range "
                         "(default: 0..min(n-1, 12))")
     parser.add_argument("--theta", help="comma list of phases in [0, 1)")
-    parser.add_argument("--trials", type=int, help="trials / search iterations per grid point")
-    parser.add_argument("--seed", type=int, help=f"master seed (fallback: ${ENV_SEED})")
+    parser.add_argument("--trials", help="trials / search iterations per grid point")
+    parser.add_argument("--seed", help=f"master seed (fallback: ${ENV_SEED})")
     parser.add_argument("--out", help="output file (default: stdout)")
     parser.add_argument("--format", help="output format: csv (default) or json")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
+    parser.add_argument("--jobs", default="1", help="worker threads (default 1)")
     parser.add_argument("--config", help="JSON config file; flags override its values")
     return parser
 
@@ -117,7 +129,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.theta is not None:
         data["theta_grid"] = parse_float_list(args.theta)
     if args.trials is not None:
-        data["trials"] = args.trials
+        data["trials"] = _one_int(args.trials, "--trials")
     if args.out is not None:
         data["output_path"] = args.out
     if args.format is not None:
@@ -125,9 +137,9 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
 
     # Seed precedence: flag, then environment, then config file, then 0.
     if args.seed is not None:
-        data["seed"] = args.seed
+        data["seed"] = _one_int(args.seed, "--seed")
     elif ENV_SEED in os.environ:
-        data["seed"] = int(os.environ[ENV_SEED])
+        data["seed"] = _one_int(os.environ[ENV_SEED], f"${ENV_SEED}")
 
     if "n_values" not in data:
         raise ValueError("no problem sizes given: pass --n or a config file")
@@ -169,12 +181,13 @@ def main(argv=None) -> int:
 
     try:
         cfg = _build_config(args)
+        jobs = _one_int(args.jobs, "--jobs")
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"phaselab: configuration error: {exc}", file=sys.stderr)
         return 2
 
     try:
-        result = run_experiment(cfg, jobs=args.jobs)
+        result = run_experiment(cfg, jobs=jobs)
     except VerificationError as exc:
         print(f"phaselab: VERIFICATION FAILURE: {exc}", file=sys.stderr)
         return 1

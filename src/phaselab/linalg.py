@@ -8,8 +8,8 @@ here. The kernel that applies steps and queries is ``simulate._evolve``.
 
 The one Haar draw, ``_haar_isometries``, measures how far each draw is
 from an isometry and ``_check_isometry`` fails it, so ``haar_random_unitary``
-wraps its result with ``UnitaryMatrix._trusted``, which freezes the array
-in place instead of copying and checking it again.
+freezes the drawn array in place and wraps its result with
+``UnitaryMatrix._trusted`` instead of copying and checking it again.
 
 Amplitude ordering is row-major over the register order of the layout: the
 first listed register is the most significant index block. All values are
@@ -154,9 +154,8 @@ class UnitaryMatrix:
     @classmethod
     def _trusted(cls, mat: np.ndarray) -> "UnitaryMatrix":
         """Wrap a C-ordered square complex128 array that has already passed
-        the unitarity check: frozen in place, neither copied nor checked
-        again. Only for arrays nothing else holds a writeable view of."""
-        mat.setflags(write=False)
+        the unitarity check and is read-only, as is the array that owns its
+        memory: neither copied, checked nor frozen here."""
         self = object.__new__(cls)
         object.__setattr__(self, "matrix", mat)
         return self
@@ -192,10 +191,12 @@ def complete_orthonormal_basis(u) -> np.ndarray:
     first /= nrm
     p = np.abs(first) ** 2
     tail = np.cumsum(p[::-1])[::-1]  # |u_{>=k}|^2
-    after = np.append(tail[1:], 0.0)  # |u_{>k}|^2
+    after = np.zeros(dim)  # |u_{>k}|^2
+    after[:-1] = tail[1:]
     # the first residual below tol; the last nonzero entry of u always qualifies
     skip = int(np.argmax(after < _RESIDUAL_TOL**2 * tail))
-    k = np.delete(np.arange(dim), skip)
+    k = np.arange(dim - 1)  # every index but skip
+    k[skip:] += 1
     extra = np.where(k > skip, p[skip], 0.0)
     w2 = tail[k] + extra  # |w|^2
     # residual norm; |w|^2 - |u_k|^2 is read off the sums, not subtracted
@@ -258,10 +259,11 @@ def haar_random_unitary(dim: int, seed) -> UnitaryMatrix:
     """Haar-distributed random unitary, deterministic for a fixed seed.
 
     One ``_haar_isometries`` draw, checked unitary by ``_check_isometry``;
-    the matrix is frozen in place, not copied or checked again. ``seed`` may
-    be an int or a Generator.
+    the drawn array is frozen in place, not copied or checked again.
+    ``seed`` may be an int or a Generator.
     """
     dim = _integer(dim, "dimension", 1)
     v, dev = _haar_isometries([np.random.default_rng(seed)], 1, dim, dim)
     _check_isometry(dev[0])
+    v.setflags(write=False)
     return UnitaryMatrix._trusted(v[0, 0])

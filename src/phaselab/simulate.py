@@ -78,13 +78,10 @@ class Step:
     def _trusted(cls, layout: RegisterLayout, factors) -> "Step":
         """Wrap factors that are valid by construction: at least one, each a
         ``(UnitaryMatrix, targets)`` whose distinct, existing target registers,
-        a tuple, span its dimension, or a fresh integer bijection of the basis
-        states. The permutations are frozen in place; nothing is copied or
-        checked. Only for permutations nothing else holds a writeable view of.
+        a tuple, span its dimension, or an integer bijection of the basis
+        states that is read-only, as is the array that owns its memory;
+        nothing is copied, checked or frozen here.
         """
-        for factor in factors:
-            if isinstance(factor, np.ndarray):
-                factor.setflags(write=False)
         self = object.__new__(cls)
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "factors", tuple(factors))
@@ -93,8 +90,8 @@ class Step:
     def __matmul__(self, cols: np.ndarray) -> np.ndarray:
         """The step applied to a dim x m column matrix; returns a new array.
 
-        Row i after a permutation factor is row perm[i] before it; a matrix
-        factor on every register in layout order is a plain product.
+        Row i after a permutation factor is row perm[i] before it; see
+        ``_apply_factor`` for a matrix factor.
         """
         for factor in self.factors:
             if isinstance(factor, np.ndarray):
@@ -135,10 +132,11 @@ def _checked_factor(layout: RegisterLayout, factor):
 
 def _apply_factor(cols, layout: RegisterLayout, u: UnitaryMatrix, targets) -> np.ndarray:
     """``u`` on the target registers of every column, identity elsewhere: one
-    product with the targets moved to the front, a (span, rest) view when
-    they already lead, as O does."""
-    if targets == layout.labels:
-        return u.matrix @ cols
+    product on the (span, rest) view when the targets are the leading
+    registers in layout order, as O alone or every register are, and with
+    the targets moved to the front otherwise."""
+    if targets == layout.labels[: len(targets)]:
+        return (u.matrix @ cols.reshape(u.dim, -1)).reshape(cols.shape)
     axes = [layout.axis(t) for t in targets]
     front = range(len(axes))
     t = np.moveaxis(cols.reshape(layout.dims + (cols.shape[-1],)), axes, front)
@@ -405,8 +403,12 @@ def success_probability_average(alg: QueryAlgorithm, family: PhaseOracleFamily) 
     return _label_success(_run_labels(alg, family, range(family.n)), alg.layout)
 
 
+# typed: (4.0, 2) or (True, 2) would otherwise hit the entry of (4, 2) or
+# (1, 2) and skip the integer rule of RegisterLayout
+@functools.lru_cache(maxsize=64, typed=True)
 def standard_layout(n: int, work_dim: int = 2) -> RegisterLayout:
-    """The (O, B, W) layout shared by the built-in algorithm constructors."""
+    """The (O, B, W) layout shared by the built-in algorithm constructors,
+    one cached value per (n, work_dim)."""
     return RegisterLayout(((OUTPUT, n), (CONTROL, 2), (WORK, work_dim)))
 
 

@@ -226,6 +226,20 @@ class TestTrustedSteps:
     def test_cemm_steps_pass_the_public_checks(self, n):
         self.assert_public_rebuild(build_cemm(n))
 
+    @pytest.mark.parametrize("alg", [build_truncated_optimal(5, 3), build_cemm(4)], ids=["opt", "cemm"])
+    def test_array_owners_are_read_only(self, alg):
+        # a permutation is a row of one array; writing through that array
+        # would change a step without any check
+        perms = [f for step in alg.steps for f in step.factors if isinstance(f, np.ndarray)]
+        assert len(perms) == alg.q + 1
+        for factor in perms:
+            assert factor.base is not None and not factor.base.flags.writeable
+        for step in alg.steps:
+            for factor in step.factors:
+                if not isinstance(factor, np.ndarray):
+                    mat = factor[0].matrix
+                    assert not (mat if mat.base is None else mat.base).flags.writeable
+
 
 class TestWorkPreparation:
     """Step 0 prepares W unless the eigenstate is exactly e_0, whose basis

@@ -172,6 +172,27 @@ class TestOtherCommands:
         assert cli.main(["epr-check", "--n", "3", "--jobs", jobs]) == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--jobs", "1.5"), ("--jobs", "2,3"), ("--trials", "2.5"), ("--seed", "x"), ("--seed", "1..2")],
+    )
+    def test_one_integer_flags_exit_2_as_configuration_errors(self, flag, value, capsys):
+        assert cli.main(["verify-bound", "--n", "4", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"phaselab: configuration error: {flag} takes one integer, got {value!r}" in err
+        assert "usage:" not in err
+
+    def test_negative_and_environment_seeds_still_work(self, monkeypatch, capsys):
+        argv = ["verify-bound", "--n", "4", "--q", "0..1", "--trials", "2"]
+        assert cli.main(argv + ["--seed", "-3"]) == 0
+        flag_out = strip_wall_time(capsys.readouterr().out)
+        monkeypatch.setenv(cli.ENV_SEED, "-3")
+        assert cli.main(argv) == 0
+        assert strip_wall_time(capsys.readouterr().out) == flag_out
+        monkeypatch.setenv(cli.ENV_SEED, "x")
+        assert cli.main(argv) == 2
+        assert f"${cli.ENV_SEED} takes one integer" in capsys.readouterr().err
+
     def test_stress_small(self, capsys):
         assert cli.main(["stress", "--n", "2", "--q", "1", "--trials", "20", "--seed", "1"]) == 0
         assert "random-stress" in capsys.readouterr().err

@@ -333,6 +333,14 @@ class TestUnitaryMatrix:
             ((u, _),) = step.factors
             assert not u.matrix.flags.writeable
 
+    def test_haar_matrix_owner_is_read_only(self):
+        # the trusted wrapper views the drawn array; writing through its
+        # owner would change a checked unitary
+        assert not haar_random_unitary(4, seed=0).matrix.base.flags.writeable
+        for step in haar_random_algorithm(3, 2, seed=0).steps:
+            ((u, _),) = step.factors
+            assert not u.matrix.base.flags.writeable
+
     def test_public_constructor_copies(self):
         src = np.eye(2, dtype=np.complex128)
         u = UnitaryMatrix(src)

@@ -183,6 +183,71 @@ class TestStep:
             QueryAlgorithm(RegisterLayout((("O", 3), ("W", 3), ("B", 2))), (step,), ())
 
 
+class TestStandardLayout:
+    def test_one_cached_layout_per_size(self):
+        assert standard_layout(5) is standard_layout(5)
+        assert standard_layout(5, 3) is standard_layout(5, 3)
+        assert standard_layout(5, 3).registers == (("O", 5), ("B", 2), ("W", 3))
+
+    @pytest.mark.parametrize(
+        "call, cached, bad",
+        [
+            (standard_layout, (4,), (4.0,)),
+            (standard_layout, (1,), (True,)),
+            (haar_random_algorithm, (4, 1, 0), (4.0, 1, 0)),
+            (standard_layout, (4, 2), (4.0, 2)),
+            (standard_layout, (1, 2), (True, 2)),
+            (standard_layout, (4, 3), (4, 3.0)),
+        ],
+        ids=["float", "bool", "haar", "float-pair", "bool-pair", "float-work"],
+    )
+    def test_cache_keeps_the_integer_rule(self, call, cached, bad):
+        # the cache is typed: 4.0 == 4 and True == 1 must not find their
+        # entries (an untyped lru_cache keys a lone int by itself, so only
+        # the pairs would collide without it)
+        call(*cached)
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(*bad)
+
+
+def moveaxis_reference(cols, layout, u, targets):
+    """``u`` on the targets with them moved to the front, for any targets."""
+    axes = [layout.axis(t) for t in targets]
+    front = range(len(axes))
+    t = np.moveaxis(cols.reshape(layout.dims + (cols.shape[-1],)), axes, front)
+    t = (u.matrix @ t.reshape(u.dim, -1)).reshape(t.shape)
+    return np.moveaxis(t, front, axes).reshape(cols.shape)
+
+
+class TestLeadingRegisterView:
+    """Leading targets take the reshape view; it must match the moved-axes
+    product byte for byte."""
+
+    @pytest.mark.parametrize(
+        "layout, targets",
+        [
+            (standard_layout(3), ("O",)),
+            (standard_layout(3), ("O", "B")),
+            (standard_layout(3), ("O", "B", "W")),
+            (standard_layout(3), ("W",)),
+            (standard_layout(3), ("B", "O")),
+            (standard_layout(3), ("O", "W")),
+            (RegisterLayout((("W", 2), ("O", 3), ("B", 2))), ("O",)),
+        ],
+        ids=["O", "OB", "OBW", "W", "BO", "OW", "W-first-O"],
+    )
+    def test_matches_moveaxis_reference(self, layout, targets):
+        rng = np.random.default_rng(7)
+        span = int(np.prod([layout.dim_of(t) for t in targets]))
+        u = haar_random_unitary(span, rng)
+        cols = rng.standard_normal((layout.total_dim, 5)) + 1j * rng.standard_normal(
+            (layout.total_dim, 5)
+        )
+        got = Step(layout, ((u, targets),)) @ cols
+        want = moveaxis_reference(cols, layout, u, targets)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestRunFixedY:
     def test_zero_query_identity_step(self):
         alg = QueryAlgorithm(standard_layout(4), (identity_step(4),), ())
