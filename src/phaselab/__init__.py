@@ -33,7 +33,6 @@ from .linalg import (
     RegisterLayout,
     StateVector,
     UnitaryMatrix,
-    complete_orthonormal_basis,
     haar_random_unitary,
 )
 from .oracles import (

@@ -13,11 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from .fourier import qft_matrix
-from .linalg import RegisterLayout, UnitaryMatrix, _integer, complete_orthonormal_basis
-from .oracles import FORWARD, PhaseInstance
+from .linalg import RegisterLayout, _integer
+from .oracles import FORWARD, PhaseInstance, _unit_vector
 from .simulate import (
     OUTPUT,
-    WORK,
     QueryAlgorithm,
     Step,
     _check_spectra,
@@ -26,30 +25,26 @@ from .simulate import (
 )
 
 
-def _assemble(q: int, prep_o: UnitaryMatrix, eigenstate) -> QueryAlgorithm:
-    """Prepare O and W, walk a control predicate across the queries, then
-    apply F† on O. O is prepared by ``prep_o``, whose dimension is n, and W
-    in ``eigenstate``, or |0> of a qubit if it is None; W gets no factor
-    when the eigenstate is exactly e_0, whose basis completion is the
-    identity. The walk is one table: active[j, o] = [1 <= j <= q and
-    o >= j] for j = 0..q+1 is the predicate before step j, so [O >= j]
-    between queries j and j+1. Step j flips B where active[j] XOR
-    active[j+1] (O = j for a middle step), reading the B-reversed basis
+def _assemble(q: int, amps_o, eigenstate) -> QueryAlgorithm:
+    """Start in ``amps_o`` on O (dimension n), |0> on B and ``eigenstate``
+    on W (|0> of a qubit if None), walk a control predicate across the
+    queries, then apply F† on O. The walk is one table: active[j, o] =
+    [1 <= j <= q and o >= j] for j = 0..q+1 is the predicate before step j,
+    so [O >= j] between queries j and j+1. Step j flips B where active[j]
+    XOR active[j+1] (O = j for a middle step), reading the B-reversed basis
     index there; all q+1 permutations are the rows of one array, frozen
-    once, and a step that flips nothing (q = 0) has no permutation.
+    once. Only a step that flips nothing (q = 0) has no permutation, and
+    it is F† alone.
 
     Every factor is valid by construction, so the steps are built by
-    ``Step._trusted``: the matrices are checked ``UnitaryMatrix``es on the
-    registers they span, and each permutation is a read-only row of a
-    fresh, frozen array of bijections.
+    ``Step._trusted``: F† is the checked adjoint of the cached
+    ``qft_matrix(n)``, and each permutation is a read-only row of a fresh,
+    frozen array of bijections.
     """
-    eigenstate = np.asarray([1.0, 0.0] if eigenstate is None else eigenstate, np.complex128)
-    eigenstate = eigenstate.reshape(-1)
-    n, work_dim = prep_o.dim, len(eigenstate)
+    eigenstate = _unit_vector([1.0, 0.0] if eigenstate is None else eigenstate, "eigenstate")
+    n, work_dim = len(amps_o), len(eigenstate)
     layout = standard_layout(n, work_dim)
-    prep = [(prep_o, (OUTPUT,))]
-    if not np.array_equal(eigenstate, np.eye(1, work_dim)[0]):
-        prep.append((UnitaryMatrix(complete_orthonormal_basis(eigenstate).T), (WORK,)))
+    start = np.kron(amps_o, np.kron([1.0, 0.0], eigenstate))
     j, o = np.arange(q + 2)[:, None], np.arange(n)
     active = (j >= 1) & (j <= q) & (o >= j)
     flips = active[:-1] ^ active[1:]
@@ -61,16 +56,15 @@ def _assemble(q: int, prep_o: UnitaryMatrix, eigenstate) -> QueryAlgorithm:
     iqft = [(qft_matrix(n).adjoint, (OUTPUT,))]
     steps = []
     for k, flipped in enumerate(flips.any(axis=1)):
-        perm = [perms[k]] if flipped else []
-        factors = (prep if k == 0 else []) + perm + (iqft if k == q else [])
+        factors = ([perms[k]] if flipped else []) + (iqft if k == q else [])
         steps.append(Step._trusted(layout, factors))
-    return QueryAlgorithm(layout, steps, (FORWARD,) * q)
+    return QueryAlgorithm(layout, steps, (FORWARD,) * q, start)
 
 
 def build_truncated_optimal(n: int, q: int, eigenstate=None) -> QueryAlgorithm:
     """The q-query algorithm saturating the (q+1)/n success bound.
 
-    The output register is prepared in a uniform superposition over {0..q};
+    The output register starts in a uniform superposition over {0..q};
     branch k then gathers phase w^(y*k) from min(k, q) = k active queries,
     leaving the Fourier state of index y truncated to q+1 terms, which the
     final inverse transform concentrates on outcome y with weight (q+1)/n.
@@ -80,7 +74,7 @@ def build_truncated_optimal(n: int, q: int, eigenstate=None) -> QueryAlgorithm:
         raise ValueError(f"query count must satisfy 0 <= q <= n-1, got q={q}, n={n}")
     target = np.zeros(n, dtype=np.complex128)
     target[: q + 1] = 1.0 / np.sqrt(q + 1)
-    return _assemble(q, UnitaryMatrix(complete_orthonormal_basis(target).T), eigenstate)
+    return _assemble(q, target / np.linalg.norm(target), eigenstate)
 
 
 def build_cemm(n: int, eigenstate=None) -> QueryAlgorithm:
@@ -88,9 +82,9 @@ def build_cemm(n: int, eigenstate=None) -> QueryAlgorithm:
     all of [n], controlled phase accumulation, inverse Fourier transform.
 
     Semantically the q = n-1 case of ``build_truncated_optimal``, but
-    assembled with the Fourier transform as the superposition preparation.
+    started in column 0 of the Fourier transform, F|0>.
     """
-    return _assemble(n - 1, qft_matrix(n), eigenstate)
+    return _assemble(n - 1, qft_matrix(n).matrix[:, 0], eigenstate)
 
 
 def cemm_on_continuous_phase(inst: PhaseInstance, n: int) -> np.ndarray:
@@ -127,6 +121,7 @@ def round_to_grid(estimate, n: int):
 
     Ties break toward the smaller label.
     """
+    n = _integer(n, "grid size", 1)
     e = np.asarray(estimate, dtype=float) % 1.0
     labels = np.argmin(phase_distance(e[..., None], np.arange(n) / n), axis=-1)
     return int(labels) if labels.ndim == 0 else labels
@@ -148,5 +143,6 @@ def _epr_fourier(n: int) -> np.ndarray:
 def epr_fourier_deviation(n: int) -> float:
     """Max entrywise gap between the computational and Fourier constructions
     (conjugate Fourier state on O paired with Fourier state on C)."""
+    n = _integer(n, "problem size", 1)
     return float(np.max(np.abs(_epr_computational(n) - _epr_fourier(n))))
 

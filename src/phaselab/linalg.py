@@ -1,5 +1,5 @@
 """Dense complex values: labeled registers, state vectors, unitary matrices,
-plus orthonormal basis completion and Haar-random isometries and unitaries.
+plus Haar-random isometries and unitaries.
 
 These are the values the simulator, the builders and the sweeps pass around.
 Their invariants (unit norm, unitarity, orthonormality) are validated once,
@@ -32,9 +32,6 @@ UNITARITY_TOL = 1e-9
 NORM_TOL = 1e-9
 AMP_TOL = 1e-10
 PROB_TOL = 1e-9
-
-# Gram-Schmidt candidates whose residual norm falls below this are skipped.
-_RESIDUAL_TOL = 1e-8
 
 
 def _integer(value, what: str, minimum: int | None = None) -> int:
@@ -168,47 +165,6 @@ class UnitaryMatrix:
     @cached_property
     def adjoint(self) -> "UnitaryMatrix":
         return UnitaryMatrix(self.matrix.conj().T)
-
-
-def complete_orthonormal_basis(u) -> np.ndarray:
-    """Orthonormal basis of C^dim, dim = len(u), whose first vector is
-    ``u``, as the rows of a (dim, dim) array.
-
-    The result equals the Gram-Schmidt completion over the computational
-    basis vectors in index order, skipping a candidate whose residual norm
-    is below 1e-8, with each row written in closed form. Once e_0..e_{k-1}
-    are spanned, u adds only its entries from k on, so the residual of e_k
-    has norm |u_{>k}| / |u_{>=k}| and a reversed cumulative sum finds the one
-    skipped candidate. Every other e_k leaves e_k - conj(u_k) w / |w|^2, with
-    w the entries of u the earlier rows do not span (i >= k and the skipped
-    index). Row 0 is exactly u/|u|. Deterministic, no factorization.
-    """
-    first = np.array(u, dtype=np.complex128).reshape(-1)
-    dim = len(first)
-    nrm = np.linalg.norm(first)
-    if not abs(nrm - 1.0) <= NORM_TOL:  # NaN fails too
-        raise ValueError(f"seed vector norm {nrm} deviates from 1 beyond {NORM_TOL}")
-    first /= nrm
-    p = np.abs(first) ** 2
-    tail = np.cumsum(p[::-1])[::-1]  # |u_{>=k}|^2
-    after = np.zeros(dim)  # |u_{>k}|^2
-    after[:-1] = tail[1:]
-    # the first residual below tol; the last nonzero entry of u always qualifies
-    skip = int(np.argmax(after < _RESIDUAL_TOL**2 * tail))
-    k = np.arange(dim - 1)  # every index but skip
-    k[skip:] += 1
-    extra = np.where(k > skip, p[skip], 0.0)
-    w2 = tail[k] + extra  # |w|^2
-    # residual norm; |w|^2 - |u_k|^2 is read off the sums, not subtracted
-    res = np.sqrt((after[k] + extra) / w2)
-    # entry k of row k is (1 - |u_k|^2 / |w|^2) / res = res, set last
-    spans = (np.arange(dim) > k[:, None]) | (np.arange(dim) == skip)
-    rows = np.empty((dim, dim), dtype=np.complex128)
-    rows[0] = first
-    rows[1:] = np.where(spans, (-first[k].conj() / (w2 * res))[:, None] * first, 0.0)
-    rows[np.arange(1, dim), k] = res
-    rows.setflags(write=False)
-    return rows
 
 
 def _haar_isometries(rngs, count: int, dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -12,18 +12,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NORM_TOL, UnitaryMatrix, _frozen_complex_array, _integer
+from .linalg import NORM_TOL, UnitaryMatrix, _integer
 
 
 # The power of the oracle a plain forward query applies.
 FORWARD = 1
 
 
-def _unit_vector(values) -> np.ndarray:
-    eig = _frozen_complex_array(values).reshape(-1)
-    if abs(np.linalg.norm(eig) - 1.0) > NORM_TOL:
-        raise ValueError("eigenstate must be a unit vector")
-    return eig
+def _unit_vector(values, what: str) -> np.ndarray:
+    """``values`` as a frozen complex vector; raises ``ValueError`` naming
+    ``what`` unless it is finite and of unit norm within ``NORM_TOL``."""
+    vec = np.array(values, dtype=np.complex128).reshape(-1)
+    if not abs(np.linalg.norm(vec) - 1.0) <= NORM_TOL:  # NaN and Inf fail too
+        raise ValueError(f"{what} must be a finite unit vector")
+    vec.setflags(write=False)
+    return vec
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +39,7 @@ class PhaseOracleFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _integer(self.n, "number of phases", 1))
-        object.__setattr__(self, "eigenstate", _unit_vector(self.eigenstate))
+        object.__setattr__(self, "eigenstate", _unit_vector(self.eigenstate, "eigenstate"))
 
     @property
     def work_dim(self) -> int:
@@ -60,7 +63,7 @@ class PhaseInstance:
     def __post_init__(self):
         if not 0.0 <= self.theta < 1.0:
             raise ValueError(f"theta must lie in [0, 1), got {self.theta}")
-        object.__setattr__(self, "eigenstate", _unit_vector(self.eigenstate))
+        object.__setattr__(self, "eigenstate", _unit_vector(self.eigenstate, "eigenstate"))
 
     @property
     def work_dim(self) -> int:

@@ -1,13 +1,14 @@
 """Query-algorithm runs in the fixed-label and purified views.
 
 An algorithm owns registers O (output, dim n), B (oracle control wire,
-dim 2), W (work space the oracle acts on) and optionally more. Its steps
-are unitaries over those registers, each stored as a short product of
-local factors (a matrix on a few registers, or a basis permutation);
-between consecutive steps the simulator applies the oracle to (B, W). The
-purified view appends a counter register C of dimension n initialized to
-the zero Fourier state, which makes the purified state
-(1/sqrt(n)) sum_y |psi_y>|y> with psi_y the fixed-label run of member y.
+dim 2), W (work space the oracle acts on) and optionally more, and a start
+state, all-zeros unless given. Its steps are unitaries over those
+registers, each stored as a short product of local factors (a matrix on a
+few registers, or a basis permutation); between consecutive steps the
+simulator applies the oracle to (B, W). The purified view appends a
+counter register C of dimension n initialized to the zero Fourier state,
+which makes the purified state (1/sqrt(n)) sum_y |psi_y>|y> with psi_y the
+fixed-label run of member y.
 
 So every view is one computation: ``_evolve`` runs a dim x m matrix whose
 columns each carry one oracle phase, a query being a rank-1 update on the
@@ -42,7 +43,7 @@ from .linalg import (
     _integer,
     haar_random_unitary,
 )
-from .oracles import FORWARD, PhaseOracleFamily
+from .oracles import FORWARD, PhaseOracleFamily, _unit_vector
 
 OUTPUT = "O"
 CONTROL = "B"
@@ -152,14 +153,15 @@ class QueryAlgorithm:
     ``steps`` holds q+1 ``Step``s over the layout; a dense ``UnitaryMatrix``
     passed in becomes the one-factor step on every register, without a copy
     or a second unitarity check. ``exponents`` holds the oracle power of each
-    query, an int (numpy ints are stored as int; a bool is rejected). The
-    initial state is all-zeros; any other start state is folded into the
-    first step.
+    query, an int (numpy ints are stored as int; a bool is rejected).
+    ``start`` is the initial state, a finite unit vector over the layout,
+    stored frozen; the default is the all-zeros basis state.
     """
 
     layout: RegisterLayout
     steps: tuple[Step, ...]
     exponents: tuple[int, ...]
+    start: np.ndarray | None = None
 
     def __post_init__(self):
         exponents = tuple(_integer(m, "query exponent") for m in self.exponents)
@@ -188,6 +190,12 @@ class QueryAlgorithm:
             if step.layout != self.layout:
                 raise ValueError(f"step {i} is over {step.layout.registers}, not the layout")
         object.__setattr__(self, "steps", steps)
+        total = self.layout.total_dim
+        start = np.eye(1, total) if self.start is None else self.start
+        start = _unit_vector(start, "start")
+        if start.shape != (total,):
+            raise ValueError(f"start has length {start.shape[0]}, layout expects {total}")
+        object.__setattr__(self, "start", start)
 
     @property
     def n(self) -> int:
@@ -316,10 +324,9 @@ def _label_turns(labels, n):
 
 
 def _run(alg: QueryAlgorithm, eigenstate, turns, m: int, snapshot=None) -> np.ndarray:
-    """The algorithm on m columns started at all-zeros; see ``_evolve``."""
-    return _evolve(
-        _start(alg.layout, m), alg.steps, alg.exponents, alg.layout, eigenstate, turns, snapshot
-    )
+    """The algorithm on m columns, each started at ``alg.start``; see ``_evolve``."""
+    cols = np.repeat(alg.start[:, None], m, axis=1)
+    return _evolve(cols, alg.steps, alg.exponents, alg.layout, eigenstate, turns, snapshot)
 
 
 def _run_labels(alg: QueryAlgorithm, family: PhaseOracleFamily, labels, snapshot=None):
@@ -378,9 +385,11 @@ def reachable_counter_values(exponents, n: int) -> list[set[int]]:
 
     Returns q+1 sets; entry j applies after j queries.
     """
+    n = _integer(n, "number of phases", 1)
     cur = {0}
     sets = [set(cur)]
     for m in exponents:
+        m = _integer(m, "query exponent")
         cur = cur | {(v + m) % n for v in cur}
         sets.append(set(cur))
     return sets

@@ -87,8 +87,13 @@ def dense_step(step):
 
 
 def complete_orthonormal_basis(u):
-    """Gram-Schmidt completion of C^len(u) one accepted row at a time (two passes)."""
+    """Gram-Schmidt completion of C^len(u) one accepted row at a time (two
+    passes) over the computational basis in index order, skipping a
+    candidate whose residual norm is below 1e-8; row 0 is the unit seed u."""
     rows = [np.asarray(u, dtype=np.complex128)]
+    nrm = np.linalg.norm(rows[0])
+    if not abs(nrm - 1.0) <= 1e-9:  # NaN fails too
+        raise ValueError(f"seed vector norm {nrm} deviates from 1")
     dim = len(rows[0])
     for k in range(dim):
         if len(rows) == dim:
@@ -132,36 +137,37 @@ def dense_threshold_toggle(n, threshold, work_dim=2):
 
 
 def dense_assemble(n, q, prep_o, eigenstate):
-    """Dense full-layout steps of the optimal circuit, built with ``kron``."""
+    """Start vector and dense full-layout steps of the optimal circuit, built
+    with ``kron``: the start is column 0 of the dense preparation, the state
+    it makes from all-zeros, and no step prepares."""
     work_dim = eigenstate.shape[0]
     prep_w = complete_orthonormal_basis(eigenstate).T
-    prep = np.kron(prep_o, np.kron(np.eye(2), prep_w))
+    start = np.kron(prep_o, np.kron(np.eye(2), prep_w))[:, 0]
     iqft = np.kron(qft_matrix(n).matrix.conj().T, np.eye(2 * work_dim))
     if q == 0:
-        return [iqft @ prep]
+        return start, [iqft]
     toggles = [dense_threshold_toggle(n, j, work_dim) for j in range(q + 1)]
-    steps = [toggles[1] @ prep]
+    steps = [toggles[1]]
     for j in range(1, q):
         steps.append(toggles[j + 1] @ toggles[j])
     steps.append(iqft @ toggles[q])
-    return steps
+    return start, steps
 
 
-def truncated_optimal_steps(n, q, eigenstate):
+def truncated_optimal(n, q, eigenstate):
     target = np.zeros(n, dtype=np.complex128)
     target[: q + 1] = 1.0 / np.sqrt(q + 1)
     return dense_assemble(n, q, complete_orthonormal_basis(target).T, eigenstate)
 
 
-def cemm_steps(n, eigenstate):
+def cemm(n, eigenstate):
     return dense_assemble(n, n - 1, qft_matrix(n).matrix, eigenstate)
 
 
 def purified_initial(alg):
-    layout = alg.layout.extended(COUNTER, alg.n)
-    amps = np.zeros(layout.total_dim, dtype=np.complex128)
-    amps[: alg.n] = 1.0 / np.sqrt(alg.n)  # A at |0..0>, C at the zero Fourier state
-    return StateVector(layout, amps)
+    """The start on the algorithm's registers, C in the zero Fourier state."""
+    amps = np.kron(alg.start, np.full(alg.n, 1.0 / np.sqrt(alg.n)))
+    return StateVector(alg.layout.extended(COUNTER, alg.n), amps)
 
 
 def fourier_weights(state, register):
@@ -192,7 +198,7 @@ def run_purified(alg, family):
 def _fixed_run(alg, oracle):
     """Run with ``oracle(m)`` on (B, W) between consecutive steps, m the
     query's exponent."""
-    state = apply_step(zero_state(alg.layout), alg.steps[0])
+    state = apply_step(StateVector(alg.layout, alg.start), alg.steps[0])
     for m, step in zip(alg.exponents, alg.steps[1:]):
         state = apply_to_registers(state, oracle(m), ["B", "W"])
         state = apply_step(state, step)

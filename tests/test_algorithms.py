@@ -117,7 +117,7 @@ class TestCemm:
         n = 6
         alg = build_cemm(n)
         clear = threshold_toggle(n, n - 1)
-        partial = QueryAlgorithm(alg.layout, alg.steps[:-1] + (clear,), alg.exponents)
+        partial = QueryAlgorithm(alg.layout, alg.steps[:-1] + (clear,), alg.exponents, alg.start)
         fam = default_family(n)
         for y in range(n):
             got = _run_labels(partial, fam, [y])[:, 0].reshape(n, 2, 2)
@@ -141,7 +141,8 @@ E0 = np.array([1.0, 0.0], dtype=np.complex128)
 
 
 class TestDenseReference:
-    """Local-factor steps against the dense ``kron`` construction, step by step."""
+    """The start and the local-factor steps against the dense ``kron``
+    construction, the start first, then step by step."""
 
     @staticmethod
     def assert_steps_match(steps, expected):
@@ -149,12 +150,18 @@ class TestDenseReference:
         for step, dense in zip(steps, expected):
             np.testing.assert_allclose(reference.dense_step(step), dense, rtol=0, atol=1e-12)
 
+    @classmethod
+    def assert_circuit_matches(cls, alg, expected):
+        start, steps = expected
+        np.testing.assert_allclose(alg.start, start, rtol=0, atol=1e-12)
+        cls.assert_steps_match(alg.steps, steps)
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_truncated_optimal_steps(self, n):
         for q in range(n):
             alg = build_truncated_optimal(n, q)
             assert len(alg.steps) == q + 1
-            self.assert_steps_match(alg.steps, reference.truncated_optimal_steps(n, q, E0))
+            self.assert_circuit_matches(alg, reference.truncated_optimal(n, q, E0))
 
     @pytest.mark.parametrize("n, q", [(3, 1), (5, 2), (6, 5)])
     def test_off_by_one_walk_is_caught(self, n, q):
@@ -167,7 +174,7 @@ class TestDenseReference:
             for step, a, b in zip(build_truncated_optimal(n, q).steps, shifted[:-1], shifted[1:])
         ]
         with pytest.raises(AssertionError):
-            self.assert_steps_match(steps, reference.truncated_optimal_steps(n, q, E0))
+            self.assert_steps_match(steps, reference.truncated_optimal(n, q, E0)[1])
 
     @pytest.mark.parametrize("n", [2, 9, 24])
     def test_walk_permutations_match_the_predicate(self, n):
@@ -185,12 +192,12 @@ class TestDenseReference:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cemm_steps(self, n):
-        self.assert_steps_match(build_cemm(n).steps, reference.cemm_steps(n, E0))
+        self.assert_circuit_matches(build_cemm(n), reference.cemm(n, E0))
 
     def test_three_dimensional_work_register(self):
         eig = np.array([0.6, 0.0, 0.8j])
         alg = build_truncated_optimal(5, 3, eigenstate=eig)
-        self.assert_steps_match(alg.steps, reference.truncated_optimal_steps(5, 3, eig))
+        self.assert_circuit_matches(alg, reference.truncated_optimal(5, 3, eig))
 
     @pytest.mark.parametrize("threshold", [0, 2, 5])
     def test_threshold_toggle(self, threshold):
@@ -242,8 +249,8 @@ class TestTrustedSteps:
 
 
 class TestWorkPreparation:
-    """Step 0 prepares W unless the eigenstate is exactly e_0, whose basis
-    completion is the identity."""
+    """W's state lives in the start vector: no step acts on W, and W starts
+    off |0> exactly when the eigenstate is not e_0."""
 
     @pytest.mark.parametrize(
         "eigenstate, prepared",
@@ -253,17 +260,19 @@ class TestWorkPreparation:
         eig = E0 if eigenstate is None else np.asarray(eigenstate, dtype=np.complex128)
         for n in (1, 3, 5):
             algs = [build_truncated_optimal(n, q, eigenstate) for q in range(n)]
-            expected = [reference.truncated_optimal_steps(n, q, eig) for q in range(n)]
+            expected = [reference.truncated_optimal(n, q, eig) for q in range(n)]
             algs.append(build_cemm(n, eigenstate))
-            expected.append(reference.cemm_steps(n, eig))
+            expected.append(reference.cemm(n, eig))
             for alg, dense in zip(algs, expected):
-                targets = [f[1] for f in alg.steps[0].factors if isinstance(f, tuple)]
-                assert (("W",) in targets) == prepared
-                TestDenseReference.assert_steps_match(alg.steps, dense)
+                targets = [f[1] for step in alg.steps for f in step.factors if isinstance(f, tuple)]
+                assert set(targets) == {("O",)}
+                w = alg.start.reshape(n, 2, len(eig))
+                assert (np.abs(w[:, :, 1:]).max(initial=0) > 0) == prepared
+                TestDenseReference.assert_circuit_matches(alg, dense)
 
     @pytest.mark.parametrize("eigenstate", [[1, 1], [np.nan, 0], [1 + 1e-6, 0]])
     def test_non_unit_eigenstate_rejected(self, eigenstate):
-        with pytest.raises(ValueError, match="seed vector norm"):
+        with pytest.raises(ValueError, match="eigenstate must be a finite unit vector"):
             build_cemm(4, eigenstate)
 
 
@@ -299,13 +308,13 @@ class TestLargeN:
         # dense steps would hold n (4n)^2 = 16 n^3 elements
         n = 1024
         alg = build_cemm(n)
-        elems = 0
+        elems = alg.start.size
         for step in alg.steps:
             for factor in step.factors:
                 elems += factor.size if isinstance(factor, np.ndarray) else factor[0].matrix.size
-        # F and F† on O (2 n^2), one length-4n permutation per step; W starts
-        # in the default eigenstate e_0, so it has no preparation
-        assert elems == 2 * n * n + n * 4 * n
+        # F† on O (n^2), one length-4n permutation per step and the length-4n
+        # start: no step prepares O or W
+        assert elems == n * n + n * 4 * n + 4 * n
 
 
 class TestContinuousPhase:
@@ -376,6 +385,14 @@ class TestRounding:
         estimates = (labels / n + rng.uniform(-radius, radius, size=500)) % 1.0
         np.testing.assert_array_equal(round_to_grid(estimates, n), labels)
 
+    @pytest.mark.parametrize("n", [2.5, True, 4.0, "4", 0])
+    def test_grid_size_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"got {n!r}")):
+            round_to_grid(0.9, n)
+
+    def test_numpy_grid_size_accepted(self):
+        assert round_to_grid(0.9, np.int64(4)) == 0
+
 
 class TestEpr:
     def test_n1_trivial(self):
@@ -391,3 +408,8 @@ class TestEpr:
     @pytest.mark.parametrize("n", [3, 7, 12, 20])
     def test_constructions_agree(self, n):
         assert epr_fourier_deviation(n) <= 1e-10
+
+    @pytest.mark.parametrize("n", [2.5, True, "4", 0])
+    def test_size_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"got {n!r}")):
+            epr_fourier_deviation(n)

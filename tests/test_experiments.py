@@ -260,9 +260,11 @@ class TestAdversarialSearch:
         assert 0.45 <= best <= 0.5 + 1e-9
 
     def test_never_improves_past_bound_from_optimal_start(self):
-        # the search's sweep, started at the saturating algorithm's dense steps
+        # the search's sweep, started at the saturating algorithm's dense steps;
+        # the sweep starts at all-zeros, so the first step also prepares the start
         alg = build_truncated_optimal(4, 1)
         steps = [s @ np.eye(alg.layout.total_dim, dtype=np.complex128) for s in alg.steps]
+        steps[0] = steps[0] @ reference.complete_orthonormal_basis(alg.start).T
         for _ in range(10):
             assert 0.5 - 1e-9 <= experiments._sweep(steps, default_family(4)) <= 0.5 + 1e-9
 

@@ -58,7 +58,8 @@ def random_step(layout, rng):
 def random_case(n, work_dim, anc_dim, exponents, seed, local=False):
     """A random algorithm on a shuffled (O, B, W[, anc]) layout and a family
     whose eigenstate is a random unit vector. Steps are dense Haar unitaries,
-    or ``random_step``s when ``local``."""
+    or ``random_step``s when ``local``; half the algorithms start in a random
+    unit vector, the rest at all-zeros."""
     rng = np.random.default_rng(seed)
     regs = [("O", n), ("B", 2), ("W", work_dim)] + ([("anc", anc_dim)] if anc_dim else [])
     layout = RegisterLayout(tuple(regs[i] for i in rng.permutation(len(regs))))
@@ -66,7 +67,10 @@ def random_case(n, work_dim, anc_dim, exponents, seed, local=False):
         steps = [random_step(layout, rng) for _ in range(len(exponents) + 1)]
     else:
         steps = [haar_random_unitary(layout.total_dim, rng) for _ in range(len(exponents) + 1)]
-    alg = QueryAlgorithm(layout, steps, exponents)
+    start = None
+    if rng.random() < 0.5:
+        start = random_unit_columns(layout.total_dim, 1, rng)[:, 0]
+    alg = QueryAlgorithm(layout, steps, exponents, start)
     eig = rng.standard_normal(work_dim) + 1j * rng.standard_normal(work_dim)
     family = PhaseOracleFamily(n, eig / np.linalg.norm(eig))
     return alg, family, float(rng.uniform())

@@ -10,11 +10,10 @@ from phaselab.linalg import (
     RegisterLayout,
     StateVector,
     UnitaryMatrix,
-    complete_orthonormal_basis,
     haar_random_unitary,
 )
 from phaselab.simulate import haar_random_algorithm
-from reference import apply_to_registers, projection_norm_sq, zero_state
+from reference import apply_to_registers, complete_orthonormal_basis, projection_norm_sq, zero_state
 
 QUBIT = RegisterLayout((("a", 2),))
 TWO_QUBITS = RegisterLayout((("a", 2), ("b", 2)))
@@ -147,7 +146,23 @@ class TestProjection:
             projection_norm_sq(zero_state(QUBIT), "a", 2)
 
 
+def qr_completion(u):
+    """The Gram-Schmidt completion of a unit seed as one QR: the seed, then
+    every basis vector but the one at the seed's last nonzero index, each
+    column of Q turned by the phase of its R diagonal entry so that every
+    residual norm is positive. For seeds with no residual in (0, 1e-8)."""
+    u = np.asarray(u, dtype=np.complex128)
+    candidates = np.delete(np.eye(len(u)), np.flatnonzero(u)[-1], axis=1)
+    q, r = np.linalg.qr(np.column_stack([u, candidates]))
+    d = np.diagonal(r)
+    return (q * (d / np.abs(d))).T
+
+
 class TestBasisCompletion:
+    """The reference's Gram-Schmidt completion, which the dense reference
+    circuits start from and the oracle tests read an eigenstate's complement
+    off."""
+
     def test_e0_completes_to_identity(self):
         basis = complete_orthonormal_basis([1, 0])
         np.testing.assert_allclose(basis, np.eye(2), atol=1e-12)
@@ -179,7 +194,7 @@ class TestBasisCompletion:
     @pytest.mark.parametrize("dim", [1, 2, 5, 24, 96])
     def test_matches_one_row_at_a_time_reference(self, dim):
         # seeds that skip a candidate (e_k, a truncated uniform vector) and a
-        # generic one; the closed-form rows and the loop differ only in rounding
+        # generic one; the loop and the QR differ only in rounding
         rng = np.random.default_rng(dim)
         generic = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         truncated = np.zeros(dim)
@@ -187,31 +202,28 @@ class TestBasisCompletion:
         for u in (np.eye(dim)[dim // 2], truncated, generic):
             u = u / np.linalg.norm(u)
             np.testing.assert_allclose(
-                complete_orthonormal_basis(u), reference.complete_orthonormal_basis(u),
-                rtol=0, atol=1e-12,
+                complete_orthonormal_basis(u), qr_completion(u), rtol=0, atol=1e-12
             )
 
     @staticmethod
-    def assert_matches_reference(u):
+    def assert_orthonormal_completion(u):
         basis = complete_orthonormal_basis(u)
-        np.testing.assert_allclose(
-            basis, reference.complete_orthonormal_basis(u), rtol=0, atol=1e-12
-        )
-        # row 0 is u/|u| bit for bit: it is the only prep column the circuits reach
-        first = np.asarray(u, dtype=np.complex128)
-        np.testing.assert_array_equal(basis[0], first / np.linalg.norm(first))
+        gram = basis @ basis.conj().T
+        np.testing.assert_allclose(gram, np.eye(len(basis)), rtol=0, atol=1e-12)
+        # row 0 is the seed bit for bit: it is the start the dense circuits take
+        np.testing.assert_array_equal(basis[0], np.asarray(u, dtype=np.complex128))
         return basis
 
     @pytest.mark.parametrize("dim", [1, 2, 7, 64])
     def test_last_basis_vector(self, dim):
         # the one skipped candidate is e_{dim-1} itself
-        basis = self.assert_matches_reference(np.eye(dim)[dim - 1])
+        basis = self.assert_orthonormal_completion(np.eye(dim)[dim - 1])
         np.testing.assert_array_equal(np.abs(basis[1:, :-1]), np.eye(dim - 1))
 
     def test_support_in_the_middle(self):
         u = np.zeros(9, dtype=np.complex128)
         u[3:6] = [0.6, 0.0, 0.8j]
-        self.assert_matches_reference(u)
+        self.assert_orthonormal_completion(u)
 
     @pytest.mark.parametrize("eps, skipped", [(1e-9, True), (1e-7, False)])
     def test_tail_below_the_residual_tolerance_is_skipped(self, eps, skipped):
@@ -221,18 +233,18 @@ class TestBasisCompletion:
         u = np.zeros(6, dtype=np.complex128)
         u[2] = 1.0
         u[3:] = eps / np.sqrt(3)
-        basis = self.assert_matches_reference(u / np.linalg.norm(u))
+        basis = self.assert_orthonormal_completion(u / np.linalg.norm(u))
         expected = 1.0 if skipped else 1 / np.sqrt(3)
         assert abs(basis[3, 3]) == pytest.approx(expected, abs=1e-6)
 
     def test_dim_one(self):
-        basis = self.assert_matches_reference([1j])
+        basis = self.assert_orthonormal_completion([1j])
         assert basis.shape == (1, 1)
 
     def test_wide_register_truncated_target(self):
         u = np.zeros(256)
         u[:64] = 1 / 8
-        basis = self.assert_matches_reference(u)
+        basis = self.assert_orthonormal_completion(u)
         assert np.max(np.abs(basis @ basis.conj().T - np.eye(256))) < 1e-12
 
     def test_non_unit_input_rejected(self):

@@ -7,7 +7,6 @@ from phaselab.fourier import qft_matrix
 from phaselab.linalg import (
     RegisterLayout,
     StateVector,
-    complete_orthonormal_basis,
     haar_random_unitary,
 )
 from phaselab.oracles import (
@@ -18,7 +17,7 @@ from phaselab.oracles import (
     controlled_u,
     default_family,
 )
-from reference import apply_to_registers, controlled_phase
+from reference import apply_to_registers, complete_orthonormal_basis, controlled_phase
 
 
 def member(family, y):

@@ -109,6 +109,39 @@ class TestAlgorithmValidation:
     def test_haar_numpy_query_count_accepted(self):
         assert haar_random_algorithm(4, np.int64(2), 0).q == 2
 
+    def test_default_start_is_all_zeros(self):
+        alg = QueryAlgorithm(standard_layout(3), (identity_step(3),), ())
+        np.testing.assert_array_equal(alg.start, zero_state(alg.layout).amps)
+
+    @pytest.mark.parametrize(
+        "start, message",
+        [
+            (np.ones(11) / np.sqrt(11), "start has length 11, layout expects 12"),
+            (np.ones(13) / np.sqrt(13), "start has length 13, layout expects 12"),
+            (np.eye(1, 12)[0] * (1 + 1e-6), "start must be a finite unit vector"),
+            (np.zeros(12), "start must be a finite unit vector"),
+            (np.r_[np.nan, np.zeros(11)], "start must be a finite unit vector"),
+            (np.r_[np.inf, np.zeros(11)], "start must be a finite unit vector"),
+        ],
+        ids=["short", "long", "off-norm", "zero", "nan", "inf"],
+    )
+    def test_bad_start_rejected(self, start, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            QueryAlgorithm(standard_layout(3), (identity_step(3),), (), start)
+
+    def test_start_is_a_frozen_copy_kept_by_replace(self):
+        rng = np.random.default_rng(4)
+        given = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        given /= np.linalg.norm(given)
+        alg = QueryAlgorithm(standard_layout(3), (identity_step(3),) * 2, (1,), given)
+        given[0] = 0.0
+        assert alg.start[0] != 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            alg.start[0] = 0.0
+        other = replace(alg, exponents=(-1,))
+        np.testing.assert_array_equal(other.start, alg.start)
+        assert other.exponents == (-1,) and not other.start.flags.writeable
+
     def test_extra_ancilla_register_allowed(self):
         layout = RegisterLayout((("O", 3), ("B", 2), ("W", 2), ("anc", 3)))
         alg = QueryAlgorithm(layout, (UnitaryMatrix(np.eye(36)),), ())
@@ -401,6 +434,19 @@ class TestCounterLeakage:
         assert reachable_counter_values([2, 1], 16) == [{0}, {0, 2}, {0, 1, 2, 3}]
         assert reachable_counter_values([-1], 6) == [{0}, {0, 5}]
         assert reachable_counter_values([3, 3], 4) == [{0}, {0, 3}, {0, 2, 3}]
+
+    @pytest.mark.parametrize(
+        "exponents, n, bad",
+        [([1, 2], 2.5, 2.5), ([1], True, True), ([1.5], 4, 1.5), ([1, True], 4, True), ([1], 0, 0)],
+    )
+    def test_reachable_values_take_integers(self, exponents, n, bad):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            reachable_counter_values(exponents, n)
+
+    def test_reachable_values_accept_numpy_integers(self):
+        sets = reachable_counter_values(np.array([1, 2]), np.int64(4))
+        assert sets == [{0}, {0, 1}, {0, 1, 2, 3}]
+        assert all(type(v) is int for v in sets[-1])
 
 
 class TestTranscript:
