@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .fourier import qft_matrix
-from .linalg import RegisterLayout, _integer
-from .oracles import FORWARD, PhaseInstance, _unit_vector
+from .linalg import RegisterLayout, _integer, _unit_vector
+from .oracles import FORWARD, PhaseInstance
 from .simulate import (
     OUTPUT,
     QueryAlgorithm,
@@ -53,7 +53,7 @@ def _assemble(q: int, amps_o, eigenstate) -> QueryAlgorithm:
     perms = np.where(flips[:, :, None, None], idx[:, ::-1], idx)
     perms.setflags(write=False)
     perms = perms.reshape(q + 1, -1)
-    iqft = [(qft_matrix(n).adjoint, (OUTPUT,))]
+    iqft = [qft_matrix(n).adjoint]  # on O, the leading register
     steps = []
     for k, flipped in enumerate(flips.any(axis=1)):
         factors = ([perms[k]] if flipped else []) + (iqft if k == q else [])

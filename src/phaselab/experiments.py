@@ -556,7 +556,8 @@ def _reduction_chain(alg: QueryAlgorithm) -> list[tuple[float, float]]:
     estimate to the m-grid with ``round_to_grid``, averaged over the m
     labels. Rounding recovers every estimate inside the premise, and the
     rounded estimator is a q-query m-phase distinguisher, so
-    p_m <= r_m <= (q+1)/m; a break or a NaN raises ``VerificationError``.
+    p_m <= r_m <= (q+1)/m; a break or a NaN raises ``VerificationError``,
+    and a phase whose outcome weights do not sum to 1 raises ``ValueError``.
     """
     n, q = alg.n, alg.q
     # every (y, m) in order, so y/m is entry m(m-1)/2 + y; np.unique keeps
@@ -582,6 +583,9 @@ def _reduction_chain(alg: QueryAlgorithm) -> list[tuple[float, float]]:
                 f"bound={(q + 1) / m!r}"
             )
         chain.append((p, r))
+    # a chain that holds can still rest on scaled weights: half of every
+    # weight halves p_m and r_m alike, so each phase's weights must sum to 1
+    _check_spectra(weights.T)
     return chain
 
 

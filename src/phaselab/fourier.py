@@ -33,14 +33,15 @@ def fourier_weights(state: StateVector, register: str) -> np.ndarray:
     the inverse transform and measured. Works on a copy; the input state is
     never mutated.
     """
-    return _spectrum(np.moveaxis(state.tensor_view(), state.layout.axis(register), -1))
+    t = np.moveaxis(state.tensor_view(), state.layout.axis(register), -1)
+    return _spectrum(t.reshape(-1, t.shape[-1]))
 
 
 def _spectrum(amps: np.ndarray) -> np.ndarray:
-    """Fourier weights of the last axis, summed over all other axes.
+    """Fourier weights of the last axis, summed over axis 0.
 
     The inverse transform of a length-d vector is its FFT over sqrt(d), so
-    the weights are |fft|^2 / d; they sum to the squared norm of ``amps``.
+    the weights are |fft|^2 / d; for a 2-d ``amps`` they sum to its squared
+    norm.
     """
-    d = amps.shape[-1]
-    return (np.abs(np.fft.fft(amps, axis=-1)) ** 2).reshape(-1, d).sum(axis=0) / d
+    return (np.abs(np.fft.fft(amps, axis=-1)) ** 2).sum(axis=0) / amps.shape[-1]

@@ -60,6 +60,17 @@ def _frozen_complex_array(values) -> np.ndarray:
     return arr
 
 
+def _unit_vector(values, what: str) -> np.ndarray:
+    """``values`` flattened to a frozen complex vector that owns its memory;
+    raises ``ValueError`` naming ``what`` unless it is finite and of unit
+    norm within ``NORM_TOL``."""
+    vec = np.array(np.ravel(values), dtype=np.complex128)
+    if not abs(np.linalg.norm(vec) - 1.0) <= NORM_TOL:  # NaN and Inf fail too
+        raise ValueError(f"{what} must be a finite unit vector")
+    vec.setflags(write=False)
+    return vec
+
+
 @dataclass(frozen=True)
 class RegisterLayout:
     """Ordered list of (label, dimension) registers defining a tensor space."""
@@ -113,16 +124,13 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = _frozen_complex_array(self.amps).reshape(-1)
+        amps = _unit_vector(self.amps, "state")
         if amps.shape != (self.layout.total_dim,):
             raise ValueError(
                 f"amplitude vector has length {amps.shape[0]}, "
                 f"layout expects {self.layout.total_dim}"
             )
-        amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
-        if abs(self.norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {self.norm} deviates from 1 beyond {NORM_TOL}")
 
     @property
     def norm(self) -> float:

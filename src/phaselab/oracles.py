@@ -12,21 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NORM_TOL, UnitaryMatrix, _integer
+from .linalg import UnitaryMatrix, _integer, _unit_vector
 
 
 # The power of the oracle a plain forward query applies.
 FORWARD = 1
-
-
-def _unit_vector(values, what: str) -> np.ndarray:
-    """``values`` as a frozen complex vector; raises ``ValueError`` naming
-    ``what`` unless it is finite and of unit norm within ``NORM_TOL``."""
-    vec = np.array(values, dtype=np.complex128).reshape(-1)
-    if not abs(np.linalg.norm(vec) - 1.0) <= NORM_TOL:  # NaN and Inf fail too
-        raise ValueError(f"{what} must be a finite unit vector")
-    vec.setflags(write=False)
-    return vec
 
 
 @dataclass(frozen=True, eq=False)

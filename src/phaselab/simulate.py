@@ -3,8 +3,8 @@
 An algorithm owns registers O (output, dim n), B (oracle control wire,
 dim 2), W (work space the oracle acts on) and optionally more, and a start
 state, all-zeros unless given. Its steps are unitaries over those
-registers, each stored as a short product of local factors (a matrix on a
-few registers, or a basis permutation); between consecutive steps the
+registers, each stored as a short product of local factors (a matrix on
+the leading registers, or a basis permutation); between consecutive steps the
 simulator applies the oracle to (B, W). The purified view appends a
 counter register C of dimension n initialized to the zero Fourier state,
 which makes the purified state (1/sqrt(n)) sum_y |psi_y>|y> with psi_y the
@@ -27,12 +27,14 @@ verification paths; sampling never enters these functions.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import fourier_weights
+from .fourier import _spectrum, fourier_weights
 from .linalg import (
     NORM_TOL,
     RegisterLayout,
@@ -41,9 +43,10 @@ from .linalg import (
     _check_isometry,
     _haar_isometries,
     _integer,
+    _unit_vector,
     haar_random_unitary,
 )
-from .oracles import FORWARD, PhaseOracleFamily, _unit_vector
+from .oracles import FORWARD, PhaseOracleFamily
 
 OUTPUT = "O"
 CONTROL = "B"
@@ -55,15 +58,16 @@ COUNTER = "C"
 class Step:
     """One interleaving unitary as an ordered product of local factors.
 
-    A factor is either ``(matrix, targets)``, a ``UnitaryMatrix`` on the
-    listed registers (first target most significant) and the identity on
+    A factor is either a ``UnitaryMatrix`` on the leading registers of the
+    layout whose dimensions multiply to its own (O alone for a k x k matrix
+    with k = dim O, every register for a dense step) and the identity on
     the rest, or a basis permutation: an int array ``perm`` of length
     ``layout.total_dim`` that sends basis state perm[i] to i. Factors apply
-    in the listed order. Each is checked once, at its own size: targets
-    exist and are distinct, the matrix dimension matches the registers it
-    spans, and a permutation is a bijection. A matrix is not re-checked for
-    unitarity; ``UnitaryMatrix`` did that when it was built, or
-    ``_haar_isometries`` when it drew a Haar step.
+    in the listed order. Each is checked once, at its own size: a matrix
+    dimension is a product of leading register dimensions, and a
+    permutation is a bijection. A matrix is not re-checked for unitarity;
+    ``UnitaryMatrix`` did that when it was built, or ``_haar_isometries``
+    when it drew a Haar step.
     """
 
     layout: RegisterLayout
@@ -78,10 +82,10 @@ class Step:
     @classmethod
     def _trusted(cls, layout: RegisterLayout, factors) -> "Step":
         """Wrap factors that are valid by construction: at least one, each a
-        ``(UnitaryMatrix, targets)`` whose distinct, existing target registers,
-        a tuple, span its dimension, or an integer bijection of the basis
-        states that is read-only, as is the array that owns its memory;
-        nothing is copied, checked or frozen here.
+        ``UnitaryMatrix`` whose dimension is a product of leading register
+        dimensions, or an integer bijection of the basis states that is
+        read-only, as is the array that owns its memory; nothing is copied,
+        checked or frozen here.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "layout", layout)
@@ -91,37 +95,34 @@ class Step:
     def __matmul__(self, cols: np.ndarray) -> np.ndarray:
         """The step applied to a dim x m column matrix; returns a new array.
 
-        Row i after a permutation factor is row perm[i] before it; see
-        ``_apply_factor`` for a matrix factor.
+        Row i after a permutation factor is row perm[i] before it. A k x k
+        matrix factor is one product on the (k, rest) reshape view, rows
+        indexed by its leading registers and columns by the rest.
         """
         for factor in self.factors:
             if isinstance(factor, np.ndarray):
                 cols = cols[factor]
             else:
-                cols = _apply_factor(cols, self.layout, *factor)
+                cols = (factor.matrix @ cols.reshape(factor.dim, -1)).reshape(cols.shape)
         return cols
 
 
 def _checked_factor(layout: RegisterLayout, factor):
-    if isinstance(factor, tuple):
-        u, targets = factor
-        if not isinstance(u, UnitaryMatrix):
-            raise TypeError(f"a matrix factor must be a UnitaryMatrix, got {type(u).__name__}")
-        targets = tuple(targets)
-        unknown = [t for t in targets if t not in layout.labels]
-        if unknown:
-            raise ValueError(f"unknown target registers {unknown}, layout has {layout.labels}")
-        if len(set(targets)) != len(targets):
-            raise ValueError(f"duplicate target registers: {targets}")
-        span = math.prod(layout.dim_of(t) for t in targets)
-        if span != u.dim:
+    if isinstance(factor, UnitaryMatrix):
+        leading = tuple(itertools.accumulate(layout.dims, operator.mul))
+        if factor.dim not in leading:
             raise ValueError(
-                f"target registers {targets} span dimension {span}, matrix has dimension {u.dim}"
+                f"a matrix factor of dimension {factor.dim} spans no leading registers "
+                f"of {layout.registers}; their dimensions multiply to {leading}"
             )
-        return u, targets
-    perm = np.array(factor)
-    if perm.dtype.kind not in "iu":
-        raise TypeError(f"a permutation factor must be an integer array, got {perm.dtype}")
+        return factor
+    if not isinstance(factor, np.ndarray):
+        raise TypeError(
+            f"a factor must be a UnitaryMatrix or a permutation array, got {type(factor).__name__}"
+        )
+    if factor.dtype.kind not in "iu":
+        raise TypeError(f"a permutation factor must be an integer array, got {factor.dtype}")
+    perm = factor.copy()
     total = layout.total_dim
     if perm.shape != (total,):
         raise ValueError(f"permutation has shape {perm.shape}, layout expects ({total},)")
@@ -129,20 +130,6 @@ def _checked_factor(layout: RegisterLayout, factor):
         raise ValueError("permutation factor is not a bijection of the basis states")
     perm.setflags(write=False)
     return perm
-
-
-def _apply_factor(cols, layout: RegisterLayout, u: UnitaryMatrix, targets) -> np.ndarray:
-    """``u`` on the target registers of every column, identity elsewhere: one
-    product on the (span, rest) view when the targets are the leading
-    registers in layout order, as O alone or every register are, and with
-    the targets moved to the front otherwise."""
-    if targets == layout.labels[: len(targets)]:
-        return (u.matrix @ cols.reshape(u.dim, -1)).reshape(cols.shape)
-    axes = [layout.axis(t) for t in targets]
-    front = range(len(axes))
-    t = np.moveaxis(cols.reshape(layout.dims + (cols.shape[-1],)), axes, front)
-    t = (u.matrix @ t.reshape(u.dim, -1)).reshape(t.shape)
-    return np.moveaxis(t, front, axes).reshape(cols.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,25 +159,28 @@ class QueryAlgorithm:
         self.layout.axis(WORK)
         if COUNTER in self.layout.labels:
             raise ValueError("label C is reserved for the purified counter register")
-        labels = self.layout.labels
-        steps = tuple(
-            Step(self.layout, ((s, labels),)) if isinstance(s, UnitaryMatrix) else s
-            for s in self.steps
-        )
-        if len(steps) < 1:
-            raise ValueError("an algorithm needs at least one step")
-        if len(self.exponents) != len(steps) - 1:
-            raise ValueError(
-                f"{len(steps)} steps require {len(steps) - 1} query exponents, "
-                f"got {len(self.exponents)}"
-            )
-        for i, step in enumerate(steps):
+        total = self.layout.total_dim
+        steps = []
+        for i, step in enumerate(self.steps):
+            if isinstance(step, UnitaryMatrix):
+                if step.dim != total:
+                    raise ValueError(
+                        f"dense step {i} has dimension {step.dim}, layout expects {total}"
+                    )
+                step = Step(self.layout, (step,))
             if not isinstance(step, Step):
                 raise TypeError(f"step {i} must be a Step or a UnitaryMatrix")
             if step.layout != self.layout:
                 raise ValueError(f"step {i} is over {step.layout.registers}, not the layout")
-        object.__setattr__(self, "steps", steps)
-        total = self.layout.total_dim
+            steps.append(step)
+        if not steps:
+            raise ValueError("an algorithm needs at least one step")
+        if len(exponents) != len(steps) - 1:
+            raise ValueError(
+                f"{len(steps)} steps require {len(steps) - 1} query exponents, "
+                f"got {len(exponents)}"
+            )
+        object.__setattr__(self, "steps", tuple(steps))
         start = np.eye(1, total) if self.start is None else self.start
         start = _unit_vector(start, "start")
         if start.shape != (total,):
@@ -229,8 +219,7 @@ def _counter_spectra(cols: np.ndarray, n: int) -> np.ndarray:
     """Counter weights of each run of n label columns side by side in a
     dim x (T n) matrix, shape (T, n): run t's purified state is its columns
     over sqrt(n), and its weights are ``_spectrum(cols_t) / n`` bit for bit."""
-    weights = np.abs(np.fft.fft(cols.reshape(cols.shape[0], -1, n), axis=-1)) ** 2
-    return weights.sum(axis=0) / n / n
+    return _spectrum(cols.reshape(cols.shape[0], -1, n)) / n
 
 
 def _check_spectra(spectra) -> None:

@@ -5,8 +5,9 @@ Every query goes through a dense oracle matrix applied with
 (B, W, C) for the purified view, ``controlled_u`` on (B, W) for one label,
 and an explicit controlled phase block on (B, W) for continuous phases.
 Counter spectra are read by rotating C with the inverse of ``qft_matrix``.
-A step is applied factor by factor: matrices with ``apply_to_registers``,
-permutations by re-indexing the amplitudes, never with ``Step @``. The dense
+A step is applied factor by factor: a matrix with ``apply_to_registers`` on
+the leading registers its dimension spans, a permutation by re-indexing the
+amplitudes, never with ``Step @``. The dense
 ``kron`` construction of the optimal circuits lives here too. None of this
 shares code with the simulation kernel in ``phaselab.simulate`` or with the
 builders in ``phaselab.algorithms``, so agreement between them is evidence.
@@ -74,9 +75,16 @@ def apply_step(state, step):
             amps = state.amps.reshape(step.layout.total_dim, -1)[factor]
             state = StateVector(state.layout, amps.reshape(-1))
         else:
-            u, targets = factor
-            state = apply_to_registers(state, u, list(targets))
+            state = apply_to_registers(state, factor, leading_labels(step.layout, factor.dim))
     return state
+
+
+def leading_labels(layout, dim):
+    """The first registers of ``layout`` whose dimensions multiply to ``dim``."""
+    for k in range(1, len(layout.labels) + 1):
+        if math.prod(layout.dims[:k]) == dim:
+            return list(layout.labels[:k])
+    raise ValueError(f"no leading registers of {layout.registers} span dimension {dim}")
 
 
 def dense_step(step):

@@ -221,7 +221,7 @@ class TestTrustedSteps:
                     with pytest.raises(ValueError, match="read-only"):
                         want[0] = 0
                 else:
-                    assert got[0] is want[0] and got[1] == want[1]
+                    assert got is want
 
     @pytest.mark.parametrize("eigenstate", [None, [0.6, 0, 0.8j]])
     @pytest.mark.parametrize("n", [1, 2, 9, 24])
@@ -244,7 +244,7 @@ class TestTrustedSteps:
         for step in alg.steps:
             for factor in step.factors:
                 if not isinstance(factor, np.ndarray):
-                    mat = factor[0].matrix
+                    mat = factor.matrix
                     assert not (mat if mat.base is None else mat.base).flags.writeable
 
 
@@ -264,8 +264,9 @@ class TestWorkPreparation:
             algs.append(build_cemm(n, eigenstate))
             expected.append(reference.cemm(n, eig))
             for alg, dense in zip(algs, expected):
-                targets = [f[1] for step in alg.steps for f in step.factors if isinstance(f, tuple)]
-                assert set(targets) == {("O",)}
+                # every matrix factor is F† on O alone
+                dims = [f.dim for s in alg.steps for f in s.factors if not isinstance(f, np.ndarray)]
+                assert dims == [n]
                 w = alg.start.reshape(n, 2, len(eig))
                 assert (np.abs(w[:, :, 1:]).max(initial=0) > 0) == prepared
                 TestDenseReference.assert_circuit_matches(alg, dense)
@@ -311,7 +312,7 @@ class TestLargeN:
         elems = alg.start.size
         for step in alg.steps:
             for factor in step.factors:
-                elems += factor.size if isinstance(factor, np.ndarray) else factor[0].matrix.size
+                elems += factor.size if isinstance(factor, np.ndarray) else factor.matrix.size
         # F† on O (n^2), one length-4n permutation per step and the length-4n
         # start: no step prepares O or W
         assert elems == n * n + n * 4 * n + 4 * n

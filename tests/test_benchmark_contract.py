@@ -51,4 +51,4 @@ def test_haar_algorithm_steps_are_successive_unitary_draws(n, q, seed):
     assert len(steps) == q + 1
     for step in steps:
         (factor,) = step.factors
-        np.testing.assert_array_equal(factor[0].matrix, haar_random_unitary(dim, rng).matrix)
+        np.testing.assert_array_equal(factor.matrix, haar_random_unitary(dim, rng).matrix)

@@ -514,6 +514,18 @@ class TestEprAndReduction:
         with pytest.raises(VerificationError, match="rounding reduction broken: n=4 q=1 m=1"):
             experiments._reduction_chain(build_truncated_optimal(4, 1))
 
+    def test_half_weights_fail_the_norm_check(self, monkeypatch):
+        # planted defect: every outcome weight comes out halved, which halves
+        # p_m and r_m alike and so keeps every link of the chain
+        weights = experiments._outcome_weights
+        monkeypatch.setattr(
+            experiments, "_outcome_weights", lambda cols, layout: weights(cols, layout) / 2
+        )
+        with pytest.raises(
+            VerificationError, match=r"weights sum to 0\.(5|4999).*\(n=8 q=2 kind=reduction"
+        ):
+            run_experiment(ExperimentConfig(kind="reduction-check", n_values=(8,), q_values=(2,)))
+
     def test_floor_rounding_breaks_the_reduction_chain(self, monkeypatch):
         # planted defect: rounding down loses the estimates just below y/m
         monkeypatch.setattr(

@@ -2,7 +2,7 @@
 
 Random problem sizes, work dimensions, eigenstates, ancilla registers,
 register orders, query schedules (negative powers and powers >= n included)
-and steps (local matrix factors on random register subsets, basis
+and steps (local matrix factors on leading registers of those orders, basis
 permutations, dense matrices): every public simulator must agree with the
 reference to 1e-12, success must stay under the counter-support bound, and
 the counter spectrum must stay inside the subset-sum reachable sets.
@@ -39,19 +39,17 @@ TOL = 1e-12
 
 def random_step(layout, rng):
     """A dense Haar step, or one to three factors in random order: Haar
-    matrices on random register subsets (any target order) and random basis
-    permutations."""
+    matrices on the leading registers, a prefix of random length, and random
+    basis permutations."""
     if rng.random() < 0.25:
-        return Step(layout, ((haar_random_unitary(layout.total_dim, rng), layout.labels),))
+        return Step(layout, (haar_random_unitary(layout.total_dim, rng),))
     factors = []
     for _ in range(int(rng.integers(1, 4))):
         if rng.random() < 0.3:
             factors.append(rng.permutation(layout.total_dim))
             continue
-        labels = list(layout.labels)
-        targets = tuple(labels[i] for i in rng.permutation(len(labels))[: rng.integers(1, 4)])
-        dim = math.prod(layout.dim_of(t) for t in targets)
-        factors.append((haar_random_unitary(dim, rng), targets))
+        dim = math.prod(layout.dims[: rng.integers(1, len(layout.dims) + 1)])
+        factors.append(haar_random_unitary(dim, rng))
     return Step(layout, factors)
 
 

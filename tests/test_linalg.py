@@ -76,6 +76,9 @@ class TestStateVector:
         s = zero_state(QUBIT)
         with pytest.raises(ValueError):
             s.amps[0] = 0.5
+        # a 2-d input is flattened into a vector that owns its memory, so no
+        # writeable array is left behind it
+        assert ket(QUBIT, [[1.0], [0.0]]).amps.base is None
 
 
 X = UnitaryMatrix(np.array([[0, 1], [1, 0]], dtype=complex))
@@ -342,7 +345,7 @@ class TestUnitaryMatrix:
         assert not UnitaryMatrix(np.eye(3)).matrix.flags.writeable
         assert not haar_random_unitary(4, seed=0).matrix.flags.writeable
         for step in haar_random_algorithm(2, 2, seed=0).steps:
-            ((u, _),) = step.factors
+            (u,) = step.factors
             assert not u.matrix.flags.writeable
 
     def test_haar_matrix_owner_is_read_only(self):
@@ -350,7 +353,7 @@ class TestUnitaryMatrix:
         # owner would change a checked unitary
         assert not haar_random_unitary(4, seed=0).matrix.base.flags.writeable
         for step in haar_random_algorithm(3, 2, seed=0).steps:
-            ((u, _),) = step.factors
+            (u,) = step.factors
             assert not u.matrix.base.flags.writeable
 
     def test_public_constructor_copies(self):
