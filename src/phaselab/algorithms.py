@@ -13,13 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from .fourier import qft_matrix
-from .linalg import RegisterLayout, _integer, _unit_vector
+from .linalg import _integer, _unit_vector
 from .oracles import FORWARD, PhaseInstance
 from .simulate import (
-    OUTPUT,
     QueryAlgorithm,
     Step,
     _check_spectra,
+    _outcome_weights,
     _run,
     standard_layout,
 )
@@ -96,17 +96,10 @@ def cemm_on_continuous_phase(inst: PhaseInstance, n: int) -> np.ndarray:
     n = _integer(n, "grid size", 2)
     alg = build_cemm(n, eigenstate=inst.eigenstate)
     cols = _run(alg, inst.eigenstate, lambda m: np.array([inst.theta * m]), 1)
-    weights = _outcome_weights(cols, alg.layout)[:, 0]
-    _check_spectra([weights])  # they sum to the squared norm of the final state
+    weights = _outcome_weights(cols, n)[:, 0]
+    # they sum to the squared norm of the final state
+    _check_spectra([weights], lambda _: f"phase theta={inst.theta!r}")
     return weights
-
-
-def _outcome_weights(cols: np.ndarray, layout: RegisterLayout) -> np.ndarray:
-    """Entry [y, j] is the probability of outcome y on O in column j: the
-    squared amplitudes summed over every other register."""
-    t = np.abs(cols.reshape(layout.dims + (cols.shape[-1],))) ** 2
-    t = np.moveaxis(t, layout.axis(OUTPUT), 0)
-    return t.reshape(t.shape[0], -1, t.shape[-1]).sum(axis=1)
 
 
 def phase_distance(a, b):

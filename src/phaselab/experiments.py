@@ -29,7 +29,6 @@ import numpy as np
 from ._version import __version__
 from .algorithms import (
     _epr_computational,
-    _outcome_weights,
     build_truncated_optimal,
     cemm_on_continuous_phase,
     epr_fourier_deviation,
@@ -56,6 +55,7 @@ from .simulate import (
     _haar_runs,
     _label_success,
     _label_turns,
+    _outcome_weights,
     _query,
     _run,
     _run_labels,
@@ -302,10 +302,10 @@ def _row(kind: str, n: int, q: int, trial: int, seed: int, bound: float, measure
     return _guard(ResultRow(n, q, kind, trial, seed, observed, bound, bound - observed, leak, ms))
 
 
-def _readout(layout: RegisterLayout, q: int, cols, spectra) -> tuple[float, float]:
+def _readout(q: int, cols, spectra) -> tuple[float, float]:
     """A row's (success, leakage): the success of its label columns averaged
     over the labels, and the weight of its final spectrum beyond index q."""
-    return _label_success(cols, layout), leakage_from_weights(spectra[-1], range(q + 1))
+    return _label_success(cols), leakage_from_weights(spectra[-1], range(q + 1))
 
 
 def _measured(alg: QueryAlgorithm) -> tuple[float, float]:
@@ -314,7 +314,7 @@ def _measured(alg: QueryAlgorithm) -> tuple[float, float]:
     cols = _run_labels(alg, default_family(alg.n), range(alg.n))
     spectra = _counter_spectra(cols, alg.n)
     _check_spectra(spectra)
-    return _readout(alg.layout, alg.q, cols, spectra)
+    return _readout(alg.q, cols, spectra)
 
 
 def _haar_rows(
@@ -345,11 +345,10 @@ def _haar_rows(
 def _bound_sweep_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]:
     """The saturating algorithm plus ``trials`` Haar-random ones; every row
     must satisfy observed <= (q+1)/n within tolerance."""
-    layout = standard_layout(n)
     bound = (q + 1) / n
     seed = derive_seed(cfg.seed, "optimal", n, q, 0)
     rows = [_row("optimal", n, q, 0, seed, bound, lambda: _measured(build_truncated_optimal(n, q)))]
-    return rows + _haar_rows(cfg, "haar", n, q, bound, lambda _, run: _readout(layout, q, *run))
+    return rows + _haar_rows(cfg, "haar", n, q, bound, lambda _, run: _readout(q, *run))
 
 
 _SCHEDULE_EXPONENTS = (1, -1, 2, 3, 5)
@@ -433,7 +432,7 @@ def _sweep(steps: list, family: PhaseOracleFamily) -> float:
     dft = np.exp(-2j * np.pi * (np.outer(range(n), range(n)) % n) / n)  # L†, symmetric
     envs = [np.eye(dim, dtype=np.complex128)]
     for step in steps[:0:-1]:
-        envs.append(_query(step.conj().T @ envs[-1], layout, u, undo))
+        envs.append(_query(step.conj().T @ envs[-1], n, u, undo))
     a = _start(layout, n)  # columns before the slot, one per label
     for slot, h in enumerate(reversed(envs)):
         h = h.reshape(dim, n, dim // n)
@@ -449,8 +448,8 @@ def _sweep(steps: list, family: PhaseOracleFamily) -> float:
         g = np.einsum("iyj,yj->iy", h, r)
         steps[slot] = _thin_polar(g @ dft[:, :k], coeffs[:, :k])
         if slot < q:
-            a = _query(steps[slot] @ a, layout, u, ahead)
-    return _label_success(steps[-1] @ a, layout)
+            a = _query(steps[slot] @ a, n, u, ahead)
+    return _label_success(steps[-1] @ a)
 
 
 def adversarial_search(n: int, q: int, iterations: int, seed) -> tuple[float, QueryAlgorithm]:
@@ -474,8 +473,8 @@ def adversarial_search(n: int, q: int, iterations: int, seed) -> tuple[float, Qu
     turns = _label_turns(range(n), n)
 
     def success(steps):
-        cols = _evolve(_start(layout, n), steps, [1] * q, layout, family.eigenstate, turns)
-        return _label_success(cols, layout)
+        cols = _evolve(_start(layout, n), steps, [1] * q, n, family.eigenstate, turns)
+        return _label_success(cols)
 
     best_p = -1.0
     best_steps = None
@@ -568,7 +567,7 @@ def _reduction_chain(alg: QueryAlgorithm) -> list[tuple[float, float]]:
     (num, den), column = np.unique([y_all // g, m_all // g], axis=1, return_inverse=True)
     eigenstate = default_family(n, alg.work_dim).eigenstate
     cols = _run(alg, eigenstate, _label_turns(num, den), len(num))
-    weights = _outcome_weights(cols, alg.layout)
+    weights = _outcome_weights(cols, n)
     estimates = np.arange(n) / n
     dist = phase_distance(estimates[:, None], num / den)
     chain = []
@@ -585,7 +584,7 @@ def _reduction_chain(alg: QueryAlgorithm) -> list[tuple[float, float]]:
         chain.append((p, r))
     # a chain that holds can still rest on scaled weights: half of every
     # weight halves p_m and r_m alike, so each phase's weights must sum to 1
-    _check_spectra(weights.T)
+    _check_spectra(weights.T, lambda j: f"phase {num[j]}/{den[j]}")
     return chain
 
 

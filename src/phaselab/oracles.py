@@ -74,6 +74,7 @@ def controlled_u(family: PhaseOracleFamily, y: int, exponent: int = FORWARD) -> 
 
     The exponent is reduced modulo n first, since U_y^n is the identity.
     """
+    y, exponent = _integer(y, "label"), _integer(exponent, "query exponent")
     if not 0 <= y < family.n:
         raise IndexError(f"label {y} out of range for {family.n} phases")
     d = family.work_dim
@@ -89,6 +90,7 @@ def coherent_controlled_u(family: PhaseOracleFamily, exponent: int = FORWARD) ->
     Register order is (control qubit, work dim D, counter dim n), control
     most significant, matching the simulator convention.
     """
+    exponent = _integer(exponent, "query exponent")
     n, d = family.n, family.work_dim
     dim = 2 * d * n
     mat = np.zeros((dim, dim), dtype=np.complex128)

@@ -1,11 +1,12 @@
 """Query-algorithm runs in the fixed-label and purified views.
 
 An algorithm owns registers O (output, dim n), B (oracle control wire,
-dim 2), W (work space the oracle acts on) and optionally more, and a start
-state, all-zeros unless given. Its steps are unitaries over those
-registers, each stored as a short product of local factors (a matrix on
-the leading registers, or a basis permutation); between consecutive steps the
-simulator applies the oracle to (B, W). The purified view appends a
+dim 2) and W (work space the oracle acts on) in that order, then any
+ancillas, and a start state, all-zeros unless given; another register order
+is a relabelling of the basis that the steps can absorb. Its steps are
+unitaries over those registers, each stored as a short product of local
+factors (a matrix on the leading registers, or a basis permutation);
+between consecutive steps the simulator applies the oracle to (B, W). The purified view appends a
 counter register C of dimension n initialized to the zero Fourier state,
 which makes the purified state (1/sqrt(n)) sum_y |psi_y>|y> with psi_y the
 fixed-label run of member y.
@@ -14,7 +15,8 @@ So every view is one computation: ``_evolve`` runs a dim x m matrix whose
 columns each carry one oracle phase, a query being a rank-1 update on the
 B = 1 slice along the eigenstate. ``_counter_spectra`` reads the counter
 spectrum straight off the label columns as an FFT along them, and
-``_check_spectra`` checks once that it sums to 1. Haar-random trials that
+``_check_spectra`` checks once that it sums to 1; ``_label_success`` and
+``_outcome_weights`` read O off the leading axis. Haar-random trials that
 need no algorithm object run side by side in that same matrix, n label
 columns per trial: ``_haar_runs`` draws each trial's steps on its own
 generator, only on the columns they act on, and runs a whole chunk of
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 
@@ -134,8 +135,11 @@ def _checked_factor(layout: RegisterLayout, factor):
 
 @dataclass(frozen=True, eq=False)
 class QueryAlgorithm:
-    """Register layout plus the interleaving unitaries of a q-query algorithm;
-    its problem size ``n`` is the dimension of the output register O.
+    """Register layout plus the interleaving unitaries of a q-query algorithm.
+
+    The layout starts O, B (dimension 2), W, so the problem size ``n`` is
+    ``dims[0]`` and ``work_dim`` is ``dims[2]``; any later registers are
+    ancillas, and label C is reserved for the purified counter.
 
     ``steps`` holds q+1 ``Step``s over the layout; a dense ``UnitaryMatrix``
     passed in becomes the one-factor step on every register, without a copy
@@ -153,10 +157,11 @@ class QueryAlgorithm:
     def __post_init__(self):
         exponents = tuple(_integer(m, "query exponent") for m in self.exponents)
         object.__setattr__(self, "exponents", exponents)
-        self.layout.axis(OUTPUT)
-        if self.layout.dim_of(CONTROL) != 2:
-            raise ValueError("control wire B must have dimension 2")
-        self.layout.axis(WORK)
+        if self.layout.labels[:3] != (OUTPUT, CONTROL, WORK) or self.layout.dims[1] != 2:
+            raise ValueError(
+                f"an algorithm's registers must start O, B (dimension 2), W in that order, "
+                f"got {self.layout.registers}"
+            )
         if COUNTER in self.layout.labels:
             raise ValueError("label C is reserved for the purified counter register")
         total = self.layout.total_dim
@@ -189,7 +194,7 @@ class QueryAlgorithm:
 
     @property
     def n(self) -> int:
-        return self.layout.dim_of(OUTPUT)
+        return self.layout.dims[0]
 
     @property
     def q(self) -> int:
@@ -197,7 +202,7 @@ class QueryAlgorithm:
 
     @property
     def work_dim(self) -> int:
-        return self.layout.dim_of(WORK)
+        return self.layout.dims[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,14 +227,15 @@ def _counter_spectra(cols: np.ndarray, n: int) -> np.ndarray:
     return _spectrum(cols.reshape(cols.shape[0], -1, n)) / n
 
 
-def _check_spectra(spectra) -> None:
-    """Raise ``ValueError`` unless each spectrum, ``spectra[j]`` after j
-    queries, sums to 1 within ``NORM_TOL``; NaN and Inf fail."""
+def _check_spectra(spectra, name="snapshot {}".format) -> None:
+    """Raise ``ValueError`` naming the first entry j of ``spectra`` that does
+    not sum to 1 within ``NORM_TOL`` as ``name(j)``, by default snapshot j,
+    the spectrum after j queries; NaN and Inf fail."""
     totals = np.sum(spectra, axis=-1)
     ok = np.abs(totals - 1.0) <= NORM_TOL  # NaN and Inf compare False
     if not ok.all():
         j = int(np.argmin(ok))
-        raise ValueError(f"snapshot {j} weights sum to {float(totals[j])}, expected 1")
+        raise ValueError(f"{name(j)} weights sum to {float(totals[j])}, expected 1")
 
 
 def _check_compatible(alg: QueryAlgorithm, family: PhaseOracleFamily) -> None:
@@ -241,42 +247,26 @@ def _check_compatible(alg: QueryAlgorithm, family: PhaseOracleFamily) -> None:
         )
 
 
-@functools.lru_cache(maxsize=64)
-def _query_blocks(layout: RegisterLayout):
-    """The layout's dims merged into ``(A, lo, M, hi, R)``, with B and W at
-    axes 1 and 3 in layout order and A, M and R the products of the dims
-    before, between and after them; and whether W comes before B.
-    ``_query`` appends the columns to R."""
-    ax_b, ax_w = layout.axis(CONTROL), layout.axis(WORK)
-    first, second = sorted((ax_b, ax_w))
-    dims = layout.dims
-    blocks = (
-        math.prod(dims[:first]), dims[first], math.prod(dims[first + 1 : second]),
-        dims[second], math.prod(dims[second + 1 :]),
-    )
-    return blocks, ax_w < ax_b
-
-
-def _query(cols: np.ndarray, layout: RegisterLayout, eigenstate, factor) -> np.ndarray:
+def _query(cols: np.ndarray, n: int, eigenstate, factor) -> np.ndarray:
     """One oracle call on every column: W <- W + factor * u<u|W> where B = 1.
 
+    The rows are over (O, B, W[, ancillas]) with dims (n, 2, len(u), ...).
     ``factor[j]`` is e^(2 pi i phi_j m) - 1 for column j's phase phi_j and the
     query power m; the B = 0 slice and the complement of u are left alone.
     Writes into ``cols`` when it is contiguous; callers use the return value.
     """
-    (a, lo, mid, hi, r), w_first = _query_blocks(layout)
     m = cols.shape[-1]
-    t = cols.reshape(a, lo, mid, hi, r * m)
-    # the B = 1 slice as (A, M, W, R * m): W next to the columns
-    s = t[:, :, :, 1].swapaxes(1, 2) if w_first else t[:, 1]
+    t = cols.reshape(n, 2, len(eigenstate), -1)
+    s = t[:, 1]  # the B = 1 slice, (O, W, rest * m)
     inner = (eigenstate.conj() @ s).reshape(-1, m) * factor
-    s += eigenstate[:, None] * inner.reshape(a, mid, 1, r * m)
+    s += eigenstate[:, None] * inner.reshape(n, 1, -1)
     return t.reshape(cols.shape)
 
 
-def _evolve(cols, steps, exponents, layout, eigenstate, turns, snapshot=None) -> np.ndarray:
+def _evolve(cols, steps, exponents, n, eigenstate, turns, snapshot=None) -> np.ndarray:
     """Apply steps[0], then each query followed by the next step, to the columns.
 
+    The rows are over (O, B, W[, ancillas]) with dim O = n, as in ``_query``.
     ``turns(m)`` gives, in turns, the phase of every column's oracle raised
     to the power m; an exponent is any hashable value ``turns`` reads, such
     as an int, or a tuple with one power per run for ``_haar_runs``. When
@@ -292,7 +282,7 @@ def _evolve(cols, steps, exponents, layout, eigenstate, turns, snapshot=None) ->
     for m, step in zip(exponents, steps):
         if m not in factors:
             factors[m] = np.exp(2j * np.pi * turns(m)) - 1.0
-        cols = step @ _query(cols, layout, eigenstate, factors[m])
+        cols = step @ _query(cols, n, eigenstate, factors[m])
         if snapshot is not None:
             snapshot(cols)
     return cols
@@ -315,7 +305,7 @@ def _label_turns(labels, n):
 def _run(alg: QueryAlgorithm, eigenstate, turns, m: int, snapshot=None) -> np.ndarray:
     """The algorithm on m columns, each started at ``alg.start``; see ``_evolve``."""
     cols = np.repeat(alg.start[:, None], m, axis=1)
-    return _evolve(cols, alg.steps, alg.exponents, alg.layout, eigenstate, turns, snapshot)
+    return _evolve(cols, alg.steps, alg.exponents, alg.n, eigenstate, turns, snapshot)
 
 
 def _run_labels(alg: QueryAlgorithm, family: PhaseOracleFamily, labels, snapshot=None):
@@ -325,11 +315,17 @@ def _run_labels(alg: QueryAlgorithm, family: PhaseOracleFamily, labels, snapshot
     return _run(alg, family.eigenstate, turns, len(labels), snapshot)
 
 
-def _label_success(cols: np.ndarray, layout: RegisterLayout) -> float:
-    """Weight of O = y in column y, averaged over the columns."""
-    t = cols.reshape(layout.dims + (cols.shape[-1],))
-    diag = np.diagonal(t, axis1=layout.axis(OUTPUT), axis2=t.ndim - 1)
-    return float(np.sum(np.abs(diag) ** 2)) / cols.shape[-1]
+def _label_success(cols: np.ndarray) -> float:
+    """Weight of O = y in column y of the n label columns, averaged over them."""
+    n = cols.shape[-1]
+    diag = np.diagonal(cols.reshape(n, -1, n), axis1=0, axis2=2)
+    return float(np.sum(np.abs(diag) ** 2)) / n
+
+
+def _outcome_weights(cols: np.ndarray, n: int) -> np.ndarray:
+    """Entry [y, j] is the probability of outcome y on O, of dimension n, in
+    column j: the squared amplitudes summed over every other register."""
+    return (np.abs(cols.reshape(n, -1, cols.shape[-1])) ** 2).sum(axis=1)
 
 
 def _purified_state(layout: RegisterLayout, cols: np.ndarray) -> StateVector:
@@ -355,6 +351,7 @@ def run_purified_transcript(alg: QueryAlgorithm, family: PhaseOracleFamily) -> R
 
 def counter_leakage(state: StateVector, budget: int) -> float:
     """Total Fourier weight of the counter register beyond ``budget``."""
+    budget = _integer(budget, "leakage budget", 0)
     return leakage_from_weights(fourier_weights(state, COUNTER), range(budget + 1))
 
 
@@ -398,7 +395,7 @@ def success_probability_purified(state: StateVector) -> float:
 
 def success_probability_average(alg: QueryAlgorithm, family: PhaseOracleFamily) -> float:
     """Success probability averaged over a uniformly random family member."""
-    return _label_success(_run_labels(alg, family, range(family.n)), alg.layout)
+    return _label_success(_run_labels(alg, family, range(family.n)))
 
 
 # typed: (4.0, 2) or (True, 2) would otherwise hit the entry of (4, 2) or
@@ -492,7 +489,7 @@ def _haar_runs(family: PhaseOracleFamily, exponents, rngs):
             _start(layout, len(labels)),
             [_IsometryStep(vs[:, j]) for j in range(q + 1)],
             [tuple(m) for m in powers.T],
-            layout,
+            n,
             family.eigenstate,
             lambda m: labels * np.repeat(m, n) % n / n,
             lambda c: snaps.append(_counter_spectra(c, n)),

@@ -328,7 +328,7 @@ class TestContinuousPhase:
     def test_off_norm_run_rejected(self, scale, monkeypatch):
         run = algorithms._run
         monkeypatch.setattr(algorithms, "_run", lambda *args: run(*args) * scale)
-        with pytest.raises(ValueError, match="weights sum to"):
+        with pytest.raises(ValueError, match="phase theta=0.3 weights sum to"):
             cemm_on_continuous_phase(PhaseInstance(theta=0.3, eigenstate=[1, 0]), 8)
 
     def test_distribution_matches_closed_form(self):

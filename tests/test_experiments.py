@@ -232,9 +232,9 @@ def test_chunked_batches_keep_every_row(monkeypatch):
 
 def haar_row_values(row):
     """(observed, leakage) of a ``haar`` row, its trial run on its own."""
-    family, layout = default_family(row.n), standard_layout(row.n)
+    family = default_family(row.n)
     cols, snaps = reference.haar_trial(family, [1] * row.q, np.random.default_rng(row.seed))
-    return _label_success(cols, layout), leakage_from_weights(snaps[-1], range(row.q + 1))
+    return _label_success(cols), leakage_from_weights(snaps[-1], range(row.q + 1))
 
 
 def scan_row_leakage(row):
@@ -509,7 +509,7 @@ class TestEprAndReduction:
         # planted defect: every outcome weight comes out NaN
         weights = experiments._outcome_weights
         monkeypatch.setattr(
-            experiments, "_outcome_weights", lambda cols, layout: weights(cols, layout) * np.nan
+            experiments, "_outcome_weights", lambda cols, n: weights(cols, n) * np.nan
         )
         with pytest.raises(VerificationError, match="rounding reduction broken: n=4 q=1 m=1"):
             experiments._reduction_chain(build_truncated_optimal(4, 1))
@@ -519,10 +519,12 @@ class TestEprAndReduction:
         # p_m and r_m alike and so keeps every link of the chain
         weights = experiments._outcome_weights
         monkeypatch.setattr(
-            experiments, "_outcome_weights", lambda cols, layout: weights(cols, layout) / 2
+            experiments, "_outcome_weights", lambda cols, n: weights(cols, n) / 2
         )
+        # the first phase of Theta_8 in lowest terms is 0/1
         with pytest.raises(
-            VerificationError, match=r"weights sum to 0\.(5|4999).*\(n=8 q=2 kind=reduction"
+            VerificationError,
+            match=r"phase 0/1 weights sum to 0\.(5|4999).*\(n=8 q=2 kind=reduction",
         ):
             run_experiment(ExperimentConfig(kind="reduction-check", n_values=(8,), q_values=(2,)))
 

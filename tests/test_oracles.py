@@ -128,6 +128,22 @@ class TestControlled:
         b = controlled_u(fam, 2, 1).matrix
         np.testing.assert_allclose(a, b, atol=1e-12)
 
+    @pytest.mark.parametrize("value", [1.5, True, "1", None])
+    def test_label_and_exponent_must_be_integers(self, value):
+        fam = default_family(4)
+        with pytest.raises(ValueError, match=re.escape(f"label must be an integer, got {value!r}")):
+            controlled_u(fam, value)
+        with pytest.raises(
+            ValueError, match=re.escape(f"query exponent must be an integer, got {value!r}")
+        ):
+            controlled_u(fam, 1, value)
+
+    def test_numpy_label_and_exponent_accepted(self):
+        fam = default_family(4)
+        np.testing.assert_array_equal(
+            controlled_u(fam, np.int64(2), np.int32(3)).matrix, controlled_u(fam, 2, 3).matrix
+        )
+
 
 def coherent_input(n, control, work, k, work_dim=2):
     """|control>|work>|fourier k> on the (B, W, C) layout of the coherent oracle."""
@@ -175,6 +191,19 @@ class TestCoherent:
             out = apply_to_registers(state, um, ["B", "W", "C"])
             expected = coherent_input(n, 1, fam.eigenstate, (k + m) % n)
             np.testing.assert_allclose(out.amps, expected.amps, atol=1e-10)
+
+    @pytest.mark.parametrize("exponent", [0.5, 1.5, True, "1"])
+    def test_exponent_must_be_an_integer(self, exponent):
+        with pytest.raises(
+            ValueError, match=re.escape(f"query exponent must be an integer, got {exponent!r}")
+        ):
+            coherent_controlled_u(default_family(4), exponent)
+
+    def test_numpy_exponent_accepted(self):
+        fam = default_family(4)
+        np.testing.assert_array_equal(
+            coherent_controlled_u(fam, np.int64(-1)).matrix, coherent_controlled_u(fam, -1).matrix
+        )
 
     def test_block_structure_matches_controlled(self):
         n = 4

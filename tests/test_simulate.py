@@ -74,10 +74,26 @@ class TestAlgorithmValidation:
             QueryAlgorithm(layout, (identity_step(3),), (FORWARD,))
 
     def test_problem_size_read_from_output_register(self):
-        layout = RegisterLayout((("O", 5), ("B", 2), ("W", 2)))
-        assert QueryAlgorithm(layout, (UnitaryMatrix(np.eye(20)),), ()).n == 5
-        with pytest.raises(KeyError):
+        layout = RegisterLayout((("O", 5), ("B", 2), ("W", 3), ("anc", 2)))
+        alg = QueryAlgorithm(layout, (UnitaryMatrix(np.eye(60)),), ())
+        assert (alg.n, alg.work_dim) == (5, 3)
+        with pytest.raises(ValueError, match="must start O, B"):
             QueryAlgorithm(RegisterLayout((("B", 2), ("W", 2))), (UnitaryMatrix(np.eye(4)),), ())
+
+    @pytest.mark.parametrize(
+        "registers",
+        [
+            (("W", 2), ("B", 2), ("O", 3)),
+            (("O", 3), ("W", 2), ("B", 2)),
+            (("O", 3), ("B", 2), ("anc", 2), ("W", 2)),
+            (("O", 3), ("B", 3), ("W", 2)),
+        ],
+        ids=["W-B-O", "O-W-B", "O-B-anc-W", "B-dim-3"],
+    )
+    def test_registers_must_start_o_b_w(self, registers):
+        layout = RegisterLayout(registers)
+        with pytest.raises(ValueError, match=re.escape(f"W in that order, got {registers}")):
+            QueryAlgorithm(layout, (UnitaryMatrix(np.eye(layout.total_dim)),), ())
 
     def test_counter_label_reserved(self):
         layout = RegisterLayout((("O", 3), ("B", 2), ("W", 2), ("C", 2)))
@@ -210,8 +226,9 @@ class TestStep:
         step = Step(standard_layout(3, work_dim=3), (np.arange(18),))
         layout = RegisterLayout((("O", 3), ("B", 2), ("W", 3)))
         QueryAlgorithm(layout, (step,), ())  # equal layouts are accepted
-        with pytest.raises(ValueError):
-            QueryAlgorithm(RegisterLayout((("O", 3), ("W", 3), ("B", 2))), (step,), ())
+        other = RegisterLayout((("O", 3), ("B", 2), ("W", 3), ("anc", 1)))
+        with pytest.raises(ValueError, match="not the layout"):
+            QueryAlgorithm(other, (step,), ())
 
 
 class TestStandardLayout:
@@ -386,6 +403,17 @@ class TestCounterLeakage:
             alg = haar_random_algorithm(n, q, rng)
             out = run_purified(alg, default_family(n))
             assert counter_leakage(out, q) <= 1e-10
+
+    @pytest.mark.parametrize("budget", [True, 1.5, 1.0, "1", -1])
+    def test_budget_must_be_a_count(self, budget):
+        out = run_purified(one_query_probe(4), default_family(4))
+        message = f"leakage budget must be .*, got {re.escape(repr(budget))}"
+        with pytest.raises(ValueError, match=message):
+            counter_leakage(out, budget)
+
+    def test_numpy_budget_accepted(self):
+        out = run_purified(one_query_probe(4), default_family(4))
+        assert counter_leakage(out, np.int64(0)) == counter_leakage(out, 0)
 
     def test_power_query_lands_at_exponent(self):
         n = 8
@@ -628,10 +656,10 @@ class TestHaarColumns:
     def test_haar_row_success_averages_to_chance(self, n, q):
         # a bound-sweep haar row's success over 20,000 seeds; the last step
         # is Haar, so on average every label's outcome is uniform
-        family, layout = default_family(n), standard_layout(n)
+        family = default_family(n)
         rngs = [np.random.default_rng(seed) for seed in range(self.DRAWS)]
         runs = _haar_runs(family, [[1] * q] * len(rngs), rngs)
-        p = np.array([_label_success(cols, layout) for cols, _ in runs])
+        p = np.array([_label_success(cols) for cols, _ in runs])
         assert abs(p.mean() - 1 / n) <= 4 * p.std() / np.sqrt(len(p))
 
     def test_failed_isometry_check_raises(self):
@@ -649,7 +677,7 @@ class TestHaarColumns:
         turns = _label_turns(range(n), n)
         for seed in range(3):
             steps = [reference.OneDraw(np.random.default_rng(seed))] * (len(exponents) + 1)
-            want = _evolve(_start(layout, n), steps, exponents, layout, family.eigenstate, turns)
+            want = _evolve(_start(layout, n), steps, exponents, n, family.eigenstate, turns)
             got, _ = next(_haar_runs(family, [exponents], [np.random.default_rng(seed)]))
             assert np.array_equal(got, want)
 
