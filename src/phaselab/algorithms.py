@@ -112,10 +112,14 @@ def round_to_grid(estimate, n: int):
     """Nearest grid label y minimizing the circular distance |theta - y/n|;
     an int for one estimate, an int array of labels for an array of them.
 
-    Ties break toward the smaller label.
+    Ties break toward the smaller label; a NaN or infinite estimate raises
+    ``ValueError``.
     """
     n = _integer(n, "grid size", 1)
-    e = np.asarray(estimate, dtype=float) % 1.0
+    e = np.asarray(estimate, dtype=float)
+    if not np.isfinite(e).all():
+        raise ValueError(f"estimates must be finite, got {estimate!r}")
+    e = e % 1.0
     labels = np.argmin(phase_distance(e[..., None], np.arange(n) / n), axis=-1)
     return int(labels) if labels.ndim == 0 else labels
 

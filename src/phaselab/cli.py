@@ -14,26 +14,7 @@ import os
 import sys
 
 from ._version import __version__
-from .experiments import (
-    ExperimentConfig,
-    ExperimentResult,
-    KINDS,
-    LEAKAGE_BUDGET,
-    VerificationError,
-    run_experiment,
-)
-from .linalg import PROB_TOL
-
-# Each command runs one sweep kind of ``experiments.KINDS``; ``sweep`` reads
-# the kind from its config file.
-_COMMANDS = {
-    "verify-bound": ("bound-sweep", "success probability vs the (q+1)/n ceiling"),
-    "verify-counter": ("counter-scan", "counter-spectrum leakage scans"),
-    "stress": ("random-stress", "adversarial search for bound violations"),
-    "cemm": ("cemm-curve", "estimator success curve over a phase grid"),
-    "epr-check": ("epr-check", "correlated-state basis-change identity"),
-    "reduction-check": ("reduction-check", "exact estimation bound via the rounding reduction"),
-}
+from .experiments import KINDS, ExperimentConfig, VerificationError, run_experiment
 
 ENV_SEED = "PHASELAB_SEED"
 
@@ -77,17 +58,18 @@ def parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One flat parser: every command takes every flag, and
-    ``ExperimentConfig`` rejects a field the command's kind never reads."""
+    """One flat parser, one command per ``experiments.KINDS`` entry, then
+    ``sweep``: every command takes every flag, and ``ExperimentConfig``
+    rejects a field the command's kind never reads."""
     parser = argparse.ArgumentParser(
         prog="phaselab",
         description="Numerical verification lab for phase-oracle query bounds",
     )
     parser.add_argument("--version", action="version", version=f"phaselab {__version__}")
-    commands = [f"{command}: {text}" for command, (_, text) in _COMMANDS.items()]
+    commands = [f"{k.command}: {k.about}" for k in KINDS.values()]
     commands.append("sweep: run an experiment described by a config file")
     parser.add_argument(
-        "command", choices=(*_COMMANDS, "sweep"), metavar="command",
+        "command", choices=(*(k.command for k in KINDS.values()), "sweep"), metavar="command",
         help="one of " + "; ".join(commands),
     )
     parser.add_argument("--n", help="problem sizes: value, comma list, or a..b range")
@@ -115,7 +97,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         if "kind" not in data:
             raise ValueError("sweep requires a config file that sets 'kind'")
     else:
-        kind = _COMMANDS[args.command][0]
+        kind = next(name for name, k in KINDS.items() if k.command == args.command)
         if data.setdefault("kind", kind) != kind:
             raise ValueError(
                 f"config file kind {data['kind']!r} does not match {args.command}, "
@@ -151,27 +133,6 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
-def _summary(result: ExperimentResult, cfg: ExperimentConfig) -> str:
-    rows = result.rows
-    kind = cfg.kind
-    if kind in ("bound-sweep", "random-stress", "reduction-check"):
-        ok = sum(1 for r in rows if r.gap >= -PROB_TOL)
-        deficit = max(r.observed_probability - r.bound_value for r in rows)
-        return f"{kind}: {ok}/{len(rows)} rows within bound; max gap deficit {deficit:.3g}"
-    if kind == "counter-scan":
-        ok = sum(1 for r in rows if r.max_leakage <= LEAKAGE_BUDGET)
-        worst = max(r.max_leakage for r in rows)
-        return f"{kind}: {ok}/{len(rows)} rows within leakage budget; max leakage {worst:.3g}"
-    if kind == "cemm-curve":
-        curve = [r for r in rows if r.kind == "cemm"]
-        worst = min(r.observed_probability for r in curve)
-        return f"{kind}: worst within-tolerance probability {worst:.6g} over {len(curve)} phases"
-    if kind == "epr-check":
-        dev = max(r.max_leakage for r in rows)
-        return f"{kind}: max entrywise deviation {dev:.3g}"
-    return f"{kind}: {len(rows)} rows"
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -205,7 +166,7 @@ def main(argv=None) -> int:
             return 2
     else:
         sys.stdout.write(text)
-    print(_summary(result, cfg), file=sys.stderr)
+    print(f"{cfg.kind}: {KINDS[cfg.kind].summary(result.rows)}", file=sys.stderr)
     return 0
 
 

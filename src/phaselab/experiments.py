@@ -16,7 +16,6 @@ from __future__ import annotations
 import copy
 import datetime as _dt
 import functools
-import numbers
 import os
 import platform
 import time
@@ -38,16 +37,13 @@ from .algorithms import (
 from .linalg import (
     AMP_TOL,
     PROB_TOL,
-    RegisterLayout,
-    StateVector,
     UnitaryMatrix,
     _integer,
+    _real,
     haar_random_unitary,
 )
 from .oracles import FORWARD, PhaseInstance, PhaseOracleFamily, default_family
 from .simulate import (
-    COUNTER,
-    OUTPUT,
     QueryAlgorithm,
     _check_spectra,
     _counter_spectra,
@@ -63,7 +59,6 @@ from .simulate import (
     leakage_from_weights,
     reachable_counter_values,
     standard_layout,
-    success_probability_purified,
 )
 
 # Fourier weight allowed outside the schedule-consistent counter range.
@@ -103,12 +98,6 @@ def _integers(name: str, values, minimum: int) -> tuple[int, ...]:
     return tuple(_integer(v, name, minimum) for v in _sequence(name, values))
 
 
-def _real(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} entries must be real numbers, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -126,8 +115,8 @@ class ExperimentConfig:
         object.__setattr__(self, "trials", _integer(self.trials, "trials", 1))
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if self.theta_grid is not None:
-            grid = tuple(_real("theta_grid", t) for t in _sequence("theta_grid", self.theta_grid))
-            object.__setattr__(self, "theta_grid", grid)
+            grid = _sequence("theta_grid", self.theta_grid)
+            object.__setattr__(self, "theta_grid", tuple(_real(t, "theta_grid entry") for t in grid))
         if not isinstance(self.kind, str) or self.kind not in KINDS:  # a JSON list is unhashable
             raise ValueError(f"unknown experiment kind {self.kind!r}, expected one of {tuple(KINDS)}")
         kind = KINDS[self.kind]
@@ -538,8 +527,9 @@ def _epr_rows(cfg: ExperimentConfig, n: int) -> list[ResultRow]:
     the leakage budget."""
 
     def measure():
-        pair = StateVector(RegisterLayout(((OUTPUT, n), (COUNTER, n))), _epr_computational(n))
-        return success_probability_purified(pair), epr_fourier_deviation(n)
+        # P(equal outcomes) on (O, C): the diagonal of the n x n amplitudes
+        agree = np.trace(np.abs(_epr_computational(n).reshape(n, n)) ** 2)
+        return float(agree), epr_fourier_deviation(n)
 
     return [_row("epr", n, 0, 0, cfg.seed, 1.0, measure)]
 
@@ -599,25 +589,57 @@ def _reduction_rows(cfg: ExperimentConfig, n: int, q: int) -> list[ResultRow]:
     return [_row("reduction", n, q, 0, cfg.seed, (q + 1) / n, measure)]
 
 
+# Stderr summaries; N/N always, as ``_guard`` fails a sweep on any row outside its bound or budget.
+def _bound_summary(rows) -> str:
+    deficit = max(r.observed_probability - r.bound_value for r in rows)
+    return f"{len(rows)}/{len(rows)} rows within bound; max gap deficit {deficit:.3g}"
+
+
+def _leakage_summary(rows) -> str:
+    worst = max(r.max_leakage for r in rows)
+    return f"{len(rows)}/{len(rows)} rows within leakage budget; max leakage {worst:.3g}"
+
+
+def _cemm_summary(rows) -> str:
+    curve = [r for r in rows if r.kind == "cemm"]
+    worst = min(r.observed_probability for r in curve)
+    return f"worst within-tolerance probability {worst:.6g} over {len(curve)} phases"
+
+
+def _epr_summary(rows) -> str:
+    return f"max entrywise deviation {max(r.max_leakage for r in rows):.3g}"
+
+
 @dataclass(frozen=True)
 class Kind:
-    """A sweep kind. ``rows(cfg, n, q)``, or ``rows(cfg, n)`` unless
-    ``takes_q``, computes one task's rows; ``trials`` is the command line's
-    default trial count, None for a kind that computes each row once and
-    never reads ``trials``."""
+    """A sweep kind: ``command`` runs it from the command line and ``about``
+    is that command's help line. ``rows(cfg, n, q)``, or ``rows(cfg, n)``
+    unless ``takes_q``, computes one task's rows, and ``summary(rows)`` is
+    the one-line report of a finished sweep. ``trials`` is the command
+    line's default trial count, None for a kind that computes each row once
+    and never reads ``trials``."""
 
+    command: str
+    about: str
     rows: Callable[..., list[ResultRow]]
+    summary: Callable[[tuple[ResultRow, ...]], str]
     takes_q: bool
     trials: int | None
 
 
 KINDS = {
-    "bound-sweep": Kind(_bound_sweep_rows, takes_q=True, trials=10),
-    "counter-scan": Kind(_counter_scan_rows, takes_q=True, trials=25),
-    "random-stress": Kind(_stress_rows, takes_q=True, trials=200),
-    "cemm-curve": Kind(_cemm_rows, takes_q=False, trials=None),
-    "epr-check": Kind(_epr_rows, takes_q=False, trials=None),
-    "reduction-check": Kind(_reduction_rows, takes_q=True, trials=None),
+    "bound-sweep": Kind("verify-bound", "success probability vs the (q+1)/n ceiling",
+                        _bound_sweep_rows, _bound_summary, takes_q=True, trials=10),
+    "counter-scan": Kind("verify-counter", "counter-spectrum leakage scans",
+                         _counter_scan_rows, _leakage_summary, takes_q=True, trials=25),
+    "random-stress": Kind("stress", "adversarial search for bound violations",
+                          _stress_rows, _bound_summary, takes_q=True, trials=200),
+    "cemm-curve": Kind("cemm", "estimator success curve over a phase grid",
+                       _cemm_rows, _cemm_summary, takes_q=False, trials=None),
+    "epr-check": Kind("epr-check", "correlated-state basis-change identity",
+                      _epr_rows, _epr_summary, takes_q=False, trials=None),
+    "reduction-check": Kind("reduction-check", "exact estimation bound via the rounding reduction",
+                            _reduction_rows, _bound_summary, takes_q=True, trials=None),
 }
 
 

@@ -20,6 +20,7 @@ freeze the copy; operations return new values.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -50,6 +51,15 @@ def _integer(value, what: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{what} must be >= {minimum}, got {value!r}")
     return value
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a float, the package's one real-number check: a bool,
+    str, complex, None or other non-real raises ``ValueError`` naming it.
+    numpy reals are accepted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _frozen_complex_array(values) -> np.ndarray:
@@ -106,9 +116,6 @@ class RegisterLayout:
             if name == label:
                 return i
         raise KeyError(f"no register labeled {label!r} in {self.labels}")
-
-    def dim_of(self, label: str) -> int:
-        return self.registers[self.axis(label)][1]
 
     def extended(self, label: str, dim: int) -> "RegisterLayout":
         """New layout with one register appended (least significant block)."""

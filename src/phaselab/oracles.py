@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import UnitaryMatrix, _integer, _unit_vector
+from .linalg import UnitaryMatrix, _integer, _real, _unit_vector
 
 
 # The power of the oracle a plain forward query applies.
@@ -38,7 +38,7 @@ class PhaseOracleFamily:
 
 def default_family(n: int, work_dim: int = 2) -> PhaseOracleFamily:
     """Smallest faithful family: eigenstate e_0 on a dim-``work_dim`` space."""
-    eig = np.zeros(work_dim, dtype=np.complex128)
+    eig = np.zeros(_integer(work_dim, "work dimension", 1), dtype=np.complex128)
     eig[0] = 1.0
     return PhaseOracleFamily(n, eig)
 
@@ -51,6 +51,7 @@ class PhaseInstance:
     eigenstate: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "theta", _real(self.theta, "theta"))
         if not 0.0 <= self.theta < 1.0:
             raise ValueError(f"theta must lie in [0, 1), got {self.theta}")
         object.__setattr__(self, "eigenstate", _unit_vector(self.eigenstate, "eigenstate"))

@@ -180,7 +180,7 @@ def purified_initial(alg):
 
 def fourier_weights(state, register):
     """Outcome probabilities after the inverse transform on one register."""
-    dim = state.layout.dim_of(register)
+    dim = state.layout.dims[state.layout.axis(register)]
     rotated = apply_to_registers(state, qft_matrix(dim).adjoint, [register])
     probs = np.abs(rotated.tensor_view()) ** 2
     axis = state.layout.axis(register)

@@ -394,6 +394,11 @@ class TestRounding:
     def test_numpy_grid_size_accepted(self):
         assert round_to_grid(0.9, np.int64(4)) == 0
 
+    @pytest.mark.parametrize("estimate", [np.nan, np.inf, -np.inf, [0.1, np.nan]])
+    def test_non_finite_estimate_rejected(self, estimate):
+        with pytest.raises(ValueError, match="estimates must be finite"):
+            round_to_grid(estimate, 4)
+
 
 class TestEpr:
     def test_n1_trivial(self):

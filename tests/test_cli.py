@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -263,18 +264,21 @@ class TestSweepCommand:
 
 class TestCommandTable:
     def test_every_kind_has_one_command(self):
-        kinds = [kind for kind, _ in cli._COMMANDS.values()]
-        assert sorted(kinds) == sorted(experiments.KINDS)
         parser = cli.build_parser()
         assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
         command = next(a for a in parser._actions if a.dest == "command")
-        assert tuple(command.choices) == (*cli._COMMANDS, "sweep")
+        assert tuple(command.choices) == (*(k.command for k in experiments.KINDS.values()), "sweep")
+        for kind, entry in experiments.KINDS.items():
+            theta = ["--theta", "0.25"] if kind == "cemm-curve" else []
+            args = parser.parse_args([entry.command, "--n", "4"] + theta)
+            assert cli._build_config(args).kind == kind
+        assert set(SUMMARIES) == {entry.command for entry in experiments.KINDS.values()}
 
     def test_help_names_every_command(self, capsys):
         assert cli.main(["--help"]) == 0
         out = " ".join(capsys.readouterr().out.split())  # argparse wraps long help lines
-        for command, (_, text) in cli._COMMANDS.items():
-            assert f"{command}: {text}" in out
+        for entry in experiments.KINDS.values():
+            assert f"{entry.command}: {entry.about}" in out
         assert "sweep: run an experiment described by a config file" in out
 
     @pytest.mark.parametrize(
@@ -294,6 +298,30 @@ class TestCommandTable:
         path.write_text(json.dumps(config))
         args = cli.build_parser().parse_args(["sweep", "--config", str(path)])
         assert cli._build_config(args).trials == trials
+
+
+# each command's flags for a small seeded run and the stderr line it prints
+SUMMARIES = {
+    "verify-bound": ("--n 4 --q 0..1 --trials 2",
+                     r"bound-sweep: 6/6 rows within bound; max gap deficit \S+"),
+    "verify-counter": ("--n 4 --q 0..1 --trials 2",
+                       r"counter-scan: 6/6 rows within leakage budget; max leakage \S+"),
+    "stress": ("--n 4 --q 0..1 --trials 2",
+               r"random-stress: 2/2 rows within bound; max gap deficit \S+"),
+    "cemm": ("--n 8 --theta 0.125,0.0625",
+             r"cemm-curve: worst within-tolerance probability \S+ over 2 phases"),
+    "epr-check": ("--n 2,4", r"epr-check: max entrywise deviation \S+"),
+    "reduction-check": ("--n 4 --q 0..1",
+                        r"reduction-check: 2/2 rows within bound; max gap deficit \S+"),
+}
+
+
+@pytest.mark.parametrize("command", SUMMARIES)
+def test_summary_line(command, capsys):
+    flags, summary = SUMMARIES[command]
+    assert cli.main([command, *flags.split(), "--seed", "5"]) == 0
+    err = capsys.readouterr().err
+    assert re.fullmatch(summary + "\n", err), err
 
 
 @pytest.mark.parametrize(

@@ -16,10 +16,12 @@ from phaselab.experiments import (
     derive_seed,
     run_experiment,
 )
-from phaselab.algorithms import build_truncated_optimal
-from phaselab.linalg import UnitaryMatrix, haar_random_unitary
+from phaselab.algorithms import _epr_computational, build_truncated_optimal
+from phaselab.linalg import RegisterLayout, StateVector, UnitaryMatrix, haar_random_unitary
 from phaselab.oracles import FORWARD, default_family
 from phaselab.simulate import (
+    COUNTER,
+    OUTPUT,
     QueryAlgorithm,
     _label_success,
     leakage_from_weights,
@@ -484,6 +486,14 @@ class TestEprAndReduction:
         for r in result.rows:
             assert r.observed_probability == pytest.approx(1.0, abs=1e-9)
             assert r.max_leakage <= 1e-10
+
+    def test_epr_row_equals_the_purified_readout(self):
+        # the row reads P(equal outcomes) off the amplitudes; it must match
+        # the purified simulator's readout on the same state bit for bit
+        cfg = ExperimentConfig(kind="epr-check", n_values=tuple(range(1, 41)))
+        for n, row in zip(cfg.n_values, run_experiment(cfg).rows):
+            pair = StateVector(RegisterLayout(((OUTPUT, n), (COUNTER, n))), _epr_computational(n))
+            assert row.observed_probability == simulate.success_probability_purified(pair)
 
     def test_reduction_q0_worst_case_success(self):
         # With q = 0 the estimate is uniform over the n grid points. For an

@@ -58,6 +58,17 @@ class TestFamilyConstruction:
         fam = PhaseOracleFamily(np.int64(4), [1, 0])
         assert fam.n == 4 and type(fam.n) is int
 
+    @pytest.mark.parametrize("work_dim", [0, -1, True, 2.5, "2"])
+    def test_default_family_work_dim_must_be_a_positive_integer(self, work_dim):
+        got = re.escape(repr(work_dim))
+        with pytest.raises(ValueError, match=f"work dimension must be .*, got {got}"):
+            default_family(4, work_dim)
+
+    def test_default_family_numpy_work_dim_accepted(self):
+        fam = default_family(4, np.int64(3))
+        assert fam.work_dim == 3
+        np.testing.assert_array_equal(fam.eigenstate, [1, 0, 0])
+
 
 class TestMemberMatrix:
     def test_label_zero_is_identity(self):
@@ -235,6 +246,16 @@ class TestPhaseUnitary:
     def test_theta_out_of_range(self):
         with pytest.raises(ValueError):
             PhaseInstance(theta=1.0, eigenstate=np.array([1, 0]))
+
+    @pytest.mark.parametrize("theta", ["0.5", None, False, 0.5j])
+    def test_theta_must_be_real(self, theta):
+        with pytest.raises(ValueError, match=re.escape(f"theta must be a real number, got {theta!r}")):
+            PhaseInstance(theta, [1, 0])
+
+    @pytest.mark.parametrize("theta", [np.float32(0.25), np.int64(0), 0])
+    def test_theta_stored_as_float(self, theta):
+        inst = PhaseInstance(theta, [1, 0])
+        assert type(inst.theta) is float and inst.theta == float(theta)
 
     def test_random_eigenstate_eigenrelation(self):
         rng = np.random.default_rng(12)
