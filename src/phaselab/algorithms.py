@@ -25,10 +25,17 @@ from .simulate import (
 )
 
 
+# the default eigenstate |0> of a qubit, checked once
+_E0 = _unit_vector([1.0, 0.0], "eigenstate")
+
+
 def _assemble(q: int, amps_o, eigenstate) -> QueryAlgorithm:
     """Start in ``amps_o`` on O (dimension n), |0> on B and ``eigenstate``
-    on W (|0> of a qubit if None), walk a control predicate across the
-    queries, then apply F† on O. The walk is one table: active[j, o] =
+    on W (the constant ``_E0``, |0> of a qubit, if None), walk a control
+    predicate across the queries, then apply F† on O. The start
+    ``amps_o ⊗ |0> ⊗ eigenstate`` is written as one outer product
+    ``amps_o ⊗ eigenstate`` into the B = 0 slice of a zero (n, 2, w) array,
+    not through ``np.kron``. The walk is one table: active[j, o] =
     [1 <= j <= q and o >= j] for j = 0..q+1 is the predicate before step j,
     so [O >= j] between queries j and j+1. Step j flips B where active[j]
     XOR active[j+1] (O = j for a middle step), reading the B-reversed basis
@@ -41,10 +48,11 @@ def _assemble(q: int, amps_o, eigenstate) -> QueryAlgorithm:
     ``qft_matrix(n)``, and each permutation is a read-only row of a fresh,
     frozen array of bijections.
     """
-    eigenstate = _unit_vector([1.0, 0.0] if eigenstate is None else eigenstate, "eigenstate")
+    eigenstate = _E0 if eigenstate is None else _unit_vector(eigenstate, "eigenstate")
     n, work_dim = len(amps_o), len(eigenstate)
     layout = standard_layout(n, work_dim)
-    start = np.kron(amps_o, np.kron([1.0, 0.0], eigenstate))
+    start = np.zeros((n, 2, work_dim), dtype=np.complex128)
+    np.multiply.outer(amps_o, eigenstate, out=start[:, 0])
     j, o = np.arange(q + 2)[:, None], np.arange(n)
     active = (j >= 1) & (j <= q) & (o >= j)
     flips = active[:-1] ^ active[1:]

@@ -15,13 +15,16 @@ import numpy as np
 from .linalg import StateVector, UnitaryMatrix, _integer
 
 
-# bounded: a sweep over n = 2..1024 would otherwise keep ~5.7 GB of matrices
-# (twice that with their cached adjoints); 32 sizes hold a 2..24 scan and more.
-# typed: True and 2.0 would otherwise hit the entries of 1 and 2
-@lru_cache(maxsize=32, typed=True)
 def qft_matrix(n: int) -> UnitaryMatrix:
-    """The n x n Fourier transform matrix, entries w^(y*k)/sqrt(n)."""
-    n = _integer(n, "dimension", 1)
+    """The n x n Fourier transform matrix, entries w^(y*k)/sqrt(n), one
+    cached value per n."""
+    return _qft_matrix(_integer(n, "dimension", 1))
+
+
+# bounded: a sweep over n = 2..1024 would otherwise keep ~5.7 GB of matrices
+# (twice that with their cached adjoints); 32 sizes hold a 2..24 scan and more
+@lru_cache(maxsize=32)
+def _qft_matrix(n: int) -> UnitaryMatrix:
     grid = np.outer(np.arange(n), np.arange(n))
     return UnitaryMatrix(np.exp(2j * np.pi * grid / n) / np.sqrt(n))
 

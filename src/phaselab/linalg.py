@@ -38,7 +38,9 @@ PROB_TOL = 1e-9
 def _integer(value, what: str, minimum: int | None = None) -> int:
     """``value`` as an int, the package's one integer check: a bool, float,
     str or other non-integer, or an int below ``minimum``, raises
-    ``ValueError`` naming it. numpy integers are accepted."""
+    ``ValueError`` naming it. numpy integers are accepted. The cached
+    constructors (``qft_matrix``, ``standard_layout``, ``default_family``)
+    apply it before their cache lookup, so their keys are plain ints."""
     # operator.index takes exactly the integer types, bool among them; a
     # plain int skips it, which keeps the common case as cheap as int(value)
     if type(value) is not int:

@@ -9,6 +9,7 @@ member choice from a counter register held in superposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,10 +38,16 @@ class PhaseOracleFamily:
 
 
 def default_family(n: int, work_dim: int = 2) -> PhaseOracleFamily:
-    """Smallest faithful family: eigenstate e_0 on a dim-``work_dim`` space."""
-    eig = np.zeros(_integer(work_dim, "work dimension", 1), dtype=np.complex128)
-    eig[0] = 1.0
-    return PhaseOracleFamily(n, eig)
+    """Smallest faithful family: eigenstate e_0 on a dim-``work_dim`` space,
+    one cached value per (n, work_dim); the family is frozen and its
+    eigenstate read-only, so callers share it."""
+    n, work_dim = _integer(n, "number of phases", 1), _integer(work_dim, "work dimension", 1)
+    return _default_family(n, work_dim)
+
+
+@lru_cache(maxsize=64)
+def _default_family(n: int, work_dim: int) -> PhaseOracleFamily:
+    return PhaseOracleFamily(n, np.eye(1, work_dim))
 
 
 @dataclass(frozen=True, eq=False)

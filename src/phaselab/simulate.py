@@ -398,12 +398,15 @@ def success_probability_average(alg: QueryAlgorithm, family: PhaseOracleFamily) 
     return _label_success(_run_labels(alg, family, range(family.n)))
 
 
-# typed: (4.0, 2) or (True, 2) would otherwise hit the entry of (4, 2) or
-# (1, 2) and skip the integer rule of RegisterLayout
-@functools.lru_cache(maxsize=64, typed=True)
 def standard_layout(n: int, work_dim: int = 2) -> RegisterLayout:
     """The (O, B, W) layout shared by the built-in algorithm constructors,
     one cached value per (n, work_dim)."""
+    n, work_dim = _integer(n, "problem size", 1), _integer(work_dim, "work dimension", 1)
+    return _standard_layout(n, work_dim)
+
+
+@functools.lru_cache(maxsize=64)
+def _standard_layout(n: int, work_dim: int) -> RegisterLayout:
     return RegisterLayout(((OUTPUT, n), (CONTROL, 2), (WORK, work_dim)))
 
 

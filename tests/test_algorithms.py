@@ -14,6 +14,7 @@ from phaselab.algorithms import (
     phase_distance,
     round_to_grid,
 )
+from phaselab.fourier import qft_matrix
 from phaselab.oracles import PhaseInstance, default_family
 from phaselab.simulate import (
     QueryAlgorithm,
@@ -205,6 +206,42 @@ class TestDenseReference:
             reference.dense_step(threshold_toggle(5, threshold, 3)),
             reference.dense_threshold_toggle(5, threshold, 3),
         )
+
+
+class TestStart:
+    """The start is ``a ⊗ |0>_B ⊗ u`` entry for entry, with the Kronecker
+    product, which the builders no longer call, as the reference."""
+
+    EIGENSTATES = [E0, np.array([0.6, -0.8]), np.array([0.6, 0.0, 0.8j])]
+
+    @staticmethod
+    def uniform(n, q):
+        # the O amplitudes of build_truncated_optimal, computed as it does
+        target = np.zeros(n, dtype=np.complex128)
+        target[: q + 1] = 1.0 / np.sqrt(q + 1)
+        return target / np.linalg.norm(target)
+
+    @pytest.mark.parametrize("u", EIGENSTATES, ids=["e0", "real-negative", "complex"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_start_is_the_product(self, n, u):
+        pairs = [(build_truncated_optimal(n, q, u), self.uniform(n, q)) for q in range(n)]
+        pairs.append((build_cemm(n, u), qft_matrix(n).matrix[:, 0]))
+        for alg, a in pairs:
+            np.testing.assert_array_equal(alg.start, np.kron(a, np.kron([1, 0], u)))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_default_eigenstate_is_e0(self, n):
+        assert not algorithms._E0.flags.writeable
+        for q in range(n):
+            default, given = build_truncated_optimal(n, q), build_truncated_optimal(n, q, [1.0, 0.0])
+            np.testing.assert_array_equal(default.start, given.start)
+            for a, b in zip(default.steps, given.steps, strict=True):
+                assert len(a.factors) == len(b.factors)
+                for f, g in zip(a.factors, b.factors):
+                    if isinstance(f, np.ndarray):
+                        np.testing.assert_array_equal(f, g)
+                    else:
+                        assert f is g  # the one cached F†
 
 
 class TestTrustedSteps:

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from phaselab import fourier
 from phaselab.fourier import fourier_weights, qft_matrix
 from phaselab.linalg import RegisterLayout, StateVector, haar_random_unitary
 from reference import apply_to_registers
@@ -52,17 +53,18 @@ class TestQftMatrix:
         np.testing.assert_allclose(qft_matrix(8).adjoint.matrix, qft_matrix(8).matrix.conj().T)
 
     def test_cache_is_bounded_and_evicts(self):
-        size = qft_matrix.cache_info().maxsize
+        cache = fourier._qft_matrix  # the lru_cache behind the integer rule
+        size = cache.cache_info().maxsize
         assert size is not None and size >= 25  # the 2..24 scan and two curve sizes
-        qft_matrix.cache_clear()
+        cache.cache_clear()
         first = qft_matrix(1)
         for n in range(2, size + 2):
             qft_matrix(n)
-        assert qft_matrix.cache_info().currsize == size
-        misses = qft_matrix.cache_info().misses
+        assert cache.cache_info().currsize == size
+        misses = cache.cache_info().misses
         assert qft_matrix(size + 1) is qft_matrix(size + 1)  # still cached
         assert qft_matrix(1) is not first  # the oldest size was evicted and is rebuilt
-        assert qft_matrix.cache_info().misses == misses + 1
+        assert cache.cache_info().misses == misses + 1
 
 
 class TestFourierState:

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -63,6 +64,19 @@ class TestFamilyConstruction:
         got = re.escape(repr(work_dim))
         with pytest.raises(ValueError, match=f"work dimension must be .*, got {got}"):
             default_family(4, work_dim)
+
+    def test_default_family_is_cached(self):
+        fam = default_family(4)
+        assert default_family(4) is fam
+        assert default_family(np.int64(4), 2) is fam
+        assert default_family(4, 3) is not fam
+        assert default_family(4, 3) is default_family(4, 3)
+        # shared, so it must be immutable: frozen fields, read-only eigenstate
+        assert not fam.eigenstate.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            fam.eigenstate[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fam.n = 5
 
     def test_default_family_numpy_work_dim_accepted(self):
         fam = default_family(4, np.int64(3))

@@ -238,7 +238,7 @@ class TestStandardLayout:
         assert standard_layout(5, 3).registers == (("O", 5), ("B", 2), ("W", 3))
 
     @pytest.mark.parametrize(
-        "call, cached, bad",
+        "call, cached, other",
         [
             (standard_layout, (4,), (4.0,)),
             (standard_layout, (1,), (True,)),
@@ -246,16 +246,36 @@ class TestStandardLayout:
             (standard_layout, (4, 2), (4.0, 2)),
             (standard_layout, (1, 2), (True, 2)),
             (standard_layout, (4, 3), (4, 3.0)),
+            (standard_layout, (4,), ([4],)),
+            (standard_layout, (4, 2), (4, [2])),
+            (standard_layout, (4,), (np.array(4),)),
+            (qft_matrix, (4,), (4.0,)),
+            (qft_matrix, (1,), (True,)),
+            (qft_matrix, (4,), ([4],)),
+            (qft_matrix, (4,), (np.array(4),)),
+            (default_family, (4,), (4.0,)),
+            (default_family, (1,), (True,)),
+            (default_family, (4, 3), (4, [3])),
+            (default_family, (4,), (np.array(4),)),
         ],
-        ids=["float", "bool", "haar", "float-pair", "bool-pair", "float-work"],
+        ids=[
+            "float", "bool", "haar", "float-pair", "bool-pair", "float-work", "list",
+            "list-work", "0d-array", "qft-float", "qft-bool", "qft-list", "qft-0d-array",
+            "family-float", "family-bool", "family-list-work", "family-0d-array",
+        ],
     )
-    def test_cache_keeps_the_integer_rule(self, call, cached, bad):
-        # the cache is typed: 4.0 == 4 and True == 1 must not find their
-        # entries (an untyped lru_cache keys a lone int by itself, so only
-        # the pairs would collide without it)
-        call(*cached)
-        with pytest.raises(ValueError, match="must be an integer"):
-            call(*bad)
+    def test_cache_keeps_the_integer_rule(self, call, cached, other):
+        # the integer rule runs before every cache lookup: 4.0 == 4 and
+        # True == 1 must not find the entries of 4 and 1, an unhashable list
+        # must meet the rule, not the cache, and a 0-d integer array, which
+        # the rule accepts, must find the entry of its int
+        value = call(*cached)
+        (got,) = [o for o, c in zip(other, cached) if type(o) is not type(c)]
+        if isinstance(got, np.ndarray):
+            assert call(*other) is value
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {got!r}")):
+                call(*other)
 
 
 class TestLeadingRegisterView:
