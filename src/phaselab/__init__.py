@@ -46,7 +46,6 @@ from .oracles import (
 from .simulate import (
     QueryAlgorithm,
     RunTranscript,
-    Step,
     counter_leakage,
     haar_random_algorithm,
     reachable_counter_values,

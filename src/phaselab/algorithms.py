@@ -17,10 +17,10 @@ from .linalg import _integer, _unit_vector
 from .oracles import FORWARD, PhaseInstance
 from .simulate import (
     QueryAlgorithm,
-    Step,
     _check_spectra,
     _outcome_weights,
     _run,
+    _Step,
     standard_layout,
 )
 
@@ -43,10 +43,9 @@ def _assemble(q: int, amps_o, eigenstate) -> QueryAlgorithm:
     once. Only a step that flips nothing (q = 0) has no permutation, and
     it is F† alone.
 
-    Every factor is valid by construction, so the steps are built by
-    ``Step._trusted``: F† is the checked adjoint of the cached
-    ``qft_matrix(n)``, and each permutation is a read-only row of a fresh,
-    frozen array of bijections.
+    Every factor is valid by construction: F† is the checked adjoint of the
+    cached ``qft_matrix(n)``, and each permutation is a read-only row of a
+    fresh, frozen array of bijections.
     """
     eigenstate = _E0 if eigenstate is None else _unit_vector(eigenstate, "eigenstate")
     n, work_dim = len(amps_o), len(eigenstate)
@@ -61,11 +60,11 @@ def _assemble(q: int, amps_o, eigenstate) -> QueryAlgorithm:
     perms = np.where(flips[:, :, None, None], idx[:, ::-1], idx)
     perms.setflags(write=False)
     perms = perms.reshape(q + 1, -1)
-    iqft = [qft_matrix(n).adjoint]  # on O, the leading register
+    iqft = (qft_matrix(n).adjoint,)  # on O, the leading register
     steps = []
     for k, flipped in enumerate(flips.any(axis=1)):
-        factors = ([perms[k]] if flipped else []) + (iqft if k == q else [])
-        steps.append(Step._trusted(layout, factors))
+        factors = ((perms[k],) if flipped else ()) + (iqft if k == q else ())
+        steps.append(_Step(layout, factors))
     return QueryAlgorithm(layout, steps, (FORWARD,) * q, start)
 
 

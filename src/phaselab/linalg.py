@@ -141,10 +141,6 @@ class StateVector:
             )
         object.__setattr__(self, "amps", amps)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def tensor_view(self) -> np.ndarray:
         """Read-only view shaped by the register dimensions."""
         return self.amps.reshape(self.layout.dims)

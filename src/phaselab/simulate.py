@@ -29,8 +29,6 @@ verification paths; sampling never enters these functions.
 from __future__ import annotations
 
 import functools
-import itertools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,42 +54,23 @@ COUNTER = "C"
 
 
 @dataclass(frozen=True, eq=False)
-class Step:
+class _Step:
     """One interleaving unitary as an ordered product of local factors.
 
     A factor is either a ``UnitaryMatrix`` on the leading registers of the
     layout whose dimensions multiply to its own (O alone for a k x k matrix
     with k = dim O, every register for a dense step) and the identity on
-    the rest, or a basis permutation: an int array ``perm`` of length
-    ``layout.total_dim`` that sends basis state perm[i] to i. Factors apply
-    in the listed order. Each is checked once, at its own size: a matrix
-    dimension is a product of leading register dimensions, and a
-    permutation is a bijection. A matrix is not re-checked for unitarity;
-    ``UnitaryMatrix`` did that when it was built, or ``_haar_isometries``
-    when it drew a Haar step.
+    the rest, or a basis permutation: a read-only int array ``perm`` of
+    length ``layout.total_dim``, owned by a read-only array, that sends
+    basis state perm[i] to i. Factors apply in the listed order. Only the
+    package builds steps, from factors valid by construction, so nothing
+    is checked, copied or frozen here: ``QueryAlgorithm`` wraps a dense
+    ``UnitaryMatrix`` whose dimension it checked, and ``_assemble`` its
+    frozen permutations and the cached F†.
     """
 
     layout: RegisterLayout
     factors: tuple
-
-    def __post_init__(self):
-        factors = tuple(_checked_factor(self.layout, f) for f in self.factors)
-        if not factors:
-            raise ValueError("a step needs at least one factor")
-        object.__setattr__(self, "factors", factors)
-
-    @classmethod
-    def _trusted(cls, layout: RegisterLayout, factors) -> "Step":
-        """Wrap factors that are valid by construction: at least one, each a
-        ``UnitaryMatrix`` whose dimension is a product of leading register
-        dimensions, or an integer bijection of the basis states that is
-        read-only, as is the array that owns its memory; nothing is copied,
-        checked or frozen here.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "factors", tuple(factors))
-        return self
 
     def __matmul__(self, cols: np.ndarray) -> np.ndarray:
         """The step applied to a dim x m column matrix; returns a new array.
@@ -108,31 +87,6 @@ class Step:
         return cols
 
 
-def _checked_factor(layout: RegisterLayout, factor):
-    if isinstance(factor, UnitaryMatrix):
-        leading = tuple(itertools.accumulate(layout.dims, operator.mul))
-        if factor.dim not in leading:
-            raise ValueError(
-                f"a matrix factor of dimension {factor.dim} spans no leading registers "
-                f"of {layout.registers}; their dimensions multiply to {leading}"
-            )
-        return factor
-    if not isinstance(factor, np.ndarray):
-        raise TypeError(
-            f"a factor must be a UnitaryMatrix or a permutation array, got {type(factor).__name__}"
-        )
-    if factor.dtype.kind not in "iu":
-        raise TypeError(f"a permutation factor must be an integer array, got {factor.dtype}")
-    perm = factor.copy()
-    total = layout.total_dim
-    if perm.shape != (total,):
-        raise ValueError(f"permutation has shape {perm.shape}, layout expects ({total},)")
-    if not np.array_equal(np.sort(perm), np.arange(total)):
-        raise ValueError("permutation factor is not a bijection of the basis states")
-    perm.setflags(write=False)
-    return perm
-
-
 @dataclass(frozen=True, eq=False)
 class QueryAlgorithm:
     """Register layout plus the interleaving unitaries of a q-query algorithm.
@@ -141,16 +95,19 @@ class QueryAlgorithm:
     ``dims[0]`` and ``work_dim`` is ``dims[2]``; any later registers are
     ancillas, and label C is reserved for the purified counter.
 
-    ``steps`` holds q+1 ``Step``s over the layout; a dense ``UnitaryMatrix``
-    passed in becomes the one-factor step on every register, without a copy
-    or a second unitarity check. ``exponents`` holds the oracle power of each
-    query, an int (numpy ints are stored as int; a bool is rejected).
+    ``steps`` holds q+1 steps over the layout. A step from outside the
+    package is a dense ``UnitaryMatrix`` of the layout's dimension, which
+    becomes the one-factor ``_Step`` on every register, without a copy or a
+    second unitarity check; a ``_Step`` taken from another algorithm's
+    ``steps`` must be over the same layout. ``exponents`` holds the oracle
+    power of each query, an int (numpy ints are stored as int; a bool is
+    rejected).
     ``start`` is the initial state, a finite unit vector over the layout,
     stored frozen; the default is the all-zeros basis state.
     """
 
     layout: RegisterLayout
-    steps: tuple[Step, ...]
+    steps: tuple[_Step, ...]
     exponents: tuple[int, ...]
     start: np.ndarray | None = None
 
@@ -172,9 +129,9 @@ class QueryAlgorithm:
                     raise ValueError(
                         f"dense step {i} has dimension {step.dim}, layout expects {total}"
                     )
-                step = Step(self.layout, (step,))
-            if not isinstance(step, Step):
-                raise TypeError(f"step {i} must be a Step or a UnitaryMatrix")
+                step = _Step(self.layout, (step,))
+            if not isinstance(step, _Step):
+                raise TypeError(f"step {i} must be a UnitaryMatrix, got {type(step).__name__}")
             if step.layout != self.layout:
                 raise ValueError(f"step {i} is over {step.layout.registers}, not the layout")
             steps.append(step)
@@ -271,7 +228,7 @@ def _evolve(cols, steps, exponents, n, eigenstate, turns, snapshot=None) -> np.n
     to the power m; an exponent is any hashable value ``turns`` reads, such
     as an int, or a tuple with one power per run for ``_haar_runs``. When
     given, ``snapshot(cols)`` is called after each step. A step is anything
-    that maps the columns with ``@``: a ``Step``, an ``_IsometryStep`` or a
+    that maps the columns with ``@``: a ``_Step``, an ``_IsometryStep`` or a
     dense matrix.
     """
     factors = {}

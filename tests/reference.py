@@ -7,7 +7,7 @@ and an explicit controlled phase block on (B, W) for continuous phases.
 Counter spectra are read by rotating C with the inverse of ``qft_matrix``.
 A step is applied factor by factor: a matrix with ``apply_to_registers`` on
 the leading registers its dimension spans, a permutation by re-indexing the
-amplitudes, never with ``Step @``. The dense
+amplitudes, never with ``_Step @``. The dense
 ``kron`` construction of the optimal circuits lives here too. None of this
 shares code with the simulation kernel in ``phaselab.simulate`` or with the
 builders in ``phaselab.algorithms``, so agreement between them is evidence.

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -15,11 +16,12 @@ from phaselab.algorithms import (
     round_to_grid,
 )
 from phaselab.fourier import qft_matrix
+from phaselab.linalg import UnitaryMatrix
 from phaselab.oracles import PhaseInstance, default_family
 from phaselab.simulate import (
     QueryAlgorithm,
-    Step,
     _run_labels,
+    _Step,
     run_purified,
     standard_layout,
     success_probability_average,
@@ -34,7 +36,7 @@ def flip_perm(mask, work_dim=2):
 
 def threshold_toggle(n, threshold, work_dim=2):
     """The step that flips B on every output branch with O >= threshold."""
-    return Step(standard_layout(n, work_dim), (flip_perm(np.arange(n) >= threshold, work_dim),))
+    return _Step(standard_layout(n, work_dim), (flip_perm(np.arange(n) >= threshold, work_dim),))
 
 
 def closed_form_outcome(n, theta, y):
@@ -170,7 +172,7 @@ class TestDenseReference:
         j, o = np.arange(q + 2)[:, None], np.arange(n)
         shifted = (j >= 1) & (j <= q) & (o >= j + 1)
         steps = [
-            Step(step.layout, [flip_perm(a ^ b) if isinstance(f, np.ndarray) else f
+            _Step(step.layout, [flip_perm(a ^ b) if isinstance(f, np.ndarray) else f
                                for f in step.factors])
             for step, a, b in zip(build_truncated_optimal(n, q).steps, shifted[:-1], shifted[1:])
         ]
@@ -244,31 +246,63 @@ class TestStart:
                         assert f is g  # the one cached F†
 
 
-class TestTrustedSteps:
-    """The builders' steps skip the public ``Step`` checks; they must pass them."""
+def assert_valid_step(step):
+    """Fail unless ``step`` is what ``_Step`` takes on trust: at least one
+    factor; each permutation a read-only integer array of shape (dim,),
+    owned by a read-only array, that is a bijection of the basis states;
+    each matrix a ``UnitaryMatrix`` on the leading registers its dimension
+    spans, unitary to 1e-9."""
+    dims, dim = step.layout.dims, step.layout.total_dim
+    leading = [math.prod(dims[:k]) for k in range(1, len(dims) + 1)]
+    assert step.factors, "a step needs at least one factor"
+    for factor in step.factors:
+        if isinstance(factor, np.ndarray):
+            assert factor.dtype.kind in "iu" and factor.shape == (dim,)
+            owner = factor if factor.base is None else factor.base
+            assert not factor.flags.writeable and not owner.flags.writeable
+            np.testing.assert_array_equal(np.sort(factor), np.arange(dim))
+        else:
+            assert isinstance(factor, UnitaryMatrix) and factor.dim in leading
+            gram = factor.matrix.conj().T @ factor.matrix
+            assert np.max(np.abs(gram - np.eye(factor.dim))) <= 1e-9
 
-    @staticmethod
-    def assert_public_rebuild(alg):
-        for step in alg.steps:
-            rebuilt = Step(step.layout, step.factors)
-            assert len(rebuilt.factors) == len(step.factors)
-            for got, want in zip(rebuilt.factors, step.factors):
-                if isinstance(want, np.ndarray):
-                    np.testing.assert_array_equal(got, want)
-                    with pytest.raises(ValueError, match="read-only"):
-                        want[0] = 0
-                else:
-                    assert got is want
+
+def read_only(perm):
+    perm = np.array(perm)
+    perm.setflags(write=False)
+    return perm
+
+
+class TestTrustedSteps:
+    """The builders' steps are built by ``_Step``, which checks nothing;
+    each must pass the checks a step from outside the package would have
+    to, made here by ``assert_valid_step``."""
 
     @pytest.mark.parametrize("eigenstate", [None, [0.6, 0, 0.8j]])
     @pytest.mark.parametrize("n", [1, 2, 9, 24])
     def test_truncated_optimal_steps_pass_the_public_checks(self, n, eigenstate):
         for q in range(n):
-            self.assert_public_rebuild(build_truncated_optimal(n, q, eigenstate))
+            for step in build_truncated_optimal(n, q, eigenstate).steps:
+                assert_valid_step(step)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cemm_steps_pass_the_public_checks(self, n):
-        self.assert_public_rebuild(build_cemm(n))
+        for step in build_cemm(n).steps:
+            assert_valid_step(step)
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            (read_only([0, 1, 2, 4, 4, 5, 6, 7, 8, 9, 10, 11]),),
+            (UnitaryMatrix(np.eye(2)),),  # fits B, which does not lead
+            (),
+        ],
+        ids=["repeated-entry", "2x2-factor", "empty"],
+    )
+    def test_validator_rejects_planted_defects(self, factors):
+        step = _Step(standard_layout(3), factors)  # (O 3, B 2, W 2)
+        with pytest.raises(AssertionError):
+            assert_valid_step(step)
 
     @pytest.mark.parametrize("alg", [build_truncated_optimal(5, 3), build_cemm(4)], ids=["opt", "cemm"])
     def test_array_owners_are_read_only(self, alg):

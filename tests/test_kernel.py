@@ -21,10 +21,10 @@ from phaselab.linalg import RegisterLayout, StateVector, haar_random_unitary
 from phaselab.oracles import PhaseInstance, PhaseOracleFamily
 from phaselab.simulate import (
     QueryAlgorithm,
-    Step,
     _query,
     _run,
     _run_labels,
+    _Step,
     counter_leakage,
     leakage_from_weights,
     reachable_counter_values,
@@ -42,7 +42,7 @@ def random_step(layout, rng):
     matrices on the leading registers, a prefix of random length, and random
     basis permutations."""
     if rng.random() < 0.25:
-        return Step(layout, (haar_random_unitary(layout.total_dim, rng),))
+        return _Step(layout, (haar_random_unitary(layout.total_dim, rng),))
     factors = []
     for _ in range(int(rng.integers(1, 4))):
         if rng.random() < 0.3:
@@ -50,7 +50,7 @@ def random_step(layout, rng):
             continue
         dim = math.prod(layout.dims[: rng.integers(1, len(layout.dims) + 1)])
         factors.append(haar_random_unitary(dim, rng))
-    return Step(layout, factors)
+    return _Step(layout, factors)
 
 
 def random_case(n, work_dim, anc_dim, exponents, seed, local=False):

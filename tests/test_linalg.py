@@ -124,7 +124,7 @@ class TestApply:
             s = ket(layout, amps / np.linalg.norm(amps))
             u = haar_random_unitary(4, rng)
             out = apply_to_registers(s, u, ["y"])
-            assert abs(out.norm - 1.0) < 1e-9
+            assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-9
 
 
 class TestProjection:

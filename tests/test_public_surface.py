@@ -82,9 +82,11 @@ def quick_start_values() -> list:
 
 
 def test_readme_quick_start_runs_as_commented():
-    success, leakage, purified, total = quick_start_values()
+    success, leakage, purified, total, own = quick_start_values()
     # the amplitudes are exact, the float sum is 0.4999999999999999
     assert success == pytest.approx(4 / 8, rel=0, abs=1e-15)
     assert leakage < 1e-10
     assert purified == pytest.approx(0.5, rel=0, abs=1e-15)
     assert abs(total - 1.0) <= 1e-12
+    # one query on the user's own dense steps stays under (q+1)/n
+    assert own <= 2 / 8 + 1e-12

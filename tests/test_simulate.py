@@ -18,7 +18,6 @@ from phaselab.oracles import FORWARD, PhaseInstance, default_family
 from phaselab.simulate import (
     QueryAlgorithm,
     RunTranscript,
-    Step,
     _check_spectra,
     _counter_spectra,
     _evolve,
@@ -29,6 +28,7 @@ from phaselab.simulate import (
     _run,
     _run_labels,
     _start,
+    _Step,
     counter_leakage,
     haar_random_algorithm,
     leakage_from_weights,
@@ -105,6 +105,16 @@ class TestAlgorithmValidation:
         with pytest.raises(ValueError):
             QueryAlgorithm(layout, (UnitaryMatrix(np.eye(6)),), ())
 
+    @pytest.mark.parametrize(
+        "step", [np.eye(12, dtype=complex), np.arange(12), (UnitaryMatrix(np.eye(12)),)],
+        ids=["raw-matrix", "permutation", "factor-tuple"],
+    )
+    def test_step_from_outside_must_be_a_unitary_matrix(self, step):
+        # only a dense UnitaryMatrix, checked unitary when built, enters
+        name = type(step).__name__
+        with pytest.raises(TypeError, match=f"step 0 must be a UnitaryMatrix, got {name}"):
+            QueryAlgorithm(standard_layout(3), (step,), ())
+
     @pytest.mark.parametrize("exponent", [1.0, 2.5, True, "1", None])
     def test_exponent_must_be_an_integer(self, exponent):
         steps = (identity_step(3), identity_step(3))
@@ -177,7 +187,7 @@ class TestStep:
 
     def test_local_factor_is_identity_elsewhere(self):
         u = qft_matrix(3)  # on O, the leading register
-        step = Step(self.LAYOUT, (u,))
+        step = _Step(self.LAYOUT, (u,))
         np.testing.assert_array_equal(step @ np.eye(12), np.kron(u.matrix, np.eye(4)))
 
     def test_factor_order_and_permutation_convention(self):
@@ -185,45 +195,12 @@ class TestStep:
         perm = rng.permutation(12)
         u = haar_random_unitary(6, rng)  # on (O, B): O most significant
         cols = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
-        step = Step(self.LAYOUT, (perm, u))
+        step = _Step(self.LAYOUT, (perm, u))
         expected = np.kron(u.matrix, np.eye(2)) @ cols[perm]
         np.testing.assert_allclose(step @ cols, expected, rtol=0, atol=1e-12)
 
-    def test_non_bijective_permutation_rejected(self):
-        perm = np.arange(12)
-        perm[3] = 4
-        with pytest.raises(ValueError, match="bijection"):
-            Step(self.LAYOUT, (perm,))
-
-    def test_permutation_length_checked(self):
-        with pytest.raises(ValueError):
-            Step(self.LAYOUT, (np.arange(6),))
-
-    def test_permutation_must_be_integer(self):
-        with pytest.raises(TypeError):
-            Step(self.LAYOUT, (np.arange(12.0),))
-
-    def test_dimension_mismatch_rejected(self):
-        # the leading products of (O 3, B 2, W 2) are 3, 6 and 12: a 2 x 2
-        # matrix fits B, which does not lead
-        for dim in (2, 4):
-            with pytest.raises(ValueError, match=f"factor of dimension {dim} spans no leading"):
-                Step(self.LAYOUT, (UnitaryMatrix(np.eye(dim)),))
-
-    def test_matrix_factor_must_be_validated(self):
-        with pytest.raises(TypeError, match="integer array, got complex128"):
-            Step(self.LAYOUT, (X2,))
-        with pytest.raises(TypeError, match="got tuple"):
-            Step(self.LAYOUT, ((UnitaryMatrix(X2), ("B",)),))
-        with pytest.raises(TypeError, match="got list"):
-            Step(self.LAYOUT, (list(range(12)),))
-
-    def test_empty_step_rejected(self):
-        with pytest.raises(ValueError):
-            Step(self.LAYOUT, ())
-
     def test_step_layout_must_match_algorithm(self):
-        step = Step(standard_layout(3, work_dim=3), (np.arange(18),))
+        step = _Step(standard_layout(3, work_dim=3), (np.arange(18),))
         layout = RegisterLayout((("O", 3), ("B", 2), ("W", 3)))
         QueryAlgorithm(layout, (step,), ())  # equal layouts are accepted
         other = RegisterLayout((("O", 3), ("B", 2), ("W", 3), ("anc", 1)))
@@ -308,7 +285,7 @@ class TestLeadingRegisterView:
         )
         cols /= np.linalg.norm(cols, axis=0)
         moved = cols.reshape(layout.dims + (5,)).transpose(order + [len(order)])
-        got = Step(ordered, (u,)) @ moved.reshape(-1, 5)
+        got = _Step(ordered, (u,)) @ moved.reshape(-1, 5)
         back = got.reshape(ordered.dims + (5,)).transpose(list(np.argsort(order)) + [len(order)])
         for j in range(5):
             want = apply_to_registers(StateVector(layout, cols[:, j]), u, targets)
@@ -329,7 +306,7 @@ class TestRunFixedY:
         # state is |0>_O |1>_B |u>_W up to the eigenphase w^y
         idx = 0 * (2 * 2) + 1 * 2 + 0
         assert out.amps[idx] == pytest.approx(np.exp(2j * np.pi * y / n), abs=1e-12)
-        assert abs(out.norm - 1) < 1e-9
+        assert abs(np.linalg.norm(out.amps) - 1) < 1e-9
 
     def test_family_size_mismatch(self):
         alg = one_query_probe(4)
@@ -341,7 +318,7 @@ class TestRunFixedY:
         for _ in range(5):
             alg = haar_random_algorithm(6, 3, rng)
             out = run_fixed_y(alg, default_family(6), int(rng.integers(6)))
-            assert abs(out.norm - 1.0) < 1e-9
+            assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-9
 
 
 def run_phase(alg, inst):
