@@ -10,7 +10,6 @@ distinguishing.
 
 from ._version import __version__
 from .algorithms import (
-    build_cemm,
     build_truncated_optimal,
     cemm_on_continuous_phase,
     epr_fourier_deviation,

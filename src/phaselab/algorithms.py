@@ -5,7 +5,9 @@ average success probability on the n-phase distinguishing task is exactly
 (q+1)/n: it spreads the output register over {0..q}, walks a control-wire
 predicate [O >= j] across the q queries so that branch k of the output
 picks up phase w^(y*k), and finishes with the inverse Fourier transform.
-At q = n-1 this is the standard phase estimation circuit.
+At q = n-1 this is the standard phase estimation circuit of Cleve, Ekert,
+Macchiavello and Mosca, started in F|0> bit for bit, and
+``cemm_on_continuous_phase`` runs it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .fourier import qft_matrix
 from .linalg import _integer, _unit_vector
-from .oracles import FORWARD, PhaseInstance
+from .oracles import FORWARD, PhaseInstance, default_family
 from .simulate import (
     QueryAlgorithm,
     _check_spectra,
@@ -25,17 +27,13 @@ from .simulate import (
 )
 
 
-# the default eigenstate |0> of a qubit, checked once
-_E0 = _unit_vector([1.0, 0.0], "eigenstate")
-
-
 def _assemble(q: int, amps_o, eigenstate) -> QueryAlgorithm:
     """Start in ``amps_o`` on O (dimension n), |0> on B and ``eigenstate``
-    on W (the constant ``_E0``, |0> of a qubit, if None), walk a control
-    predicate across the queries, then apply F† on O. The start
-    ``amps_o ⊗ |0> ⊗ eigenstate`` is written as one outer product
-    ``amps_o ⊗ eigenstate`` into the B = 0 slice of a zero (n, 2, w) array,
-    not through ``np.kron``. The walk is one table: active[j, o] =
+    on W (if None, the cached, read-only ``default_family(n).eigenstate``,
+    |0> of a qubit), walk a control predicate across the queries, then
+    apply F† on O. The start ``amps_o ⊗ |0> ⊗ eigenstate`` is written as
+    one outer product ``amps_o ⊗ eigenstate`` into the B = 0 slice of a
+    zero (n, 2, w) array, not through ``np.kron``. The walk is one table: active[j, o] =
     [1 <= j <= q and o >= j] for j = 0..q+1 is the predicate before step j,
     so [O >= j] between queries j and j+1. Step j flips B where active[j]
     XOR active[j+1] (O = j for a middle step), reading the B-reversed basis
@@ -47,8 +45,11 @@ def _assemble(q: int, amps_o, eigenstate) -> QueryAlgorithm:
     cached ``qft_matrix(n)``, and each permutation is a read-only row of a
     fresh, frozen array of bijections.
     """
-    eigenstate = _E0 if eigenstate is None else _unit_vector(eigenstate, "eigenstate")
-    n, work_dim = len(amps_o), len(eigenstate)
+    n = len(amps_o)
+    eigenstate = (
+        default_family(n).eigenstate if eigenstate is None else _unit_vector(eigenstate, "eigenstate")
+    )
+    work_dim = len(eigenstate)
     layout = standard_layout(n, work_dim)
     start = np.zeros((n, 2, work_dim), dtype=np.complex128)
     np.multiply.outer(amps_o, eigenstate, out=start[:, 0])
@@ -75,23 +76,14 @@ def build_truncated_optimal(n: int, q: int, eigenstate=None) -> QueryAlgorithm:
     branch k then gathers phase w^(y*k) from min(k, q) = k active queries,
     leaving the Fourier state of index y truncated to q+1 terms, which the
     final inverse transform concentrates on outcome y with weight (q+1)/n.
+    At q = n-1 the start is F|0>, column 0 of ``qft_matrix(n)``, bit for bit.
     """
     n, q = _integer(n, "problem size", 1), _integer(q, "query count", 0)
     if q > n - 1:
         raise ValueError(f"query count must satisfy 0 <= q <= n-1, got q={q}, n={n}")
-    target = np.zeros(n, dtype=np.complex128)
-    target[: q + 1] = 1.0 / np.sqrt(q + 1)
-    return _assemble(q, target / np.linalg.norm(target), eigenstate)
-
-
-def build_cemm(n: int, eigenstate=None) -> QueryAlgorithm:
-    """The full phase estimation circuit: q = n-1, uniform superposition over
-    all of [n], controlled phase accumulation, inverse Fourier transform.
-
-    Semantically the q = n-1 case of ``build_truncated_optimal``, but
-    started in column 0 of the Fourier transform, F|0>.
-    """
-    return _assemble(n - 1, qft_matrix(n).matrix[:, 0], eigenstate)
+    uniform = np.zeros(n, dtype=np.complex128)
+    uniform[: q + 1] = 1.0 / np.sqrt(q + 1)
+    return _assemble(q, uniform, eigenstate)
 
 
 def cemm_on_continuous_phase(inst: PhaseInstance, n: int) -> np.ndarray:
@@ -101,7 +93,7 @@ def cemm_on_continuous_phase(inst: PhaseInstance, n: int) -> np.ndarray:
     when the oracle has eigenphase ``inst.theta`` instead of a grid value.
     """
     n = _integer(n, "grid size", 2)
-    alg = build_cemm(n, eigenstate=inst.eigenstate)
+    alg = build_truncated_optimal(n, n - 1, inst.eigenstate)
     cols = _run(alg, inst.eigenstate, lambda m: np.array([inst.theta * m]), 1)
     weights = _outcome_weights(cols, n)[:, 0]
     # they sum to the squared norm of the final state
@@ -110,8 +102,9 @@ def cemm_on_continuous_phase(inst: PhaseInstance, n: int) -> np.ndarray:
 
 
 def phase_distance(a, b):
-    """Circular distance between phases in [0, 1); elementwise on arrays."""
-    d = np.abs(np.asarray(a, dtype=float) - b)
+    """Circular distance between phases, taken mod 1, so in [0, 1/2];
+    elementwise on arrays."""
+    d = np.abs(np.asarray(a, dtype=float) - b) % 1.0
     return np.minimum(d, 1.0 - d)
 
 

@@ -180,24 +180,19 @@ class ExperimentResult:
     rows: tuple[ResultRow, ...]
     metadata: dict
 
-    def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        for r in self.rows:
-            values = _rendered(r).values()
-            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in values))
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        import json
-
-        payload = {"metadata": self.metadata, "rows": [_rendered(r) for r in self.rows]}
-        return json.dumps(payload, indent=2) + "\n"
-
     def rendered(self, fmt: str) -> str:
+        """The rows as CSV (no metadata) or as JSON with the metadata."""
         if fmt == "csv":
-            return self.to_csv()
+            lines = [CSV_HEADER]
+            for r in self.rows:
+                values = _rendered(r).values()
+                lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in values))
+            return "\n".join(lines) + "\n"
         if fmt == "json":
-            return self.to_json()
+            import json
+
+            payload = {"metadata": self.metadata, "rows": [_rendered(r) for r in self.rows]}
+            return json.dumps(payload, indent=2) + "\n"
         raise ValueError(f"unknown output format {fmt!r}")
 
 
@@ -508,7 +503,7 @@ def _cemm_rows(cfg: ExperimentConfig, n: int) -> list[ResultRow]:
     eps = 1.0 / (2 * n)
 
     def measure(theta):
-        dist = cemm_on_continuous_phase(PhaseInstance(theta, [1.0, 0.0]), n)
+        dist = cemm_on_continuous_phase(PhaseInstance(theta, default_family(n).eigenstate), n)
         near = (p for y, p in enumerate(dist) if phase_distance(y / n, theta) <= eps + 1e-12)
         return float(sum(near)), 0.0
 

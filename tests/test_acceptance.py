@@ -14,14 +14,15 @@ import pytest
 import reference
 from phaselab import cli
 from phaselab.algorithms import (
-    build_cemm,
     build_truncated_optimal,
     cemm_on_continuous_phase,
     epr_fourier_deviation,
 )
 from phaselab.experiments import _reduction_chain, adversarial_search, derive_seed
+from phaselab.linalg import UnitaryMatrix
 from phaselab.oracles import PhaseInstance, default_family
 from phaselab.simulate import (
+    QueryAlgorithm,
     _haar_runs,
     _purified_state,
     _run_labels,
@@ -168,10 +169,15 @@ def test_criterion_3_tightness():
 
 
 def test_criterion_4_estimator_equivalence():
+    # the library's estimator, the q = n-1 optimal algorithm, against the
+    # dense kron construction of the textbook circuit started in F|0>
     worst = 0.0
     for n in range(2, 17):
         family = default_family(n)
-        a, b = build_cemm(n), build_truncated_optimal(n, n - 1)
+        start, steps = reference.cemm(n, family.eigenstate)
+        dense = [UnitaryMatrix(step) for step in steps]
+        a = QueryAlgorithm(standard_layout(n), dense, [1] * (n - 1), start)
+        b = build_truncated_optimal(n, n - 1)
         diff = _run_labels(a, family, range(n)) - _run_labels(b, family, range(n))
         worst = max(worst, float(np.max(np.abs(diff))))
         pur = run_purified(a, family).amps - run_purified(b, family).amps

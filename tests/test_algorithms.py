@@ -8,7 +8,6 @@ import reference
 from phaselab import algorithms
 from phaselab.algorithms import (
     _epr_computational,
-    build_cemm,
     build_truncated_optimal,
     cemm_on_continuous_phase,
     epr_fourier_deviation,
@@ -22,7 +21,6 @@ from phaselab.simulate import (
     QueryAlgorithm,
     _run_labels,
     _Step,
-    run_purified,
     standard_layout,
     success_probability_average,
 )
@@ -97,28 +95,21 @@ class TestTruncatedOptimal:
 
 
 class TestCemm:
+    """The estimator is the q = n-1 optimal algorithm."""
+
     @pytest.mark.parametrize("n", [1, 2, 4, 6])
     def test_recovers_every_label(self, n):
-        alg = build_cemm(n)
+        alg = build_truncated_optimal(n, n - 1)
         fam = default_family(n)
         for y in range(n):
             final = reference.run_fixed_y(alg, fam, y)
             assert reference.projection_norm_sq(final, "O", y) == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 8])
-    def test_matches_truncated_construction(self, n):
-        fam = default_family(n)
-        a, b = build_cemm(n), build_truncated_optimal(n, n - 1)
-        diff = _run_labels(a, fam, range(n)) - _run_labels(b, fam, range(n))
-        assert np.max(np.abs(diff)) < 1e-10
-        pur = run_purified(a, fam).amps - run_purified(b, fam).amps
-        assert np.max(np.abs(pur)) < 1e-10
-
     def test_intermediate_state_before_final_transform(self):
         # replace the closing step with the bare predicate clear: at fixed y
         # the output register should hold sum_k w^(yk) |k> / sqrt(n)
         n = 6
-        alg = build_cemm(n)
+        alg = build_truncated_optimal(n, n - 1)
         clear = threshold_toggle(n, n - 1)
         partial = QueryAlgorithm(alg.layout, alg.steps[:-1] + (clear,), alg.exponents, alg.start)
         fam = default_family(n)
@@ -130,14 +121,14 @@ class TestCemm:
             assert np.max(np.abs(got[:, 0, 1])) < 1e-12
 
     def test_query_count(self):
-        assert build_cemm(7).q == 6
-        assert build_cemm(1).q == 0
-        assert build_cemm(np.int64(3)).q == 2
+        assert build_truncated_optimal(7, 6).q == 6
+        assert build_truncated_optimal(1, 0).q == 0
+        assert build_truncated_optimal(np.int64(3), np.int64(2)).q == 2
 
     @pytest.mark.parametrize("n", [True, 0, 2.0])
     def test_size_must_be_a_positive_integer(self, n):
         with pytest.raises(ValueError, match=re.escape(f"got {n!r}")):
-            build_cemm(n)
+            build_truncated_optimal(n, n - 1)
 
 
 E0 = np.array([1.0, 0.0], dtype=np.complex128)
@@ -195,7 +186,7 @@ class TestDenseReference:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cemm_steps(self, n):
-        self.assert_circuit_matches(build_cemm(n), reference.cemm(n, E0))
+        self.assert_circuit_matches(build_truncated_optimal(n, n - 1), reference.cemm(n, E0))
 
     def test_three_dimensional_work_register(self):
         eig = np.array([0.6, 0.0, 0.8j])
@@ -219,21 +210,22 @@ class TestStart:
     @staticmethod
     def uniform(n, q):
         # the O amplitudes of build_truncated_optimal, computed as it does
-        target = np.zeros(n, dtype=np.complex128)
-        target[: q + 1] = 1.0 / np.sqrt(q + 1)
-        return target / np.linalg.norm(target)
+        uniform = np.zeros(n, dtype=np.complex128)
+        uniform[: q + 1] = 1.0 / np.sqrt(q + 1)
+        return uniform
 
     @pytest.mark.parametrize("u", EIGENSTATES, ids=["e0", "real-negative", "complex"])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_start_is_the_product(self, n, u):
         pairs = [(build_truncated_optimal(n, q, u), self.uniform(n, q)) for q in range(n)]
-        pairs.append((build_cemm(n, u), qft_matrix(n).matrix[:, 0]))
+        # at q = n-1 the start is F|0>, column 0 of the Fourier transform, bit for bit
+        pairs.append((build_truncated_optimal(n, n - 1, u), qft_matrix(n).matrix[:, 0]))
         for alg, a in pairs:
             np.testing.assert_array_equal(alg.start, np.kron(a, np.kron([1, 0], u)))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_default_eigenstate_is_e0(self, n):
-        assert not algorithms._E0.flags.writeable
+        assert not default_family(n).eigenstate.flags.writeable
         for q in range(n):
             default, given = build_truncated_optimal(n, q), build_truncated_optimal(n, q, [1.0, 0.0])
             np.testing.assert_array_equal(default.start, given.start)
@@ -287,7 +279,7 @@ class TestTrustedSteps:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cemm_steps_pass_the_public_checks(self, n):
-        for step in build_cemm(n).steps:
+        for step in build_truncated_optimal(n, n - 1).steps:
             assert_valid_step(step)
 
     @pytest.mark.parametrize(
@@ -304,7 +296,9 @@ class TestTrustedSteps:
         with pytest.raises(AssertionError):
             assert_valid_step(step)
 
-    @pytest.mark.parametrize("alg", [build_truncated_optimal(5, 3), build_cemm(4)], ids=["opt", "cemm"])
+    @pytest.mark.parametrize(
+        "alg", [build_truncated_optimal(5, 3), build_truncated_optimal(4, 3)], ids=["opt", "cemm"]
+    )
     def test_array_owners_are_read_only(self, alg):
         # a permutation is a row of one array; writing through that array
         # would change a step without any check
@@ -332,7 +326,7 @@ class TestWorkPreparation:
         for n in (1, 3, 5):
             algs = [build_truncated_optimal(n, q, eigenstate) for q in range(n)]
             expected = [reference.truncated_optimal(n, q, eig) for q in range(n)]
-            algs.append(build_cemm(n, eigenstate))
+            algs.append(build_truncated_optimal(n, n - 1, eigenstate))
             expected.append(reference.cemm(n, eig))
             for alg, dense in zip(algs, expected):
                 # every matrix factor is F† on O alone
@@ -345,7 +339,7 @@ class TestWorkPreparation:
     @pytest.mark.parametrize("eigenstate", [[1, 1], [np.nan, 0], [1 + 1e-6, 0]])
     def test_non_unit_eigenstate_rejected(self, eigenstate):
         with pytest.raises(ValueError, match="eigenstate must be a finite unit vector"):
-            build_cemm(4, eigenstate)
+            build_truncated_optimal(4, 3, eigenstate)
 
 
 def fejer(theta, n):
@@ -379,7 +373,7 @@ class TestLargeN:
     def test_cemm_factors_hold_order_n_squared_elements(self):
         # dense steps would hold n (4n)^2 = 16 n^3 elements
         n = 1024
-        alg = build_cemm(n)
+        alg = build_truncated_optimal(n, n - 1)
         elems = alg.start.size
         for step in alg.steps:
             for factor in step.factors:
@@ -401,6 +395,17 @@ class TestContinuousPhase:
         monkeypatch.setattr(algorithms, "_run", lambda *args: run(*args) * scale)
         with pytest.raises(ValueError, match="phase theta=0.3 weights sum to"):
             cemm_on_continuous_phase(PhaseInstance(theta=0.3, eigenstate=[1, 0]), 8)
+
+    @pytest.mark.parametrize("eigenstate", [[0, 1], [0.6, 0, 0.8j]], ids=["e1", "complex"])
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_curve_does_not_depend_on_the_eigenstate(self, n, eigenstate):
+        # the oracle's eigenstate must reach the estimator's start: with e0
+        # there instead, the work register never picks up the phase
+        for theta in (0.001, 0.3, 0.5 + 0.37 / n, 0.97):
+            e0 = cemm_on_continuous_phase(PhaseInstance(theta, [1, 0]), n)
+            dist = cemm_on_continuous_phase(PhaseInstance(theta, eigenstate), n)
+            np.testing.assert_allclose(dist, e0, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dist, fejer(theta, n), rtol=0, atol=1e-12)
 
     def test_distribution_matches_closed_form(self):
         n, theta = 8, 0.3
@@ -447,6 +452,10 @@ class TestRounding:
 
     def test_phase_distance_metrics(self):
         assert phase_distance(0.99, 0.01) == pytest.approx(0.02)
+        # phases outside [0, 1) are taken mod 1 first
+        assert phase_distance(1.5, 0.0) == 0.5
+        assert phase_distance(0.25, -0.9) == pytest.approx(0.15)
+        np.testing.assert_allclose(phase_distance([2.1, -0.1, 3.75], 0.0), [0.1, 0.1, 0.25])
 
     def test_noise_inside_premise_is_recovered(self):
         # an estimate strictly within 1/(2n) of y/n always rounds back to y

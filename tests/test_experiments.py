@@ -142,9 +142,9 @@ class TestBoundSweep:
         cfg = ExperimentConfig(
             kind="bound-sweep", n_values=(4, 6), q_values=(0, 1, 2), trials=3, seed=11
         )
-        a = strip_wall_time(run_experiment(cfg, jobs=1).to_csv())
-        b = strip_wall_time(run_experiment(cfg, jobs=1).to_csv())
-        c = strip_wall_time(run_experiment(cfg, jobs=4).to_csv())
+        a = strip_wall_time(run_experiment(cfg, jobs=1).rendered("csv"))
+        b = strip_wall_time(run_experiment(cfg, jobs=1).rendered("csv"))
+        c = strip_wall_time(run_experiment(cfg, jobs=4).rendered("csv"))
         assert a == b == c
 
     def test_q_values_default_to_full_budget_range(self):
@@ -556,7 +556,7 @@ class TestSerialization:
         return run_experiment(cfg)
 
     def test_csv_header_and_termination(self, result):
-        text = result.to_csv()
+        text = result.rendered("csv")
         lines = text.split("\n")
         assert lines[0] == CSV_HEADER
         assert text.endswith("\n")
@@ -564,11 +564,11 @@ class TestSerialization:
 
     def test_csv_significant_digits(self, result):
         # bound 1/3 must be rendered with 12 significant digits
-        row = next(line for line in result.to_csv().split("\n") if ",optimal," in line)
+        row = next(line for line in result.rendered("csv").split("\n") if ",optimal," in line)
         assert "0.333333333333" in row
 
     def test_json_shape(self, result):
-        payload = json.loads(result.to_json())
+        payload = json.loads(result.rendered("json"))
         assert set(payload) == {"metadata", "rows"}
         assert payload["metadata"]["tool"] == "phaselab"
         assert payload["metadata"]["config"]["kind"] == "bound-sweep"
@@ -580,7 +580,7 @@ class TestSerialization:
 
     def test_json_metadata_names_the_numeric_environment(self, result, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "changed after the first read")
-        env = json.loads(result.to_json())["metadata"]["environment"]
+        env = json.loads(result.rendered("json"))["metadata"]["environment"]
         assert list(env) == [
             "python", "numpy", "blas", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
             "MKL_NUM_THREADS", "platform",
@@ -593,7 +593,11 @@ class TestSerialization:
         again = experiments._metadata(ExperimentConfig(kind="epr-check", n_values=(2,)))
         assert again["environment"] == env
         assert experiments._environment.cache_info().misses == 1
-        assert result.to_csv().split("\n")[0] == CSV_HEADER  # CSV carries no metadata
+        assert result.rendered("csv").split("\n")[0] == CSV_HEADER  # CSV carries no metadata
+
+    def test_unknown_format_rejected(self, result):
+        with pytest.raises(ValueError, match="unknown output format 'xml'"):
+            result.rendered("xml")
 
     def test_dispatch(self):
         cfg = ExperimentConfig(kind="epr-check", n_values=(2,), seed=0)
