@@ -39,7 +39,6 @@ from .oracles import (
     PhaseInstance,
     PhaseOracleFamily,
     coherent_controlled_u,
-    controlled_u,
     default_family,
 )
 from .simulate import (

@@ -21,7 +21,7 @@ import platform
 import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -153,6 +153,9 @@ class ExperimentConfig:
         extra = set(data) - known
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
+        if missing:
+            raise ValueError(f"missing config fields: {missing}")
         return cls(**data)
 
 
@@ -504,8 +507,7 @@ def _cemm_rows(cfg: ExperimentConfig, n: int) -> list[ResultRow]:
 
     def measure(theta):
         dist = cemm_on_continuous_phase(PhaseInstance(theta, default_family(n).eigenstate), n)
-        near = (p for y, p in enumerate(dist) if phase_distance(y / n, theta) <= eps + 1e-12)
-        return float(sum(near)), 0.0
+        return float(dist[phase_distance(np.arange(n) / n, theta) <= eps + 1e-12].sum()), 0.0
 
     rows = [
         _row("cemm", n, n - 1, i, cfg.seed, 1.0, lambda: measure(theta))

@@ -119,10 +119,6 @@ class RegisterLayout:
                 return i
         raise KeyError(f"no register labeled {label!r} in {self.labels}")
 
-    def extended(self, label: str, dim: int) -> "RegisterLayout":
-        """New layout with one register appended (least significant block)."""
-        return RegisterLayout(self.registers + ((label, dim),))
-
 
 @dataclass(frozen=True, eq=False)
 class StateVector:

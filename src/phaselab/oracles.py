@@ -1,9 +1,11 @@
-"""Phase oracle families: grid phases, controlled/coherent/power variants.
+"""Phase oracle families over a grid of n phases, and their one dense oracle.
 
 A family over modulus n is a set of n commuting unitaries sharing one
 eigenstate u: member y multiplies u by w^y (w the n-th root of unity) and
-fixes the orthogonal complement pointwise. The coherent version drives the
-member choice from a counter register held in superposition.
+fixes the orthogonal complement pointwise. The simulator applies members
+without building them; ``coherent_controlled_u`` builds the dense coherent
+oracle, which drives the member choice from a counter register held in
+superposition.
 """
 
 from __future__ import annotations
@@ -68,40 +70,20 @@ class PhaseInstance:
         return self.eigenstate.shape[0]
 
 
-def _member_matrix(family: PhaseOracleFamily, phase_power: int) -> np.ndarray:
-    """I + (w^phase_power - 1)|u><u|: w^phase_power on the eigenstate u,
-    identity on its complement."""
-    u = family.eigenstate
-    phase = np.exp(2j * np.pi * (phase_power / family.n))
-    return np.eye(len(u), dtype=np.complex128) + (phase - 1) * np.outer(u, u.conj())
-
-
-def controlled_u(family: PhaseOracleFamily, y: int, exponent: int = FORWARD) -> UnitaryMatrix:
-    """Controlled member y on (control qubit, work): |0><0| I + |1><1| U_y^m
-    for m = ``exponent``.
-
-    The exponent is reduced modulo n first, since U_y^n is the identity.
-    """
-    y, exponent = _integer(y, "label"), _integer(exponent, "query exponent")
-    if not 0 <= y < family.n:
-        raise IndexError(f"label {y} out of range for {family.n} phases")
-    d = family.work_dim
-    block = np.eye(2 * d, dtype=np.complex128)
-    block[d:, d:] = _member_matrix(family, (y * exponent) % family.n)
-    return UnitaryMatrix(block)
-
-
 def coherent_controlled_u(family: PhaseOracleFamily, exponent: int = FORWARD) -> UnitaryMatrix:
     """Coherent oracle on (control, work, counter): applies member y when the
     counter register holds computational value y, raised to ``exponent``.
 
     Register order is (control qubit, work dim D, counter dim n), control
-    most significant, matching the simulator convention.
+    most significant, matching the simulator convention. The B = 1 block is
+    I + |u><u| ⊗ diag(w^(y*exponent) - 1); the B = 0 block is the identity.
     """
     exponent = _integer(exponent, "query exponent")
-    n, d = family.n, family.work_dim
-    dim = 2 * d * n
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for y in range(n):
-        mat[y::n, y::n] = controlled_u(family, y, exponent).matrix
+    n, u = family.n, family.eigenstate
+    # U_y^n is the identity; reducing with Python ints first keeps y * exponent
+    # inside int64 for any exponent
+    turns = np.arange(n) * (exponent % n) % n / n
+    dim = len(u) * n
+    mat = np.eye(2 * dim, dtype=np.complex128)
+    mat[dim:, dim:] += np.kron(np.outer(u, u.conj()), np.diag(np.exp(2j * np.pi * turns) - 1))
     return UnitaryMatrix(mat)

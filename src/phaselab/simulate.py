@@ -289,7 +289,8 @@ def _purified_state(layout: RegisterLayout, cols: np.ndarray) -> StateVector:
     """The purified state of n label columns over ``layout``."""
     # C is the least significant register, so column y is the C = y slice
     n = cols.shape[-1]
-    return StateVector(layout.extended(COUNTER, n), cols.reshape(-1) / np.sqrt(n))
+    purified = RegisterLayout(layout.registers + ((COUNTER, n),))
+    return StateVector(purified, cols.reshape(-1) / np.sqrt(n))
 
 
 def run_purified(alg: QueryAlgorithm, family: PhaseOracleFamily) -> StateVector:

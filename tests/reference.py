@@ -1,16 +1,18 @@
 """Slow, obviously correct reference simulators for cross-checking phaselab.
 
-Every query goes through a dense oracle matrix applied with
-``apply_to_registers`` below: the coherent oracle ``coherent_controlled_u`` on
-(B, W, C) for the purified view, ``controlled_u`` on (B, W) for one label,
-and an explicit controlled phase block on (B, W) for continuous phases.
-Counter spectra are read by rotating C with the inverse of ``qft_matrix``.
-A step is applied factor by factor: a matrix with ``apply_to_registers`` on
-the leading registers its dimension spans, a permutation by re-indexing the
-amplitudes, never with ``_Step @``. The dense
+Every query goes through a dense oracle matrix that this module builds
+itself, label by label, and applies with ``apply_to_registers`` below:
+``controlled_u`` on (B, W) for one label, the coherent oracle
+``coherent_controlled_u`` on (B, W, C) for the purified view, whose counter
+block y is label y's ``controlled_u``, and an explicit controlled phase block
+on (B, W) for continuous phases. Counter spectra are read by rotating C with
+the inverse of ``qft_matrix``. A step is applied factor by factor: a matrix
+with ``apply_to_registers`` on the leading registers its dimension spans, a
+permutation by re-indexing the amplitudes, never with ``_Step @``. The dense
 ``kron`` construction of the optimal circuits lives here too. None of this
-shares code with the simulation kernel in ``phaselab.simulate`` or with the
-builders in ``phaselab.algorithms``, so agreement between them is evidence.
+shares code with the oracle in ``phaselab.oracles``, the simulation kernel in
+``phaselab.simulate`` or the builders in ``phaselab.algorithms``, so
+agreement between them is evidence.
 The one exception is ``haar_trial`` at the end, the reference for how
 Haar trials are batched and chunked: it runs one trial through the
 kernel's ``_evolve``, drawing one step at a time.
@@ -21,8 +23,7 @@ import math
 import numpy as np
 
 from phaselab.fourier import qft_matrix
-from phaselab.linalg import StateVector, UnitaryMatrix
-from phaselab.oracles import coherent_controlled_u, controlled_u
+from phaselab.linalg import RegisterLayout, StateVector, UnitaryMatrix, _integer
 from phaselab.fourier import _spectrum
 from phaselab.simulate import COUNTER, OUTPUT, _evolve, _label_turns, _start, standard_layout
 
@@ -172,10 +173,44 @@ def cemm(n, eigenstate):
     return dense_assemble(n, n - 1, qft_matrix(n).matrix, eigenstate)
 
 
+def _member_matrix(family, phase_power):
+    """I + (w^phase_power - 1)|u><u|: w^phase_power on the eigenstate u,
+    identity on its complement."""
+    u = family.eigenstate
+    phase = np.exp(2j * np.pi * (phase_power / family.n))
+    return np.eye(len(u), dtype=np.complex128) + (phase - 1) * np.outer(u, u.conj())
+
+
+def controlled_u(family, y, exponent=1):
+    """Controlled member y on (control qubit, work): |0><0| I + |1><1| U_y^m
+    for m = ``exponent``.
+
+    The exponent is reduced modulo n first, since U_y^n is the identity.
+    """
+    y, exponent = _integer(y, "label"), _integer(exponent, "query exponent")
+    if not 0 <= y < family.n:
+        raise IndexError(f"label {y} out of range for {family.n} phases")
+    d = family.work_dim
+    block = np.eye(2 * d, dtype=np.complex128)
+    block[d:, d:] = _member_matrix(family, (y * exponent) % family.n)
+    return UnitaryMatrix(block)
+
+
+def coherent_controlled_u(family, exponent=1):
+    """Coherent oracle on (B, W, C), C least significant: the rows and
+    columns with C = y hold label y's ``controlled_u``."""
+    n, d = family.n, family.work_dim
+    dim = 2 * d * n
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    for y in range(n):
+        mat[y::n, y::n] = controlled_u(family, y, exponent).matrix
+    return UnitaryMatrix(mat)
+
+
 def purified_initial(alg):
     """The start on the algorithm's registers, C in the zero Fourier state."""
     amps = np.kron(alg.start, np.full(alg.n, 1.0 / np.sqrt(alg.n)))
-    return StateVector(alg.layout.extended(COUNTER, alg.n), amps)
+    return StateVector(RegisterLayout(alg.layout.registers + ((COUNTER, alg.n),)), amps)
 
 
 def fourier_weights(state, register):

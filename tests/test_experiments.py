@@ -16,9 +16,14 @@ from phaselab.experiments import (
     derive_seed,
     run_experiment,
 )
-from phaselab.algorithms import _epr_computational, build_truncated_optimal
+from phaselab.algorithms import (
+    _epr_computational,
+    build_truncated_optimal,
+    cemm_on_continuous_phase,
+    phase_distance,
+)
 from phaselab.linalg import RegisterLayout, StateVector, UnitaryMatrix, haar_random_unitary
-from phaselab.oracles import FORWARD, default_family
+from phaselab.oracles import FORWARD, PhaseInstance, default_family
 from phaselab.simulate import (
     COUNTER,
     OUTPUT,
@@ -66,6 +71,15 @@ class TestConfig:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"kind": "epr-check", "n_values": [4], "bogus": 1})
+
+    @pytest.mark.parametrize(
+        "data,missing",
+        [({"kind": "bound-sweep"}, "['n_values']"), ({}, "['kind', 'n_values']")],
+        ids=["no-n-values", "empty"],
+    )
+    def test_from_dict_names_missing_fields(self, data, missing):
+        with pytest.raises(ValueError, match=re.escape(f"missing config fields: {missing}")):
+            ExperimentConfig.from_dict(data)
 
 
 class TestSeedDerivation:
@@ -476,6 +490,23 @@ class TestCemmCurve:
         assert result.rows[0].observed_probability == pytest.approx(
             2 * 0.410533474517003, abs=1e-9
         )
+
+
+    def test_window_equals_the_per_label_sum(self):
+        # the label-by-label read the array expression replaced, bit for bit:
+        # at most two labels fall in the window, so the sum order cannot matter
+        thetas = (0.0, 0.001, 0.03125, 0.1, 0.3, 0.5, 0.77, 0.999)
+        for n in (2, 3, 5, 8, 16, 64, 96):
+            grid = thetas + (0.5 / n, 1.5 / n, 1 / n)
+            cfg = ExperimentConfig(kind="cemm-curve", n_values=(n,), theta_grid=grid)
+            rows = run_experiment(cfg).rows
+            for theta, row in zip(grid, rows):
+                dist = cemm_on_continuous_phase(PhaseInstance(theta, [1.0, 0.0]), n)
+                near = [
+                    p for y, p in enumerate(dist)
+                    if phase_distance(y / n, theta) <= 1 / (2 * n) + 1e-12
+                ]
+                assert row.observed_probability == float(sum(near)), (n, theta)
 
 
 class TestEprAndReduction:
