@@ -114,6 +114,9 @@ class ExperimentConfig:
         object.__setattr__(self, "q_values", _integers("q_values", self.q_values, 0))
         object.__setattr__(self, "trials", _integer(self.trials, "trials", 1))
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        # derive_seed reads the seed mod 2**64: a wider range would alias
+        if not -(2**63) <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [-2**63, 2**64), got {self.seed!r}")
         if self.theta_grid is not None:
             grid = _sequence("theta_grid", self.theta_grid)
             object.__setattr__(self, "theta_grid", tuple(_real(t, "theta_grid entry") for t in grid))
@@ -216,7 +219,8 @@ def _rendered(row: ResultRow) -> dict:
 
 
 def derive_seed(master: int, row_kind: str, n: int, q: int, trial: int) -> int:
-    """Per-task seed independent of execution order, stable across platforms."""
+    """Per-task seed independent of execution order, stable across platforms.
+    The master seed is read mod 2**64: a negative s is the seed s + 2**64."""
     code = _ROW_KIND_CODES[row_kind]
     ss = np.random.SeedSequence(
         [int(master) & 0xFFFFFFFFFFFFFFFF, code, int(n), int(q), int(trial)]

@@ -2,8 +2,8 @@
 
 The transform maps the computational basis state ``|y>`` to
 ``(1/sqrt(n)) * sum_k w^(y*k) |k>`` with ``w = exp(2*pi*i/n)``. The Fourier
-weights analyzer reads the spectrum of one register without mutating the
-input, so it can be inserted between steps of a simulation.
+weights analyzer reads the spectrum of the register at a position without
+mutating the input, so it can be inserted between steps of a simulation.
 """
 
 from __future__ import annotations
@@ -29,14 +29,16 @@ def _qft_matrix(n: int) -> UnitaryMatrix:
     return UnitaryMatrix(np.exp(2j * np.pi * grid / n) / np.sqrt(n))
 
 
-def fourier_weights(state: StateVector, register: str) -> np.ndarray:
-    """Fourier-basis outcome probabilities of one register.
+def fourier_weights(state: StateVector, register: int) -> np.ndarray:
+    """Fourier-basis outcome probabilities of the register at position
+    ``register``, counted from the end when negative (``simulate.COUNTER``).
 
     Entry k is the probability of outcome k when the register is rotated by
     the inverse transform and measured. Works on a copy; the input state is
-    never mutated.
+    never mutated. A non-integer position raises ``ValueError`` naming it,
+    one out of range numpy's ``AxisError``, also a ``ValueError``.
     """
-    t = np.moveaxis(state.tensor_view(), state.layout.axis(register), -1)
+    t = np.moveaxis(state.tensor_view(), _integer(register, "register position"), -1)
     return _spectrum(t.reshape(-1, t.shape[-1]))
 
 

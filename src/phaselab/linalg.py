@@ -1,4 +1,4 @@
-"""Dense complex values: labeled registers, state vectors, unitary matrices,
+"""Dense complex values: register layouts, state vectors, unitary matrices,
 plus Haar-random isometries and unitaries.
 
 These are the values the simulator, the builders and the sweeps pass around.
@@ -11,8 +11,8 @@ from an isometry and ``_check_isometry`` fails it, so ``haar_random_unitary``
 freezes the drawn array in place and wraps its result with
 ``UnitaryMatrix._trusted`` instead of copying and checking it again.
 
-Amplitude ordering is row-major over the register order of the layout: the
-first listed register is the most significant index block. All values are
+Amplitude ordering is row-major over the registers of the layout, addressed
+by position: register 0 is the most significant index block. All values are
 immutable after construction: the public constructors copy their input and
 freeze the copy; operations return new values.
 """
@@ -85,45 +85,25 @@ def _unit_vector(values, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Ordered list of (label, dimension) registers defining a tensor space."""
+    """The dimensions of a tensor space's registers, most significant first;
+    a register is its position. Each is an int >= 1 by the integer rule."""
 
-    registers: tuple[tuple[str, int], ...]
+    dims: tuple[int, ...]
 
     def __post_init__(self):
-        regs = tuple(
-            (str(label), _integer(dim, "register dimension", 1))
-            for label, dim in self.registers
-        )
-        object.__setattr__(self, "registers", regs)
-        labels = [label for label, _ in regs]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"register labels must be unique, got {labels}")
+        dims = tuple(_integer(dim, "register dimension", 1) for dim in self.dims)
+        object.__setattr__(self, "dims", dims)
 
-    # cached: the simulator reads these on every step and query
-    @cached_property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.registers)
-
-    @cached_property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.registers)
-
+    # cached: the simulator reads it on every run
     @cached_property
     def total_dim(self) -> int:
         return math.prod(self.dims)
-
-    def axis(self, label: str) -> int:
-        """Tensor axis of a register; raises KeyError for unknown labels."""
-        for i, (name, _) in enumerate(self.registers):
-            if name == label:
-                return i
-        raise KeyError(f"no register labeled {label!r} in {self.labels}")
 
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Complex amplitude vector over the registers of a layout, of unit
-    Euclidean norm within 1e-9."""
+    Euclidean norm within 1e-9; ``tensor_view`` has one axis per register."""
 
     layout: RegisterLayout
     amps: np.ndarray

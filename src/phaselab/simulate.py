@@ -1,15 +1,16 @@
 """Query-algorithm runs in the fixed-label and purified views.
 
-An algorithm owns registers O (output, dim n), B (oracle control wire,
-dim 2) and W (work space the oracle acts on) in that order, then any
-ancillas, and a start state, all-zeros unless given; another register order
-is a relabelling of the basis that the steps can absorb. Its steps are
-unitaries over those registers, each stored as a short product of local
-factors (a matrix on the leading registers, or a basis permutation);
-between consecutive steps the simulator applies the oracle to (B, W). The purified view appends a
-counter register C of dimension n initialized to the zero Fourier state,
-which makes the purified state (1/sqrt(n)) sum_y |psi_y>|y> with psi_y the
-fixed-label run of member y.
+A register is its position. An algorithm owns registers O (output, dim
+n), B (oracle control wire, dim 2) and W (work space the oracle acts on) at
+positions 0, 1 and 2, then any ancillas, and a start state, all-zeros
+unless given; another register order is a relabelling of the basis that
+the steps can absorb. Its steps are unitaries over those registers, each
+stored as a short product of local factors (a matrix on the leading
+registers, or a basis permutation); between consecutive steps the
+simulator applies the oracle to (B, W). The purified view appends a
+counter register C of dimension n last, at ``COUNTER = -1``, in the zero
+Fourier state, which makes the purified state (1/sqrt(n)) sum_y
+|psi_y>|y> with psi_y the fixed-label run of member y.
 
 So every view is one computation: ``_evolve`` runs a dim x m matrix whose
 columns each carry one oracle phase, a query being a rank-1 update on the
@@ -47,10 +48,7 @@ from .linalg import (
 )
 from .oracles import FORWARD, PhaseOracleFamily
 
-OUTPUT = "O"
-CONTROL = "B"
-WORK = "W"
-COUNTER = "C"
+COUNTER = -1  # the purified counter's position: after the algorithm's registers
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +91,7 @@ class QueryAlgorithm:
 
     The layout starts O, B (dimension 2), W, so the problem size ``n`` is
     ``dims[0]`` and ``work_dim`` is ``dims[2]``; any later registers are
-    ancillas, and label C is reserved for the purified counter.
+    ancillas, and none is reserved: the purified counter follows them all.
 
     ``steps`` holds q+1 steps over the layout. A step from outside the
     package is a dense ``UnitaryMatrix`` of the layout's dimension, which
@@ -114,13 +112,11 @@ class QueryAlgorithm:
     def __post_init__(self):
         exponents = tuple(_integer(m, "query exponent") for m in self.exponents)
         object.__setattr__(self, "exponents", exponents)
-        if self.layout.labels[:3] != (OUTPUT, CONTROL, WORK) or self.layout.dims[1] != 2:
+        dims = self.layout.dims
+        if len(dims) < 3 or dims[1] != 2:
             raise ValueError(
-                f"an algorithm's registers must start O, B (dimension 2), W in that order, "
-                f"got {self.layout.registers}"
+                f"an algorithm's registers must start O, B (dimension 2), W, got dims {dims}"
             )
-        if COUNTER in self.layout.labels:
-            raise ValueError("label C is reserved for the purified counter register")
         total = self.layout.total_dim
         steps = []
         for i, step in enumerate(self.steps):
@@ -133,7 +129,7 @@ class QueryAlgorithm:
             if not isinstance(step, _Step):
                 raise TypeError(f"step {i} must be a UnitaryMatrix, got {type(step).__name__}")
             if step.layout != self.layout:
-                raise ValueError(f"step {i} is over {step.layout.registers}, not the layout")
+                raise ValueError(f"step {i} is over dims {step.layout.dims}, not the layout")
             steps.append(step)
         if not steps:
             raise ValueError("an algorithm needs at least one step")
@@ -253,10 +249,12 @@ def _start(layout: RegisterLayout, m: int) -> np.ndarray:
 
 
 def _label_turns(labels, n):
-    """Phases labels/n raised to m, with y*m reduced mod n first; ``n`` is
-    the family size or an array of per-column denominators."""
+    """Phases labels/n raised to m, an int or one int per column, with m
+    reduced mod n before the product, so y * m cannot overflow; ``n`` is the
+    family size or an array of per-column denominators, against which
+    |m| >= 2**63 raises ``OverflowError``."""
     labels = np.asarray(labels)
-    return lambda m: (labels * m % n) / n
+    return lambda m: labels * (m % n) % n / n
 
 
 def _run(alg: QueryAlgorithm, eigenstate, turns, m: int, snapshot=None) -> np.ndarray:
@@ -287,9 +285,9 @@ def _outcome_weights(cols: np.ndarray, n: int) -> np.ndarray:
 
 def _purified_state(layout: RegisterLayout, cols: np.ndarray) -> StateVector:
     """The purified state of n label columns over ``layout``."""
-    # C is the least significant register, so column y is the C = y slice
+    # C is the last, least significant register, so column y is the C = y slice
     n = cols.shape[-1]
-    purified = RegisterLayout(layout.registers + ((COUNTER, n),))
+    purified = RegisterLayout(layout.dims + (n,))
     return StateVector(purified, cols.reshape(-1) / np.sqrt(n))
 
 
@@ -340,14 +338,13 @@ def reachable_counter_values(exponents, n: int) -> list[set[int]]:
 
 
 def success_probability_purified(state: StateVector) -> float:
-    """Probability that measuring O and C in the computational basis agrees."""
-    layout = state.layout
-    ax_o, ax_c = layout.axis(OUTPUT), layout.axis(COUNTER)
-    if layout.dims[ax_o] != layout.dims[ax_c]:
-        raise ValueError("output and counter registers must have equal dimension")
+    """Probability that measuring O, the first register, and C, the last,
+    in the computational basis agrees."""
+    dims = state.layout.dims
+    if len(dims) < 2 or dims[0] != dims[COUNTER]:
+        raise ValueError(f"O and C must be two registers of equal dimension, got dims {dims}")
     probs = np.abs(state.tensor_view()) ** 2
-    other = tuple(i for i in range(probs.ndim) if i not in (ax_o, ax_c))
-    joint = probs.sum(axis=other)
+    joint = probs.sum(axis=tuple(range(1, probs.ndim - 1)))
     return float(np.trace(joint))
 
 
@@ -365,7 +362,7 @@ def standard_layout(n: int, work_dim: int = 2) -> RegisterLayout:
 
 @functools.lru_cache(maxsize=64)
 def _standard_layout(n: int, work_dim: int) -> RegisterLayout:
-    return RegisterLayout(((OUTPUT, n), (CONTROL, 2), (WORK, work_dim)))
+    return RegisterLayout((n, 2, work_dim))
 
 
 def haar_random_algorithm(n: int, q: int, seed) -> QueryAlgorithm:
@@ -444,15 +441,15 @@ def _haar_runs(family: PhaseOracleFamily, exponents, rngs):
         batch = rngs[lo : lo + size]
         powers = np.array(exponents[lo : lo + size], dtype=int).reshape(len(batch), q)
         vs, dev = _haar_isometries(batch, q + 1, dim, n)
-        labels = np.tile(np.arange(n), len(batch))
+        turns = _label_turns(np.tile(np.arange(n), len(batch)), n)
         snaps = []
         cols = _evolve(
-            _start(layout, len(labels)),
+            _start(layout, len(batch) * n),
             [_IsometryStep(vs[:, j]) for j in range(q + 1)],
             [tuple(m) for m in powers.T],
             n,
             family.eigenstate,
-            lambda m: labels * np.repeat(m, n) % n / n,
+            lambda m: turns(np.repeat(m, n)),
             lambda c: snaps.append(_counter_spectra(c, n)),
         ).reshape(dim, -1, n)
         del vs  # before the next chunk draws, while the trials are read

@@ -1,5 +1,7 @@
 """Slow, obviously correct reference simulators for cross-checking phaselab.
 
+Registers are addressed by position, as in ``phaselab``: O, B and W at 0, 1
+and 2, then any ancillas, and the purified counter C appended after them.
 Every query goes through a dense oracle matrix that this module builds
 itself, label by label, and applies with ``apply_to_registers`` below:
 ``controlled_u`` on (B, W) for one label, the coherent oracle
@@ -25,7 +27,7 @@ import numpy as np
 from phaselab.fourier import qft_matrix
 from phaselab.linalg import RegisterLayout, StateVector, UnitaryMatrix, _integer
 from phaselab.fourier import _spectrum
-from phaselab.simulate import COUNTER, OUTPUT, _evolve, _label_turns, _start, standard_layout
+from phaselab.simulate import _evolve, _label_turns, _start, standard_layout
 
 
 def zero_state(layout):
@@ -35,20 +37,21 @@ def zero_state(layout):
     return StateVector(layout, amps)
 
 
-def apply_to_registers(state, u, targets):
-    """Apply ``u`` to the listed registers, identity on the rest.
+def apply_to_registers(state, u, axes):
+    """Apply ``u`` to the registers at the listed positions, identity on the
+    rest; a negative position counts from the end.
 
     The matrix is interpreted over the tensor product of the target registers
     in the given order (first target most significant).
     """
-    axes = [state.layout.axis(t) for t in targets]
-    if len(set(axes)) != len(axes):
-        raise ValueError(f"duplicate target registers: {targets}")
     dims = state.layout.dims
+    axes = [range(len(dims))[a] for a in axes]  # IndexError when out of range
+    if len(set(axes)) != len(axes):
+        raise ValueError(f"duplicate target registers: {axes}")
     block = math.prod(dims[a] for a in axes)
     if block != u.dim:
         raise ValueError(
-            f"target registers {targets} span dimension {block}, matrix has dimension {u.dim}"
+            f"target registers {axes} span dimension {block}, matrix has dimension {u.dim}"
         )
     psi = np.moveaxis(state.amps.reshape(dims), axes, range(len(axes)))
     moved_shape = psi.shape
@@ -57,12 +60,12 @@ def apply_to_registers(state, u, targets):
     return StateVector(state.layout, psi.reshape(-1))
 
 
-def projection_norm_sq(state, register, value):
-    """Probability weight of a computational basis value on one register."""
-    axis = state.layout.axis(register)
+def projection_norm_sq(state, axis, value):
+    """Probability weight of a computational basis value on the register at
+    position ``axis``."""
     dim = state.layout.dims[axis]
     if not 0 <= value < dim:
-        raise IndexError(f"value {value} out of range for register {register!r} (dim {dim})")
+        raise IndexError(f"value {value} out of range for register {axis} (dim {dim})")
     sub = np.take(state.amps.reshape(state.layout.dims), value, axis=axis)
     return float(np.sum(np.abs(sub) ** 2))
 
@@ -76,16 +79,17 @@ def apply_step(state, step):
             amps = state.amps.reshape(step.layout.total_dim, -1)[factor]
             state = StateVector(state.layout, amps.reshape(-1))
         else:
-            state = apply_to_registers(state, factor, leading_labels(step.layout, factor.dim))
+            state = apply_to_registers(state, factor, leading_axes(step.layout, factor.dim))
     return state
 
 
-def leading_labels(layout, dim):
-    """The first registers of ``layout`` whose dimensions multiply to ``dim``."""
-    for k in range(1, len(layout.labels) + 1):
+def leading_axes(layout, dim):
+    """The positions of the first registers of ``layout`` whose dimensions
+    multiply to ``dim``."""
+    for k in range(1, len(layout.dims) + 1):
         if math.prod(layout.dims[:k]) == dim:
-            return list(layout.labels[:k])
-    raise ValueError(f"no leading registers of {layout.registers} span dimension {dim}")
+            return list(range(k))
+    raise ValueError(f"no leading registers of dims {layout.dims} span dimension {dim}")
 
 
 def dense_step(step):
@@ -208,29 +212,31 @@ def coherent_controlled_u(family, exponent=1):
 
 
 def purified_initial(alg):
-    """The start on the algorithm's registers, C in the zero Fourier state."""
+    """The start on the algorithm's registers, then C in the zero Fourier
+    state as one more register, at position ``len(alg.layout.dims)``."""
     amps = np.kron(alg.start, np.full(alg.n, 1.0 / np.sqrt(alg.n)))
-    return StateVector(RegisterLayout(alg.layout.registers + ((COUNTER, alg.n),)), amps)
+    return StateVector(RegisterLayout(alg.layout.dims + (alg.n,)), amps)
 
 
-def fourier_weights(state, register):
-    """Outcome probabilities after the inverse transform on one register."""
-    dim = state.layout.dims[state.layout.axis(register)]
-    rotated = apply_to_registers(state, qft_matrix(dim).adjoint, [register])
+def fourier_weights(state, axis):
+    """Outcome probabilities after the inverse transform on the register at
+    position ``axis``."""
+    axis = range(len(state.layout.dims))[axis]
+    rotated = apply_to_registers(state, qft_matrix(state.layout.dims[axis]).adjoint, [axis])
     probs = np.abs(rotated.tensor_view()) ** 2
-    axis = state.layout.axis(register)
     return probs.sum(axis=tuple(i for i in range(probs.ndim) if i != axis))
 
 
 def purified_run(alg, family):
     """Final purified state and the counter spectrum after every step."""
     oracles = {m: coherent_controlled_u(family, m) for m in set(alg.exponents)}
+    counter = len(alg.layout.dims)  # C follows the algorithm's registers
     state = apply_step(purified_initial(alg), alg.steps[0])
-    snapshots = [fourier_weights(state, COUNTER)]
+    snapshots = [fourier_weights(state, counter)]
     for m, step in zip(alg.exponents, alg.steps[1:]):
-        state = apply_to_registers(state, oracles[m], ["B", "W", COUNTER])
+        state = apply_to_registers(state, oracles[m], [1, 2, counter])
         state = apply_step(state, step)
-        snapshots.append(fourier_weights(state, COUNTER))
+        snapshots.append(fourier_weights(state, counter))
     return state, snapshots
 
 
@@ -239,11 +245,11 @@ def run_purified(alg, family):
 
 
 def _fixed_run(alg, oracle):
-    """Run with ``oracle(m)`` on (B, W) between consecutive steps, m the
-    query's exponent."""
+    """Run with ``oracle(m)`` on (B, W), positions 1 and 2, between
+    consecutive steps, m the query's exponent."""
     state = apply_step(StateVector(alg.layout, alg.start), alg.steps[0])
     for m, step in zip(alg.exponents, alg.steps[1:]):
-        state = apply_to_registers(state, oracle(m), ["B", "W"])
+        state = apply_to_registers(state, oracle(m), [1, 2])
         state = apply_step(state, step)
     return state
 
@@ -254,7 +260,7 @@ def run_fixed_y(alg, family, y):
 
 def success_probability_average(alg, family):
     return sum(
-        projection_norm_sq(run_fixed_y(alg, family, y), OUTPUT, y) for y in range(family.n)
+        projection_norm_sq(run_fixed_y(alg, family, y), 0, y) for y in range(family.n)
     ) / family.n
 
 

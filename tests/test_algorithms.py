@@ -103,7 +103,7 @@ class TestCemm:
         fam = default_family(n)
         for y in range(n):
             final = reference.run_fixed_y(alg, fam, y)
-            assert reference.projection_norm_sq(final, "O", y) == pytest.approx(1.0, abs=1e-9)
+            assert reference.projection_norm_sq(final, 0, y) == pytest.approx(1.0, abs=1e-9)
 
     def test_intermediate_state_before_final_transform(self):
         # replace the closing step with the bare predicate clear: at fixed y

@@ -333,6 +333,10 @@ def test_summary_line(command, capsys):
         ({"kind": "epr-check", "n_values": [2], "trials": "5"}, []),
         ({"kind": "bound-sweep", "n_values": [2], "trials": 2.5}, []),
         ({"kind": "epr-check", "n_values": [2], "seed": 1.5}, []),
+        # seeds that derive_seed, reading them mod 2**64, would alias
+        ({"kind": "epr-check", "n_values": [2], "seed": 2**64 + 1}, []),
+        (None, ["verify-bound", "--n", "4", "--seed", "18446744073709551617"]),
+        (None, ["verify-bound", "--n", "4", "--seed", "-9223372036854775809"]),
         ({"kind": "cemm-curve", "n_values": [8], "theta_grid": [None]}, []),
         ({"kind": "cemm-curve", "n_values": [8], "theta_grid": [[0.1]]}, []),
         ({"kind": "cemm-curve", "n_values": [8], "theta_grid": ["0.1"]}, []),
@@ -358,7 +362,8 @@ def test_summary_line(command, capsys):
         ({"kind": "bound-sweep", "n_values": [4], "trials": 2}, ["verify-counter"]),
     ],
     ids=["out-in-missing-dir", "top-level-list", "n-not-a-list", "trials-string",
-         "trials-fraction", "seed-fraction", "theta-null", "theta-list", "theta-string",
+         "trials-fraction", "seed-fraction", "seed-2to64-plus-1", "seed-flag-2to64-plus-1",
+         "seed-flag-below-minus-2to63", "theta-null", "theta-list", "theta-string",
          "floor-bool", "kind-list", "reduction-floors-and-trials", "epr-unread-fields",
          "bound-sweep-theta", "cemm-q", "cemm-grid-below-2", "epr-check-trials", "cemm-trials",
          "theta-empty-entry", "bound-sweep-theta-flag", "epr-check-q-flag",

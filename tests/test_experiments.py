@@ -25,8 +25,6 @@ from phaselab.algorithms import (
 from phaselab.linalg import RegisterLayout, StateVector, UnitaryMatrix, haar_random_unitary
 from phaselab.oracles import FORWARD, PhaseInstance, default_family
 from phaselab.simulate import (
-    COUNTER,
-    OUTPUT,
     QueryAlgorithm,
     _label_success,
     leakage_from_weights,
@@ -67,6 +65,26 @@ class TestConfig:
             ExperimentConfig(kind="cemm-curve", n_values=(8,))
         with pytest.raises(ValueError):
             ExperimentConfig(kind="cemm-curve", n_values=(8,), theta_grid=(1.5,))
+
+    @pytest.mark.parametrize("seed", [2**64, 2**64 + 1, -(2**63) - 1, -(2**64)])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # derive_seed reads the seed mod 2**64: a wider seed would alias another
+        with pytest.raises(ValueError, match=re.escape(f"got {seed!r}")):
+            ExperimentConfig(kind="bound-sweep", n_values=(4,), seed=seed)
+
+    @pytest.mark.parametrize("seed", [-(2**63), -3, 0, 2**63, 2**64 - 1, np.uint64(2**64 - 1)])
+    def test_seed_range_edges_accepted(self, seed):
+        cfg = ExperimentConfig(kind="bound-sweep", n_values=(4,), seed=seed)
+        assert cfg.seed == seed and type(cfg.seed) is int
+
+    def test_negative_seed_is_the_seed_plus_2_to_the_64(self):
+        def rows(seed):
+            cfg = ExperimentConfig(
+                kind="bound-sweep", n_values=(4,), q_values=(1,), trials=2, seed=seed
+            )
+            return [(r.seed, r.observed_probability) for r in run_experiment(cfg).rows]
+
+        assert rows(-3) == rows(2**64 - 3) != rows(3)
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError):
@@ -523,7 +541,7 @@ class TestEprAndReduction:
         # the purified simulator's readout on the same state bit for bit
         cfg = ExperimentConfig(kind="epr-check", n_values=tuple(range(1, 41)))
         for n, row in zip(cfg.n_values, run_experiment(cfg).rows):
-            pair = StateVector(RegisterLayout(((OUTPUT, n), (COUNTER, n))), _epr_computational(n))
+            pair = StateVector(RegisterLayout((n, n)), _epr_computational(n))
             assert row.observed_probability == simulate.success_probability_purified(pair)
 
     def test_reduction_q0_worst_case_success(self):

@@ -10,8 +10,8 @@ from reference import apply_to_registers
 
 
 def fourier_state(n, y):
-    """Fourier basis state of index y on a register labeled C: column y of F."""
-    return StateVector(RegisterLayout((("C", n),)), qft_matrix(n).matrix[:, y])
+    """Fourier basis state of index y on one register: column y of F."""
+    return StateVector(RegisterLayout((n,)), qft_matrix(n).matrix[:, y])
 
 
 class TestQftMatrix:
@@ -115,7 +115,7 @@ class TestConjugateState:
 
 def two_register_state(n, pairs):
     """Unnormalized sum of |a> x |fourier k> terms, then normalized."""
-    layout = RegisterLayout((("A", 2), ("C", n)))
+    layout = RegisterLayout((2, n))
     amps = np.zeros(2 * n, dtype=complex)
     for a, k, coeff in pairs:
         amps[a * n : (a + 1) * n] += coeff * fourier_state(n, k).amps
@@ -126,48 +126,64 @@ def two_register_state(n, pairs):
 class TestFourierWeights:
     def test_pure_fourier_index(self):
         s = fourier_state(8, 3)
-        w = fourier_weights(s, "C")
+        w = fourier_weights(s, 0)
         expected = np.zeros(8)
         expected[3] = 1.0
         np.testing.assert_allclose(w, expected, atol=1e-12)
 
     def test_uniform_superposition_is_zero_index(self):
-        layout = RegisterLayout((("C", 6),))
+        layout = RegisterLayout((6,))
         s = StateVector(layout, np.full(6, 1 / np.sqrt(6)))
-        w = fourier_weights(s, "C")
+        w = fourier_weights(s, 0)
         assert w[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_entangled_half_half(self):
         # (|0>|f1> + |1>|f2>)/sqrt(2): marginal puts 0.5 on each index
         s = two_register_state(5, [(0, 1, 1.0), (1, 2, 1.0)])
-        w = fourier_weights(s, "C")
+        w = fourier_weights(s, 1)
         np.testing.assert_allclose(w[[1, 2]], [0.5, 0.5], atol=1e-10)
         assert w.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_weights_sum_to_one_random(self):
         rng = np.random.default_rng(9)
-        layout = RegisterLayout((("A", 3), ("C", 4)))
+        layout = RegisterLayout((3, 4))
         amps = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         s = StateVector(layout, amps / np.linalg.norm(amps))
-        assert fourier_weights(s, "C").sum() == pytest.approx(1.0, abs=1e-9)
+        assert fourier_weights(s, 1).sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_unknown_register(self):
-        with pytest.raises(KeyError):
-            fourier_weights(fourier_state(4, 0), "Z")
+    def test_negative_position_counts_from_the_end(self):
+        s = two_register_state(5, [(0, 1, 1.0), (1, 2, 0.5j)])
+        assert np.array_equal(fourier_weights(s, -1), fourier_weights(s, 1))
+        assert np.array_equal(fourier_weights(s, -2), fourier_weights(s, 0))
+        assert not np.allclose(fourier_weights(s, 0)[:2], fourier_weights(s, 1)[:2])
+
+    @pytest.mark.parametrize("register", ["C", 1.5, True, None])
+    def test_register_must_be_a_position(self, register):
+        # a register is its position; a label or a non-integer names no register
+        s = two_register_state(4, [(0, 1, 1.0)])
+        message = f"register position must be an integer, got {register!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fourier_weights(s, register)
+
+    @pytest.mark.parametrize("register", [2, 7, -3])
+    def test_out_of_range_position_rejected(self, register):
+        # numpy's AxisError is a ValueError
+        with pytest.raises(ValueError, match=f"axis {register} is out of bounds"):
+            fourier_weights(two_register_state(4, [(0, 1, 1.0)]), register)
 
     def test_invariant_under_unitaries_elsewhere(self):
         rng = np.random.default_rng(31)
-        layout = RegisterLayout((("A", 4), ("C", 5)))
+        layout = RegisterLayout((4, 5))
         amps = rng.standard_normal(20) + 1j * rng.standard_normal(20)
         s = StateVector(layout, amps / np.linalg.norm(amps))
-        before = fourier_weights(s, "C")
+        before = fourier_weights(s, 1)
         for _ in range(10):
             u = haar_random_unitary(4, rng)
-            after = fourier_weights(apply_to_registers(s, u, ["A"]), "C")
+            after = fourier_weights(apply_to_registers(s, u, [0]), 1)
             assert np.max(np.abs(after - before)) < 1e-10
 
     def test_does_not_mutate_input(self):
         s = fourier_state(4, 1)
         snapshot = s.amps.copy()
-        fourier_weights(s, "C")
+        fourier_weights(s, 0)
         np.testing.assert_array_equal(s.amps, snapshot)

@@ -20,6 +20,7 @@ from phaselab.fourier import fourier_weights
 from phaselab.linalg import RegisterLayout, StateVector, haar_random_unitary
 from phaselab.oracles import PhaseInstance, PhaseOracleFamily
 from phaselab.simulate import (
+    COUNTER,
     QueryAlgorithm,
     _query,
     _run,
@@ -59,8 +60,7 @@ def random_case(n, work_dim, anc_dim, exponents, seed, local=False):
     or ``random_step``s when ``local``; half the algorithms start in a random
     unit vector, the rest at all-zeros."""
     rng = np.random.default_rng(seed)
-    regs = (("O", n), ("B", 2), ("W", work_dim)) + ((("anc", anc_dim),) if anc_dim else ())
-    layout = RegisterLayout(regs)
+    layout = RegisterLayout((n, 2, work_dim) + ((anc_dim,) if anc_dim else ()))
     if local:
         steps = [random_step(layout, rng) for _ in range(len(exponents) + 1)]
     else:
@@ -88,12 +88,15 @@ def check_against_reference(alg, family, theta):
     )
 
     ref_state, ref_snaps = reference.purified_run(alg, family)
-    np.testing.assert_allclose(run_purified(alg, family).amps, ref_state.amps, rtol=0, atol=TOL)
+    state = run_purified(alg, family)
+    assert state.layout == ref_state.layout  # the counter is appended last
+    np.testing.assert_allclose(state.amps, ref_state.amps, rtol=0, atol=TOL)
     tr = run_purified_transcript(alg, family)
     np.testing.assert_allclose(tr.final_state.amps, ref_state.amps, rtol=0, atol=TOL)
     np.testing.assert_allclose(np.array(tr.counter_weights), ref_snaps, rtol=0, atol=TOL)
     np.testing.assert_allclose(
-        fourier_weights(ref_state, "C"), reference.fourier_weights(ref_state, "C"),
+        fourier_weights(state, COUNTER),
+        reference.fourier_weights(ref_state, len(alg.layout.dims)),
         rtol=0, atol=TOL,
     )
     assert counter_leakage(ref_state, q) == pytest.approx(
@@ -151,9 +154,9 @@ def random_unit_columns(dim, m, rng):
 @pytest.mark.parametrize(
     "layouts",
     [
-        [(("O", 3), ("B", 2), ("W", 1)), (("O", 3), ("B", 2), ("W", 2))],
-        [(("O", 4), ("B", 2), ("W", 3)), (("O", 2), ("B", 2), ("W", 3), ("anc", 3))],
-        [(("O", 2), ("B", 2), ("W", 2), ("anc", 3)), (("O", 5), ("B", 2), ("W", 1), ("anc", 2))],
+        [(3, 2, 1), (3, 2, 2)],
+        [(4, 2, 3), (2, 2, 3, 3)],
+        [(2, 2, 2, 3), (5, 2, 1, 2)],
     ],
     ids=["work-dim-1-2", "work-dim-3", "trailing-ancilla"],
 )
@@ -161,8 +164,8 @@ def test_query_matches_dense_oracle(layouts):
     """``_query`` on each column against the dense controlled phase block on
     (B, W) of ``reference.controlled_phase``, over (O, B, W[, anc])."""
     rng = np.random.default_rng(len(layouts[0]))
-    for regs in layouts:
-        layout = RegisterLayout(regs)
+    for dims in layouts:
+        layout = RegisterLayout(dims)
         n, work_dim = layout.dims[0], layout.dims[2]
         eigenstate = random_unit_columns(work_dim, 1, rng)[:, 0]
         cols = random_unit_columns(layout.total_dim, 5, rng)
@@ -170,5 +173,5 @@ def test_query_matches_dense_oracle(layouts):
         got = _query(cols.copy(), n, eigenstate, np.exp(2j * np.pi * thetas) - 1.0)
         for j, theta in enumerate(thetas):
             oracle = reference.controlled_phase(PhaseInstance(theta, eigenstate), 1)
-            want = reference.apply_to_registers(StateVector(layout, cols[:, j]), oracle, ["B", "W"])
+            want = reference.apply_to_registers(StateVector(layout, cols[:, j]), oracle, [1, 2])
             np.testing.assert_allclose(got[:, j], want.amps, rtol=0, atol=TOL)

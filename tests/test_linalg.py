@@ -15,8 +15,8 @@ from phaselab.linalg import (
 from phaselab.simulate import haar_random_algorithm
 from reference import apply_to_registers, complete_orthonormal_basis, projection_norm_sq, zero_state
 
-QUBIT = RegisterLayout((("a", 2),))
-TWO_QUBITS = RegisterLayout((("a", 2), ("b", 2)))
+QUBIT = RegisterLayout((2,))
+TWO_QUBITS = RegisterLayout((2, 2))
 
 
 def ket(layout, amps):
@@ -32,31 +32,27 @@ def basis_state(layout, values):
 
 class TestLayout:
     def test_total_dim_is_product(self):
-        layout = RegisterLayout((("O", 4), ("B", 2), ("W", 3)))
+        layout = RegisterLayout((4, 2, 3))
         assert layout.total_dim == 24
         assert layout.dims == (4, 2, 3)
-        assert layout.axis("W") == 2
-
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError):
-            RegisterLayout((("a", 2), ("a", 3)))
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError):
-            RegisterLayout((("a", 0),))
+            RegisterLayout((0,))
 
-    def test_unknown_label(self):
-        with pytest.raises(KeyError):
-            QUBIT.axis("nope")
+    def test_labelled_form_rejected(self):
+        # a register is its position: a (label, dimension) pair is not a dimension
+        with pytest.raises(ValueError, match=re.escape("must be an integer, got ('O', 4)")):
+            RegisterLayout((("O", 4), ("B", 2), ("W", 3)))
 
     @pytest.mark.parametrize("dim", [2.5, True, "3"])
     def test_non_integer_dimension_rejected(self, dim):
         with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {dim!r}")):
-            RegisterLayout((("O", dim),))
+            RegisterLayout((dim,))
 
     def test_numpy_integer_dimension_accepted(self):
-        layout = RegisterLayout((("O", np.int64(3)),))
-        assert layout.registers == (("O", 3),) and type(layout.dims[0]) is int
+        layout = RegisterLayout((np.int64(3),))
+        assert layout.dims == (3,) and type(layout.dims[0]) is int
 
     def test_haar_algorithm_size_must_be_an_integer(self):
         with pytest.raises(ValueError, match="must be an integer, got 4.5"):
@@ -86,19 +82,19 @@ X = UnitaryMatrix(np.array([[0, 1], [1, 0]], dtype=complex))
 
 class TestApply:
     def test_swap_on_first_register(self):
-        out = apply_to_registers(zero_state(TWO_QUBITS), X, ["a"])
+        out = apply_to_registers(zero_state(TWO_QUBITS), X, [0])
         np.testing.assert_allclose(out.amps, basis_state(TWO_QUBITS, [1, 0]).amps)
 
     def test_identity_unchanged(self):
         eye = UnitaryMatrix(np.eye(2))
         s = ket(TWO_QUBITS, np.array([0.5, 0.5, 0.5, 0.5]))
-        out = apply_to_registers(s, eye, ["b"])
+        out = apply_to_registers(s, eye, [1])
         np.testing.assert_allclose(out.amps, s.amps)
 
     def test_unitary_then_adjoint_roundtrip(self):
         u = haar_random_unitary(4, seed=3)
         s = ket(TWO_QUBITS, np.array([0.5, 0.5j, -0.5, 0.5j]))
-        back = apply_to_registers(apply_to_registers(s, u, ["a", "b"]), u.adjoint, ["a", "b"])
+        back = apply_to_registers(apply_to_registers(s, u, [0, 1]), u.adjoint, [0, 1])
         assert np.max(np.abs(back.amps - s.amps)) < 1e-12
 
     def test_target_order_matters(self):
@@ -107,46 +103,46 @@ class TestApply:
             np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
         )
         s = basis_state(TWO_QUBITS, [1, 0])
-        flipped = apply_to_registers(s, cx, ["a", "b"])
+        flipped = apply_to_registers(s, cx, [0, 1])
         np.testing.assert_allclose(flipped.amps, basis_state(TWO_QUBITS, [1, 1]).amps)
-        untouched = apply_to_registers(basis_state(TWO_QUBITS, [0, 1]), cx, ["b", "a"])
+        untouched = apply_to_registers(basis_state(TWO_QUBITS, [0, 1]), cx, [1, 0])
         np.testing.assert_allclose(untouched.amps, basis_state(TWO_QUBITS, [1, 1]).amps)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            apply_to_registers(zero_state(TWO_QUBITS), X, ["a", "b"])
+            apply_to_registers(zero_state(TWO_QUBITS), X, [0, 1])
 
     def test_norm_preserved_for_random_unitaries(self):
-        layout = RegisterLayout((("x", 3), ("y", 4)))
+        layout = RegisterLayout((3, 4))
         rng = np.random.default_rng(17)
         for trial in range(25):
             amps = rng.standard_normal(12) + 1j * rng.standard_normal(12)
             s = ket(layout, amps / np.linalg.norm(amps))
             u = haar_random_unitary(4, rng)
-            out = apply_to_registers(s, u, ["y"])
+            out = apply_to_registers(s, u, [1])
             assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-9
 
 
 class TestProjection:
     def test_basis_state_weight(self):
-        assert projection_norm_sq(zero_state(QUBIT), "a", 0) == pytest.approx(1.0)
+        assert projection_norm_sq(zero_state(QUBIT), 0, 0) == pytest.approx(1.0)
 
     def test_uniform_case(self):
         plus = ket(QUBIT, np.array([1, 1]) / np.sqrt(2))
-        assert projection_norm_sq(plus, "a", 1) == pytest.approx(0.5)
+        assert projection_norm_sq(plus, 0, 1) == pytest.approx(0.5)
 
     def test_completeness_sums_to_one(self):
-        layout = RegisterLayout((("x", 3), ("y", 5)))
+        layout = RegisterLayout((3, 5))
         rng = np.random.default_rng(23)
         amps = rng.standard_normal(15) + 1j * rng.standard_normal(15)
         s = ket(layout, amps / np.linalg.norm(amps))
-        for reg, dim in (("x", 3), ("y", 5)):
-            total = sum(projection_norm_sq(s, reg, v) for v in range(dim))
+        for axis, dim in enumerate(layout.dims):
+            total = sum(projection_norm_sq(s, axis, v) for v in range(dim))
             assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_out_of_range_value(self):
         with pytest.raises(IndexError):
-            projection_norm_sq(zero_state(QUBIT), "a", 2)
+            projection_norm_sq(zero_state(QUBIT), 0, 2)
 
 
 def qr_completion(u):

@@ -156,7 +156,7 @@ class TestControlled:
 
 def coherent_input(n, control, work, k, work_dim=2):
     """|control>|work>|fourier k> on the (B, W, C) layout of the coherent oracle."""
-    layout = RegisterLayout((("B", 2), ("W", work_dim), ("C", n)))
+    layout = RegisterLayout((2, work_dim, n))
     b = np.zeros(2, dtype=complex)
     b[control] = 1.0
     amps = np.kron(np.kron(b, work), qft_matrix(n).matrix[:, k])
@@ -170,7 +170,7 @@ class TestCoherent:
         um = coherent_controlled_u(fam)
         for k in range(n):
             state = coherent_input(n, 1, fam.eigenstate, k)
-            out = apply_to_registers(state, um, ["B", "W", "C"])
+            out = apply_to_registers(state, um, [0, 1, 2])
             expected = coherent_input(n, 1, fam.eigenstate, (k + 1) % n)
             np.testing.assert_allclose(out.amps, expected.amps, atol=1e-10)
 
@@ -179,7 +179,7 @@ class TestCoherent:
         fam = default_family(n)
         um = coherent_controlled_u(fam)
         state = coherent_input(n, 0, np.array([0.6, 0.8]), 2)
-        out = apply_to_registers(state, um, ["B", "W", "C"])
+        out = apply_to_registers(state, um, [0, 1, 2])
         np.testing.assert_allclose(out.amps, state.amps, atol=1e-12)
 
     def test_orthogonal_work_unchanged(self):
@@ -187,7 +187,7 @@ class TestCoherent:
         fam = default_family(n)
         um = coherent_controlled_u(fam)
         state = coherent_input(n, 1, np.array([0.0, 1.0]), 3)  # e_1 is orthogonal to u
-        out = apply_to_registers(state, um, ["B", "W", "C"])
+        out = apply_to_registers(state, um, [0, 1, 2])
         np.testing.assert_allclose(out.amps, state.amps, atol=1e-12)
 
     @pytest.mark.parametrize("m", [2, 3, 5, -1])
@@ -197,7 +197,7 @@ class TestCoherent:
         um = coherent_controlled_u(fam, m)
         for k in range(n):
             state = coherent_input(n, 1, fam.eigenstate, k)
-            out = apply_to_registers(state, um, ["B", "W", "C"])
+            out = apply_to_registers(state, um, [0, 1, 2])
             expected = coherent_input(n, 1, fam.eigenstate, (k + m) % n)
             np.testing.assert_allclose(out.amps, expected.amps, atol=1e-10)
 

@@ -16,6 +16,7 @@ from phaselab.linalg import (
 from phaselab import simulate
 from phaselab.oracles import FORWARD, PhaseInstance, default_family
 from phaselab.simulate import (
+    COUNTER,
     QueryAlgorithm,
     RunTranscript,
     _check_spectra,
@@ -74,31 +75,20 @@ class TestAlgorithmValidation:
             QueryAlgorithm(layout, (identity_step(3),), (FORWARD,))
 
     def test_problem_size_read_from_output_register(self):
-        layout = RegisterLayout((("O", 5), ("B", 2), ("W", 3), ("anc", 2)))
+        layout = RegisterLayout((5, 2, 3, 2))
         alg = QueryAlgorithm(layout, (UnitaryMatrix(np.eye(60)),), ())
         assert (alg.n, alg.work_dim) == (5, 3)
         with pytest.raises(ValueError, match="must start O, B"):
-            QueryAlgorithm(RegisterLayout((("B", 2), ("W", 2))), (UnitaryMatrix(np.eye(4)),), ())
+            QueryAlgorithm(RegisterLayout((2, 2)), (UnitaryMatrix(np.eye(4)),), ())
 
     @pytest.mark.parametrize(
-        "registers",
-        [
-            (("W", 2), ("B", 2), ("O", 3)),
-            (("O", 3), ("W", 2), ("B", 2)),
-            (("O", 3), ("B", 2), ("anc", 2), ("W", 2)),
-            (("O", 3), ("B", 3), ("W", 2)),
-        ],
-        ids=["W-B-O", "O-W-B", "O-B-anc-W", "B-dim-3"],
+        "dims", [(3, 3, 2), (), (4,), (4, 2)], ids=["B-dim-3", "none", "O-only", "O-B"]
     )
-    def test_registers_must_start_o_b_w(self, registers):
-        layout = RegisterLayout(registers)
-        with pytest.raises(ValueError, match=re.escape(f"W in that order, got {registers}")):
+    def test_registers_must_start_o_b_w(self, dims):
+        # registers are positions: O, B (dimension 2) and W must all be there
+        layout = RegisterLayout(dims)
+        with pytest.raises(ValueError, match=re.escape(f"W, got dims {dims}")):
             QueryAlgorithm(layout, (UnitaryMatrix(np.eye(layout.total_dim)),), ())
-
-    def test_counter_label_reserved(self):
-        layout = RegisterLayout((("O", 3), ("B", 2), ("W", 2), ("C", 2)))
-        with pytest.raises(ValueError):
-            QueryAlgorithm(layout, (UnitaryMatrix(np.eye(24)),), ())
 
     def test_step_dimension_checked(self):
         layout = standard_layout(3)
@@ -169,9 +159,22 @@ class TestAlgorithmValidation:
         assert other.exponents == (-1,) and not other.start.flags.writeable
 
     def test_extra_ancilla_register_allowed(self):
-        layout = RegisterLayout((("O", 3), ("B", 2), ("W", 2), ("anc", 3)))
+        layout = RegisterLayout((3, 2, 2, 3))
         alg = QueryAlgorithm(layout, (UnitaryMatrix(np.eye(36)),), ())
         assert alg.q == 0
+
+    def test_trailing_ancilla_of_counter_size_matches_reference(self):
+        # nothing is reserved: an ancilla of dimension n after W is one more
+        # register, and the purified counter is appended after it
+        n = 3
+        rng = np.random.default_rng(12)
+        layout = RegisterLayout((n, 2, 2, n))
+        steps = tuple(haar_random_unitary(layout.total_dim, rng) for _ in range(3))
+        alg = QueryAlgorithm(layout, steps, (1, -1))
+        fam = default_family(n)
+        got, want = run_purified(alg, fam), reference.run_purified(alg, fam)
+        assert got.layout == want.layout == RegisterLayout((n, 2, 2, n, n))
+        np.testing.assert_allclose(got.amps, want.amps, rtol=0, atol=1e-12)
 
 
 class TestStep:
@@ -201,9 +204,9 @@ class TestStep:
 
     def test_step_layout_must_match_algorithm(self):
         step = _Step(standard_layout(3, work_dim=3), (np.arange(18),))
-        layout = RegisterLayout((("O", 3), ("B", 2), ("W", 3)))
+        layout = RegisterLayout((3, 2, 3))
         QueryAlgorithm(layout, (step,), ())  # equal layouts are accepted
-        other = RegisterLayout((("O", 3), ("B", 2), ("W", 3), ("anc", 1)))
+        other = RegisterLayout((3, 2, 3, 1))
         with pytest.raises(ValueError, match="not the layout"):
             QueryAlgorithm(other, (step,), ())
 
@@ -212,7 +215,7 @@ class TestStandardLayout:
     def test_one_cached_layout_per_size(self):
         assert standard_layout(5) is standard_layout(5)
         assert standard_layout(5, 3) is standard_layout(5, 3)
-        assert standard_layout(5, 3).registers == (("O", 5), ("B", 2), ("W", 3))
+        assert standard_layout(5, 3).dims == (5, 2, 3)
 
     @pytest.mark.parametrize(
         "call, cached, other",
@@ -264,21 +267,21 @@ class TestLeadingRegisterView:
     @pytest.mark.parametrize(
         "layout, targets",
         [
-            (standard_layout(3), ("O",)),
-            (standard_layout(3), ("O", "B")),
-            (standard_layout(3), ("O", "B", "W")),
-            (standard_layout(3), ("W",)),
-            (standard_layout(3), ("B", "O")),
-            (standard_layout(3), ("O", "W")),
-            (RegisterLayout((("W", 2), ("O", 3), ("B", 2))), ("O",)),
+            (standard_layout(3), (0,)),
+            (standard_layout(3), (0, 1)),
+            (standard_layout(3), (0, 1, 2)),
+            (standard_layout(3), (2,)),
+            (standard_layout(3), (1, 0)),
+            (standard_layout(3), (0, 2)),
+            (RegisterLayout((2, 3, 2)), (1,)),
         ],
         ids=["O", "OB", "OBW", "W", "BO", "OW", "W-first-O"],
     )
     def test_matches_moveaxis_reference(self, layout, targets):
         rng = np.random.default_rng(7)
-        rest = tuple(label for label in layout.labels if label not in targets)
-        order = [layout.axis(label) for label in targets + rest]
-        ordered = RegisterLayout(tuple(layout.registers[i] for i in order))
+        rest = tuple(axis for axis in range(len(layout.dims)) if axis not in targets)
+        order = list(targets + rest)
+        ordered = RegisterLayout(tuple(layout.dims[i] for i in order))
         u = haar_random_unitary(int(np.prod(ordered.dims[: len(targets)])), rng)
         cols = rng.standard_normal((layout.total_dim, 5)) + 1j * rng.standard_normal(
             (layout.total_dim, 5)
@@ -370,7 +373,7 @@ class TestRunPurified:
         n = 7
         alg = one_query_probe(n)
         out = run_purified(alg, default_family(n))
-        w = fourier_weights(out, "C")
+        w = fourier_weights(out, COUNTER)
         assert w[1] == pytest.approx(1.0, abs=1e-10)
 
     def test_steps_commute_with_counter_weights(self):
@@ -378,12 +381,48 @@ class TestRunPurified:
         rng = np.random.default_rng(8)
         alg = haar_random_algorithm(n, 2, rng)
         state = run_purified(alg, default_family(n))
-        before = fourier_weights(state, "C")
+        before = fourier_weights(state, COUNTER)
         extra = haar_random_unitary(alg.layout.total_dim, rng)
         after = fourier_weights(
-            apply_to_registers(state, extra, list(alg.layout.labels)), "C"
+            apply_to_registers(state, extra, list(range(len(alg.layout.dims)))), COUNTER
         )
         assert np.max(np.abs(after - before)) < 1e-10
+
+
+# exponents congruent to 1 mod 12: U^m depends on m mod n only
+CONGRUENT_TO_ONE = [1 + 12 * 2**58, 1 + 12 * 2**70, -11, 13]
+
+
+class TestExponentReduction:
+    """A query of power m must act as one of power m mod n, however large m
+    is: the label phases reduce m before they multiply it by the label, so
+    y * m cannot overflow int64."""
+
+    @pytest.mark.parametrize("exponent", CONGRUENT_TO_ONE)
+    def test_label_columns_depend_on_exponent_mod_n(self, exponent):
+        n = 12
+        h = haar_random_unitary(4 * n, seed=1)
+        fam = default_family(n)
+        one = QueryAlgorithm(standard_layout(n), (h, h.adjoint), (1,))
+        alg = replace(one, exponents=(exponent,))
+        assert np.array_equal(_run_labels(alg, fam, range(n)), _run_labels(one, fam, range(n)))
+
+    @pytest.mark.parametrize("exponent", CONGRUENT_TO_ONE[::2])
+    def test_haar_trial_depends_on_exponent_mod_n(self, exponent):
+        fam = default_family(12)
+        (got, got_spectra), = _haar_runs(fam, [[exponent]], [np.random.default_rng(3)])
+        (want, want_spectra), = _haar_runs(fam, [[1]], [np.random.default_rng(3)])
+        assert np.array_equal(got, want) and np.array_equal(got_spectra, want_spectra)
+
+    def test_per_column_denominators(self):
+        # the reduction chain's phases num/den: den divides 12, so any
+        # exponent congruent to 1 mod 12 gives the phases of exponent 1
+        num, den = np.array([0, 1, 1, 3, 5, 7]), np.array([1, 2, 3, 4, 6, 12])
+        turns = _label_turns(num, den)
+        for exponent in CONGRUENT_TO_ONE[::2]:
+            assert np.array_equal(turns(exponent), turns(1))
+        with pytest.raises(OverflowError):
+            turns(2**63)
 
 
 class TestCounterLeakage:
@@ -424,7 +463,7 @@ class TestCounterLeakage:
         rng = np.random.default_rng(4)
         alg = replace(haar_random_algorithm(n, 1, rng), exponents=(-1,))
         out = run_purified(alg, default_family(n))
-        assert leakage_from_weights(fourier_weights(out, "C"), {0, n - 1}) <= 1e-10
+        assert leakage_from_weights(fourier_weights(out, COUNTER), {0, n - 1}) <= 1e-10
 
     def test_branch_conditional_add_reaches_subset_sums(self):
         # schedule [power(2), forward] with the control raised only for the
@@ -435,7 +474,7 @@ class TestCounterLeakage:
         steps = (identity_step(n), embed_on_control(n, X2), identity_step(n))
         alg = QueryAlgorithm(layout, steps, (2, 1))
         out = run_purified(alg, default_family(n))
-        w = fourier_weights(out, "C")
+        w = fourier_weights(out, COUNTER)
         assert w[1] == pytest.approx(1.0, abs=1e-10)
         assert leakage_from_weights(w, {0, 1, 2, 3}) <= 1e-10
 
@@ -511,7 +550,7 @@ class TestSpectra:
         alg = haar_random_algorithm(n, q, seed=4)
         fam = default_family(n)
         (w,) = _counter_spectra(_run_labels(alg, fam, range(n)), n)
-        np.testing.assert_allclose(w, fourier_weights(run_purified(alg, fam), "C"), atol=1e-15)
+        np.testing.assert_allclose(w, fourier_weights(run_purified(alg, fam), COUNTER), atol=1e-15)
 
     @pytest.mark.parametrize("total", [np.nan, np.inf, -np.inf, 1 + 2e-9, 1 - 2e-9])
     def test_check_names_the_first_spectrum_off_one(self, total):
@@ -529,7 +568,7 @@ class TestSpectra:
 class TestSuccessProbabilities:
     def test_perfectly_correlated_state(self):
         n = 6
-        layout = RegisterLayout((("O", n), ("C", n)))
+        layout = RegisterLayout((n, n))
         amps = np.zeros(n * n, dtype=complex)
         amps[:: n + 1] = 1 / np.sqrt(n)
         assert success_probability_purified(StateVector(layout, amps)) == pytest.approx(1.0)
@@ -537,12 +576,12 @@ class TestSuccessProbabilities:
     def test_product_state_gives_uniform_chance(self):
         # |0>_O x |f0>_C: P(equal) = sum_y |<y,y|psi>|^2 = |1/sqrt(n)|^2 at y=0
         n = 7
-        layout = RegisterLayout((("O", n), ("C", n)))
+        layout = RegisterLayout((n, n))
         amps = np.kron(np.eye(1, n, 0).ravel(), qft_matrix(n).matrix[:, 0])
         assert success_probability_purified(StateVector(layout, amps)) == pytest.approx(1 / n)
 
     def test_register_dimension_mismatch(self):
-        layout = RegisterLayout((("O", 3), ("C", 4)))
+        layout = RegisterLayout((3, 4))
         amps = np.zeros(12, dtype=complex)
         amps[0] = 1
         with pytest.raises(ValueError):
