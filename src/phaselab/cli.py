@@ -9,6 +9,7 @@ one-line summary always goes to stderr so piped CSV stays clean.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -57,6 +58,23 @@ def parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(token) for token in tokens)
 
 
+# Each config flag: the ExperimentConfig field it sets, the reader of its
+# text and its help line, in --help order, which is also the order
+# _build_config reads them in, so their errors fire in that order.
+_FLAGS = {
+    "--n": ("n_values", parse_int_spec, "problem sizes: value, comma list, or a..b range"),
+    "--q": ("q_values", parse_int_spec,
+            "query counts: value, comma list, or a..b range (default: 0..min(n-1, 12))"),
+    "--theta": ("theta_grid", parse_float_list, "comma list of phases in [0, 1)"),
+    "--trials": ("trials", functools.partial(_one_int, flag="--trials"),
+                 "trials / search iterations per grid point"),
+    "--seed": ("seed", functools.partial(_one_int, flag="--seed"),
+               f"master seed (fallback: ${ENV_SEED})"),
+    "--out": ("output_path", str, "output file (default: stdout)"),
+    "--format": ("format", str, "output format: csv (default) or json"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """One flat parser, one command per ``experiments.KINDS`` entry, then
     ``sweep``: every command takes every flag, and ``ExperimentConfig``
@@ -72,14 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
         "command", choices=(*(k.command for k in KINDS.values()), "sweep"), metavar="command",
         help="one of " + "; ".join(commands),
     )
-    parser.add_argument("--n", help="problem sizes: value, comma list, or a..b range")
-    parser.add_argument("--q", help="query counts: value, comma list, or a..b range "
-                        "(default: 0..min(n-1, 12))")
-    parser.add_argument("--theta", help="comma list of phases in [0, 1)")
-    parser.add_argument("--trials", help="trials / search iterations per grid point")
-    parser.add_argument("--seed", help=f"master seed (fallback: ${ENV_SEED})")
-    parser.add_argument("--out", help="output file (default: stdout)")
-    parser.add_argument("--format", help="output format: csv (default) or json")
+    for flag, (_, _, help_line) in _FLAGS.items():
+        parser.add_argument(flag, help=help_line)
     parser.add_argument("--jobs", default="1", help="worker threads (default 1)")
     parser.add_argument("--config", help="JSON config file; flags override its values")
     return parser
@@ -104,32 +116,16 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
                 f"which runs {kind!r}"
             )
 
-    if args.n is not None:
-        data["n_values"] = parse_int_spec(args.n)
-    if args.q is not None:
-        data["q_values"] = parse_int_spec(args.q)
-    if args.theta is not None:
-        data["theta_grid"] = parse_float_list(args.theta)
-    if args.trials is not None:
-        data["trials"] = _one_int(args.trials, "--trials")
-    if args.out is not None:
-        data["output_path"] = args.out
-    if args.format is not None:
-        data["format"] = args.format
-
+    for flag, (field, read, _) in _FLAGS.items():
+        text = getattr(args, flag[2:])
+        if text is not None:
+            data[field] = read(text)
     # Seed precedence: flag, then environment, then config file, then 0.
-    if args.seed is not None:
-        data["seed"] = _one_int(args.seed, "--seed")
-    elif ENV_SEED in os.environ:
+    if args.seed is None and ENV_SEED in os.environ:
         data["seed"] = _one_int(os.environ[ENV_SEED], f"${ENV_SEED}")
 
     if "n_values" not in data:
         raise ValueError("no problem sizes given: pass --n or a config file")
-    # the kind's default trials; ExperimentConfig reports an unknown kind
-    kind = data["kind"]
-    default = KINDS[kind].trials if isinstance(kind, str) and kind in KINDS else None
-    if "trials" not in data and default is not None:
-        data["trials"] = default
     return ExperimentConfig.from_dict(data)
 
 
@@ -143,7 +139,7 @@ def main(argv=None) -> int:
     try:
         cfg = _build_config(args)
         jobs = _one_int(args.jobs, "--jobs")
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"phaselab: configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -42,7 +42,7 @@ from .linalg import (
     _real,
     haar_random_unitary,
 )
-from .oracles import FORWARD, PhaseInstance, PhaseOracleFamily, default_family
+from .oracles import FORWARD, PhaseInstance, PhaseOracleFamily, _label_turns, default_family
 from .simulate import (
     QueryAlgorithm,
     _check_spectra,
@@ -50,7 +50,6 @@ from .simulate import (
     _evolve,
     _haar_runs,
     _label_success,
-    _label_turns,
     _outcome_weights,
     _query,
     _run,
@@ -78,8 +77,6 @@ _ROW_KIND_CODES = {
     "adversarial": 2,
     "forward": 3,
     "schedule": 4,
-    "cemm": 5,
-    "epr": 6,
     "reduction": 7,
 }
 
@@ -98,12 +95,18 @@ def _integers(name: str, values, minimum: int) -> tuple[int, ...]:
     return tuple(_integer(v, name, minimum) for v in _sequence(name, values))
 
 
+_KIND_TRIALS = object()  # ExperimentConfig.trials omitted; None stays an error
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One sweep, every field checked here. ``trials`` omitted is the kind's
+    default, ``KINDS[kind].trials``, or 1 for a kind that never reads it."""
+
     kind: str
     n_values: tuple[int, ...]
     q_values: tuple[int, ...] = ()
-    trials: int = 1
+    trials: int = _KIND_TRIALS
     seed: int = 0
     theta_grid: tuple[float, ...] | None = None
     output_path: str | None = None
@@ -112,7 +115,8 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "n_values", _integers("n_values", self.n_values, 1))
         object.__setattr__(self, "q_values", _integers("q_values", self.q_values, 0))
-        object.__setattr__(self, "trials", _integer(self.trials, "trials", 1))
+        if self.trials is not _KIND_TRIALS:
+            object.__setattr__(self, "trials", _integer(self.trials, "trials", 1))
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         # derive_seed reads the seed mod 2**64: a wider range would alias
         if not -(2**63) <= self.seed < 2**64:
@@ -123,6 +127,8 @@ class ExperimentConfig:
         if not isinstance(self.kind, str) or self.kind not in KINDS:  # a JSON list is unhashable
             raise ValueError(f"unknown experiment kind {self.kind!r}, expected one of {tuple(KINDS)}")
         kind = KINDS[self.kind]
+        if self.trials is _KIND_TRIALS:
+            object.__setattr__(self, "trials", kind.trials or 1)
         if not self.n_values:
             raise ValueError("at least one n value is required")
         if self.output_path is not None and not isinstance(self.output_path, str):
@@ -616,9 +622,9 @@ class Kind:
     """A sweep kind: ``command`` runs it from the command line and ``about``
     is that command's help line. ``rows(cfg, n, q)``, or ``rows(cfg, n)``
     unless ``takes_q``, computes one task's rows, and ``summary(rows)`` is
-    the one-line report of a finished sweep. ``trials`` is the command
-    line's default trial count, None for a kind that computes each row once
-    and never reads ``trials``."""
+    the one-line report of a finished sweep. ``trials`` is the kind's
+    default trial count, None for a kind that computes each row once and
+    never reads ``trials``."""
 
     command: str
     about: str

@@ -6,10 +6,10 @@ Their invariants (unit norm, unitarity, orthonormality) are validated once,
 at construction, and the tolerances every module compares against live
 here. The kernel that applies steps and queries is ``simulate._evolve``.
 
-The one Haar draw, ``_haar_isometries``, measures how far each draw is
-from an isometry and ``_check_isometry`` fails it, so ``haar_random_unitary``
-freezes the drawn array in place and wraps its result with
-``UnitaryMatrix._trusted`` instead of copying and checking it again.
+``_deviation`` is the one unitarity measure, of ``UnitaryMatrix`` and of
+the one Haar draw, ``_haar_isometries``, whose draws ``_check_isometry``
+fails, so ``haar_random_unitary`` freezes the drawn array in place and
+wraps it with ``UnitaryMatrix._trusted`` instead of copying and checking it.
 
 Amplitude ordering is row-major over the registers of the layout, addressed
 by position: register 0 is the most significant index block. All values are
@@ -62,14 +62,6 @@ def _real(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a real number, got {value!r}")
     return float(value)
-
-
-def _frozen_complex_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128, order="C")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("amplitudes must be finite (no NaN/Inf)")
-    arr.setflags(write=False)
-    return arr
 
 
 def _unit_vector(values, what: str) -> np.ndarray:
@@ -129,19 +121,21 @@ class UnitaryMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = _frozen_complex_array(self.matrix)
+        mat = np.array(self.matrix, dtype=np.complex128, order="C")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-        if dev > UNITARITY_TOL:
+        dev = _deviation(mat)
+        if not dev <= UNITARITY_TOL:  # NaN fails too
             raise ValueError(f"matrix fails unitarity check: max |U†U - I| = {dev:.3e}")
+        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
     def _trusted(cls, mat: np.ndarray) -> "UnitaryMatrix":
         """Wrap a C-ordered square complex128 array that has already passed
         the unitarity check and is read-only, as is the array that owns its
-        memory: neither copied, checked nor frozen here."""
+        memory: neither copied, checked nor frozen here. It spares each
+        Haar draw the copy the public constructor makes."""
         self = object.__new__(cls)
         object.__setattr__(self, "matrix", mat)
         return self
@@ -156,6 +150,17 @@ class UnitaryMatrix:
         return UnitaryMatrix(self.matrix.conj().T)
 
 
+def _deviation(v: np.ndarray) -> np.ndarray:
+    """max |V†V - I| of each trailing matrix of ``v``, shape ``v.shape[:-2]``,
+    the identity subtracted in place; a NaN or Inf entry makes it NaN or Inf,
+    which fails the callers' ``not dev <= UNITARITY_TOL``."""
+    m = v.shape[-1]
+    with np.errstate(invalid="ignore", over="ignore"):  # the NaN or Inf is the report
+        gram = v.conj().swapaxes(-2, -1) @ v
+    gram.reshape(-1, m * m)[:, :: m + 1] -= 1.0
+    return np.abs(gram).max(axis=(-2, -1))
+
+
 def _haar_isometries(rngs, count: int, dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """``count`` independent Haar-random dim x m isometries (unitaries at
     m = dim) from each generator, stacked as ``(len(rngs), count, dim, m)``:
@@ -164,8 +169,8 @@ def _haar_isometries(rngs, count: int, dim: int, m: int) -> tuple[np.ndarray, np
     generator's ``(count, 2, dim, m)`` draw is the stream of ``count``
     successive real, then imaginary, draws, so a generator's isometries do
     not depend on what is stacked beside them. One stacked QR, phase fix and
-    check ``max |V†V - I|`` cover every V; the second value holds each
-    generator's deviation, and ``_check_isometry`` fails it.
+    ``_deviation`` cover every V; the second value holds each generator's
+    worst deviation, NaN if any is, and ``_check_isometry`` fails it.
 
     The work is done in place, one complex array and the QR's own outputs:
     at dim 256 each extra temporary is a megabyte that the allocator hands
@@ -188,10 +193,7 @@ def _haar_isometries(rngs, count: int, dim: int, m: int) -> tuple[np.ndarray, np
     del r
     d /= np.abs(d)
     v *= d[..., None, :]
-    gram = v.conj().swapaxes(-2, -1) @ v
-    gram.reshape(-1, m * m)[:, :: m + 1] -= 1.0
-    dev = np.abs(gram).reshape(len(rngs), -1).max(axis=1)  # NaN propagates
-    return v, dev
+    return v, _deviation(v).max(axis=1)
 
 
 def _check_isometry(dev) -> None:

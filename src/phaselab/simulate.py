@@ -46,7 +46,7 @@ from .linalg import (
     _unit_vector,
     haar_random_unitary,
 )
-from .oracles import FORWARD, PhaseOracleFamily
+from .oracles import FORWARD, PhaseOracleFamily, _label_turns
 
 COUNTER = -1  # the purified counter's position: after the algorithm's registers
 
@@ -246,15 +246,6 @@ def _start(layout: RegisterLayout, m: int) -> np.ndarray:
     cols = np.zeros((layout.total_dim, m), dtype=np.complex128)
     cols[0] = 1.0
     return cols
-
-
-def _label_turns(labels, n):
-    """Phases labels/n raised to m, an int or one int per column, with m
-    reduced mod n before the product, so y * m cannot overflow; ``n`` is the
-    family size or an array of per-column denominators, against which
-    |m| >= 2**63 raises ``OverflowError``."""
-    labels = np.asarray(labels)
-    return lambda m: labels * (m % n) % n / n
 
 
 def _run(alg: QueryAlgorithm, eigenstate, turns, m: int, snapshot=None) -> np.ndarray:

@@ -27,7 +27,8 @@ import numpy as np
 from phaselab.fourier import qft_matrix
 from phaselab.linalg import RegisterLayout, StateVector, UnitaryMatrix, _integer
 from phaselab.fourier import _spectrum
-from phaselab.simulate import _evolve, _label_turns, _start, standard_layout
+from phaselab.oracles import _label_turns
+from phaselab.simulate import _evolve, _start, standard_layout
 
 
 def zero_state(layout):

@@ -23,7 +23,9 @@ from phaselab.linalg import UnitaryMatrix
 from phaselab.oracles import PhaseInstance, default_family
 from phaselab.simulate import (
     QueryAlgorithm,
+    _counter_spectra,
     _haar_runs,
+    _label_success,
     _purified_state,
     _run_labels,
     haar_random_algorithm,
@@ -52,6 +54,23 @@ def report(num, label, ok, detail):
     assert ok, f"criterion {num} ({label}): {detail}"
 
 
+def per_run_ceiling(weights, q, n):
+    """B = (sum_{k<=q} sqrt(w_k))^2 / n for the final counter spectrum w.
+
+    With psi_y = sum_k omega^(yk) phi_k and w_k = |phi_k|^2, Minkowski's
+    inequality over the labels y gives success <= B, and Cauchy-Schwarz
+    gives B <= (q+1)/n, with equality exactly when w_k = 1/(q+1) for k <= q.
+    """
+    return float(np.sqrt(weights[: q + 1]).sum() ** 2 / n)
+
+
+def final_spectrum(alg, family):
+    """The counter spectrum after the last query, and the success, read off
+    the algorithm's label columns."""
+    cols = _run_labels(alg, family, range(family.n))
+    return _counter_spectra(cols, family.n)[0], _label_success(cols)
+
+
 @pytest.fixture(scope="module")
 def grid_sweep():
     """One pass over the shared grid of criteria 1 and 2.
@@ -68,6 +87,7 @@ def grid_sweep():
     max_leakage = 0.0
     max_deficit = -1.0
     max_consistency_gap = 0.0
+    max_ceiling_excess = -1.0  # worst success minus the run's own ceiling B
     rows = 0
     for n in GRID_N:
         family, layout = default_family(n), standard_layout(n)
@@ -81,6 +101,8 @@ def grid_sweep():
                 observed = success_probability_purified(_purified_state(layout, cols))
                 max_leakage = max(max_leakage, leak)
                 max_deficit = max(max_deficit, observed - bound)
+                excess = observed - per_run_ceiling(spectra[-1], q, n)
+                max_ceiling_excess = max(max_ceiling_excess, excess)
                 rows += 1
                 if trial < 2 and q == max(_budgets(n)):
                     alg = haar_random_algorithm(n, q, seed)
@@ -91,6 +113,7 @@ def grid_sweep():
         "max_leakage": max_leakage,
         "max_deficit": max_deficit,
         "max_consistency_gap": max_consistency_gap,
+        "max_ceiling_excess": max_ceiling_excess,
         "rows": rows,
         "seconds": time.perf_counter() - t0,
     }
@@ -111,14 +134,15 @@ def test_criterion_1_counter_sparsity(grid_sweep):
 @pytest.fixture(scope="module")
 def search_sweep():
     """Best success of a 200-sweep adversarial search at every (n, q) with
-    n in {2, 4, 8, 16}, shared by criterion 2 and tightness by search."""
+    n in {2, 4, 8, 16}, and the algorithm that reaches it, shared by
+    criterion 2, tightness by search and the equality case."""
     t0 = time.perf_counter()
-    best = {}
+    best, algs = {}, {}
     for n in (2, 4, 8, 16):
         for q in _budgets(n):
             seed = derive_seed(MASTER_SEED, "adversarial", n, q, 0)
-            best[n, q] = adversarial_search(n, q, iterations=200, seed=seed)[0]
-    return {"best": best, "seconds": time.perf_counter() - t0}
+            best[n, q], algs[n, q] = adversarial_search(n, q, iterations=200, seed=seed)
+    return {"best": best, "algs": algs, "seconds": time.perf_counter() - t0}
 
 
 def test_criterion_2_success_upper_bound(grid_sweep, search_sweep):
@@ -147,6 +171,50 @@ def test_criterion_2_tightness_by_search(search_sweep):
         ok,
         f"{len(gaps)} searches over n in {{2,4,8,16}}, all q: largest shortfall from "
         f"(q+1)/n {shortfall:.3e}, largest overshoot {overshoot:.3e}",
+    )
+
+
+def test_criterion_2_per_run_ceiling(grid_sweep):
+    excess = grid_sweep["max_ceiling_excess"]
+    ok = excess <= PROB_TOL
+    report(
+        2,
+        "per-run ceiling",
+        ok,
+        f"success <= (sum_{{k<=q}} sqrt w_k)^2/n on all {grid_sweep['rows']} runs of the "
+        f"grid, w the final counter spectrum; worst success minus ceiling {excess:.3e}",
+    )
+
+
+def test_criterion_3_equality_case(search_sweep):
+    # reaching (q+1)/n forces the flat spectrum w_k = 1/(q+1): exactly for
+    # the truncated optimal, and within the search's distance to the
+    # ceiling for its optima, as (q+1)/n - B = ((q+1)/n) sum_k (sqrt w_k - mu)^2
+    t0 = time.perf_counter()
+    exact_flatness = exact_gap = 0.0
+    for n in range(2, 33):
+        family = default_family(n)
+        for q in range(n):
+            weights, success = final_spectrum(build_truncated_optimal(n, q), family)
+            exact_flatness = max(exact_flatness, np.max(np.abs(weights[: q + 1] - 1 / (q + 1))))
+            exact_gap = max(exact_gap, abs(success - per_run_ceiling(weights, q, n)))
+    search_flatness, search_excess = 0.0, -1.0
+    for (n, q), alg in search_sweep["algs"].items():
+        weights, _ = final_spectrum(alg, default_family(n))
+        roots = np.sqrt(weights[: q + 1])
+        spread = float(np.sum((roots - roots.mean()) ** 2))
+        allowed = n * ((q + 1) / n - search_sweep["best"][n, q]) / (q + 1)
+        search_excess = max(search_excess, spread - allowed)
+        search_flatness = max(search_flatness, np.max(np.abs(weights[: q + 1] - 1 / (q + 1))))
+    ok = exact_flatness <= 1e-12 and exact_gap <= 1e-12 and search_excess <= 1e-12
+    report(
+        3,
+        "equality case",
+        ok,
+        f"truncated optimal over n=2..32, all q: flat to {exact_flatness:.1e}, success "
+        f"minus ceiling {exact_gap:.1e}; searched optima: worst spread minus its allowance "
+        f"{search_excess:.1e}, flat to {search_flatness:.1e}; took "
+        f"{time.perf_counter() - t0:.2f}s",
     )
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from phaselab import cli, experiments, linalg, simulate
-from phaselab.experiments import CSV_HEADER, VerificationError
+from phaselab.experiments import CSV_HEADER, ExperimentConfig, VerificationError, run_experiment
 
 
 def strip_wall_time(text):
@@ -248,6 +248,20 @@ class TestSweepCommand:
         rows = capsys.readouterr().out.strip().split("\n")[1:]
         assert [r.split(",")[0] for r in rows] == ["3", "4"]
 
+    @pytest.mark.parametrize("trials", [None, 2], ids=["kind-default", "given"])
+    def test_library_runs_the_same_rows(self, trials, tmp_path, capsys):
+        # one config file, read by run_experiment and by `sweep --config`
+        cfg = {"kind": "bound-sweep", "n_values": [4], "q_values": [0, 1], "seed": 5}
+        if trials is not None:
+            cfg["trials"] = trials
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["sweep", "--config", str(path)]) == 0
+        cli_rows = strip_wall_time(capsys.readouterr().out)
+        lib = run_experiment(ExperimentConfig.from_dict(json.loads(path.read_text())))
+        assert strip_wall_time(lib.rendered("csv")) == cli_rows
+        assert len(cli_rows) == 1 + 2 * (1 + (trials or 10))
+
     def test_sweep_needs_kind(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"n_values": [2]}))
@@ -298,6 +312,8 @@ class TestCommandTable:
         path.write_text(json.dumps(config))
         args = cli.build_parser().parse_args(["sweep", "--config", str(path)])
         assert cli._build_config(args).trials == trials
+        # the library takes the same default as the command line
+        assert ExperimentConfig.from_dict(config).trials == trials
 
 
 # each command's flags for a small seeded run and the stderr line it prints
@@ -332,6 +348,8 @@ def test_summary_line(command, capsys):
         ({"kind": "epr-check", "n_values": 4}, []),
         ({"kind": "epr-check", "n_values": [2], "trials": "5"}, []),
         ({"kind": "bound-sweep", "n_values": [2], "trials": 2.5}, []),
+        # null is not the kind's default trial count
+        ({"kind": "bound-sweep", "n_values": [2], "trials": None}, []),
         ({"kind": "epr-check", "n_values": [2], "seed": 1.5}, []),
         # seeds that derive_seed, reading them mod 2**64, would alias
         ({"kind": "epr-check", "n_values": [2], "seed": 2**64 + 1}, []),
@@ -362,12 +380,12 @@ def test_summary_line(command, capsys):
         ({"kind": "bound-sweep", "n_values": [4], "trials": 2}, ["verify-counter"]),
     ],
     ids=["out-in-missing-dir", "top-level-list", "n-not-a-list", "trials-string",
-         "trials-fraction", "seed-fraction", "seed-2to64-plus-1", "seed-flag-2to64-plus-1",
-         "seed-flag-below-minus-2to63", "theta-null", "theta-list", "theta-string",
-         "floor-bool", "kind-list", "reduction-floors-and-trials", "epr-unread-fields",
-         "bound-sweep-theta", "cemm-q", "cemm-grid-below-2", "epr-check-trials", "cemm-trials",
-         "theta-empty-entry", "bound-sweep-theta-flag", "epr-check-q-flag",
-         "reduction-theta-flag", "format-xml", "config-kind-not-the-commands"],
+         "trials-fraction", "trials-null", "seed-fraction", "seed-2to64-plus-1",
+         "seed-flag-2to64-plus-1", "seed-flag-below-minus-2to63", "theta-null", "theta-list",
+         "theta-string", "floor-bool", "kind-list", "reduction-floors-and-trials",
+         "epr-unread-fields", "bound-sweep-theta", "cemm-q", "cemm-grid-below-2",
+         "epr-check-trials", "cemm-trials", "theta-empty-entry", "bound-sweep-theta-flag",
+         "epr-check-q-flag", "reduction-theta-flag", "format-xml", "config-kind-not-the-commands"],
 )
 def test_malformed_outside_input_exits_2(config, argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -46,6 +46,9 @@ class TestConfig:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             ExperimentConfig(kind="bound-sweep", n_values=(4,), trials=0)
+        # None is not the kind's default
+        with pytest.raises(ValueError, match="trials must be an integer, got None"):
+            ExperimentConfig(kind="bound-sweep", n_values=(4,), trials=None)
 
     @pytest.mark.parametrize("jobs", [1.5, True, 0])
     def test_jobs_must_be_a_positive_integer(self, jobs):

@@ -337,6 +337,16 @@ class TestUnitaryMatrix:
         with pytest.raises(ValueError):
             UnitaryMatrix(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, 1j * np.inf, 1e200],
+                             ids=["nan", "inf", "imaginary-inf", "overflow"])
+    def test_non_finite_fails_the_unitarity_check(self, entry):
+        # one deviation rule: NaN and Inf fail it as any other deviation does,
+        # without a warning on the way
+        mat = np.eye(3, dtype=complex)
+        mat[1, 2] = entry
+        with pytest.raises(ValueError, match=r"max \|U†U - I\| = (nan|inf)$"):
+            UnitaryMatrix(mat)
+
     def test_matrix_is_read_only(self):
         assert not UnitaryMatrix(np.eye(3)).matrix.flags.writeable
         assert not haar_random_unitary(4, seed=0).matrix.flags.writeable

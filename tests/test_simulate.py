@@ -14,7 +14,7 @@ from phaselab.linalg import (
     haar_random_unitary,
 )
 from phaselab import simulate
-from phaselab.oracles import FORWARD, PhaseInstance, default_family
+from phaselab.oracles import FORWARD, PhaseInstance, _label_turns, default_family
 from phaselab.simulate import (
     COUNTER,
     QueryAlgorithm,
@@ -25,7 +25,6 @@ from phaselab.simulate import (
     _haar_runs,
     _IsometryStep,
     _label_success,
-    _label_turns,
     _run,
     _run_labels,
     _start,
