@@ -94,7 +94,8 @@ def cemm_on_continuous_phase(inst: PhaseInstance, n: int) -> np.ndarray:
     """
     n = _integer(n, "grid size", 2)
     alg = build_truncated_optimal(n, n - 1, inst.eigenstate)
-    cols = _run(alg, inst.eigenstate, lambda m: np.array([inst.theta * m]), 1)
+    # a real theta has no period to reduce by, unlike ``oracles._label_roots``
+    cols = _run(alg, inst.eigenstate, lambda m: np.exp(2j * np.pi * np.array([inst.theta * m])), 1)
     weights = _outcome_weights(cols, n)[:, 0]
     # they sum to the squared norm of the final state
     _check_spectra([weights], lambda _: f"phase theta={inst.theta!r}")

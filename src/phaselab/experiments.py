@@ -42,7 +42,7 @@ from .linalg import (
     _real,
     haar_random_unitary,
 )
-from .oracles import FORWARD, PhaseInstance, PhaseOracleFamily, _label_turns, default_family
+from .oracles import FORWARD, PhaseInstance, PhaseOracleFamily, _label_roots, default_family
 from .simulate import (
     QueryAlgorithm,
     _check_spectra,
@@ -424,9 +424,10 @@ def _sweep(steps: list, family: PhaseOracleFamily) -> float:
     layout = standard_layout(n, family.work_dim)
     dim = layout.total_dim
     u = family.eigenstate
-    ahead = np.exp(2j * np.pi * _label_turns(range(n), n)(1)) - 1.0  # one forward query
-    undo = np.repeat(ahead.conj(), dim // n)  # its inverse, on the rows of each O block
-    dft = np.exp(-2j * np.pi * (np.outer(range(n), range(n)) % n) / n)  # L†, symmetric
+    ahead = _label_roots(range(n), n)(1) - 1.0  # one forward query
+    # its inverse, w^-y - 1 = conj(w^y - 1), repeated over the rows of each O block
+    undo = np.repeat(ahead.conj(), dim // n)
+    dft = _label_roots(np.arange(n)[:, None], n)(np.arange(n)).conj()  # L†, symmetric
     envs = [np.eye(dim, dtype=np.complex128)]
     for step in steps[:0:-1]:
         envs.append(_query(step.conj().T @ envs[-1], n, u, undo))
@@ -467,10 +468,10 @@ def adversarial_search(n: int, q: int, iterations: int, seed) -> tuple[float, Qu
     layout = standard_layout(n)
     dim = layout.total_dim
     rng = np.random.default_rng(seed)
-    turns = _label_turns(range(n), n)
+    roots = _label_roots(range(n), n)
 
     def success(steps):
-        cols = _evolve(_start(layout, n), steps, [1] * q, n, family.eigenstate, turns)
+        cols = _evolve(_start(layout, n), steps, [1] * q, n, family.eigenstate, roots)
         return _label_success(cols)
 
     best_p = -1.0
@@ -563,7 +564,7 @@ def _reduction_chain(alg: QueryAlgorithm) -> list[tuple[float, float]]:
     g = np.gcd(y_all, m_all)
     (num, den), column = np.unique([y_all // g, m_all // g], axis=1, return_inverse=True)
     eigenstate = default_family(n, alg.work_dim).eigenstate
-    cols = _run(alg, eigenstate, _label_turns(num, den), len(num))
+    cols = _run(alg, eigenstate, _label_roots(num, den), len(num))
     weights = _outcome_weights(cols, n)
     estimates = np.arange(n) / n
     dist = phase_distance(estimates[:, None], num / den)

@@ -1,9 +1,9 @@
 """Fourier transform over arbitrary dimension and Fourier-basis diagnostics.
 
 The transform maps the computational basis state ``|y>`` to
-``(1/sqrt(n)) * sum_k w^(y*k) |k>`` with ``w = exp(2*pi*i/n)``. The Fourier
-weights analyzer reads the spectrum of the register at a position without
-mutating the input, so it can be inserted between steps of a simulation.
+``(1/sqrt(n)) * sum_k w^(y*k) |k>``, each w^(y*k) from ``oracles._label_roots``. The
+Fourier weights analyzer reads the spectrum of the register at a position
+without mutating the input, so it can be inserted between simulation steps.
 """
 
 from __future__ import annotations
@@ -13,11 +13,12 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import StateVector, UnitaryMatrix, _integer
+from .oracles import _label_roots
 
 
 def qft_matrix(n: int) -> UnitaryMatrix:
-    """The n x n Fourier transform matrix, entries w^(y*k)/sqrt(n), one
-    cached value per n."""
+    """The n x n Fourier transform matrix, entries w^(y*k)/sqrt(n) with y*k
+    reduced mod n, one cached value per n."""
     return _qft_matrix(_integer(n, "dimension", 1))
 
 
@@ -25,8 +26,7 @@ def qft_matrix(n: int) -> UnitaryMatrix:
 # (twice that with their cached adjoints); 32 sizes hold a 2..24 scan and more
 @lru_cache(maxsize=32)
 def _qft_matrix(n: int) -> UnitaryMatrix:
-    grid = np.outer(np.arange(n), np.arange(n))
-    return UnitaryMatrix(np.exp(2j * np.pi * grid / n) / np.sqrt(n))
+    return UnitaryMatrix(_label_roots(np.arange(n)[:, None], n)(np.arange(n)) / np.sqrt(n))
 
 
 def fourier_weights(state: StateVector, register: int) -> np.ndarray:

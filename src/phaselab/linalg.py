@@ -122,8 +122,8 @@ class UnitaryMatrix:
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=np.complex128, order="C")
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+            raise ValueError(f"expected a non-empty square matrix, got shape {mat.shape}")
         dev = _deviation(mat)
         if not dev <= UNITARITY_TOL:  # NaN fails too
             raise ValueError(f"matrix fails unitarity check: max |U†U - I| = {dev:.3e}")

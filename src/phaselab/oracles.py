@@ -2,10 +2,10 @@
 
 A family over modulus n is a set of n commuting unitaries sharing one
 eigenstate u: member y multiplies u by w^y (w the n-th root of unity) and
-fixes the orthogonal complement pointwise. ``_label_turns`` gives each
-member's phase: the simulator applies members by it without building them,
-and ``coherent_controlled_u`` builds the dense coherent oracle by it, which
-drives the member choice from a counter register held in superposition.
+fixes the orthogonal complement pointwise. ``_label_roots`` is the one
+root-of-unity rule w^(y*m): the simulator applies members by it without
+building them, every Fourier matrix takes its entries from it, and so does
+``coherent_controlled_u``, the dense oracle driven by a counter register.
 """
 
 from __future__ import annotations
@@ -70,13 +70,13 @@ class PhaseInstance:
         return self.eigenstate.shape[0]
 
 
-def _label_turns(labels, n):
-    """Phases labels/n raised to m, in turns, for m an int or one int per
-    column, reduced mod n before the product so y * m cannot overflow; ``n``
-    is the family size or an array of per-column denominators, against
-    which |m| >= 2**63 raises ``OverflowError``."""
+def _label_roots(labels, n):
+    """The roots of unity w^(labels*m), w = e^(2 pi i/n), for m an int or one
+    int per column, m and y * m reduced mod n so the product cannot overflow
+    and the angle stays below 2 pi; ``n`` is the family size or an array of
+    per-column denominators, against which |m| >= 2**63 raises ``OverflowError``."""
     labels = np.asarray(labels)
-    return lambda m: labels * (m % n) % n / n
+    return lambda m: np.exp(2j * np.pi * (labels * (m % n) % n / n))
 
 
 def coherent_controlled_u(family: PhaseOracleFamily, exponent: int = FORWARD) -> UnitaryMatrix:
@@ -85,13 +85,13 @@ def coherent_controlled_u(family: PhaseOracleFamily, exponent: int = FORWARD) ->
 
     Register order is (control qubit, work dim D, counter dim n), control
     most significant, matching the simulator convention. The B = 1 block is
-    I + |u><u| ⊗ diag(w^(y*exponent) - 1), phases from ``_label_turns`` as
+    I + |u><u| ⊗ diag(w^(y*exponent) - 1), roots from ``_label_roots`` as
     in the simulator; the B = 0 block is the identity.
     """
     exponent = _integer(exponent, "query exponent")
     n, u = family.n, family.eigenstate
-    turns = _label_turns(range(n), n)(exponent)
+    roots = _label_roots(range(n), n)(exponent)
     dim = len(u) * n
     mat = np.eye(2 * dim, dtype=np.complex128)
-    mat[dim:, dim:] += np.kron(np.outer(u, u.conj()), np.diag(np.exp(2j * np.pi * turns) - 1))
+    mat[dim:, dim:] += np.kron(np.outer(u, u.conj()), np.diag(roots - 1))
     return UnitaryMatrix(mat)

@@ -13,8 +13,8 @@ Fourier state, which makes the purified state (1/sqrt(n)) sum_y
 |psi_y>|y> with psi_y the fixed-label run of member y.
 
 So every view is one computation: ``_evolve`` runs a dim x m matrix whose
-columns each carry one oracle phase, a query being a rank-1 update on the
-B = 1 slice along the eigenstate. ``_counter_spectra`` reads the counter
+columns each carry one oracle root of unity, a query being a rank-1 update
+on the B = 1 slice along the eigenstate. ``_counter_spectra`` reads the counter
 spectrum straight off the label columns as an FFT along them, and
 ``_check_spectra`` checks once that it sums to 1; ``_label_success`` and
 ``_outcome_weights`` read O off the leading axis. Haar-random trials that
@@ -46,7 +46,7 @@ from .linalg import (
     _unit_vector,
     haar_random_unitary,
 )
-from .oracles import FORWARD, PhaseOracleFamily, _label_turns
+from .oracles import FORWARD, PhaseOracleFamily, _label_roots
 
 COUNTER = -1  # the purified counter's position: after the algorithm's registers
 
@@ -216,16 +216,16 @@ def _query(cols: np.ndarray, n: int, eigenstate, factor) -> np.ndarray:
     return t.reshape(cols.shape)
 
 
-def _evolve(cols, steps, exponents, n, eigenstate, turns, snapshot=None) -> np.ndarray:
+def _evolve(cols, steps, exponents, n, eigenstate, roots, snapshot=None) -> np.ndarray:
     """Apply steps[0], then each query followed by the next step, to the columns.
 
     The rows are over (O, B, W[, ancillas]) with dim O = n, as in ``_query``.
-    ``turns(m)`` gives, in turns, the phase of every column's oracle raised
-    to the power m; an exponent is any hashable value ``turns`` reads, such
-    as an int, or a tuple with one power per run for ``_haar_runs``. When
-    given, ``snapshot(cols)`` is called after each step. A step is anything
-    that maps the columns with ``@``: a ``_Step``, an ``_IsometryStep`` or a
-    dense matrix.
+    ``roots(m)``, called once per exponent, gives every column's oracle root
+    of unity to the power m (``oracles._label_roots`` on a grid); an exponent
+    is any hashable value ``roots`` reads, such as an int, or a tuple with
+    one power per run for ``_haar_runs``. When given, ``snapshot(cols)`` is
+    called after each step. A step is anything that maps the columns with
+    ``@``: a ``_Step``, an ``_IsometryStep`` or a dense matrix.
     """
     factors = {}
     steps = iter(steps)
@@ -234,7 +234,7 @@ def _evolve(cols, steps, exponents, n, eigenstate, turns, snapshot=None) -> np.n
         snapshot(cols)
     for m, step in zip(exponents, steps):
         if m not in factors:
-            factors[m] = np.exp(2j * np.pi * turns(m)) - 1.0
+            factors[m] = roots(m) - 1.0
         cols = step @ _query(cols, n, eigenstate, factors[m])
         if snapshot is not None:
             snapshot(cols)
@@ -248,17 +248,17 @@ def _start(layout: RegisterLayout, m: int) -> np.ndarray:
     return cols
 
 
-def _run(alg: QueryAlgorithm, eigenstate, turns, m: int, snapshot=None) -> np.ndarray:
-    """The algorithm on m columns, each started at ``alg.start``; see ``_evolve``."""
+def _run(alg: QueryAlgorithm, eigenstate, roots, m: int, snapshot=None) -> np.ndarray:
+    """The algorithm on m columns, each started at ``alg.start``; ``roots`` as in ``_evolve``."""
     cols = np.repeat(alg.start[:, None], m, axis=1)
-    return _evolve(cols, alg.steps, alg.exponents, alg.n, eigenstate, turns, snapshot)
+    return _evolve(cols, alg.steps, alg.exponents, alg.n, eigenstate, roots, snapshot)
 
 
 def _run_labels(alg: QueryAlgorithm, family: PhaseOracleFamily, labels, snapshot=None):
     """Column j is the fixed-label run of family member labels[j]."""
     _check_compatible(alg, family)
-    turns = _label_turns(labels, family.n)
-    return _run(alg, family.eigenstate, turns, len(labels), snapshot)
+    roots = _label_roots(labels, family.n)
+    return _run(alg, family.eigenstate, roots, len(labels), snapshot)
 
 
 def _label_success(cols: np.ndarray) -> float:
@@ -432,7 +432,7 @@ def _haar_runs(family: PhaseOracleFamily, exponents, rngs):
         batch = rngs[lo : lo + size]
         powers = np.array(exponents[lo : lo + size], dtype=int).reshape(len(batch), q)
         vs, dev = _haar_isometries(batch, q + 1, dim, n)
-        turns = _label_turns(np.tile(np.arange(n), len(batch)), n)
+        roots = _label_roots(np.tile(np.arange(n), len(batch)), n)
         snaps = []
         cols = _evolve(
             _start(layout, len(batch) * n),
@@ -440,7 +440,7 @@ def _haar_runs(family: PhaseOracleFamily, exponents, rngs):
             [tuple(m) for m in powers.T],
             n,
             family.eigenstate,
-            lambda m: turns(np.repeat(m, n)),
+            lambda m: roots(np.repeat(m, n)),
             lambda c: snaps.append(_counter_spectra(c, n)),
         ).reshape(dim, -1, n)
         del vs  # before the next chunk draws, while the trials are read

@@ -27,7 +27,7 @@ import numpy as np
 from phaselab.fourier import qft_matrix
 from phaselab.linalg import RegisterLayout, StateVector, UnitaryMatrix, _integer
 from phaselab.fourier import _spectrum
-from phaselab.oracles import _label_turns
+from phaselab.oracles import _label_roots
 from phaselab.simulate import _evolve, _start, standard_layout
 
 
@@ -338,6 +338,6 @@ def haar_trial(family, exponents, rng):
     snaps = []
     cols = _evolve(
         _start(layout, n), steps, exponents, n, family.eigenstate,
-        _label_turns(range(n), n), lambda c: snaps.append(_spectrum(c) / n),
+        _label_roots(range(n), n), lambda c: snaps.append(_spectrum(c) / n),
     )
     return cols, snaps

@@ -14,6 +14,7 @@ import pytest
 import reference
 from phaselab import cli
 from phaselab.algorithms import (
+    _assemble,
     build_truncated_optimal,
     cemm_on_continuous_phase,
     epr_fourier_deviation,
@@ -26,7 +27,9 @@ from phaselab.simulate import (
     _counter_spectra,
     _haar_runs,
     _label_success,
+    _outcome_weights,
     _purified_state,
+    _run,
     _run_labels,
     haar_random_algorithm,
     leakage_from_weights,
@@ -174,15 +177,49 @@ def test_criterion_2_tightness_by_search(search_sweep):
     )
 
 
-def test_criterion_2_per_run_ceiling(grid_sweep):
+def test_criterion_2_per_run_ceiling(grid_sweep, search_sweep):
     excess = grid_sweep["max_ceiling_excess"]
+    for (n, q), alg in search_sweep["algs"].items():
+        weights, success = final_spectrum(alg, default_family(n))
+        excess = max(excess, success - per_run_ceiling(weights, q, n))
     ok = excess <= PROB_TOL
     report(
         2,
         "per-run ceiling",
         ok,
         f"success <= (sum_{{k<=q}} sqrt w_k)^2/n on all {grid_sweep['rows']} runs of the "
-        f"grid, w the final counter spectrum; worst success minus ceiling {excess:.3e}",
+        f"grid and {len(search_sweep['algs'])} searched optima, w the final counter "
+        f"spectrum; worst success minus ceiling {excess:.3e}",
+    )
+
+
+def test_criterion_2_per_run_ceiling_is_reached():
+    # the square-root measurement: started in sqrt(w) on O, the truncated
+    # optimal's walk leaves the final counter spectrum w and reaches its
+    # ceiling B(w) exactly, for every spectrum w on {0..q}
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(MASTER_SEED)
+    worst_spectrum = worst_gap = 0.0
+    cases = 0
+    for n in (3, 8, 16, 33, 64):
+        family = default_family(n)
+        for q in sorted({0, 1, n // 3, n - 1}):
+            for w in rng.dirichlet(np.ones(q + 1), size=5):
+                amps = np.zeros(n, dtype=np.complex128)
+                amps[: q + 1] = np.sqrt(w)
+                weights, success = final_spectrum(_assemble(q, amps, None), family)
+                worst_spectrum = max(worst_spectrum, np.max(np.abs(weights - np.abs(amps) ** 2)))
+                worst_gap = max(worst_gap, abs(success - per_run_ceiling(w, q, n)))
+                cases += 1
+    ok = worst_spectrum <= 1e-12 and worst_gap <= 1e-12
+    report(
+        2,
+        "per-run ceiling reached",
+        ok,
+        f"{cases} seeded Dirichlet spectra w over n in {{3,8,16,33,64}}, q in "
+        f"{{0,1,n//3,n-1}}: the sqrt(w) start ends on spectrum w within "
+        f"{worst_spectrum:.1e} and succeeds with (sum sqrt w_k)^2/n within "
+        f"{worst_gap:.1e}, took {time.perf_counter() - t0:.2f}s",
     )
 
 
@@ -344,4 +381,54 @@ def test_criterion_9_determinism(tmp_path):
         ok,
         f"two seeded runs produced byte-identical rows "
         f"({len(stripped[0]) - 1} rows, wall-time column excluded)",
+    )
+
+
+def cosine_rewards(q, amps, thetas):
+    """Expected reward cos 2 pi (y'/N - theta) of the probe ``_assemble(q,
+    amps, None)``, its outcome y' of N = len(amps) read as the phase y'/N,
+    at each theta of the continuous-phase oracle."""
+    big_n = len(amps)
+    alg = _assemble(q, amps, None)
+
+    def roots(m):  # the continuous-phase oracle, one column per theta
+        return np.exp(2j * np.pi * thetas * m)
+
+    cols = _run(alg, default_family(big_n).eigenstate, roots, len(thetas))
+    errors = np.arange(big_n)[:, None] / big_n - thetas
+    return np.sum(_outcome_weights(cols, big_n) * np.cos(2 * np.pi * errors), axis=0)
+
+
+def test_criterion_10_cosine_reward():
+    # the cosine reward's Toeplitz matrix is tridiagonal with 1/2 off the
+    # diagonal, top eigenvalue cos(pi/(q+2)) on the sine state; for N >= q+2
+    # the probe's reward is a degree-(q+1) trigonometric polynomial of
+    # period 1/N in theta, so it is that constant at every theta, and q+3
+    # equispaced points plus random ones pin it
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(MASTER_SEED)
+    worst_sine = worst_uniform = 0.0
+    cases = 0
+    for q in range(32):
+        thetas = np.concatenate([rng.random(8), np.arange(q + 3) / (q + 3)])
+        for big_n in sorted({q + 2, 2 * q + 3, 64}):
+            sine = np.zeros(big_n, dtype=np.complex128)
+            sine[: q + 1] = np.sin(np.pi * np.arange(1, q + 2) / (q + 2))
+            sine /= np.linalg.norm(sine)
+            uniform = np.zeros(big_n, dtype=np.complex128)
+            uniform[: q + 1] = 1 / np.sqrt(q + 1)
+            got = cosine_rewards(q, sine, thetas)
+            worst_sine = max(worst_sine, np.max(np.abs(got - np.cos(np.pi / (q + 2)))))
+            got = cosine_rewards(q, uniform, thetas)
+            worst_uniform = max(worst_uniform, np.max(np.abs(got - q / (q + 1))))
+            cases += 1
+    ok = worst_sine <= 1e-12 and worst_uniform <= 1e-12
+    report(
+        10,
+        "cosine reward",
+        ok,
+        f"{cases} probes, q in 0..31, N in {{q+2, 2q+3, 64}}, 8 random and q+3 "
+        f"equispaced theta each: the sine start's reward is cos(pi/(q+2)) within "
+        f"{worst_sine:.1e} at every theta, the uniform start's q/(q+1) within "
+        f"{worst_uniform:.1e}, took {time.perf_counter() - t0:.2f}s",
     )

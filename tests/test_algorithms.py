@@ -495,6 +495,12 @@ class TestEpr:
     def test_constructions_agree(self, n):
         assert epr_fourier_deviation(n) <= 1e-10
 
+    @pytest.mark.parametrize("n", [96, 1024])
+    def test_constructions_agree_to_roundoff_at_large_n(self, n):
+        # F's entries are reduced roots of unity, so the identity holds to
+        # a few ulps; the unreduced angle gave 1.0e-15 and 2.4e-15 here
+        assert epr_fourier_deviation(n) <= 5e-16
+
     @pytest.mark.parametrize("n", [2.5, True, "4", 0])
     def test_size_must_be_a_positive_integer(self, n):
         with pytest.raises(ValueError, match=re.escape(f"got {n!r}")):

@@ -27,6 +27,13 @@ class TestQftMatrix:
         f = qft_matrix(n).matrix
         np.testing.assert_allclose(f.conj().T @ f, np.eye(n), atol=1e-10)
 
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_unitary_to_roundoff_at_large_n(self, n):
+        # entries w^(y*k) with y*k reduced mod n, as every query's root: the
+        # unreduced angle 2 pi y k / n loses ~1e-14 at n = 1024
+        f = qft_matrix(n).matrix
+        assert np.max(np.abs(f.conj().T @ f - np.eye(n))) <= 2e-15
+
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_columns_are_fourier_states(self, n):
         # column y evaluated directly: w^(y*k)/sqrt(n) at k

@@ -83,7 +83,7 @@ def check_against_reference(alg, family, theta):
         )
     inst = PhaseInstance(theta=theta, eigenstate=family.eigenstate)
     np.testing.assert_allclose(
-        _run(alg, inst.eigenstate, lambda m: np.array([theta * m]), 1)[:, 0],
+        _run(alg, inst.eigenstate, lambda m: np.exp(2j * np.pi * np.array([theta * m])), 1)[:, 0],
         reference.run_fixed_phase(alg, inst).amps, rtol=0, atol=TOL,
     )
 

@@ -337,6 +337,12 @@ class TestUnitaryMatrix:
         with pytest.raises(ValueError):
             UnitaryMatrix(np.ones((2, 3)))
 
+    def test_empty_matrix_rejected_by_the_shape_check(self):
+        # square, but with no entries to check: rejected before the
+        # unitarity check, naming the shape
+        with pytest.raises(ValueError, match=re.escape("square matrix, got shape (0, 0)")):
+            UnitaryMatrix(np.zeros((0, 0)))
+
     @pytest.mark.parametrize("entry", [np.nan, np.inf, 1j * np.inf, 1e200],
                              ids=["nan", "inf", "imaginary-inf", "overflow"])
     def test_non_finite_fails_the_unitarity_check(self, entry):

@@ -14,7 +14,7 @@ from phaselab.linalg import (
     haar_random_unitary,
 )
 from phaselab import simulate
-from phaselab.oracles import FORWARD, PhaseInstance, _label_turns, default_family
+from phaselab.oracles import FORWARD, PhaseInstance, _label_roots, default_family
 from phaselab.simulate import (
     COUNTER,
     QueryAlgorithm,
@@ -325,7 +325,7 @@ class TestRunFixedY:
 
 def run_phase(alg, inst):
     """The kernel's final state for the continuous-phase oracle of ``inst``."""
-    return _run(alg, inst.eigenstate, lambda m: np.array([inst.theta * m]), 1)[:, 0]
+    return _run(alg, inst.eigenstate, lambda m: np.exp(2j * np.pi * (inst.theta * m)), 1)[:, 0]
 
 
 class TestRunFixedPhase:
@@ -417,11 +417,11 @@ class TestExponentReduction:
         # the reduction chain's phases num/den: den divides 12, so any
         # exponent congruent to 1 mod 12 gives the phases of exponent 1
         num, den = np.array([0, 1, 1, 3, 5, 7]), np.array([1, 2, 3, 4, 6, 12])
-        turns = _label_turns(num, den)
+        roots = _label_roots(num, den)
         for exponent in CONGRUENT_TO_ONE[::2]:
-            assert np.array_equal(turns(exponent), turns(1))
+            assert np.array_equal(roots(exponent), roots(1))
         with pytest.raises(OverflowError):
-            turns(2**63)
+            roots(2**63)
 
 
 class TestCounterLeakage:
@@ -709,10 +709,10 @@ class TestHaarColumns:
         # haar, forward and schedule rows: one batched draw per run gives the
         # columns of q+1 successive single draws on the same generator
         family, layout = default_family(n), standard_layout(n)
-        turns = _label_turns(range(n), n)
+        roots = _label_roots(range(n), n)
         for seed in range(3):
             steps = [reference.OneDraw(np.random.default_rng(seed))] * (len(exponents) + 1)
-            want = _evolve(_start(layout, n), steps, exponents, n, family.eigenstate, turns)
+            want = _evolve(_start(layout, n), steps, exponents, n, family.eigenstate, roots)
             got, _ = next(_haar_runs(family, [exponents], [np.random.default_rng(seed)]))
             assert np.array_equal(got, want)
 
