@@ -33,17 +33,14 @@ def _assemble(q: int, amps_o, eigenstate) -> QueryAlgorithm:
     |0> of a qubit), walk a control predicate across the queries, then
     apply F† on O. The start ``amps_o ⊗ |0> ⊗ eigenstate`` is written as
     one outer product ``amps_o ⊗ eigenstate`` into the B = 0 slice of a
-    zero (n, 2, w) array, not through ``np.kron``. The walk is one table: active[j, o] =
-    [1 <= j <= q and o >= j] for j = 0..q+1 is the predicate before step j,
-    so [O >= j] between queries j and j+1. Step j flips B where active[j]
-    XOR active[j+1] (O = j for a middle step), reading the B-reversed basis
-    index there; all q+1 permutations are the rows of one array, frozen
-    once. Only a step that flips nothing (q = 0) has no permutation, and
-    it is F† alone.
+    zero (n, 2, w) array, not through ``np.kron``. The predicate between
+    queries j and j+1 is [O >= j], so each step flips B on one range of O:
+    step 0 on [1, n), the middle step j on [j, j+1) and step q on [q, n),
+    one ``slice`` each. At q = 0 the walk is empty and the one step is F†
+    alone.
 
     Every factor is valid by construction: F† is the checked adjoint of the
-    cached ``qft_matrix(n)``, and each permutation is a read-only row of a
-    fresh, frozen array of bijections.
+    cached ``qft_matrix(n)``, and each slice is a nonempty range of O.
     """
     n = len(amps_o)
     eigenstate = (
@@ -53,19 +50,10 @@ def _assemble(q: int, amps_o, eigenstate) -> QueryAlgorithm:
     layout = standard_layout(n, work_dim)
     start = np.zeros((n, 2, work_dim), dtype=np.complex128)
     np.multiply.outer(amps_o, eigenstate, out=start[:, 0])
-    j, o = np.arange(q + 2)[:, None], np.arange(n)
-    active = (j >= 1) & (j <= q) & (o >= j)
-    flips = active[:-1] ^ active[1:]
-    idx = np.arange(layout.total_dim).reshape(n, 2, work_dim)
-    # frozen before the reshape, so the array that owns the rows is read-only
-    perms = np.where(flips[:, :, None, None], idx[:, ::-1], idx)
-    perms.setflags(write=False)
-    perms = perms.reshape(q + 1, -1)
-    iqft = (qft_matrix(n).adjoint,)  # on O, the leading register
-    steps = []
-    for k, flipped in enumerate(flips.any(axis=1)):
-        factors = ((perms[k],) if flipped else ()) + (iqft if k == q else ())
-        steps.append(_Step(layout, factors))
+    walk = [slice(1, n), *(slice(j, j + 1) for j in range(1, q)), slice(q, n)] if q else []
+    steps = [_Step(layout, (flip,)) for flip in walk[:-1]]
+    # the last step clears the walk, then applies F† on O, the leading register
+    steps.append(_Step(layout, (*walk[-1:], qft_matrix(n).adjoint)))
     return QueryAlgorithm(layout, steps, (FORWARD,) * q, start)
 
 

@@ -6,8 +6,8 @@ positions 0, 1 and 2, then any ancillas, and a start state, all-zeros
 unless given; another register order is a relabelling of the basis that
 the steps can absorb. Its steps are unitaries over those registers, each
 stored as a short product of local factors (a matrix on the leading
-registers, or a basis permutation); between consecutive steps the
-simulator applies the oracle to (B, W). The purified view appends a
+registers, or a slice of O on which B is flipped); between consecutive
+steps the simulator applies the oracle to (B, W). The purified view appends a
 counter register C of dimension n last, at ``COUNTER = -1``, in the zero
 Fourier state, which makes the purified state (1/sqrt(n)) sum_y
 |psi_y>|y> with psi_y the fixed-label run of member y.
@@ -58,28 +58,32 @@ class _Step:
     A factor is either a ``UnitaryMatrix`` on the leading registers of the
     layout whose dimensions multiply to its own (O alone for a k x k matrix
     with k = dim O, every register for a dense step) and the identity on
-    the rest, or a basis permutation: a read-only int array ``perm`` of
-    length ``layout.total_dim``, owned by a read-only array, that sends
-    basis state perm[i] to i. Factors apply in the listed order. Only the
-    package builds steps, from factors valid by construction, so nothing
-    is checked, copied or frozen here: ``QueryAlgorithm`` wraps a dense
-    ``UnitaryMatrix`` whose dimension it checked, and ``_assemble`` its
-    frozen permutations and the cached F†.
+    the rest, or a ``slice`` of O, with no step, on which B is flipped and
+    everything else is left alone. Factors apply in the listed order. Only
+    the package builds steps, from factors valid by construction, so
+    nothing is checked, copied or frozen here: ``QueryAlgorithm`` wraps a
+    dense ``UnitaryMatrix`` whose dimension it checked, and ``_assemble``
+    its walk of slices and the cached F†.
     """
 
     layout: RegisterLayout
     factors: tuple
 
     def __matmul__(self, cols: np.ndarray) -> np.ndarray:
-        """The step applied to a dim x m column matrix; returns a new array.
+        """The step applied to a dim x m column matrix; returns a new array
+        and never writes into ``cols``.
 
-        Row i after a permutation factor is row perm[i] before it. A k x k
-        matrix factor is one product on the (k, rest) reshape view, rows
-        indexed by its leading registers and columns by the rest.
+        A flip is one copy of the columns and one slice assignment on the
+        (n, 2, rest) view, rows indexed by O and B. A k x k matrix factor is
+        one product on the (k, rest) reshape view, rows indexed by its
+        leading registers and columns by the rest.
         """
         for factor in self.factors:
-            if isinstance(factor, np.ndarray):
-                cols = cols[factor]
+            if isinstance(factor, slice):
+                n = self.layout.dims[0]
+                flipped = cols.copy()
+                flipped.reshape(n, 2, -1)[factor] = cols.reshape(n, 2, -1)[factor, ::-1]
+                cols = flipped
             else:
                 cols = (factor.matrix @ cols.reshape(factor.dim, -1)).reshape(cols.shape)
         return cols
@@ -128,7 +132,7 @@ class QueryAlgorithm:
                 step = _Step(self.layout, (step,))
             if not isinstance(step, _Step):
                 raise TypeError(f"step {i} must be a UnitaryMatrix, got {type(step).__name__}")
-            if step.layout != self.layout:
+            if step.layout is not self.layout and step.layout != self.layout:
                 raise ValueError(f"step {i} is over dims {step.layout.dims}, not the layout")
             steps.append(step)
         if not steps:

@@ -10,7 +10,8 @@ block y is label y's ``controlled_u``, and an explicit controlled phase block
 on (B, W) for continuous phases. Counter spectra are read by rotating C with
 the inverse of ``qft_matrix``. A step is applied factor by factor: a matrix
 with ``apply_to_registers`` on the leading registers its dimension spans, a
-permutation by re-indexing the amplitudes, never with ``_Step @``. The dense
+flip by swapping B's two halves at each O value its slice selects, never
+with ``_Step @``. The dense
 ``kron`` construction of the optimal circuits lives here too. None of this
 shares code with the oracle in ``phaselab.oracles``, the simulation kernel in
 ``phaselab.simulate`` or the builders in ``phaselab.algorithms``, so
@@ -75,9 +76,12 @@ def apply_step(state, step):
     """The step's factors in order on a state over its layout, optionally
     with more registers appended (the purified counter)."""
     for factor in step.factors:
-        if isinstance(factor, np.ndarray):
-            # row i of the step's registers takes the amplitudes of row perm[i]
-            amps = state.amps.reshape(step.layout.total_dim, -1)[factor]
+        if isinstance(factor, slice):
+            # amplitude (o, b, rest) moves to (o, 1 - b, rest) for each o selected
+            n = step.layout.dims[0]
+            amps = state.amps.reshape(n, 2, -1).copy()
+            for o in range(n)[factor]:
+                amps[o] = amps[o, [1, 0]]
             state = StateVector(state.layout, amps.reshape(-1))
         else:
             state = apply_to_registers(state, factor, leading_axes(step.layout, factor.dim))

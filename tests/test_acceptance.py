@@ -7,6 +7,7 @@ asserts the same condition, so the suite doubles as a human-readable report:
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -384,19 +385,25 @@ def test_criterion_9_determinism(tmp_path):
     )
 
 
+def phase_outcomes(alg, thetas):
+    """Entry [y', j] is the probability of outcome y' on O, of dimension N =
+    alg.n, at the continuous phase thetas[j]."""
+
+    def roots(m):  # the continuous-phase oracle, one column per theta
+        return np.exp(2j * np.pi * thetas * m)
+
+    cols = _run(alg, default_family(alg.n).eigenstate, roots, len(thetas))
+    return _outcome_weights(cols, alg.n)
+
+
 def cosine_rewards(q, amps, thetas):
     """Expected reward cos 2 pi (y'/N - theta) of the probe ``_assemble(q,
     amps, None)``, its outcome y' of N = len(amps) read as the phase y'/N,
     at each theta of the continuous-phase oracle."""
     big_n = len(amps)
-    alg = _assemble(q, amps, None)
-
-    def roots(m):  # the continuous-phase oracle, one column per theta
-        return np.exp(2j * np.pi * thetas * m)
-
-    cols = _run(alg, default_family(big_n).eigenstate, roots, len(thetas))
     errors = np.arange(big_n)[:, None] / big_n - thetas
-    return np.sum(_outcome_weights(cols, big_n) * np.cos(2 * np.pi * errors), axis=0)
+    weights = phase_outcomes(_assemble(q, amps, None), thetas)
+    return np.sum(weights * np.cos(2 * np.pi * errors), axis=0)
 
 
 def test_criterion_10_cosine_reward():
@@ -432,3 +439,51 @@ def test_criterion_10_cosine_reward():
         f"{worst_sine:.1e} at every theta, the uniform start's q/(q+1) within "
         f"{worst_uniform:.1e}, took {time.perf_counter() - t0:.2f}s",
     )
+
+
+def shift_gap(alg, thetas):
+    """Worst |P(y' | theta + 1/N) - P(y' - 1 mod N | theta)| of ``alg`` read
+    on its N = alg.n outcomes, over the given theta."""
+    before = phase_outcomes(alg, thetas)
+    after = phase_outcomes(alg, thetas + 1 / alg.n)
+    return float(np.max(np.abs(after - np.roll(before, 1, axis=0))))
+
+
+def shift_probe(q, big_n, rng):
+    """``_assemble(q, a, None)`` with a a random unit vector on O's first
+    q+1 values, zero-padded to N."""
+    amps = np.zeros(big_n, dtype=np.complex128)
+    amps[: q + 1] = rng.standard_normal(q + 1) + 1j * rng.standard_normal(q + 1)
+    return _assemble(q, amps / np.linalg.norm(amps), None)
+
+
+def test_criterion_10_shift_covariance():
+    # any start on {0..q} read by F† on N >= q+1 outcomes is shift-covariant:
+    # theta + 1/N multiplies branch k by w_N^k, which F† turns into y' + 1
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(MASTER_SEED)
+    worst, cases = 0.0, 0
+    for m in (16, 64):
+        for q in sorted({0, 3, 15, m // 2 - 1, m - 1}):
+            for big_n in sorted({q + 1, m, 4 * m}):
+                worst = max(worst, shift_gap(shift_probe(q, big_n, rng), rng.random(8)))
+                cases += 1
+    report(
+        10,
+        "shift covariance",
+        worst <= 1e-12,
+        f"{cases} random probes, m in {{16, 64}}, q in {{0, 3, 15, m/2-1, m-1}}, "
+        f"N in {{q+1, m, 4m}}, 8 random theta each: P(y'|theta+1/N) = P(y'-1|theta) "
+        f"within {worst:.1e}, took {time.perf_counter() - t0:.2f}s",
+    )
+
+
+def test_shift_covariance_catches_a_misplaced_flip():
+    # planted defect: the walk's step 2 flips B at O = 3, not O = 2
+    rng = np.random.default_rng(MASTER_SEED)
+    alg = shift_probe(5, 16, rng)
+    steps = list(alg.steps)
+    assert steps[2].factors == (slice(2, 3),)
+    steps[2] = replace(steps[2], factors=(slice(3, 4),))
+    planted = replace(alg, steps=tuple(steps))
+    assert shift_gap(planted, rng.random(8)) > 1e-3

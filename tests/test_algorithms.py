@@ -26,15 +26,22 @@ from phaselab.simulate import (
 )
 
 
-def flip_perm(mask, work_dim=2):
-    """Basis permutation of the (O, B, W) layout that flips B where mask[O]."""
-    o, b, w = np.indices((len(mask), 2, work_dim))
-    return ((o * 2 + (b ^ np.asarray(mask)[o])) * work_dim + w).reshape(-1)
-
-
 def threshold_toggle(n, threshold, work_dim=2):
     """The step that flips B on every output branch with O >= threshold."""
-    return _Step(standard_layout(n, work_dim), (flip_perm(np.arange(n) >= threshold, work_dim),))
+    return _Step(standard_layout(n, work_dim), (slice(threshold, n),))
+
+
+def walk(n, q):
+    """The flips of the estimator's q+1 steps, written from the predicate
+    [O >= j] between queries j and j+1: [O >= 1] switched on, moved on at
+    O = j, [O >= q] switched off."""
+    o = np.arange(n)
+    flips = []
+    for mask in [o >= 1] + [o == j for j in range(1, q)] + [o >= q]:
+        (on,) = np.nonzero(mask)
+        flips.append(slice(int(on[0]), int(on[-1]) + 1))
+        assert list(range(n)[flips[-1]]) == on.tolist()  # one contiguous range
+    return flips
 
 
 def closed_form_outcome(n, theta, y):
@@ -159,30 +166,28 @@ class TestDenseReference:
 
     @pytest.mark.parametrize("n, q", [(3, 1), (5, 2), (6, 5)])
     def test_off_by_one_walk_is_caught(self, n, q):
-        # planted defect: a walk table whose step j flips B at O = j+1
-        j, o = np.arange(q + 2)[:, None], np.arange(n)
-        shifted = (j >= 1) & (j <= q) & (o >= j + 1)
+        # planted defect: every flip shifted up by one, so step j flips B
+        # where the predicate is [O >= j+1]
+        def shifted(f):
+            return slice(f.start + 1, min(f.stop + 1, n)) if isinstance(f, slice) else f
+
         steps = [
-            _Step(step.layout, [flip_perm(a ^ b) if isinstance(f, np.ndarray) else f
-                               for f in step.factors])
-            for step, a, b in zip(build_truncated_optimal(n, q).steps, shifted[:-1], shifted[1:])
+            _Step(step.layout, [shifted(f) for f in step.factors])
+            for step in build_truncated_optimal(n, q).steps
         ]
         with pytest.raises(AssertionError):
             self.assert_steps_match(steps, reference.truncated_optimal(n, q, E0)[1])
 
     @pytest.mark.parametrize("n", [2, 9, 24])
     def test_walk_permutations_match_the_predicate(self, n):
-        # [O >= 1] switched on, moved on at O = j, [O >= q] switched off
-        def perms(step):
-            return [f for f in step.factors if isinstance(f, np.ndarray)]
+        # one flip per step, the q+1 slices of the predicate walk in order
+        def flips(step):
+            return [f for f in step.factors if isinstance(f, slice)]
 
-        assert perms(build_truncated_optimal(n, 0).steps[0]) == []
-        o = np.arange(n)
+        assert flips(build_truncated_optimal(n, 0).steps[0]) == []
         for q in range(1, n):
-            masks = [o >= 1] + [o == j for j in range(1, q)] + [o >= q]
-            for step, mask in zip(build_truncated_optimal(n, q).steps, masks, strict=True):
-                (perm,) = perms(step)
-                np.testing.assert_array_equal(perm, flip_perm(mask))
+            got = [flips(step) for step in build_truncated_optimal(n, q).steps]
+            assert got == [[flip] for flip in walk(n, q)], q
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cemm_steps(self, n):
@@ -232,27 +237,25 @@ class TestStart:
             for a, b in zip(default.steps, given.steps, strict=True):
                 assert len(a.factors) == len(b.factors)
                 for f, g in zip(a.factors, b.factors):
-                    if isinstance(f, np.ndarray):
-                        np.testing.assert_array_equal(f, g)
+                    if isinstance(f, slice):
+                        assert f == g
                     else:
                         assert f is g  # the one cached F†
 
 
 def assert_valid_step(step):
     """Fail unless ``step`` is what ``_Step`` takes on trust: at least one
-    factor; each permutation a read-only integer array of shape (dim,),
-    owned by a read-only array, that is a bijection of the basis states;
-    each matrix a ``UnitaryMatrix`` on the leading registers its dimension
-    spans, unitary to 1e-9."""
-    dims, dim = step.layout.dims, step.layout.total_dim
+    factor; each flip a ``slice`` of O with int ends 0 <= start < stop <= n
+    and no step, so a nonempty range; each matrix a ``UnitaryMatrix`` on the
+    leading registers its dimension spans, unitary to 1e-9. Anything else,
+    an integer array included, fails."""
+    dims = step.layout.dims
     leading = [math.prod(dims[:k]) for k in range(1, len(dims) + 1)]
     assert step.factors, "a step needs at least one factor"
     for factor in step.factors:
-        if isinstance(factor, np.ndarray):
-            assert factor.dtype.kind in "iu" and factor.shape == (dim,)
-            owner = factor if factor.base is None else factor.base
-            assert not factor.flags.writeable and not owner.flags.writeable
-            np.testing.assert_array_equal(np.sort(factor), np.arange(dim))
+        if isinstance(factor, slice):
+            assert type(factor.start) is int and type(factor.stop) is int
+            assert factor.step is None and 0 <= factor.start < factor.stop <= dims[0]
         else:
             assert isinstance(factor, UnitaryMatrix) and factor.dim in leading
             gram = factor.matrix.conj().T @ factor.matrix
@@ -285,11 +288,20 @@ class TestTrustedSteps:
     @pytest.mark.parametrize(
         "factors",
         [
+            # an integer array is not a factor, even a bijection of the basis
             (read_only([0, 1, 2, 4, 4, 5, 6, 7, 8, 9, 10, 11]),),
+            (read_only(np.arange(12)),),
             (UnitaryMatrix(np.eye(2)),),  # fits B, which does not lead
             (),
+            (slice(0, 4),),  # past the end of O
+            (slice(2, 2),),  # flips nothing
+            (slice(-1, 3),),
+            (slice(0, 3, 2),),
+            (slice(None, 2),),
+            (slice(np.int64(0), 2),),
         ],
-        ids=["repeated-entry", "2x2-factor", "empty"],
+        ids=["repeated-entry", "permutation", "2x2-factor", "empty", "past-the-end",
+             "empty-slice", "negative-start", "stepped-slice", "open-start", "numpy-end"],
     )
     def test_validator_rejects_planted_defects(self, factors):
         step = _Step(standard_layout(3), factors)  # (O 3, B 2, W 2)
@@ -300,17 +312,23 @@ class TestTrustedSteps:
         "alg", [build_truncated_optimal(5, 3), build_truncated_optimal(4, 3)], ids=["opt", "cemm"]
     )
     def test_array_owners_are_read_only(self, alg):
-        # a permutation is a row of one array; writing through that array
-        # would change a step without any check
-        perms = [f for step in alg.steps for f in step.factors if isinstance(f, np.ndarray)]
-        assert len(perms) == alg.q + 1
-        for factor in perms:
-            assert factor.base is not None and not factor.base.flags.writeable
+        # the one array a step holds is F†'s; writing through its owner would
+        # change a step without any check. A flip is an immutable slice.
+        flips = [f for step in alg.steps for f in step.factors if isinstance(f, slice)]
+        assert len(flips) == alg.q + 1
         for step in alg.steps:
             for factor in step.factors:
-                if not isinstance(factor, np.ndarray):
+                if not isinstance(factor, slice):
                     mat = factor.matrix
                     assert not (mat if mat.base is None else mat.base).flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 24])
+    def test_every_factor_is_the_cached_adjoint_or_a_slice(self, n):
+        # no step stores an integer array: the walk is slices of O
+        for q in range(n):
+            for step in build_truncated_optimal(n, q).steps:
+                for factor in step.factors:
+                    assert isinstance(factor, slice) or factor is qft_matrix(n).adjoint
 
 
 class TestWorkPreparation:
@@ -330,7 +348,7 @@ class TestWorkPreparation:
             expected.append(reference.cemm(n, eig))
             for alg, dense in zip(algs, expected):
                 # every matrix factor is F† on O alone
-                dims = [f.dim for s in alg.steps for f in s.factors if not isinstance(f, np.ndarray)]
+                dims = [f.dim for s in alg.steps for f in s.factors if not isinstance(f, slice)]
                 assert dims == [n]
                 w = alg.start.reshape(n, 2, len(eig))
                 assert (np.abs(w[:, :, 1:]).max(initial=0) > 0) == prepared
@@ -377,10 +395,10 @@ class TestLargeN:
         elems = alg.start.size
         for step in alg.steps:
             for factor in step.factors:
-                elems += factor.size if isinstance(factor, np.ndarray) else factor.matrix.size
-        # F† on O (n^2), one length-4n permutation per step and the length-4n
-        # start: no step prepares O or W
-        assert elems == n * n + n * 4 * n + 4 * n
+                elems += 0 if isinstance(factor, slice) else factor.matrix.size
+        # F† on O (n^2) and the length-4n start; a flip is a slice of O and
+        # holds no array, and no step prepares O or W
+        assert elems == n * n + 4 * n
 
 
 class TestContinuousPhase:

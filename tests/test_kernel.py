@@ -2,10 +2,10 @@
 
 Random problem sizes, work dimensions, eigenstates, trailing ancilla
 registers, query schedules (negative powers and powers >= n included) and
-steps (local matrix factors on leading registers, basis permutations, dense
-matrices): every public simulator must agree with the reference to 1e-12,
-success must stay under the counter-support bound, and the counter spectrum
-must stay inside the subset-sum reachable sets.
+steps (local matrix factors on leading registers, flips of B over ranges
+of O, dense matrices): every public simulator must agree with the
+reference to 1e-12, success must stay under the counter-support bound, and
+the counter spectrum must stay inside the subset-sum reachable sets.
 """
 
 import math
@@ -40,18 +40,30 @@ TOL = 1e-12
 
 def random_step(layout, rng):
     """A dense Haar step, or one to three factors in random order: Haar
-    matrices on the leading registers, a prefix of random length, and random
-    basis permutations."""
+    matrices on the leading registers, a prefix of random length, and flips
+    of B over random ranges of O, empty and full ones included."""
     if rng.random() < 0.25:
         return _Step(layout, (haar_random_unitary(layout.total_dim, rng),))
     factors = []
     for _ in range(int(rng.integers(1, 4))):
         if rng.random() < 0.3:
-            factors.append(rng.permutation(layout.total_dim))
+            factors.append(random_flip(layout.dims[0], rng))
             continue
         dim = math.prod(layout.dims[: rng.integers(1, len(layout.dims) + 1)])
         factors.append(haar_random_unitary(dim, rng))
     return _Step(layout, factors)
+
+
+def random_flip(n, rng):
+    """A slice of O: empty, all of O, or between two random ends."""
+    kind = rng.random()
+    if kind < 0.2:
+        start = int(rng.integers(0, n + 1))
+        return slice(start, start)
+    if kind < 0.4:
+        return slice(0, n)
+    start, stop = sorted(int(k) for k in rng.integers(0, n + 1, size=2))
+    return slice(start, stop)
 
 
 def random_case(n, work_dim, anc_dim, exponents, seed, local=False):

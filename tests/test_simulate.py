@@ -193,18 +193,24 @@ class TestStep:
         np.testing.assert_array_equal(step @ np.eye(12), np.kron(u.matrix, np.eye(4)))
 
     def test_factor_order_and_permutation_convention(self):
+        # a flip on O in [1, 3) swaps B's rows there; the matrix applies after it
         rng = np.random.default_rng(2)
-        perm = rng.permutation(12)
         u = haar_random_unitary(6, rng)  # on (O, B): O most significant
         cols = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
-        step = _Step(self.LAYOUT, (perm, u))
+        given = cols.copy()
+        step = _Step(self.LAYOUT, (slice(1, 3), u))
+        perm = np.array([0, 1, 2, 3, 6, 7, 4, 5, 10, 11, 8, 9])  # row i takes row perm[i]
         expected = np.kron(u.matrix, np.eye(2)) @ cols[perm]
         np.testing.assert_allclose(step @ cols, expected, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(_Step(self.LAYOUT, (slice(1, 3),)) @ cols, cols[perm])
+        np.testing.assert_array_equal(cols, given)  # the input is never written
 
     def test_step_layout_must_match_algorithm(self):
-        step = _Step(standard_layout(3, work_dim=3), (np.arange(18),))
+        step = _Step(standard_layout(3, work_dim=3), (slice(0, 3),))
+        QueryAlgorithm(standard_layout(3, work_dim=3), (step,), ())  # the same layout
         layout = RegisterLayout((3, 2, 3))
-        QueryAlgorithm(layout, (step,), ())  # equal layouts are accepted
+        assert layout is not step.layout
+        QueryAlgorithm(layout, (step,), ())  # an equal, distinct layout is accepted
         other = RegisterLayout((3, 2, 3, 1))
         with pytest.raises(ValueError, match="not the layout"):
             QueryAlgorithm(other, (step,), ())
