@@ -47,7 +47,6 @@ from .simulate import (
     QueryAlgorithm,
     _check_spectra,
     _counter_spectra,
-    _evolve,
     _haar_runs,
     _label_success,
     _outcome_weights,
@@ -388,8 +387,7 @@ def _thin_polar(g: np.ndarray, a: np.ndarray) -> np.ndarray:
     always give the same U.
     """
     k = g.shape[1]
-    qg, rg = np.linalg.qr(g, mode="complete")
-    qa, ra = np.linalg.qr(a, mode="complete")
+    (qg, qa), (rg, ra) = np.linalg.qr(np.stack([g, a]), mode="complete")
     w, _, vh = np.linalg.svd(rg[:k] @ ra[:k].conj().T)
     qg[:, :k] = qg[:, :k] @ (w @ vh)
     return qg @ qa.conj().T
@@ -397,7 +395,8 @@ def _thin_polar(g: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def _sweep(steps: list, family: PhaseOracleFamily) -> float:
     """Re-optimize each dense step of a forward-query search in place, left
-    to right; returns the success of the result.
+    to right; returns the success of the result. The steps may act on
+    trailing ancillas after ``family``'s O, B and W: dim is read off them.
 
     The backward environments are built once, right to left, as in the
     environment sweeps of tensor networks (Evenbly & Vidal, PRB 79, 144108
@@ -420,9 +419,7 @@ def _sweep(steps: list, family: PhaseOracleFamily) -> float:
     weight of C beyond index s is within ``LEAKAGE_BUDGET``, which is
     checked before every slot; a ``ValueError`` names n, q and the slot.
     """
-    n, q = family.n, len(steps) - 1
-    layout = standard_layout(n, family.work_dim)
-    dim = layout.total_dim
+    n, q, dim = family.n, len(steps) - 1, len(steps[0])
     u = family.eigenstate
     ahead = _label_roots(range(n), n)(1) - 1.0  # one forward query
     # its inverse, w^-y - 1 = conj(w^y - 1), repeated over the rows of each O block
@@ -431,7 +428,7 @@ def _sweep(steps: list, family: PhaseOracleFamily) -> float:
     envs = [np.eye(dim, dtype=np.complex128)]
     for step in steps[:0:-1]:
         envs.append(_query(step.conj().T @ envs[-1], n, u, undo))
-    a = _start(layout, n)  # columns before the slot, one per label
+    a = _start(dim, n)  # columns before the slot, one per label
     for slot, h in enumerate(reversed(envs)):
         h = h.reshape(dim, n, dim // n)
         r = np.einsum("iyj,iy->yj", h.conj(), steps[slot] @ a)
@@ -454,43 +451,30 @@ def adversarial_search(n: int, q: int, iterations: int, seed) -> tuple[float, Qu
     """Local search for the most successful forward-query q-query algorithm;
     returns its success and the algorithm.
 
-    Each restart draws q+1 Haar-random steps, then sweeps them with
-    ``_sweep`` until a sweep gains less than 1e-12. A sweep re-optimizes
+    The search is ``iterations`` sweeps of ``_sweep``. A restart, before
+    the first sweep and after any sweep that gains less than 1e-12 over the
+    sweep before it, draws q+1 fresh Haar-random steps; a Haar start is not
+    scored, so the best is always a swept algorithm. A sweep re-optimizes
     every slot in turn and never lowers the success, so the search can only
-    climb toward the proven ceiling (q+1)/n. ``iterations`` counts sweeps
-    across all restarts. A slot whose columns carry counter weight beyond
-    its index, over ``LEAKAGE_BUDGET``, raises ``ValueError`` (see
-    ``_sweep``).
+    climb toward the proven ceiling (q+1)/n. A slot whose columns carry
+    counter weight beyond its index, over ``LEAKAGE_BUDGET``, raises
+    ``ValueError`` (see ``_sweep``).
     """
     q = _integer(q, "query count", 0)
     iterations = _integer(iterations, "iterations", 1)
     family = default_family(n)
     layout = standard_layout(n)
-    dim = layout.total_dim
     rng = np.random.default_rng(seed)
-    roots = _label_roots(range(n), n)
-
-    def success(steps):
-        cols = _evolve(_start(layout, n), steps, [1] * q, n, family.eigenstate, roots)
-        return _label_success(cols)
-
-    best_p = -1.0
-    best_steps = None
-    done = 0
-    while done < iterations:
-        steps = [haar_random_unitary(dim, rng).matrix for _ in range(q + 1)]
-        prev = success(steps)
-        if prev > best_p:
-            best_p, best_steps = prev, [s.copy() for s in steps]
-        while done < iterations:
-            p = _sweep(steps, family)
-            done += 1
-            if p > best_p:
-                best_p, best_steps = p, [s.copy() for s in steps]
-            if p - prev < 1e-12:
-                break
-            prev = p
-
+    best_p, gain = -1.0, 0.0
+    for _ in range(iterations):
+        if gain < 1e-12:
+            steps = [haar_random_unitary(layout.total_dim, rng).matrix for _ in range(q + 1)]
+            p = -np.inf
+        prev, p = p, _sweep(steps, family)
+        gain = p - prev
+        if p > best_p:
+            # _sweep replaces entries and never writes into a step
+            best_p, best_steps = p, list(steps)
     return best_p, QueryAlgorithm(layout, tuple(map(UnitaryMatrix, best_steps)), (FORWARD,) * q)
 
 

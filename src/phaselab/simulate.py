@@ -245,9 +245,9 @@ def _evolve(cols, steps, exponents, n, eigenstate, roots, snapshot=None) -> np.n
     return cols
 
 
-def _start(layout: RegisterLayout, m: int) -> np.ndarray:
-    """m columns, each the all-zeros basis state."""
-    cols = np.zeros((layout.total_dim, m), dtype=np.complex128)
+def _start(dim: int, m: int) -> np.ndarray:
+    """m columns of length dim, each the all-zeros basis state."""
+    cols = np.zeros((dim, m), dtype=np.complex128)
     cols[0] = 1.0
     return cols
 
@@ -428,8 +428,7 @@ def _haar_runs(family: PhaseOracleFamily, exponents, rngs):
     ``ValueError`` when its turn comes, after the trials before it.
     """
     n = family.n
-    layout = standard_layout(n, family.work_dim)
-    dim = layout.total_dim
+    dim = standard_layout(n, family.work_dim).total_dim
     q = len(exponents[0])
     size = max(1, _CHUNK_ELEMENTS // ((q + 1) * dim * n))
     for lo in range(0, len(rngs), size):
@@ -439,7 +438,7 @@ def _haar_runs(family: PhaseOracleFamily, exponents, rngs):
         roots = _label_roots(np.tile(np.arange(n), len(batch)), n)
         snaps = []
         cols = _evolve(
-            _start(layout, len(batch) * n),
+            _start(dim, len(batch) * n),
             [_IsometryStep(vs[:, j]) for j in range(q + 1)],
             [tuple(m) for m in powers.T],
             n,

@@ -341,7 +341,7 @@ def haar_trial(family, exponents, rng):
     steps = [OneDraw(rng)] * (len(exponents) + 1)
     snaps = []
     cols = _evolve(
-        _start(layout, n), steps, exponents, n, family.eigenstate,
+        _start(layout.total_dim, n), steps, exponents, n, family.eigenstate,
         _label_roots(range(n), n), lambda c: snaps.append(_spectrum(c) / n),
     )
     return cols, snaps

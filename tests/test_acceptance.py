@@ -487,3 +487,71 @@ def test_shift_covariance_catches_a_misplaced_flip():
     steps[2] = replace(steps[2], factors=(slice(3, 4),))
     planted = replace(alg, steps=tuple(steps))
     assert shift_gap(planted, rng.random(8)) > 1e-3
+
+
+def window_matrix(q, m):
+    """The (q+1) x (q+1) Toeplitz matrix M of the window reward
+    [|delta| < eps], eps = 1/(2m): M[j, k] = sin(2 pi eps (j-k))/(pi (j-k)),
+    2 eps on the diagonal (the discrete prolate matrix)."""
+    d = np.subtract.outer(np.arange(q + 1), np.arange(q + 1))
+    return np.where(d == 0, 1 / m, np.sin(np.pi * d / m) / (np.pi * np.where(d == 0, 1, d)))
+
+
+def window_mean(q, start, m, big_n):
+    """The probe ``_assemble(q, a, None)``'s window reward averaged over
+    theta, for a the start on {0..q} zero-padded to N outcomes, eps =
+    1/(2m). By shift covariance outcome y' earns the same integral of
+    P(0 | phi) over |phi| < eps, so the mean is N times that integral, taken
+    by 96-node Gauss-Legendre on kernel outputs at real phases; P(0 | phi)
+    has degree q < m, so the rule is exact to roundoff."""
+    amps = np.zeros(big_n, dtype=np.complex128)
+    amps[: q + 1] = start
+    eps = 1 / (2 * m)
+    nodes, weights = np.polynomial.legendre.leggauss(96)
+    at_zero = phase_outcomes(_assemble(q, amps, None), eps * nodes)[0]
+    return big_n * eps * float(weights @ at_zero)
+
+
+def window_cases():
+    """(m, q, N, M) for m in {16, 64}, q in {0, 3, 15, m/2-1, m-1} and
+    N in {q+1, m, 4m}."""
+    for m in (16, 64):
+        for q in sorted({0, 3, 15, m // 2 - 1, m - 1}):
+            for big_n in sorted({q + 1, m, 4 * m}):
+                yield m, q, big_n, window_matrix(q, m)
+
+
+def test_criterion_10_window_reward():
+    # the window reward's Toeplitz matrix is the prolate matrix M; the probe
+    # started on its top eigenvector earns lambda_max(M) on average, and
+    # lambda_max <= tr M = 2 eps (q+1) = (q+1)/m is the paper's bound
+    t0 = time.perf_counter()
+    worst, cases = 0.0, 0
+    for m, q, big_n, window in window_cases():
+        values, vectors = np.linalg.eigh(window)
+        worst = max(worst, abs(window_mean(q, vectors[:, -1], m, big_n) - values[-1]))
+        cases += 1
+    tops = {m: [np.linalg.eigvalsh(window_matrix(q, m))[-1] for q in range(m)] for m in (16, 64)}
+    excess = max(top - (q + 1) / m for m in tops for q, top in enumerate(tops[m]))
+    ratio = min(tops[64][q] * 64 / (q + 1) for q in range(8))
+    report(
+        10,
+        "window reward",
+        worst <= 1e-12 and excess <= 1e-12 and ratio >= 0.99,
+        f"{cases} probes, m in {{16, 64}}, q in {{0, 3, 15, m/2-1, m-1}}, N in "
+        f"{{q+1, m, 4m}}: the prolate start's average window reward is lambda_max "
+        f"within {worst:.1e}; lambda_max - (q+1)/m is at most {excess:.1e} for every q < m; "
+        f"lambda_max m/(q+1) >= {ratio:.4f} for q <= 7 at m = 64, "
+        f"took {time.perf_counter() - t0:.2f}s",
+    )
+
+
+def test_window_reward_catches_the_uniform_start():
+    # planted defect: CEMM's uniform start in place of the prolate vector
+    # falls short of lambda_max at every q >= 1
+    shortfalls = [
+        np.linalg.eigvalsh(window)[-1] - window_mean(q, np.full(q + 1, (q + 1) ** -0.5), m, big_n)
+        for m, q, big_n, window in window_cases()
+        if q >= 1
+    ]
+    assert min(shortfalls) > 1e-12

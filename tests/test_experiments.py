@@ -449,6 +449,41 @@ class TestAdversarialSearch:
             assert p >= prev - 1e-12
             prev = p
 
+    @pytest.mark.parametrize(
+        "n, q, anc", [(4, 1, 2), (4, 1, 4), (4, 2, 2), (4, 2, 4), (8, 2, 2), (8, 2, 8)]
+    )
+    def test_sweeps_run_on_workspace_layouts(self, n, q, anc):
+        # Haar steps over (O, B, W, anc): the sweep reads dim off the steps, and
+        # each sweep's success is that of its steps run as an algorithm
+        family, layout = default_family(n), RegisterLayout((n, 2, 2, anc))
+        rng = np.random.default_rng(100 * n + 10 * q + anc)
+        steps = [haar_random_unitary(layout.total_dim, rng).matrix for _ in range(q + 1)]
+
+        def success():
+            alg = QueryAlgorithm(layout, tuple(map(UnitaryMatrix, steps)), (FORWARD,) * q)
+            return success_probability_average(alg, family)
+
+        prev = success()
+        for _ in range(3):
+            p = experiments._sweep(steps, family)
+            assert prev - 1e-12 <= p <= (q + 1) / n + 1e-12
+            assert abs(p - success()) <= 1e-12
+            prev = p
+
+    def test_restarts_after_a_sweep_that_gains_nothing(self, monkeypatch):
+        # at q = 0 every sweep scores 1/n, so each start's second sweep gains
+        # nothing and the next sweep restarts: 6 sweeps take 3 Haar draws
+        draws = []
+
+        def counted(*args):
+            draws.append(args)
+            return haar_random_unitary(*args)
+
+        monkeypatch.setattr(experiments, "haar_random_unitary", counted)
+        best, _ = adversarial_search(4, 0, 6, seed=5)
+        assert len(draws) == 3
+        assert abs(best - 1 / 4) <= 1e-15
+
 
 class TestThinPolar:
     @staticmethod

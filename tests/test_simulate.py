@@ -718,7 +718,8 @@ class TestHaarColumns:
         roots = _label_roots(range(n), n)
         for seed in range(3):
             steps = [reference.OneDraw(np.random.default_rng(seed))] * (len(exponents) + 1)
-            want = _evolve(_start(layout, n), steps, exponents, n, family.eigenstate, roots)
+            start = _start(layout.total_dim, n)
+            want = _evolve(start, steps, exponents, n, family.eigenstate, roots)
             got, _ = next(_haar_runs(family, [exponents], [np.random.default_rng(seed)]))
             assert np.array_equal(got, want)
 
