@@ -45,6 +45,7 @@ from .linalg import (
 from .oracles import FORWARD, PhaseInstance, PhaseOracleFamily, _label_roots, default_family
 from .simulate import (
     QueryAlgorithm,
+    _basis_index,
     _check_spectra,
     _counter_spectra,
     _haar_runs,
@@ -420,7 +421,7 @@ def _sweep(steps: list, family: PhaseOracleFamily) -> float:
     checked before every slot; a ``ValueError`` names n, q and the slot.
     """
     n, q, dim = family.n, len(steps) - 1, len(steps[0])
-    u = family.eigenstate
+    u = _basis_index(family.eigenstate)
     ahead = _label_roots(range(n), n)(1) - 1.0  # one forward query
     # its inverse, w^-y - 1 = conj(w^y - 1), repeated over the rows of each O block
     undo = np.repeat(ahead.conj(), dim // n)

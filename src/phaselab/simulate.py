@@ -14,8 +14,12 @@ Fourier state, which makes the purified state (1/sqrt(n)) sum_y
 
 So every view is one computation: ``_evolve`` runs a dim x m matrix whose
 columns each carry one oracle root of unity, a query being a rank-1 update
-on the B = 1 slice along the eigenstate. ``_counter_spectra`` reads the counter
-spectrum straight off the label columns as an FFT along them, and
+on the B = 1 slice along the eigenstate. Once per run, ``_evolve`` asks
+``_basis_index`` whether the eigenstate is exactly a basis vector e_k, as
+in every family the package builds; if so each query updates only the
+B = 1, W = k row block, equal entry for entry to the rank-1 update.
+``_counter_spectra`` reads the counter spectrum straight off the label
+columns as an FFT along them, and
 ``_check_spectra`` checks once that it sums to 1; ``_label_success`` and
 ``_outcome_weights`` read O off the leading axis. Haar-random trials that
 need no algorithm object run side by side in that same matrix, n label
@@ -204,15 +208,37 @@ def _check_compatible(alg: QueryAlgorithm, family: PhaseOracleFamily) -> None:
         )
 
 
+def _basis_index(eigenstate):
+    """What ``_query`` takes for the eigenstate u: the pair (k, len(u)) when
+    u is exactly the basis vector e_k, one entry equal to 1.0 and every other
+    entry 0, else u itself. A phased or tilted e_k is not a basis vector."""
+    nonzero = np.flatnonzero(eigenstate)
+    if len(nonzero) == 1 and eigenstate[nonzero[0]] == 1.0:
+        return int(nonzero[0]), len(eigenstate)
+    return eigenstate
+
+
 def _query(cols: np.ndarray, n: int, eigenstate, factor) -> np.ndarray:
     """One oracle call on every column: W <- W + factor * u<u|W> where B = 1.
 
     The rows are over (O, B, W[, ancillas]) with dims (n, 2, len(u), ...).
     ``factor[j]`` is e^(2 pi i phi_j m) - 1 for column j's phase phi_j and the
     query power m; the B = 0 slice and the complement of u are left alone.
+    ``eigenstate`` is what ``_basis_index`` returns for u, decided once per
+    run by the caller. Any unit u takes the rank-1 update: one vector-matrix
+    product for <u|W> and one broadcast update. For u = e_k, the pair
+    (k, w), <u|W> is exactly the B = 1, W = k row block s, so the call is
+    one update s <- s + s * factor, equal to the rank-1 update entry for
+    entry (only the sign of a zero can differ).
     Writes into ``cols`` when it is contiguous; callers use the return value.
     """
     m = cols.shape[-1]
+    if isinstance(eigenstate, tuple):
+        k, w = eigenstate
+        t = cols.reshape(n, 2, w, -1, m)
+        s = t[:, 1, k]  # (O, rest, m)
+        s += s * factor
+        return t.reshape(cols.shape)
     t = cols.reshape(n, 2, len(eigenstate), -1)
     s = t[:, 1]  # the B = 1 slice, (O, W, rest * m)
     inner = (eigenstate.conj() @ s).reshape(-1, m) * factor
@@ -223,7 +249,8 @@ def _query(cols: np.ndarray, n: int, eigenstate, factor) -> np.ndarray:
 def _evolve(cols, steps, exponents, n, eigenstate, roots, snapshot=None) -> np.ndarray:
     """Apply steps[0], then each query followed by the next step, to the columns.
 
-    The rows are over (O, B, W[, ancillas]) with dim O = n, as in ``_query``.
+    The rows are over (O, B, W[, ancillas]) with dim O = n, as in ``_query``,
+    and ``_basis_index`` decides once how every query applies the eigenstate.
     ``roots(m)``, called once per exponent, gives every column's oracle root
     of unity to the power m (``oracles._label_roots`` on a grid); an exponent
     is any hashable value ``roots`` reads, such as an int, or a tuple with
@@ -231,6 +258,7 @@ def _evolve(cols, steps, exponents, n, eigenstate, roots, snapshot=None) -> np.n
     called after each step. A step is anything that maps the columns with
     ``@``: a ``_Step``, an ``_IsometryStep`` or a dense matrix.
     """
+    eigenstate = _basis_index(eigenstate)
     factors = {}
     steps = iter(steps)
     cols = next(steps) @ cols

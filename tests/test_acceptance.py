@@ -396,14 +396,27 @@ def phase_outcomes(alg, thetas):
     return _outcome_weights(cols, alg.n)
 
 
-def cosine_rewards(q, amps, thetas):
-    """Expected reward cos 2 pi (y'/N - theta) of the probe ``_assemble(q,
-    amps, None)``, its outcome y' of N = len(amps) read as the phase y'/N,
-    at each theta of the continuous-phase oracle."""
-    big_n = len(amps)
-    errors = np.arange(big_n)[:, None] / big_n - thetas
-    weights = phase_outcomes(_assemble(q, amps, None), thetas)
-    return np.sum(weights * np.cos(2 * np.pi * errors), axis=0)
+def cosine_rewards(alg, thetas):
+    """Expected reward cos 2 pi (y'/N - theta) of ``alg``, its outcome y' of
+    N = alg.n read as the phase y'/N, at each theta of the continuous-phase
+    oracle."""
+    errors = np.arange(alg.n)[:, None] / alg.n - thetas
+    return np.sum(phase_outcomes(alg, thetas) * np.cos(2 * np.pi * errors), axis=0)
+
+
+def mean_cosine_reward(alg):
+    """``cosine_rewards`` of a forward-query ``alg`` averaged over theta in
+    [0, 1): the reward is a trigonometric polynomial of degree q+1 in
+    theta, so its mean over q+2 equispaced theta is exact."""
+    return float(np.mean(cosine_rewards(alg, np.arange(alg.q + 2) / (alg.q + 2))))
+
+
+def sine_start(q, big_n):
+    """The cosine reward's top eigenvector, a_k ~ sin(pi (k+1)/(q+2)) on
+    {0..q}, zero-padded to N outcomes."""
+    amps = np.zeros(big_n, dtype=np.complex128)
+    amps[: q + 1] = np.sin(np.pi * np.arange(1, q + 2) / (q + 2))
+    return amps / np.linalg.norm(amps)
 
 
 def test_criterion_10_cosine_reward():
@@ -419,14 +432,11 @@ def test_criterion_10_cosine_reward():
     for q in range(32):
         thetas = np.concatenate([rng.random(8), np.arange(q + 3) / (q + 3)])
         for big_n in sorted({q + 2, 2 * q + 3, 64}):
-            sine = np.zeros(big_n, dtype=np.complex128)
-            sine[: q + 1] = np.sin(np.pi * np.arange(1, q + 2) / (q + 2))
-            sine /= np.linalg.norm(sine)
             uniform = np.zeros(big_n, dtype=np.complex128)
             uniform[: q + 1] = 1 / np.sqrt(q + 1)
-            got = cosine_rewards(q, sine, thetas)
+            got = cosine_rewards(_assemble(q, sine_start(q, big_n), None), thetas)
             worst_sine = max(worst_sine, np.max(np.abs(got - np.cos(np.pi / (q + 2)))))
-            got = cosine_rewards(q, uniform, thetas)
+            got = cosine_rewards(_assemble(q, uniform, None), thetas)
             worst_uniform = max(worst_uniform, np.max(np.abs(got - q / (q + 1))))
             cases += 1
     ok = worst_sine <= 1e-12 and worst_uniform <= 1e-12
@@ -439,6 +449,36 @@ def test_criterion_10_cosine_reward():
         f"{worst_sine:.1e} at every theta, the uniform start's q/(q+1) within "
         f"{worst_uniform:.1e}, took {time.perf_counter() - t0:.2f}s",
     )
+
+
+def test_criterion_10_cosine_bound_on_searched_optima(search_sweep):
+    # no q-query estimator earns more than lambda_max(R) = cos(pi/(q+2)) of
+    # the cosine reward on average over theta; criterion 2's searched
+    # optima, read on their n outcomes as y'/n, must not either
+    t0 = time.perf_counter()
+    margins = [
+        np.cos(np.pi / (q + 2)) - mean_cosine_reward(alg)
+        for (n, q), alg in search_sweep["algs"].items()
+    ]
+    worst = min(margins)
+    report(
+        10,
+        "cosine bound on searched optima",
+        worst >= -1e-12,
+        f"{len(margins)} searched optima, n in {{2,4,8,16}}, all q, read as y'/n: the "
+        f"average cosine reward over theta is at most cos(pi/(q+2)), worst margin "
+        f"{worst:+.1e}, took {time.perf_counter() - t0:.2f}s",
+    )
+
+
+def test_cosine_bound_catches_an_extra_query():
+    # planted defect: the sine probe with q+1 queries earns cos(pi/(q+3)),
+    # above the q-query bound, at every (n, q) of criterion 2 with q+2 <= n
+    for n in (2, 4, 8, 16):
+        for q in _budgets(n):
+            if q + 2 <= n:
+                probe = _assemble(q + 1, sine_start(q + 1, n), None)
+                assert mean_cosine_reward(probe) > np.cos(np.pi / (q + 2)) + 1e-12
 
 
 def shift_gap(alg, thetas):
