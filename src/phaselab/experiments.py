@@ -97,11 +97,16 @@ def _integers(name: str, values, minimum: int) -> tuple[int, ...]:
 
 _KIND_TRIALS = object()  # ExperimentConfig.trials omitted; None stays an error
 
+# Each optional ExperimentConfig field a kind may read, at its unset value.
+_UNSET = {"q_values": (), "trials": 1, "theta_grid": None}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep, every field checked here. ``trials`` omitted is the kind's
-    default, ``KINDS[kind].trials``, or 1 for a kind that never reads it."""
+    default, ``KINDS[kind].trials``. Of the optional fields ``q_values``,
+    ``trials`` and ``theta_grid``, one the kind does not read (not in
+    ``KINDS[kind].reads``) must keep its unset value, ``_UNSET``."""
 
     kind: str
     n_values: tuple[int, ...]
@@ -128,31 +133,25 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}, expected one of {tuple(KINDS)}")
         kind = KINDS[self.kind]
         if self.trials is _KIND_TRIALS:
-            object.__setattr__(self, "trials", kind.trials or 1)
+            object.__setattr__(self, "trials", kind.trials)
         if not self.n_values:
             raise ValueError("at least one n value is required")
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ValueError(f"output_path must be a string, got {self.output_path!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
-        if kind.takes_q and self.q_values:
-            if max(self.q_values) > max(self.n_values) - 1:
-                raise ValueError(
-                    f"q={max(self.q_values)} exceeds max(n)-1={max(self.n_values) - 1}"
-                )
-        if self.kind == "cemm-curve":
+        if "q_values" in kind.reads and max(self.q_values, default=0) > max(self.n_values) - 1:
+            raise ValueError(f"q={max(self.q_values)} exceeds max(n)-1={max(self.n_values) - 1}")
+        if "theta_grid" in kind.reads:
             if not self.theta_grid:
-                raise ValueError("cemm-curve requires a theta grid")
+                raise ValueError(f"{self.kind} requires a theta grid")
             if min(self.n_values) < 2:
-                raise ValueError(f"cemm-curve needs grid sizes n >= 2, got {self.n_values}")
+                raise ValueError(f"{self.kind} needs grid sizes n >= 2, got {self.n_values}")
             if any(not 0.0 <= t < 1.0 for t in self.theta_grid):
                 raise ValueError("theta values must lie in [0, 1)")
-        elif self.theta_grid is not None:
-            raise ValueError(f"{self.kind} does not read theta_grid")
-        if not kind.takes_q and self.q_values:
-            raise ValueError(f"{self.kind} does not read q_values")
-        if kind.trials is None and self.trials != 1:
-            raise ValueError(f"{self.kind} does not read trials, got trials={self.trials}")
+        for field, unset in _UNSET.items():
+            if field not in kind.reads and getattr(self, field) != unset:
+                raise ValueError(f"{self.kind} does not read {field}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -308,7 +307,7 @@ def _readout(q: int, cols, spectra) -> tuple[float, float]:
 def _measured(alg: QueryAlgorithm) -> tuple[float, float]:
     """``_readout`` of ``alg`` run on the default family's label columns,
     whose (1, n) spectrum is checked first."""
-    cols = _run_labels(alg, default_family(alg.n), range(alg.n))
+    cols = _run_labels(alg, default_family(alg.n))
     spectra = _counter_spectra(cols, alg.n)
     _check_spectra(spectra)
     return _readout(alg.q, cols, spectra)
@@ -606,45 +605,46 @@ def _epr_summary(rows) -> str:
 @dataclass(frozen=True)
 class Kind:
     """A sweep kind: ``command`` runs it from the command line and ``about``
-    is that command's help line. ``rows(cfg, n, q)``, or ``rows(cfg, n)``
-    unless ``takes_q``, computes one task's rows, and ``summary(rows)`` is
-    the one-line report of a finished sweep. ``trials`` is the kind's
-    default trial count, None for a kind that computes each row once and
-    never reads ``trials``."""
+    is that command's help line. ``reads`` names the optional
+    ``ExperimentConfig`` fields the kind reads, out of ``q_values``,
+    ``trials`` and ``theta_grid``; a config that sets any other is rejected.
+    ``rows(cfg, n, q)``, or ``rows(cfg, n)`` unless it reads ``q_values``,
+    computes one task's rows, and ``summary(rows)`` is the one-line report
+    of a finished sweep. ``trials`` is the kind's default trial count."""
 
     command: str
     about: str
     rows: Callable[..., list[ResultRow]]
     summary: Callable[[tuple[ResultRow, ...]], str]
-    takes_q: bool
-    trials: int | None
+    reads: tuple[str, ...]
+    trials: int = 1
 
 
 KINDS = {
     "bound-sweep": Kind("verify-bound", "success probability vs the (q+1)/n ceiling",
-                        _bound_sweep_rows, _bound_summary, takes_q=True, trials=10),
+                        _bound_sweep_rows, _bound_summary, ("q_values", "trials"), trials=10),
     "counter-scan": Kind("verify-counter", "counter-spectrum leakage scans",
-                         _counter_scan_rows, _leakage_summary, takes_q=True, trials=25),
+                         _counter_scan_rows, _leakage_summary, ("q_values", "trials"), trials=25),
     "random-stress": Kind("stress", "adversarial search for bound violations",
-                          _stress_rows, _bound_summary, takes_q=True, trials=200),
+                          _stress_rows, _bound_summary, ("q_values", "trials"), trials=200),
     "cemm-curve": Kind("cemm", "estimator success curve over a phase grid",
-                       _cemm_rows, _cemm_summary, takes_q=False, trials=None),
+                       _cemm_rows, _cemm_summary, ("theta_grid",)),
     "epr-check": Kind("epr-check", "correlated-state basis-change identity",
-                      _epr_rows, _epr_summary, takes_q=False, trials=None),
+                      _epr_rows, _epr_summary, ()),
     "reduction-check": Kind("reduction-check", "exact estimation bound via the rounding reduction",
-                            _reduction_rows, _bound_summary, takes_q=True, trials=None),
+                            _reduction_rows, _bound_summary, ("q_values",)),
 }
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Run every task of ``cfg`` and merge the rows in task order.
 
-    Tasks are the (n, q) grid for the kinds that take q, with the configured
-    q values that fit each n (none configured: 0..min(n-1, 12)), and one task
-    per n otherwise. ``jobs`` caps the worker threads.
+    Tasks are the (n, q) grid for the kinds that read ``q_values``, with the
+    configured q values that fit each n (none configured: 0..min(n-1, 12)),
+    and one task per n otherwise. ``jobs`` caps the worker threads.
     """
     kind = KINDS[cfg.kind]
-    if kind.takes_q:
+    if "q_values" in kind.reads:
         tasks = [
             (n, q)
             for n in cfg.n_values

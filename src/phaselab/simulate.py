@@ -286,11 +286,11 @@ def _run(alg: QueryAlgorithm, eigenstate, roots, m: int, snapshot=None) -> np.nd
     return _evolve(cols, alg.steps, alg.exponents, alg.n, eigenstate, roots, snapshot)
 
 
-def _run_labels(alg: QueryAlgorithm, family: PhaseOracleFamily, labels, snapshot=None):
-    """Column j is the fixed-label run of family member labels[j]."""
+def _run_labels(alg: QueryAlgorithm, family: PhaseOracleFamily, snapshot=None):
+    """Column y is the fixed-label run of family member y, for y < n."""
     _check_compatible(alg, family)
-    roots = _label_roots(labels, family.n)
-    return _run(alg, family.eigenstate, roots, len(labels), snapshot)
+    roots = _label_roots(range(family.n), family.n)
+    return _run(alg, family.eigenstate, roots, family.n, snapshot)
 
 
 def _label_success(cols: np.ndarray) -> float:
@@ -316,15 +316,13 @@ def _purified_state(layout: RegisterLayout, cols: np.ndarray) -> StateVector:
 
 def run_purified(alg: QueryAlgorithm, family: PhaseOracleFamily) -> StateVector:
     """Final state on (algorithm registers) x C in the purified view."""
-    return _purified_state(alg.layout, _run_labels(alg, family, range(alg.n)))
+    return _purified_state(alg.layout, _run_labels(alg, family))
 
 
 def run_purified_transcript(alg: QueryAlgorithm, family: PhaseOracleFamily) -> RunTranscript:
     """Purified run keeping a counter-spectrum snapshot after every query."""
     snaps = []
-    cols = _run_labels(
-        alg, family, range(alg.n), lambda c: snaps.append(_counter_spectra(c, alg.n)[0])
-    )
+    cols = _run_labels(alg, family, lambda c: snaps.append(_counter_spectra(c, alg.n)[0]))
     return RunTranscript(tuple(snaps), _purified_state(alg.layout, cols))
 
 
@@ -373,7 +371,7 @@ def success_probability_purified(state: StateVector) -> float:
 
 def success_probability_average(alg: QueryAlgorithm, family: PhaseOracleFamily) -> float:
     """Success probability averaged over a uniformly random family member."""
-    return _label_success(_run_labels(alg, family, range(family.n)))
+    return _label_success(_run_labels(alg, family))
 
 
 def standard_layout(n: int, work_dim: int = 2) -> RegisterLayout:

@@ -71,7 +71,7 @@ def per_run_ceiling(weights, q, n):
 def final_spectrum(alg, family):
     """The counter spectrum after the last query, and the success, read off
     the algorithm's label columns."""
-    cols = _run_labels(alg, family, range(family.n))
+    cols = _run_labels(alg, family)
     return _counter_spectra(cols, family.n)[0], _label_success(cols)
 
 
@@ -284,7 +284,7 @@ def test_criterion_4_estimator_equivalence():
         dense = [UnitaryMatrix(step) for step in steps]
         a = QueryAlgorithm(standard_layout(n), dense, [1] * (n - 1), start)
         b = build_truncated_optimal(n, n - 1)
-        diff = _run_labels(a, family, range(n)) - _run_labels(b, family, range(n))
+        diff = _run_labels(a, family) - _run_labels(b, family)
         worst = max(worst, float(np.max(np.abs(diff))))
         pur = run_purified(a, family).amps - run_purified(b, family).amps
         worst = max(worst, float(np.max(np.abs(pur))))
@@ -449,6 +449,18 @@ def test_criterion_10_cosine_reward():
         f"{worst_sine:.1e} at every theta, the uniform start's q/(q+1) within "
         f"{worst_uniform:.1e}, took {time.perf_counter() - t0:.2f}s",
     )
+
+
+def test_cosine_reward_catches_a_negated_coefficient():
+    # planted defect: the sine start with its middle coefficient negated
+    # loses the neighbour terms a_k a_(k+1) around it, so from q = 1 on it
+    # earns strictly less than cos(pi/(q+2)) at every N the criterion runs
+    for q in range(1, 32):
+        for big_n in sorted({q + 2, 2 * q + 3, 64}):
+            amps = sine_start(q, big_n)
+            amps[q // 2] *= -1
+            probe = _assemble(q, amps, None)
+            assert mean_cosine_reward(probe) < np.cos(np.pi / (q + 2)) - 1e-12
 
 
 def test_criterion_10_cosine_bound_on_searched_optima(search_sweep):

@@ -120,8 +120,8 @@ class TestCemm:
         clear = threshold_toggle(n, n - 1)
         partial = QueryAlgorithm(alg.layout, alg.steps[:-1] + (clear,), alg.exponents, alg.start)
         fam = default_family(n)
-        for y in range(n):
-            got = _run_labels(partial, fam, [y])[:, 0].reshape(n, 2, 2)
+        for y, col in enumerate(_run_labels(partial, fam).T):
+            got = col.reshape(n, 2, 2)
             expected = np.exp(2j * np.pi * y * np.arange(n) / n) / np.sqrt(n)
             np.testing.assert_allclose(got[:, 0, 0], expected, atol=1e-10)
             assert np.max(np.abs(got[:, 1, :])) < 1e-12

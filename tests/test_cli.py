@@ -375,6 +375,9 @@ def test_summary_line(command, capsys):
         (None, ["verify-bound", "--n", "4", "--theta", "0.1"]),
         (None, ["epr-check", "--n", "3", "--q", "1"]),
         (None, ["reduction-check", "--n", "4", "--theta", "0.3"]),
+        (None, ["verify-counter", "--n", "4", "--theta", "0.1"]),
+        ({"kind": "random-stress", "n_values": [4], "theta_grid": [0.1]}, []),
+        ({"kind": "reduction-check", "n_values": [4], "trials": 3}, []),
         (None, ["verify-bound", "--n", "4", "--format", "xml"]),
         # a config file whose kind is not the command's
         ({"kind": "bound-sweep", "n_values": [4], "trials": 2}, ["verify-counter"]),
@@ -385,7 +388,8 @@ def test_summary_line(command, capsys):
          "theta-string", "floor-bool", "kind-list", "reduction-floors-and-trials",
          "epr-unread-fields", "bound-sweep-theta", "cemm-q", "cemm-grid-below-2",
          "epr-check-trials", "cemm-trials", "theta-empty-entry", "bound-sweep-theta-flag",
-         "epr-check-q-flag", "reduction-theta-flag", "format-xml", "config-kind-not-the-commands"],
+         "epr-check-q-flag", "reduction-theta-flag", "counter-scan-theta-flag", "stress-theta",
+         "reduction-trials", "format-xml", "config-kind-not-the-commands"],
 )
 def test_malformed_outside_input_exits_2(config, argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

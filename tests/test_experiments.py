@@ -38,6 +38,20 @@ def strip_wall_time(csv_text):
     return [line.rsplit(",", 1)[0] for line in csv_text.strip().split("\n")]
 
 
+# The optional config fields each kind reads, a value that sets each field,
+# and the value that leaves it unset.
+READS = {
+    "bound-sweep": {"q_values", "trials"},
+    "counter-scan": {"q_values", "trials"},
+    "random-stress": {"q_values", "trials"},
+    "cemm-curve": {"theta_grid"},
+    "epr-check": set(),
+    "reduction-check": {"q_values"},
+}
+SET = {"q_values": (1,), "trials": 2, "theta_grid": (0.25,)}
+UNSET = {"q_values": (), "trials": 1, "theta_grid": None}
+
+
 class TestConfig:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -49,6 +63,23 @@ class TestConfig:
         # None is not the kind's default
         with pytest.raises(ValueError, match="trials must be an integer, got None"):
             ExperimentConfig(kind="bound-sweep", n_values=(4,), trials=None)
+
+    @pytest.mark.parametrize("field", SET)
+    @pytest.mark.parametrize("kind", READS)
+    def test_a_field_is_rejected_exactly_when_its_kind_does_not_read_it(self, kind, field):
+        base = {"kind": kind, "n_values": (4,)}
+        if "theta_grid" in READS[kind]:
+            base["theta_grid"] = (0.5,)
+        if field in READS[kind]:
+            ExperimentConfig(**{**base, field: SET[field]})
+        else:
+            with pytest.raises(ValueError, match=f"^{kind} does not read {field}"):
+                ExperimentConfig(**{**base, field: SET[field]})
+            # the unset value, given explicitly, is not a read
+            ExperimentConfig(**{**base, field: UNSET[field]})
+
+    def test_every_kind_declares_what_it_reads(self):
+        assert {name: set(kind.reads) for name, kind in experiments.KINDS.items()} == READS
 
     @pytest.mark.parametrize("jobs", [1.5, True, 0])
     def test_jobs_must_be_a_positive_integer(self, jobs):

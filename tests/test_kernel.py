@@ -97,12 +97,9 @@ def random_case(n, work_dim, anc_dim, exponents, seed, local=False, basis=None):
 
 
 def check_against_reference(alg, family, theta):
-    n, q = alg.n, alg.q
-    for y in range(n):
-        np.testing.assert_allclose(
-            _run_labels(alg, family, [y])[:, 0], reference.run_fixed_y(alg, family, y).amps,
-            rtol=0, atol=TOL,
-        )
+    q = alg.q
+    for y, col in enumerate(_run_labels(alg, family).T):
+        np.testing.assert_allclose(col, reference.run_fixed_y(alg, family, y).amps, rtol=0, atol=TOL)
     inst = PhaseInstance(theta=theta, eigenstate=family.eigenstate)
     np.testing.assert_allclose(
         _run(alg, inst.eigenstate, lambda m: np.exp(2j * np.pi * np.array([theta * m])), 1)[:, 0],

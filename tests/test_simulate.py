@@ -63,8 +63,8 @@ def one_query_probe(n, exponents=(FORWARD,)):
 
 
 def run_fixed_y(alg, family, y):
-    """The fixed-label run of member y: the kernel on one label column."""
-    return StateVector(alg.layout, _run_labels(alg, family, [y])[:, 0])
+    """The fixed-label run of member y: column y of the kernel's label run."""
+    return StateVector(alg.layout, _run_labels(alg, family)[:, y])
 
 
 class TestAlgorithmValidation:
@@ -410,7 +410,7 @@ class TestExponentReduction:
         fam = default_family(n)
         one = QueryAlgorithm(standard_layout(n), (h, h.adjoint), (1,))
         alg = replace(one, exponents=(exponent,))
-        assert np.array_equal(_run_labels(alg, fam, range(n)), _run_labels(one, fam, range(n)))
+        assert np.array_equal(_run_labels(alg, fam), _run_labels(one, fam))
 
     @pytest.mark.parametrize("exponent", CONGRUENT_TO_ONE[::2])
     def test_haar_trial_depends_on_exponent_mod_n(self, exponent):
@@ -554,7 +554,7 @@ class TestSpectra:
         n, q = 8, 3
         alg = haar_random_algorithm(n, q, seed=4)
         fam = default_family(n)
-        (w,) = _counter_spectra(_run_labels(alg, fam, range(n)), n)
+        (w,) = _counter_spectra(_run_labels(alg, fam), n)
         np.testing.assert_allclose(w, fourier_weights(run_purified(alg, fam), COUNTER), atol=1e-15)
 
     @pytest.mark.parametrize("total", [np.nan, np.inf, -np.inf, 1 + 2e-9, 1 - 2e-9])
